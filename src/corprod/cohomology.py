@@ -70,7 +70,12 @@ class GModule:
 
         from .groups import generating_set
 
-        arr = np.array(acts, dtype=np.int64)
+        try:
+            arr = np.array(acts, dtype=np.int64)
+            bound = max(int(arr.max()), -int(arr.min()))
+        except OverflowError:  # an entry of absolute value 2^63 or more
+            bound = 2**63
+        modular.check_int64_products(bound, r, "module action matrices")
         mods = np.array(a.factors, dtype=np.int64)[:, None]
         for s in generating_set(g):
             prod = np.mod(arr @ arr[s], mods)

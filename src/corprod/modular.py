@@ -10,11 +10,17 @@ submodules, quotient presentations) all reduce to two primitives:
                                factors, representatives and a coordinate
                                map for arbitrary members of N.
 
-Both work prime by prime.  Modulo p^k every matrix can be diagonalized
-exactly with numpy int64 arithmetic because the entries stay below p^k;
-the results are then glued with the Chinese remainder theorem.  A pure
-integer fallback (``subquotient_int``) built on the Smith normal form is
-kept as an independent oracle for the tests.
+Both work prime by prime.  Modulo q = p^k every matrix is diagonalized
+exactly by ``local_diagonalize``, and the results are glued with the
+Chinese remainder theorem.  The kernel stores its matrices in the
+narrowest signed numpy dtype that holds (q-1)^2 (int8 for q <= 12, then
+int16, int32, int64) and returns them as int64; it finds pivot
+valuations arithmetically, so nothing is allocated in proportion to q.
+The longest dot product the kernel and its consumers form has
+max(m, n) terms below q, so an m x n system is refused with
+``SizeCapExceeded`` before any allocation when max(m, n, 1).(q-1)^2
+reaches 2^63.  A pure integer fallback (``subquotient_int``) built on the
+Smith normal form is kept as an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -25,24 +31,22 @@ from typing import Callable
 import numpy as np
 
 from . import lattice
-from .errors import VerificationFailure
+from .errors import SizeCapExceeded, VerificationFailure
 from .lattice import Vector, factorint
 
-
-def _valuation(x: int, p: int, cap: int) -> int:
-    if x == 0:
-        return cap
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-        if v >= cap:
-            break
-    return v
+# narrowest signed dtype whose maximum holds (q-1)^2, as (dtype, maximum)
+_STORAGE = ((np.int8, 2**7 - 1), (np.int16, 2**15 - 1), (np.int32, 2**31 - 1))
 
 
-def _unit_inverse(u: int, q: int) -> int:
-    return pow(u, -1, q)
+def check_int64_products(bound: int, length: int, what: str) -> None:
+    """Refuse when a dot product of ``length`` terms, each the product of
+    two integers of absolute value at most ``bound``, could reach 2^63."""
+    worst = max(length, 1) * bound * bound
+    if worst >= 2**63:
+        raise SizeCapExceeded(
+            f"{what}: dot products of length {length} over entries up to {bound} "
+            f"reach {worst} >= 2^63, beyond exact int64 arithmetic"
+        )
 
 
 def local_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool = True):
@@ -52,67 +56,62 @@ def local_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool = True):
     Returns ``(exps, U, V, Vinv)`` where ``exps[i]`` is the valuation of
     the i-th diagonal entry (k encodes a zero block).  With
     ``need_u=False`` the (potentially large) U is not tracked and None
-    is returned in its place.
+    is returned in its place.  The pivot at each step is the first entry
+    of least valuation, in row-major order, of the remaining block.
     """
     q = p**k
     m, n = mat.shape
-    a = np.mod(mat.astype(np.int64), q)
-    u = np.eye(m, dtype=np.int64) if need_u else None
-    v = np.eye(n, dtype=np.int64)
-    vinv = np.eye(n, dtype=np.int64)
-    # valuation lookup for residues 0..q-1
-    val = np.full(q, k, dtype=np.int64)
-    for r in range(1, q):
-        val[r] = _valuation(r, p, k)
-
+    check_int64_products(q - 1, max(m, n), f"modulus q={q}")
+    dt = next((d for d, top in _STORAGE if (q - 1) ** 2 <= top), np.int64)
+    a = np.mod(np.asarray(mat, dtype=np.int64), q).astype(dt, copy=False)
+    u = np.eye(m, dtype=dt) if need_u else None
+    v = np.eye(n, dtype=dt)
+    vinv = np.eye(n, dtype=dt)
     exps: list[int] = []
-    t = 0
-    size = min(m, n)
-    while t < size:
+    for t in range(min(m, n)):
         block = a[t:, t:]
-        vals = val[block]
-        vmin = vals.min() if vals.size else k
-        if vmin >= k:
+        # least valuation j: the first level at which some entry is nonzero mod p^(j+1)
+        for j in range(k):
+            mask = block != 0 if j == k - 1 else block % p ** (j + 1) != 0
+            bi, bj = divmod(int(mask.argmax()), n - t)
+            if mask[bi, bj]:
+                break
+        else:
             break
-        bi, bj = np.unravel_index(int(vals.argmin()), vals.shape)
         bi, bj = bi + t, bj + t
         if bi != t:
-            a[[t, bi], :] = a[[bi, t], :]
+            a[[t, bi], t:] = a[[bi, t], t:]
             if need_u:
                 u[[t, bi], :] = u[[bi, t], :]
         if bj != t:
-            a[:, [t, bj]] = a[:, [bj, t]]
+            a[t:, [t, bj]] = a[t:, [bj, t]]
             v[:, [t, bj]] = v[:, [bj, t]]
             vinv[[t, bj], :] = vinv[[bj, t], :]
-        piv_val = int(vmin)
-        unit = int(a[t, t]) // p**piv_val
-        inv = _unit_inverse(unit % q, q)
-        a[t, t:] = (a[t, t:] * inv) % q
-        if need_u:
-            u[t, :] = (u[t, :] * inv) % q
-        # pivot is now exactly p^piv_val; clear column t then row t
-        col = a[t:, t].copy()
-        col[0] = 0
-        w = col // (p**piv_val)
-        if np.any(w):
-            a[t:, t:] -= np.outer(w, a[t, t:])
-            np.mod(a[t:, t:], q, out=a[t:, t:])
+        pj = p**j
+        inv = pow(int(a[t, t]) // pj, -1, q)
+        if inv != 1:
+            a[t, t:] = (a[t, t:] * inv) % q
             if need_u:
-                u[t:, :] -= np.outer(w, u[t, :])
-                np.mod(u[t:, :], q, out=u[t:, :])
-        row = a[t, t:].copy()
-        row[0] = 0
-        w = row // (p**piv_val)
-        if np.any(w):
+                u[t, :] = (u[t, :] * inv) % q
+        # pivot is now exactly p^j; clear the rows with a nonzero entry in
+        # column t, then the columns with a nonzero entry in row t.  Only
+        # the block a[t+1:, t+1:] is read again, so clearing row t needs no
+        # update of a.
+        rows = np.flatnonzero(a[t + 1:, t]) + (t + 1)
+        if rows.size:
+            w = a[rows, t] // pj
+            a[rows, t:] = (a[rows, t:] - w[:, None] * a[t, t:]) % q
+            if need_u:
+                u[rows, :] = (u[rows, :] - w[:, None] * u[t, :]) % q
+        cols = np.flatnonzero(a[t, t + 1:]) + (t + 1)
+        if cols.size:
             # col_j -= w_j * col_t;  inverse acts on Vinv as row_t += w . rows
-            a[t:, t:] -= np.outer(a[t:, t], w)
-            np.mod(a[t:, t:], q, out=a[t:, t:])
-            v[:, t:] -= np.outer(v[:, t], w)
-            np.mod(v[:, t:], q, out=v[:, t:])
-            vinv[t, :] = (vinv[t, :] + w @ vinv[t:, :]) % q
-        exps.append(piv_val)
-        t += 1
-    return exps, (u % q) if need_u else None, v % q, vinv % q
+            w = a[t, cols] // pj
+            v[:, cols] = (v[:, cols] - v[:, t, None] * w) % q
+            vinv[t, :] = (vinv[t, :] + w.astype(np.int64) @ vinv[cols, :]) % q
+        exps.append(j)
+    u = u.astype(np.int64, copy=False) if need_u else None
+    return exps, u, v.astype(np.int64, copy=False), vinv.astype(np.int64, copy=False)
 
 
 def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> list[np.ndarray]:
@@ -332,6 +331,30 @@ def quotient_presentation(moduli, den_gens) -> Subquotient:
 # ---------------------------------------------------------------------------
 
 
+def _prime_systems(rows, row_moduli, col_moduli):
+    """Split rows . x = b (mod row_moduli) into one system mod q = p^k per
+    prime p: the rows whose modulus p divides, each scaled by p^(k-e) so
+    that it holds mod q.  Returns the column factorizations and a list of
+    ``(p, k, q, keep, scales, mat)``."""
+    n = len(col_moduli)
+    fac = {m: factorint(m) if m > 1 else {} for m in {*col_moduli, *row_moduli}}
+    col_exp = [fac[m] for m in col_moduli]
+    row_exp = [fac[m] for m in row_moduli]
+    full = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    systems = []
+    for p in sorted(set().union(*col_exp, *row_exp)):
+        k = max(f.get(p, 0) for f in col_exp + row_exp)
+        q = p**k
+        keep = [i for i, f in enumerate(row_exp) if p in f]
+        scales = [p ** (k - row_exp[i][p]) for i in keep]
+        if keep:
+            # the kernel's own refusal, made before the scaling below can wrap
+            check_int64_products(q - 1, max(len(keep), n), f"modulus q={q}")
+        mat = np.mod(full[keep], q) * np.array(scales, dtype=np.int64).reshape(-1, 1) % q
+        systems.append((p, k, q, keep, scales, mat))
+    return col_exp, systems
+
+
 def congruence_kernel(rows, row_moduli, col_moduli) -> list[Vector]:
     """Generators of {x in prod Z/col_moduli : rows . x = 0 mod row_moduli}.
 
@@ -343,26 +366,9 @@ def congruence_kernel(rows, row_moduli, col_moduli) -> list[Vector]:
     n = len(col_moduli)
     if n == 0:
         return []
-    exp_of = [factorint(m) if m > 1 else {} for m in col_moduli]
-    row_exp = [factorint(m) if m > 1 else {} for m in row_moduli]
-    primes: set[int] = set()
-    for f in exp_of + row_exp:
-        primes.update(f)
+    exp_of, systems = _prime_systems(rows, row_moduli, col_moduli)
     out: list[Vector] = []
-    for p in sorted(primes):
-        k = max(
-            [f.get(p, 0) for f in exp_of] + [f.get(p, 0) for f in row_exp],
-            default=0,
-        )
-        q = p**k
-        scaled = []
-        for row, rexp in zip(rows, row_exp):
-            e = rexp.get(p, 0)
-            if e == 0:
-                continue
-            scale = p ** (k - e)
-            scaled.append([(int(x) * scale) % q for x in row])
-        mat = np.array(scaled, dtype=np.int64).reshape(len(scaled), n)
+    for p, k, _, _, _, mat in systems:
         for g in _kernel_gens_mod(mat, p, k):
             # keep the p-part of each component, zero at the other primes
             vec = []
@@ -439,27 +445,11 @@ class CongruenceSolver:
         self.col_moduli = [int(m) for m in col_moduli]
         n = len(self.col_moduli)
         self.n = n
-        self.exp_of = [factorint(m) if m > 1 else {} for m in self.col_moduli]
-        row_exp = [factorint(m) if m > 1 else {} for m in self.row_moduli]
-        primes: set[int] = set()
-        for f in self.exp_of + row_exp:
-            primes.update(f)
+        self.exp_of, systems = _prime_systems(
+            self.rows, self.row_moduli, self.col_moduli
+        )
         self.systems = []
-        for p in sorted(primes):
-            k = max(
-                [f.get(p, 0) for f in self.exp_of] + [f.get(p, 0) for f in row_exp],
-                default=0,
-            )
-            q = p**k
-            keep = [i for i, f in enumerate(row_exp) if f.get(p, 0) > 0]
-            scales = [p ** (k - row_exp[i][p]) for i in keep]
-            mat = np.array(
-                [
-                    [(x * s) % q for x in self.rows[i]]
-                    for i, s in zip(keep, scales)
-                ],
-                dtype=np.int64,
-            ).reshape(len(keep), n)
+        for p, k, q, keep, scales, mat in systems:
             if mat.shape[0]:
                 exps, u, v, _ = local_diagonalize(mat, p, k)
             else:

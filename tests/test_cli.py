@@ -308,3 +308,12 @@ def test_corpus_seeds_differ(capsys):
     out1 = capsys.readouterr().out
     assert out0 != out1
     assert len(out0.strip().splitlines()) == len(out1.strip().splitlines()) == 30
+
+
+def test_cohomology_refuses_moduli_beyond_int64(tmp_path, family_file):
+    mod = tmp_path / "big.json"
+    coeff = {"kind": "ab", "factors": [2**31] * 3}
+    mod.write_text(json.dumps({"coeff": coeff, "actions": {}}))
+    status, text = run_cli(["cohomology", "--spec", family_file, "--module", str(mod)])
+    assert status == 2
+    assert "q=2147483648" in text and "2^63" in text

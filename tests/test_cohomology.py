@@ -6,6 +6,7 @@ works directly with the normalized cochain system.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -386,3 +387,52 @@ def test_inconsistent_redundant_action_rejected(zoo):
     # a consistent redundant listing is fine: act(2) = act(1)^2 = identity
     m = coh.module_from_generator_matrices(c4, FAG((3,)), {1: neg, 2: ident})
     assert m.act(3, (1,)) == (2,)
+
+
+def _inverse_3x3(a, q):
+    cof = [
+        [
+            a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+            - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    det_inv = pow(sum(a[0][j] * cof[0][j] for j in range(3)), -1, q)
+    return [[cof[j][i] * det_inv % q for j in range(3)] for i in range(3)]
+
+
+def _mat_mul_mod(a, b, q):
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+
+def test_module_validation_refuses_rather_than_wraps():
+    # M = P.diag(1, -1, 1).P^-1 has order 2 on (Z/q)^3 with q = 2^31 - 1;
+    # validated with wrapping int64 products, one of these 20 was rejected
+    # as "not a homomorphism"
+    q = 2**31 - 1
+    g = gr.cyclic_group(2)
+    coeff = FAG((q, q, q))
+    ident = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    rng = random.Random(1)
+    outcomes = set()
+    for _ in range(20):
+        while True:
+            p = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
+            try:
+                p_inv = _inverse_3x3(p, q)
+                break
+            except ValueError:  # singular mod q
+                continue
+        diag = [[1, 0, 0], [0, q - 1, 0], [0, 0, 1]]
+        m = _mat_mul_mod(_mat_mul_mod(p, diag, q), p_inv, q)
+        assert _mat_mul_mod(m, m, q) == [list(row) for row in ident]
+        acts = [ident, ident]
+        acts[1 - g.identity] = tuple(map(tuple, m))
+        try:
+            coh.GModule(g, coeff, tuple(acts))
+            outcomes.add("accepted")
+        except SizeCapExceeded as exc:
+            assert "2^63" in str(exc)
+            outcomes.add("refused")
+    assert outcomes == {"accepted", "refused"}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from corprod import lattice, modular
+from corprod.errors import SizeCapExceeded
 
 
 def subgroup_canon(gens, moduli):
@@ -31,18 +32,113 @@ def random_system(rng, max_n=4, max_m=4):
     return rows, row, col
 
 
+def seed_local_diagonalize(mat, p, k, need_u=True):
+    """The original table-driven kernel, kept as the reference for the
+    pivot order and the transforms of :func:`modular.local_diagonalize`."""
+    q = p**k
+    m, n = mat.shape
+    a = np.mod(mat.astype(np.int64), q)
+    u = np.eye(m, dtype=np.int64) if need_u else None
+    v = np.eye(n, dtype=np.int64)
+    vinv = np.eye(n, dtype=np.int64)
+    val = np.full(q, k, dtype=np.int64)
+    for r in range(1, q):
+        x, e = r, 0
+        while x % p == 0 and e < k:
+            x, e = x // p, e + 1
+        val[r] = e
+    exps = []
+    t = 0
+    while t < min(m, n):
+        vals = val[a[t:, t:]]
+        vmin = vals.min() if vals.size else k
+        if vmin >= k:
+            break
+        bi, bj = np.unravel_index(int(vals.argmin()), vals.shape)
+        bi, bj = bi + t, bj + t
+        if bi != t:
+            a[[t, bi], :] = a[[bi, t], :]
+            if need_u:
+                u[[t, bi], :] = u[[bi, t], :]
+        if bj != t:
+            a[:, [t, bj]] = a[:, [bj, t]]
+            v[:, [t, bj]] = v[:, [bj, t]]
+            vinv[[t, bj], :] = vinv[[bj, t], :]
+        piv = p ** int(vmin)
+        inv = pow(int(a[t, t]) // piv % q, -1, q)
+        a[t, t:] = (a[t, t:] * inv) % q
+        if need_u:
+            u[t, :] = (u[t, :] * inv) % q
+        col = a[t:, t].copy()
+        col[0] = 0
+        w = col // piv
+        if np.any(w):
+            a[t:, t:] -= np.outer(w, a[t, t:])
+            np.mod(a[t:, t:], q, out=a[t:, t:])
+            if need_u:
+                u[t:, :] -= np.outer(w, u[t, :])
+                np.mod(u[t:, :], q, out=u[t:, :])
+        row = a[t, t:].copy()
+        row[0] = 0
+        w = row // piv
+        if np.any(w):
+            a[t:, t:] -= np.outer(a[t:, t], w)
+            np.mod(a[t:, t:], q, out=a[t:, t:])
+            v[:, t:] -= np.outer(v[:, t], w)
+            np.mod(v[:, t:], q, out=v[:, t:])
+            vinv[t, :] = (vinv[t, :] + w @ vinv[t:, :]) % q
+        exps.append(int(vmin))
+        t += 1
+    return exps, (u % q) if need_u else None, v % q, vinv % q
+
+
+def int64_limit(q):
+    """The longest product length the kernel accepts modulo q."""
+    return (2**63 - 1) // (q - 1) ** 2
+
+
+def test_local_diagonalize_matches_seed_kernel():
+    rng = random.Random(7)
+    for case in range(240):
+        p, k = rng.choice([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3)])
+        q = p**k
+        m, n = rng.randint(0, 40), rng.randint(0, 30)
+        # vary the density of units so that deep pivot levels and zero
+        # blocks both occur
+        dense = rng.random()
+        mat = np.array(
+            [
+                [rng.randrange(q) if rng.random() < dense else p * rng.randrange(q) % q
+                 for _ in range(n)]
+                for _ in range(m)
+            ],
+            dtype=np.int64,
+        ).reshape(m, n)
+        need_u = case % 2 == 0
+        got = modular.local_diagonalize(mat, p, k, need_u)
+        want = seed_local_diagonalize(mat, p, k, need_u)
+        assert got[0] == want[0]
+        assert (got[1] is None) == (not need_u)
+        for x, y in zip(got[1:], want[1:]):
+            if y is not None:
+                assert x.dtype == np.int64 and np.array_equal(x, y)
+
+
 def test_local_diagonalize_properties():
     rng = random.Random(2)
-    for _ in range(250):
-        p = rng.choice([2, 3, 5])
-        k = rng.randint(1, 3)
+    # small prime powers, then the largest q each shape is accepted at
+    cases = [(rng.choice([2, 3, 5]), rng.randint(1, 3), 5) for _ in range(250)]
+    cases += [(2, 31, 2), (2**31 - 1, 1, 2), (3, 19, int64_limit(3**19))] * 20
+    for p, k, size in cases:
         q = p**k
-        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        m, n = rng.randint(0, size), rng.randint(0, size)
         mat = np.array(
             [[rng.randrange(q) for _ in range(n)] for _ in range(m)], dtype=np.int64
         ).reshape(m, n)
         exps, u, v, vinv = modular.local_diagonalize(mat, p, k)
-        d = (u @ mat @ v) % q
+        # exact products with Python integers
+        u, v, vinv = (x.astype(object) for x in (u, v, vinv))
+        d = (u @ mat.astype(object) @ v) % q
         for i in range(m):
             for j in range(n):
                 want = (p ** exps[i]) % q if (i == j and i < len(exps)) else 0
@@ -127,3 +223,41 @@ def test_reusable_solver_agrees_with_one_shot():
     for _ in range(50):
         rhs = tuple(rng.randrange(mm) for mm in row)
         assert solver.solve(rhs) == modular.solve_congruence(rows, row, col, rhs)
+
+
+def test_int64_refusal_at_and_past_the_bound():
+    q = 2**31 - 1
+    assert int64_limit(q) == 2
+    mat = np.array([[q - 1, q - 2], [q - 3, 5]], dtype=np.int64)
+    exps, u, v, _ = modular.local_diagonalize(mat, q, 1)
+    d = (u.astype(object) @ mat.astype(object) @ v.astype(object)) % q
+    assert d.tolist() == [[1, 0], [0, 1]] and exps == [0, 0]
+    for shape in ((3, 3), (3, 1), (1, 3)):
+        with pytest.raises(SizeCapExceeded, match=r"q=2147483647.*length 3.*2\^63"):
+            modular.local_diagonalize(np.ones(shape, dtype=np.int64), q, 1)
+    # at q = 3 the bound is met exactly by 2^61 terms; a zero-stride view
+    # carries that shape without allocating it
+    modular.check_int64_products(2, 2**61 - 1, "q=3")
+    huge = np.broadcast_to(np.int8(0), (2**61, 1))
+    with pytest.raises(SizeCapExceeded, match=r"length 2305843009213693952"):
+        modular.local_diagonalize(huge, 3, 1)
+    # 3^19: exactly int64_limit rows are accepted, one more is refused
+    q, size = 3**19, int64_limit(3**19)
+    modular.local_diagonalize(np.full((size, size), q - 1, dtype=np.int64), 3, 19)
+    with pytest.raises(SizeCapExceeded):
+        modular.local_diagonalize(np.zeros((size + 1, 1), dtype=np.int64), 3, 19)
+
+
+def test_solver_refuses_systems_beyond_int64():
+    # 4x5 systems mod 2^31 - 1 once returned "no solution" for solvable
+    # right-hand sides after an int64 product wrapped; they are refused now
+    q = 2**31 - 1
+    rng = random.Random(8)
+    for _ in range(200):
+        rows = [tuple(rng.randrange(q) for _ in range(5)) for _ in range(4)]
+        x0 = [rng.randrange(q) for _ in range(5)]
+        rhs = [sum(a * b for a, b in zip(r, x0)) % q for r in rows]
+        with pytest.raises(SizeCapExceeded, match=r"2\^63"):
+            modular.solve_congruence(rows, [q] * 4, [q] * 5, rhs)
+    with pytest.raises(SizeCapExceeded):
+        modular.congruence_kernel(rows, [q] * 4, [q] * 5)

@@ -127,3 +127,15 @@ def test_digest_stability():
     d1 = serialize.canonical_digest(VALID_FAMILY)
     d2 = serialize.canonical_digest(copy.deepcopy(VALID_FAMILY))
     assert d1 == d2 and len(d1) == 12
+
+
+def test_action_powers_beyond_int64_are_refused():
+    # the powers of [[10^9]] on C4 reach 10^27; validation used to raise a
+    # bare OverflowError converting them to int64
+    spec = serialize.parse_family(VALID_FAMILY)
+    doc = {
+        "coeff": {"kind": "ab", "factors": [6]},
+        "actions": {"a": [{"element": 1, "matrix": [[10**9]]}]},
+    }
+    with pytest.raises(SpecFileError, match=r"2\^63"):
+        serialize.parse_module(doc, spec)
