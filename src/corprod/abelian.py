@@ -152,17 +152,6 @@ def identity_hom(a: FiniteAbelianGroup) -> AbHom:
     return AbHom(a, a, lattice.identity_matrix(a.rank))
 
 
-def zero_hom(a: FiniteAbelianGroup, b: FiniteAbelianGroup) -> AbHom:
-    return AbHom(a, b, lattice.zero_matrix(b.rank, a.rank))
-
-
-def hom_from_images(a: FiniteAbelianGroup, b: FiniteAbelianGroup, images) -> AbHom:
-    """Homomorphism sending the i-th canonical generator of ``a`` to
-    ``images[i]``."""
-    mat = tuple(tuple(images[j][i] for j in range(a.rank)) for i in range(b.rank))
-    return AbHom(a, b, mat)
-
-
 @dataclass(frozen=True)
 class AbSubgroup:
     """Subgroup of a finite abelian group, given by generating vectors."""

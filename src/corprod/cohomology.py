@@ -15,7 +15,13 @@ f(g, h) = phi(w_g w_h w_{gh}^{-1}), so all returned representatives
 satisfy the inhomogeneous cocycle identities exactly.
 
 Degrees >= 3 are reached only by iterated dimension shifting through
-coinduced modules, mirroring how one proves anything about them.
+coinduced modules, mirroring how one proves anything about them.  The
+coinduced module Maps(G, A) acts by a permutation of coordinates, so its
+quotient actions are gathers of lifted columns.  The connecting map reads
+the preimage of each coboundary at the identity coordinates (evaluation
+at 1 is a left inverse of A -> Maps(G, A)) and verifies it by
+re-embedding.  Bulk assembly reads each module's action array; its int64
+products are refused with ``SizeCapExceeded`` before they could wrap.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from . import lattice, modular
 from .abelian import AbHom, AbSubgroup, FiniteAbelianGroup
@@ -47,7 +55,11 @@ DEFAULT_COH_CAP = 20_000
 @dataclass(frozen=True)
 class GModule:
     """A finite abelian group with an action of a finite group by
-    automorphism matrices (column convention, one matrix per element)."""
+    automorphism matrices (column convention, one matrix per element).
+
+    ``array`` holds the same action as one int64 array of shape
+    (|G|, r, r), row i reduced mod factor i; bulk assembly reads it.
+    """
 
     group: FiniteGroup
     coeff: FiniteAbelianGroup
@@ -64,26 +76,27 @@ class GModule:
         if self._reduced(acts[g.identity]) != ident:
             raise InvariantViolation("identity must act as the identity matrix")
         if r == 0 or g.order == 1:
-            return
-        # multiplicativity against a generating set implies it everywhere
-        import numpy as np
+            arr = np.broadcast_to(np.eye(r, dtype=np.int64), (g.order, r, r))
+        else:
+            # multiplicativity against a generating set implies it everywhere
+            from .groups import generating_set
 
-        from .groups import generating_set
-
-        try:
-            arr = np.array(acts, dtype=np.int64)
-            bound = max(int(arr.max()), -int(arr.min()))
-        except OverflowError:  # an entry of absolute value 2^63 or more
-            bound = 2**63
-        modular.check_int64_products(bound, r, "module action matrices")
-        mods = np.array(a.factors, dtype=np.int64)[:, None]
-        for s in generating_set(g):
-            prod = np.mod(arr @ arr[s], mods)
-            target = np.mod(arr[[g.mul(x, s) for x in range(g.order)]], mods)
-            if not np.array_equal(prod, target):
-                raise InvariantViolation(
-                    f"action is not a homomorphism against generator {s}"
-                )
+            try:
+                arr = np.array(acts, dtype=np.int64)
+                bound = max(int(arr.max()), -int(arr.min()))
+            except OverflowError:  # an entry of absolute value 2^63 or more
+                bound = 2**63
+            modular.check_int64_products(bound, r, "module action matrices")
+            mods = np.array(a.factors, dtype=np.int64)[:, None]
+            for s in generating_set(g):
+                prod = np.mod(arr @ arr[s], mods)
+                target = np.mod(arr[[g.mul(x, s) for x in range(g.order)]], mods)
+                if not np.array_equal(prod, target):
+                    raise InvariantViolation(
+                        f"action is not a homomorphism against generator {s}"
+                    )
+            arr = np.mod(arr, mods)
+        object.__setattr__(self, "array", arr)
 
     def _reduced(self, m: Matrix) -> Matrix:
         return tuple(
@@ -97,8 +110,7 @@ class GModule:
         return self.coeff.reduce(lattice.mat_vec(self.action[g], vec))
 
     def is_trivial_action(self) -> bool:
-        ident = lattice.identity_matrix(self.coeff.rank)
-        return all(self._reduced(m) == ident for m in self.action)
+        return bool((self.array == np.eye(self.coeff.rank, dtype=np.int64)).all())
 
 
 def trivial_module(group: FiniteGroup, coeff: FiniteAbelianGroup) -> GModule:
@@ -278,6 +290,23 @@ def _extend_cocycle_over_tree(m: GModule, pres: FreePresentation, gen_values) ->
     return tuple(table)  # type: ignore[return-value]
 
 
+def _derivation_sums(m: GModule, pres: FreePresentation) -> np.ndarray:
+    """D[e, s] = sum of sign * action[prefix] over the terms of d(n_e) in
+    generator s, shape (edges, generators, r, r), row i reduced mod factor
+    i: a free derivation d restricts to n_e as sum_s D[e, s] . d(s)."""
+    r = m.coeff.rank
+    out = np.zeros((pres.rank, len(pres.gens), r, r), dtype=np.int64)
+    terms = [pres.derivation_terms(e) for e in range(pres.rank)]
+    flat = [(e, sign, prefix, s) for e, ts in enumerate(terms) for sign, prefix, s in ts]
+    if flat:
+        modular.check_int64_products(
+            m.coeff.exponent - 1, max(map(len, terms)), "derivation sums", other=1
+        )
+        edge, sign, prefix, gen = (np.array(c, dtype=np.int64) for c in zip(*flat))
+        np.add.at(out, (edge, gen), sign[:, None, None] * m.array[prefix])
+    return np.mod(out, np.array(m.coeff.factors, dtype=np.int64)[:, None])
+
+
 def cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> CohomologyGroup:
     """H^1 (crossed homomorphisms) or H^2 (normalized factor sets)."""
     if degree not in (1, 2):
@@ -305,27 +334,13 @@ def _h1(m: GModule) -> CohomologyGroup:
         value = FiniteAbelianGroup(())
         return CohomologyGroup(1, value, (), space, m, lambda cocycle: ())
 
-    rows: list[Vector] = []
-    row_moduli: list[int] = []
-    for e in range(pres.rank):
-        block = [[0] * (k * r) for _ in range(r)]
-        for sign, prefix, s in pres.derivation_terms(e):
-            mat = m.action[prefix]
-            for i in range(r):
-                for j in range(r):
-                    block[i][s * r + j] += sign * mat[i][j]
-        rows.extend(tuple(row) for row in block)
-        row_moduli.extend(a.factors)
-    z1 = modular.congruence_kernel(rows, row_moduli, col_moduli)
-    b1 = []
-    for i in range(r):
-        e_i = tuple(1 if j == i else 0 for j in range(r))
-        vec = []
-        for s in range(k):
-            img = m.act(pres.gens[s], e_i)
-            vec.extend((img[j] - e_i[j]) % a.factors[j] for j in range(r))
-        b1.append(tuple(vec))
-    sq = modular.subquotient(col_moduli, z1, b1)
+    # row (e, i), column (s, j): the cocycle condition on the edge n_e
+    rows = _derivation_sums(m, pres).transpose(0, 2, 1, 3).reshape(pres.rank * r, k * r)
+    z1 = modular.congruence_kernel(rows, a.factors * pres.rank, col_moduli)
+    # the principal crossed homomorphism of e_i, on the generators: s.e_i - e_i
+    fac = np.array(a.factors, dtype=np.int64)[:, None]
+    b1 = np.mod(m.array[list(pres.gens)] - np.eye(r, dtype=np.int64), fac)
+    sq = modular.subquotient(col_moduli, z1, b1.transpose(2, 0, 1).reshape(r, k * r))
     value = FiniteAbelianGroup(sq.factors)
     reps = tuple(
         _extend_cocycle_over_tree(
@@ -377,23 +392,9 @@ def _h2(m: GModule) -> CohomologyGroup:
             row_moduli.extend(a.factors)
     hom_gens = modular.congruence_kernel(rows, row_moduli, col_moduli)
 
-    # denominator: restrictions of free-group derivations
-    den = []
-    derivs = [pres.derivation_terms(e) for e in range(rho)]
-    for s0 in range(len(pres.gens)):
-        for i in range(r):
-            e_i = tuple(1 if j == i else 0 for j in range(r))
-            vec = [0] * (rho * r)
-            for e in range(rho):
-                acc = a.zero
-                for sign, prefix, s in derivs[e]:
-                    if s != s0:
-                        continue
-                    term = m.act(prefix, e_i)
-                    acc = a.add(acc, term if sign > 0 else a.neg(term))
-                for j in range(r):
-                    vec[e * r + j] = acc[j]
-            den.append(tuple(vec))
+    # denominator: restrictions of free-group derivations, the one with
+    # d(s0) = e_i at row (s0, i), column (e, j)
+    den = _derivation_sums(m, pres).transpose(1, 3, 0, 2).reshape(len(pres.gens) * r, rho * r)
     sq = modular.subquotient(col_moduli, hom_gens, den)
     value = FiniteAbelianGroup(sq.factors)
 
@@ -574,7 +575,12 @@ def unramified_subgroup(
 @dataclass(frozen=True)
 class CoinducedModule:
     """Maps(G, A) with the translation action, with A embedded
-    equivariantly and the quotient module A' = Maps(G, A)/A."""
+    equivariantly and the quotient module A' = Maps(G, A)/A.
+
+    Component (i, y) of Maps(G, A), the i-th coordinate of the value at y,
+    sits at position i*n + y.  Translation by x only relabels coordinates:
+    coordinate p of x.f is coordinate ``perm[x, p]`` of f.
+    """
 
     base: GModule
     module: GModule
@@ -582,6 +588,7 @@ class CoinducedModule:
     quotient: GModule
     projection: AbHom
     lift: Matrix  # one column per quotient generator
+    perm: np.ndarray = field(repr=False, compare=False)
 
     def project_table(self, table):
         return tuple(self.projection.apply(v) for v in table)
@@ -601,32 +608,15 @@ def coinduced_module(group: FiniteGroup, coeff) -> CoinducedModule:
     # component (i, x) at position i*n + x keeps the invariant chain valid
     factors = tuple(d for d in a.factors for _ in range(n))
     coind_ab = FiniteAbelianGroup(factors)
+    # (x.f)(y) = f(yx)
+    table = np.array(g.table, dtype=np.int64).reshape(n, n)
+    perm = (np.arange(r)[None, :, None] * n + table.T[:, None, :]).reshape(n, n * r)
+    coind = GModule(g, coind_ab, np.eye(n * r, dtype=np.int64)[perm].tolist())
 
-    acts = []
-    for x in range(n):
-        mat = [[0] * (n * r) for _ in range(n * r)]
-        for i in range(r):
-            for y in range(n):
-                mat[i * n + y][i * n + g.mul(y, x)] = 1
-        acts.append(tuple(tuple(row) for row in mat))
-    coind = GModule(g, coind_ab, tuple(acts))
-
-    emb_cols = []
-    for i in range(r):
-        e_i = tuple(1 if j == i else 0 for j in range(r))
-        vec = [0] * (n * r)
-        for x in range(n):
-            img = m.act(x, e_i)
-            for j in range(r):
-                vec[j * n + x] = img[j]
-        emb_cols.append(tuple(vec))
-    embedding = AbHom(
-        a,
-        coind_ab,
-        tuple(tuple(emb_cols[j][i] for j in range(r)) for i in range(n * r)),
-    )
-
-    qpres = modular.quotient_presentation(factors, emb_cols)
+    # a in A goes to y -> y.a; column i is the image of e_i
+    emb = m.array.transpose(1, 0, 2).reshape(n * r, r)
+    embedding = AbHom(a, coind_ab, emb.tolist())
+    qpres = modular.quotient_presentation(factors, emb.T)
     quotient_ab = FiniteAbelianGroup(qpres.factors)
     basis = [tuple(1 if j == i else 0 for j in range(n * r)) for i in range(n * r)]
     proj_cols = [qpres.classify(b) for b in basis]
@@ -635,20 +625,14 @@ def coinduced_module(group: FiniteGroup, coeff) -> CoinducedModule:
         quotient_ab,
         tuple(tuple(proj_cols[j][i] for j in range(n * r)) for i in range(quotient_ab.rank)),
     )
-    lift = tuple(
-        tuple(qpres.reps[j][i] for j in range(quotient_ab.rank)) for i in range(n * r)
-    )
-    q_acts = []
-    for x in range(n):
-        cols = []
-        for j in range(quotient_ab.rank):
-            v = coind.act(x, qpres.reps[j])
-            cols.append(projection.apply(v))
-        q_acts.append(
-            tuple(tuple(cols[j][i] for j in range(quotient_ab.rank)) for i in range(quotient_ab.rank))
-        )
-    quotient = GModule(g, quotient_ab, tuple(q_acts))
-    return CoinducedModule(m, coind, embedding, quotient, projection, lift)
+    lift = np.array(qpres.reps, dtype=np.int64).reshape(quotient_ab.rank, n * r).T
+    # x acts on A' by projecting the permuted lifts
+    proj = np.array(projection.matrix, dtype=np.int64).reshape(quotient_ab.rank, n * r)
+    modular.check_int64_products(a.exponent - 1, n * r, "coinduced quotient action")
+    qfac = np.array(quotient_ab.factors, dtype=np.int64)[:, None]
+    q_acts = np.mod(proj @ lift[perm], qfac)
+    quotient = GModule(g, quotient_ab, q_acts.tolist())
+    return CoinducedModule(m, coind, embedding, quotient, projection, lattice.freeze(lift), perm)
 
 
 @dataclass(frozen=True)
@@ -668,36 +652,39 @@ class DimensionShiftReport:
 
 
 def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
-    """The shift isomorphism H^1(G, A') -> H^2(G, A) on representatives."""
+    """The shift isomorphism H^1(G, A') -> H^2(G, A) on representatives.
+
+    A cocycle f of A' lifts to Maps(G, A); its coboundary
+    v(x, y) = f~(x) + x.f~(y) - f~(xy) lies in the embedded A, and
+    evaluation at the identity, a left inverse of the embedding, reads off
+    the preimage.  Re-embedding every preimage verifies it exactly.
+    """
     m = coind.base
     g, a = m.group, m.coeff
+    n, r = g.order, a.rank
     h1q = cohomology(coind.quotient, 1, cap)
     h2 = cohomology(m, 2, cap)
-    solver = modular.CongruenceSolver(
-        coind.embedding.matrix, coind.module.coeff.factors, a.factors
-    )
+    rq = coind.quotient.coeff.rank
+    fac = np.array(coind.module.coeff.factors, dtype=np.int64)
+    lift = np.array(coind.lift, dtype=np.int64).reshape(n * r, rq)
+    emb = np.array(coind.embedding.matrix, dtype=np.int64).reshape(n * r, r)
+    table = np.array(g.table, dtype=np.int64).reshape(n, n)
+    at_identity = np.arange(r) * n + g.identity
+    modular.check_int64_products(a.exponent - 1, rq, "connecting map lifts")
+    modular.check_int64_products(a.exponent - 1, r, "connecting map re-embedding")
     cols = []
     for rep in h1q.representatives:
-        lifted = tuple(
-            coind.module.coeff.reduce(lattice.mat_vec(coind.lift, rep[x]))
-            for x in range(g.order)
-        )
-        table = []
-        for x in range(g.order):
-            row = []
-            for y in range(g.order):
-                v = coind.module.coeff.add(
-                    coind.module.coeff.add(lifted[x], coind.module.act(x, lifted[y])),
-                    coind.module.coeff.neg(lifted[g.mul(x, y)]),
-                )
-                pre = solver.solve(v)
-                if pre is None:
-                    raise VerificationFailure(
-                        "shift cocycle does not lie in the embedded coefficients"
-                    )
-                row.append(a.reduce(pre))
-            table.append(tuple(row))
-        cols.append(h2.classify(tuple(table)))
+        values = np.array(rep, dtype=np.int64).reshape(n, rq)
+        lifted = np.mod(values @ lift.T, fac)
+        # x.lifted[y] is lifted[y] read through perm[x]
+        moved = lifted[np.arange(n)[None, :, None], coind.perm[:, None, :]]
+        v = np.mod(lifted[:, None, :] + moved - lifted[table], fac)
+        pre = v[:, :, at_identity]
+        if not np.array_equal(np.mod(pre @ emb.T, fac), v):
+            raise VerificationFailure(
+                "shift cocycle does not lie in the embedded coefficients"
+            )
+        cols.append(h2.classify(tuple(lattice.freeze(row) for row in pre.tolist())))
     mat = tuple(
         tuple(cols[j][i] for j in range(len(cols))) for i in range(h2.value.rank)
     )

@@ -47,6 +47,7 @@ from .families import (
     FiberSpec,
     RestrictedAbFamily,
     TruncatedFamily,
+    _is_tail_name,
     abelianize_family,
     normal_closure,
     truncate,
@@ -86,7 +87,7 @@ class FamilyModule:
         for n, a in self.exceptional_actions:
             if n == name:
                 return a
-        if name.startswith("tail") and name[4:].isdigit():
+        if _is_tail_name(name):
             return self.tail_action
         return None
 
@@ -964,7 +965,8 @@ def splitting_check(
 
     At the H^1 level the retraction is restriction of cocycle tuples to
     the chosen fibers; a section is found by linear algebra.  At the
-    abelianization level the block structure makes the splitting plain.
+    abelianization level the block projection must undo the block
+    inclusion (:func:`blocks_split`).
     """
     _require_plain(trunc)
     subset = tuple(n for n in trunc.names if n in set(subset))
@@ -984,25 +986,45 @@ def splitting_check(
     surj = retraction.is_surjective()
     section = section_for(retraction) if surj else None
 
-    ab_blocks_full = []
-    ab_blocks_sub = []
-    for i, f in enumerate(trunc.fibers):
-        ab, _ = abelianization(f.group)
-        ab_blocks_full.append(ab.factors)
-        if i in keep_idx:
-            ab_blocks_sub.append(ab.factors)
-    ab_full = direct_sum_chart(ab_blocks_full).value
-    ab_sub = direct_sum_chart(ab_blocks_sub).value
+    ab_blocks = [abelianization(f.group)[0].factors for f in trunc.fibers]
+    ab_full = direct_sum_chart(ab_blocks)
+    ab_sub = direct_sum_chart([ab_blocks[i] for i in keep_idx])
     return SplittingReport(
         subset,
         full.value.factors,
         sub.value.factors,
         surj,
         section is not None,
-        ab_full.factors,
-        ab_sub.factors,
-        True,
+        ab_full.value.factors,
+        ab_sub.value.factors,
+        blocks_split(ab_full, ab_sub, keep_idx, keep_idx),
     )
+
+
+def blocks_split(full: DirectSumChart, sub: DirectSumChart, inclusion, projection) -> bool:
+    """Whether projecting ``full`` onto its blocks ``projection`` undoes
+    including ``sub`` as its blocks ``inclusion``, on every generator of
+    ``sub.value``.  Block j of ``sub`` goes to block ``inclusion[j]``,
+    which must have the same moduli."""
+    if len(inclusion) != len(sub.blocks) or any(
+        full.blocks[i] != b for i, b in zip(inclusion, sub.blocks)
+    ):
+        return False
+    moduli = [d for b in full.blocks for d in b]
+    for i in range(sub.value.rank):
+        included = [0] * len(moduli)
+        for j, part in zip(inclusion, sub.split(sub.rep(i))):
+            included[full.offsets[j] : full.offsets[j] + len(part)] = part
+        coords = full.classify(included)
+        back = [
+            sum(c * full.rep(k)[t] for k, c in enumerate(coords)) % d
+            for t, d in enumerate(moduli)
+        ]
+        blocks = full.split(back)
+        projected = [x for j in projection for x in blocks[j]]
+        if sub.classify(projected) != tuple(int(k == i) for k in range(sub.value.rank)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

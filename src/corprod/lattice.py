@@ -24,10 +24,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_matrix(m: int, n: int) -> Matrix:
-    return tuple((0,) * n for _ in range(m))
-
-
 def transpose(mat) -> Matrix:
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
@@ -50,18 +46,6 @@ def mat_vec(a, v) -> Vector:
 def vec_mat(v, a) -> Vector:
     cols = len(a[0]) if a else 0
     return tuple(sum(v[i] * a[i][j] for i in range(len(a))) for j in range(cols))
-
-
-def vec_add(u, v) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c: int, v) -> Vector:
-    return tuple(c * x for x in v)
 
 
 def vec_mod(v, moduli) -> Vector:
@@ -271,12 +255,6 @@ def snf_transforms(mat) -> tuple[tuple[int, ...], Matrix, Matrix, Matrix]:
 
     diag = tuple(a[i][i] for i in range(rank))
     return diag, freeze(u), freeze(v), freeze(vinv)
-
-
-def snf_diagonal(mat) -> tuple[int, ...]:
-    """Just the Smith diagonal, nonzero entries first then zeros."""
-    d, _, _ = smith_normal_form(mat)
-    return d
 
 
 def row_kernel(mat) -> Matrix:

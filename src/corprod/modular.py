@@ -38,13 +38,16 @@ from .lattice import Vector, factorint
 _STORAGE = ((np.int8, 2**7 - 1), (np.int16, 2**15 - 1), (np.int32, 2**31 - 1))
 
 
-def check_int64_products(bound: int, length: int, what: str) -> None:
+def check_int64_products(bound: int, length: int, what: str, other: int | None = None) -> None:
     """Refuse when a dot product of ``length`` terms, each the product of
-    two integers of absolute value at most ``bound``, could reach 2^63."""
-    worst = max(length, 1) * bound * bound
+    an integer of absolute value at most ``bound`` and one at most ``other``
+    (default ``bound``), could reach 2^63."""
+    other = bound if other is None else other
+    worst = max(length, 1) * bound * other
     if worst >= 2**63:
+        times = "" if other == bound else f" times entries up to {other}"
         raise SizeCapExceeded(
-            f"{what}: dot products of length {length} over entries up to {bound} "
+            f"{what}: dot products of length {length} over entries up to {bound}{times} "
             f"reach {worst} >= 2^63, beyond exact int64 arithmetic"
         )
 
@@ -219,11 +222,11 @@ class _PrimarySubquotient:
         # pad the diagonal to full width; missing columns are zero mod q
         self.a = [exps[i] if i < len(exps) else k for i in range(n)]
         self.v_n, self.vinv_n = v_n, vinv_n
+        self.pa = np.array([p**ai for ai in self.a], dtype=np.int64)
         # coordinates of the denominator in the basis p^{a_i} * Vinv_n[i]
-        den = [part.project(g) for g in den_gens] + [r for r in relation_rows]
-        c_rows = [self._coords_in_basis(d) for d in den]
-        c_rows += [np.eye(n, dtype=np.int64)[i] * (p ** (k - self.a[i])) for i in range(n)]
-        c_mat = np.array(c_rows, dtype=np.int64).reshape(len(c_rows), n)
+        den = [part.project(g) for g in den_gens]
+        den_mat = np.vstack([np.array(den, dtype=np.int64).reshape(len(den), n), relation_rows])
+        c_mat = np.vstack([self._coords_in_basis(den_mat), np.diag(q // self.pa)])
         b_exps, _, v_c, vinv_c = local_diagonalize(c_mat, p, k, need_u=False)
         self.b = [b_exps[i] if i < len(b_exps) else k for i in range(n)]
         self.v_c, self.vinv_c = v_c, vinv_c
@@ -231,26 +234,23 @@ class _PrimarySubquotient:
         self.factors = tuple(self.part.prime ** self.b[i] for i in self.kept)
 
     def _coords_in_basis(self, d: np.ndarray) -> np.ndarray:
-        p, k, q = self.part.prime, self.part.k, self.q
-        y = (d @ self.v_n) % q
-        for i, ai in enumerate(self.a):
-            pa = p**ai
-            if int(y[i]) % pa != 0:
-                raise VerificationFailure("vector is not in the numerator subgroup")
-            y[i] = int(y[i]) // pa
-        return y % q
+        # one row per vector; the kernel's refusal of num_mat covers these
+        # length-n products of entries below q
+        y = (d @ self.v_n) % self.q
+        if np.any(y % self.pa):
+            raise VerificationFailure("vector is not in the numerator subgroup")
+        return y // self.pa
 
     def rep(self, idx: int) -> np.ndarray:
         # ambient vector of the generator of factor idx
-        p, q = self.part.prime, self.q
+        q = self.q
         i = self.kept[idx]
-        y = self.vinv_c[i, :].copy()
-        y = (y * np.array([p**ai for ai in self.a], dtype=np.int64)) % q
+        y = (self.vinv_c[i, :] * self.pa) % q
         return (y @ self.vinv_n) % q
 
     def classify(self, vec) -> list[int]:
         q = self.q
-        y = self._coords_in_basis(self.part.project(vec))
+        y = self._coords_in_basis(self.part.project(vec)[None, :])[0]
         z = (y @ self.v_c) % q
         return [int(z[i]) % (self.part.prime ** self.b[i]) for i in self.kept]
 

@@ -60,7 +60,10 @@ def parse_group(data, cap: int = 2000) -> FiniteGroup:
                 cap=cap,
             )
         if kind == "table":
-            return group_from_table(data["table"], int(data.get("identity", 0)))
+            table = data["table"]
+            if len(table) > cap:
+                raise SpecFileError(f"table order {len(table)} exceeds the cap {cap}")
+            return group_from_table(table, int(data.get("identity", 0)))
         raise SpecFileError(f"unknown group kind {kind!r}")
     except SpecFileError:
         raise
@@ -163,10 +166,6 @@ def parse_module(data, spec: FamilySpec) -> FamilyModule:
         raise SpecFileError(f"invalid module file: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise SpecFileError(f"malformed module file: {exc}") from exc
-
-
-def trivial_family_module(spec: FamilySpec, coeff: FiniteAbelianGroup) -> FamilyModule:
-    return FamilyModule.build(coeff)
 
 
 def parse_open_sets(data, spec: FamilySpec) -> list[OpenSetSpec]:

@@ -1,0 +1,276 @@
+"""Coinduced modules, the connecting map and coboundary assembly against
+dense reference implementations.
+
+The library builds Maps(G, A) as a coordinate permutation, reads the
+connecting map's preimages at the identity coordinates and assembles the
+H^1 coboundaries and the H^2 denominator in bulk from each module's action
+array.  The references below do the same work the direct way: one dense
+matrix per group element, one ``act`` per vector and one congruence solve
+per pair of group elements.  Every structure they produce must match
+exactly, over every corpus group, module and named action, and over a few
+actions by non-symmetric matrices.
+"""
+
+import dataclasses
+
+import pytest
+
+import corprod.cohomology as coh
+from corprod import corpus, lattice, modular
+from corprod.abelian import AbHom
+from corprod.abelian import FiniteAbelianGroup as FAG
+from corprod.errors import SizeCapExceeded, VerificationFailure
+from corprod.presentation import free_presentation
+
+
+def ref_coinduced(m):
+    """Maps(G, A) with dense translation matrices; returns (module,
+    embedding, projection, lift, quotient)."""
+    g, a = m.group, m.coeff
+    n, r = g.order, a.rank
+    factors = tuple(d for d in a.factors for _ in range(n))
+    coind_ab = FAG(factors)
+    acts = []
+    for x in range(n):
+        mat = [[0] * (n * r) for _ in range(n * r)]
+        for i in range(r):
+            for y in range(n):
+                mat[i * n + y][i * n + g.mul(y, x)] = 1
+        acts.append(tuple(tuple(row) for row in mat))
+    coind = coh.GModule(g, coind_ab, tuple(acts))
+    emb_cols = []
+    for i in range(r):
+        e_i = tuple(1 if j == i else 0 for j in range(r))
+        vec = [0] * (n * r)
+        for x in range(n):
+            img = m.act(x, e_i)
+            for j in range(r):
+                vec[j * n + x] = img[j]
+        emb_cols.append(tuple(vec))
+    embedding = AbHom(
+        a, coind_ab, tuple(tuple(emb_cols[j][i] for j in range(r)) for i in range(n * r))
+    )
+    qpres = modular.quotient_presentation(factors, emb_cols)
+    quotient_ab = FAG(qpres.factors)
+    rq = quotient_ab.rank
+    basis = [tuple(1 if j == i else 0 for j in range(n * r)) for i in range(n * r)]
+    proj_cols = [qpres.classify(b) for b in basis]
+    projection = AbHom(
+        coind_ab,
+        quotient_ab,
+        tuple(tuple(proj_cols[j][i] for j in range(n * r)) for i in range(rq)),
+    )
+    lift = tuple(tuple(qpres.reps[j][i] for j in range(rq)) for i in range(n * r))
+    q_acts = []
+    for x in range(n):
+        cols = [projection.apply(coind.act(x, qpres.reps[j])) for j in range(rq)]
+        q_acts.append(tuple(tuple(cols[j][i] for j in range(rq)) for i in range(rq)))
+    quotient = coh.GModule(g, quotient_ab, tuple(q_acts))
+    return coind, embedding, projection, lift, quotient
+
+
+def ref_connecting_matrix(m, coind, embedding, lift, quotient):
+    """The shift map H^1(G, A') -> H^2(G, A) with one solve per pair."""
+    g, a = m.group, m.coeff
+    big = coind.coeff
+    h1q = coh.cohomology(quotient, 1)
+    h2 = coh.cohomology(m, 2)
+    solver = modular.CongruenceSolver(embedding.matrix, big.factors, a.factors)
+    cols = []
+    for rep in h1q.representatives:
+        lifted = tuple(big.reduce(lattice.mat_vec(lift, rep[x])) for x in range(g.order))
+        table = []
+        for x in range(g.order):
+            row = []
+            for y in range(g.order):
+                v = big.add(
+                    big.add(lifted[x], coind.act(x, lifted[y])),
+                    big.neg(lifted[g.mul(x, y)]),
+                )
+                pre = solver.solve(v)
+                assert pre is not None
+                row.append(a.reduce(pre))
+            table.append(tuple(row))
+        cols.append(h2.classify(tuple(table)))
+    return tuple(tuple(c[i] for c in cols) for i in range(h2.value.rank))
+
+
+def ref_h1(m):
+    """Factors and generator values of the H^1 representatives."""
+    a = m.coeff
+    pres = free_presentation(m.group)
+    r, k = a.rank, len(pres.gens)
+    rows, row_moduli = [], []
+    for e in range(pres.rank):
+        block = [[0] * (k * r) for _ in range(r)]
+        for sign, prefix, s in pres.derivation_terms(e):
+            mat = m.action[prefix]
+            for i in range(r):
+                for j in range(r):
+                    block[i][s * r + j] += sign * mat[i][j]
+        rows.extend(tuple(row) for row in block)
+        row_moduli.extend(a.factors)
+    col_moduli = a.factors * k
+    z1 = modular.congruence_kernel(rows, row_moduli, col_moduli)
+    b1 = []
+    for i in range(r):
+        e_i = tuple(1 if j == i else 0 for j in range(r))
+        vec = []
+        for s in range(k):
+            img = m.act(pres.gens[s], e_i)
+            vec.extend((img[j] - e_i[j]) % a.factors[j] for j in range(r))
+        b1.append(tuple(vec))
+    sq = modular.subquotient(col_moduli, z1, b1)
+    return sq.factors, sq.reps
+
+
+def ref_h2(m):
+    """Factors and representative tables of H^2."""
+    g, a = m.group, m.coeff
+    pres = free_presentation(g)
+    r, rho = a.rank, pres.rank
+    col_moduli = a.factors * rho
+    rows, row_moduli = [], []
+    for s, gelt in enumerate(pres.gens):
+        conj = pres.conjugation_matrix(s)
+        mat = m.action[gelt]
+        for e in range(rho):
+            block = [[0] * (rho * r) for _ in range(r)]
+            for e2 in range(rho):
+                if conj[e][e2]:
+                    for i in range(r):
+                        block[i][e2 * r + i] += conj[e][e2]
+            for i in range(r):
+                for j in range(r):
+                    block[i][e * r + j] -= mat[i][j]
+            rows.extend(tuple(row) for row in block)
+            row_moduli.extend(a.factors)
+    hom_gens = modular.congruence_kernel(rows, row_moduli, col_moduli)
+    den = []
+    derivs = [pres.derivation_terms(e) for e in range(rho)]
+    for s0 in range(len(pres.gens)):
+        for i in range(r):
+            e_i = tuple(1 if j == i else 0 for j in range(r))
+            vec = [0] * (rho * r)
+            for e in range(rho):
+                acc = a.zero
+                for sign, prefix, s in derivs[e]:
+                    if s == s0:
+                        term = m.act(prefix, e_i)
+                        acc = a.add(acc, term if sign > 0 else a.neg(term))
+                vec[e * r : (e + 1) * r] = acc
+            den.append(tuple(vec))
+    sq = modular.subquotient(col_moduli, hom_gens, den)
+    tables = []
+    for phi in sq.reps:
+        table = []
+        for x in range(g.order):
+            row = []
+            for y in range(g.order):
+                acc = a.zero
+                for e, c in enumerate(pres.pair_vector(x, y)):
+                    acc = a.add(acc, a.scale(c, phi[e * r : (e + 1) * r]))
+                row.append(acc)
+            table.append(tuple(row))
+        tables.append(tuple(table))
+    return sq.factors, tuple(tables)
+
+
+def corpus_modules():
+    """Every corpus group with every named action on every corpus module."""
+    for gname, g in corpus._zoo().items():
+        for factors in corpus._MODULES:
+            a = FAG(factors)
+            for aname, option in corpus._action_options(g, a).items():
+                acts = corpus._action_matrices(g, a, option)
+                yield f"{gname}-{factors}-{aname}", coh.GModule(g, a, acts)
+
+
+def unipotent_modules():
+    """Actions by non-symmetric matrices, which the corpus's diagonal and
+    swap actions never use: only these tell rows from columns."""
+    zoo = corpus._zoo()
+    for gname, factors, order, mat in [
+        ("C2", (2, 2), 2, ((1, 1), (0, 1))),
+        ("S3", (2, 4), 2, ((1, 0), (2, 1))),
+        ("D4", (2, 4), 2, ((1, 1), (0, 1))),
+        ("A4", (3, 3), 3, ((1, 1), (0, 1))),
+    ]:
+        g, a = zoo[gname], FAG(factors)
+        chi = corpus._order2_character(g) if order == 2 else corpus._order3_character(g)
+        acts = corpus._action_matrices(g, a, (chi, order, mat))
+        yield f"{gname}-{factors}-unipotent", coh.GModule(g, a, acts)
+
+
+CASES = list(corpus_modules()) + list(unipotent_modules())
+
+
+def test_the_cases_cover_the_corpus():
+    names = {name for name, _ in CASES}
+    assert len({name.split("-")[0] for name in names}) == len(corpus._zoo())
+    assert any(name.startswith("C6-(6,)-negation") for name in names)
+    assert any(name.startswith("D4-(2, 4)-") for name in names)
+    assert {name.rsplit("-", 1)[1] for name in names} == {
+        "trivial", "negation", "swap", "scalar3", "unipotent",
+    }
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=[name for name, _ in CASES])
+def test_coinduced_module_matches_dense_reference(name, m):
+    cm = coh.coinduced_module(m.group, m)
+    module, embedding, projection, lift, quotient = ref_coinduced(m)
+    assert cm.module == module
+    assert cm.embedding == embedding
+    assert cm.projection == projection
+    assert cm.lift == lift
+    assert cm.quotient == quotient
+    assert cm.quotient.action == quotient.action
+    assert coh.connecting_map(cm).matrix == ref_connecting_matrix(
+        m, module, embedding, lift, quotient
+    )
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=[name for name, _ in CASES])
+def test_h1_h2_match_act_based_assembly(name, m):
+    h1 = coh.cohomology(m, 1)
+    h2 = coh.cohomology(m, 2)
+    factors, reps = ref_h1(m)
+    assert h1.value.factors == factors
+    gens = free_presentation(m.group).gens
+    assert tuple(tuple(x for s in gens for x in rep[s]) for rep in h1.representatives) == reps
+    assert (h2.value.factors, h2.representatives) == ref_h2(m)
+
+
+def test_corrupted_lift_is_caught_by_re_embedding():
+    # H^1(C3, A') = H^2(C3, Z/3) = Z/3; the lift of A' is corrupted so that
+    # the coboundaries of lifted cocycles leave the embedded coefficients
+    m = coh.trivial_module(corpus._zoo()["C3"], FAG((3,)))
+    cm = coh.coinduced_module(m.group, m)
+    assert coh.connecting_map(cm).is_surjective()
+    bad = [list(row) for row in cm.lift]
+    bad[1][0] = (bad[1][0] + 1) % 3
+    with pytest.raises(VerificationFailure, match="embedded coefficients"):
+        coh.connecting_map(dataclasses.replace(cm, lift=lattice.freeze(bad)))
+
+
+def test_denominator_outside_the_numerator_raises():
+    # one of several denominator rows leaves the numerator, in the 3-part
+    with pytest.raises(VerificationFailure, match="numerator"):
+        modular.subquotient((4, 9), [(2, 0), (0, 3)], [(2, 0), (0, 3), (0, 1)])
+    sq = modular.subquotient((4, 9), [(2, 0), (0, 3)], [(2, 0)])
+    assert sq.factors == (3,)
+
+
+def test_coinduced_products_beyond_int64_are_refused():
+    # Z/f with f the product of the primes up to 29: every prime-power
+    # kernel is tiny, but the quotient action's length-2 products of
+    # entries below f reach 2 (f - 1)^2 >= 2^63
+    c2 = corpus._zoo()["C2"]
+    f = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29
+    assert 2 * (f - 1) ** 2 >= 2**63
+    with pytest.raises(SizeCapExceeded, match=r"coinduced quotient action.*2\^63"):
+        coh.coinduced_module(c2, FAG((f,)))
+    # one prime fewer keeps the products exact
+    small = f // 29
+    cm = coh.coinduced_module(c2, FAG((small,)))
+    assert cm.quotient.coeff.factors == (small,)

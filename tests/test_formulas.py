@@ -310,6 +310,18 @@ def test_splitting(zoo):
     assert rep.passed and rep.h1_sub == (3,)
 
 
+def test_blocks_split_rejects_a_wrong_inclusion():
+    full = fp.direct_sum_chart([(2,), (2,), (4,)])
+    sub = fp.direct_sum_chart([(2,), (4,)])
+    assert fp.blocks_split(full, sub, [0, 2], [0, 2])
+    assert fp.blocks_split(full, sub, [1, 2], [1, 2])
+    # included as block 1 but projected from block 0: the composite kills Z/2
+    assert not fp.blocks_split(full, sub, [1, 2], [0, 2])
+    # Z/2 cannot go onto the Z/4 block
+    assert not fp.blocks_split(full, sub, [2, 0], [2, 0])
+    assert not fp.blocks_split(full, sub, [0], [0])
+
+
 def test_corestriction_compare(zoo):
     c4 = zoo["C4"]
     big = fam.family([("a", c4, gr.full_subgroup(c4))])
