@@ -116,6 +116,11 @@ class AbHom:
                         f"matrix entry ({i},{j}) does not respect the source relation {d}"
                     )
 
+    @classmethod
+    def from_columns(cls, source, target, cols) -> "AbHom":
+        """The homomorphism sending generator j of ``source`` to ``cols[j]``."""
+        return cls(source, target, tuple(tuple(c[i] for c in cols) for i in range(target.rank)))
+
     def apply(self, vec) -> Vector:
         return self.target.reduce(lattice.mat_vec(self.matrix, vec))
 
@@ -195,12 +200,7 @@ class AbSubgroup:
 
     def inclusion(self) -> AbHom:
         """Inclusion of the canonical generators into the ambient group."""
-        reps = self.presentation.reps
-        mat = tuple(
-            tuple(reps[j][i] for j in range(len(reps)))
-            for i in range(self.ambient.rank)
-        )
-        return AbHom(self.structure, self.ambient, mat)
+        return AbHom.from_columns(self.structure, self.ambient, self.presentation.reps)
 
     def coordinates(self, vec) -> Vector:
         """Coordinates of ``vec`` with respect to the canonical generators."""
@@ -313,11 +313,7 @@ def sub_and_quotient(a: FiniteAbelianGroup, gens) -> SubQuotient:
     quotient = FiniteAbelianGroup(qpres.factors)
     n = a.rank
     cols = [qpres.classify(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
-    proj = AbHom(
-        a,
-        quotient,
-        tuple(tuple(cols[j][i] for j in range(n)) for i in range(quotient.rank)),
-    )
+    proj = AbHom.from_columns(a, quotient, cols)
     ann = annihilator(a, gens)
     if ann.structure.factors != quotient.factors:
         raise VerificationFailure(

@@ -20,8 +20,12 @@ coinduced module Maps(G, A) acts by a permutation of coordinates, so its
 quotient actions are gathers of lifted columns.  The connecting map reads
 the preimage of each coboundary at the identity coordinates (evaluation
 at 1 is a left inverse of A -> Maps(G, A)) and verifies it by
-re-embedding.  Bulk assembly reads each module's action array; its int64
-products are refused with ``SizeCapExceeded`` before they could wrap.
+re-embedding.
+
+A module stores its action once, as a read-only int64 array with every
+row reduced mod its coefficient factor.  Bulk assembly reads the array,
+and its int64 products are refused with ``SizeCapExceeded`` before they
+could wrap; ``act`` reads it with Python integers and is always exact.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .errors import (
     SizeCapExceeded,
     VerificationFailure,
 )
-from .groups import FiniteGroup, Subgroup, normal_closure, quotient_group
+from .groups import FiniteGroup, Subgroup, generating_set, normal_closure, quotient_group
 from .lattice import Matrix, Vector
 from .presentation import FreePresentation, free_presentation
 
@@ -52,70 +56,76 @@ DEFAULT_COH_CAP = 20_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GModule:
     """A finite abelian group with an action of a finite group by
     automorphism matrices (column convention, one matrix per element).
 
-    ``array`` holds the same action as one int64 array of shape
-    (|G|, r, r), row i reduced mod factor i; bulk assembly reads it.
+    ``action`` is the only stored form of the action: a read-only int64
+    array of shape (|G|, r, r), row i of every matrix reduced mod factor
+    i.  Any integer array-like of that shape is accepted, entries of any
+    size; it is reduced before anything is multiplied.  Bulk assembly
+    reads the array; ``act`` reads it with Python integers, so a single
+    action stays exact.
     """
 
     group: FiniteGroup
     coeff: FiniteAbelianGroup
-    action: tuple[Matrix, ...]
+    action: np.ndarray
 
     def __post_init__(self):
-        acts = tuple(lattice.freeze(m) for m in self.action)
-        object.__setattr__(self, "action", acts)
         g, a = self.group, self.coeff
-        if len(acts) != g.order:
-            raise InvariantViolation("need one action matrix per group element")
-        r = a.rank
-        ident = lattice.identity_matrix(r)
-        if self._reduced(acts[g.identity]) != ident:
+        n, r = g.order, a.rank
+        try:
+            raw = np.asarray(self.action)
+        except ValueError as exc:  # ragged nesting
+            raise InvariantViolation(f"malformed action matrices: {exc}") from exc
+        if r == 0 and raw.size == 0 and len(raw) == n:  # n empty matrices
+            raw = raw.reshape(n, 0, 0).astype(np.int64)
+        if raw.shape != (n, r, r) or raw.dtype.kind not in "biO":
+            raise InvariantViolation(
+                f"action must be integer matrices of shape ({n}, {r}, {r}), "
+                f"not {raw.dtype} of shape {raw.shape}"
+            )
+        fac = np.array(a.factors, dtype=np.int64)[:, None]
+        reduced = np.mod(raw, fac)  # exact on an object array of large ints
+        bound = int(reduced.max()) if reduced.size else 0
+        modular.check_int64_products(bound, r, "module action matrices")
+        arr = reduced.astype(np.int64, copy=False)
+        arr.flags.writeable = False
+        object.__setattr__(self, "action", arr)
+        if not np.array_equal(arr[g.identity], np.eye(r, dtype=np.int64)):
             raise InvariantViolation("identity must act as the identity matrix")
-        if r == 0 or g.order == 1:
-            arr = np.broadcast_to(np.eye(r, dtype=np.int64), (g.order, r, r))
-        else:
-            # multiplicativity against a generating set implies it everywhere
-            from .groups import generating_set
+        # multiplicativity against a generating set implies it everywhere
+        table = np.array(g.table, dtype=np.int64).reshape(n, n)
+        for s in generating_set(g):
+            if not np.array_equal(np.mod(arr @ arr[s], fac), arr[table[:, s]]):
+                raise InvariantViolation(f"action is not a homomorphism against generator {s}")
+        object.__setattr__(self, "_hash", hash((g, a, arr.tobytes())))
 
-            try:
-                arr = np.array(acts, dtype=np.int64)
-                bound = max(int(arr.max()), -int(arr.min()))
-            except OverflowError:  # an entry of absolute value 2^63 or more
-                bound = 2**63
-            modular.check_int64_products(bound, r, "module action matrices")
-            mods = np.array(a.factors, dtype=np.int64)[:, None]
-            for s in generating_set(g):
-                prod = np.mod(arr @ arr[s], mods)
-                target = np.mod(arr[[g.mul(x, s) for x in range(g.order)]], mods)
-                if not np.array_equal(prod, target):
-                    raise InvariantViolation(
-                        f"action is not a homomorphism against generator {s}"
-                    )
-            arr = np.mod(arr, mods)
-        object.__setattr__(self, "array", arr)
-
-    def _reduced(self, m: Matrix) -> Matrix:
-        return tuple(
-            tuple(x % d for x in row) for row, d in zip(m, self.coeff.factors)
+    def __eq__(self, other):
+        if not isinstance(other, GModule):
+            return NotImplemented
+        return (
+            self.group == other.group
+            and self.coeff == other.coeff
+            and np.array_equal(self.action, other.action)
         )
 
     def __hash__(self):
-        return hash((self.group, self.coeff, self.action))
+        return self._hash
 
     def act(self, g: int, vec) -> Vector:
-        return self.coeff.reduce(lattice.mat_vec(self.action[g], vec))
+        # Python ints: an int64 mat-vec could wrap on unreduced vectors
+        return self.coeff.reduce(lattice.mat_vec(self.action[g].tolist(), vec))
 
     def is_trivial_action(self) -> bool:
-        return bool((self.array == np.eye(self.coeff.rank, dtype=np.int64)).all())
+        return bool((self.action == np.eye(self.coeff.rank, dtype=np.int64)).all())
 
 
 def trivial_module(group: FiniteGroup, coeff: FiniteAbelianGroup) -> GModule:
-    ident = lattice.identity_matrix(coeff.rank)
-    return GModule(group, coeff, tuple(ident for _ in range(group.order)))
+    r = coeff.rank
+    return GModule(group, coeff, np.broadcast_to(np.eye(r, dtype=np.int64), (group.order, r, r)))
 
 
 def module_from_generator_matrices(
@@ -124,38 +134,45 @@ def module_from_generator_matrices(
     """Extend matrices given on a generating set to the whole group.
 
     The listed elements must generate the group; the extension is by
-    multiplicativity and the result is validated as a homomorphism.
+    multiplicativity of the reduced matrices and the result is validated
+    as a homomorphism.
     """
-    n = group.order
-    acts: list[Matrix | None] = [None] * n
-    acts[group.identity] = lattice.identity_matrix(coeff.rank)
-    gens = {int(g): lattice.freeze(m) for g, m in gen_matrices.items()}
-    r = coeff.rank
-    for g, m in gens.items():
+    n, r = group.order, coeff.rank
+    modular.check_int64_products(coeff.exponent - 1, r, "module action extension")
+    fac = np.array(coeff.factors, dtype=np.int64)[:, None]
+    gens = {}
+    for g, m in gen_matrices.items():
+        g = int(g)
         if not 0 <= g < n:
             raise PreconditionError(f"action element {g} out of range")
         if len(m) != r or any(len(row) != r for row in m):
             raise PreconditionError(
                 f"action matrix for element {g} must be {r}x{r}"
             )
+        reduced = [[int(x) % d for x in row] for row, d in zip(m, coeff.factors)]
+        gens[g] = np.array(reduced, dtype=np.int64).reshape(r, r)
+    acts = np.zeros((n, r, r), dtype=np.int64)
+    acts[group.identity] = np.eye(r, dtype=np.int64)
+    seen = {group.identity}
     frontier = [group.identity]
     while frontier:
         nxt = []
         for x in frontier:
             for g, mg in gens.items():
                 y = group.mul(x, g)
-                if acts[y] is None:
-                    acts[y] = lattice.mat_mul(acts[x], mg)
+                if y not in seen:
+                    acts[y] = np.mod(acts[x] @ mg, fac)
+                    seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    if any(m is None for m in acts):
+    if len(seen) < n:
         raise PreconditionError(
             "the provided action elements do not generate the group"
         )
-    module = GModule(group, coeff, tuple(acts))  # type: ignore[arg-type]
+    module = GModule(group, coeff, acts)
     # redundantly listed elements must agree with the extension
     for g, mg in gens.items():
-        if module._reduced(mg) != module._reduced(module.action[g]):
+        if not np.array_equal(mg, module.action[g]):
             raise PreconditionError(
                 f"matrix given for element {g} contradicts the multiplicative extension"
             )
@@ -184,14 +201,8 @@ def fixed_submodule(m: GModule, h: Subgroup) -> FixedSubmodule:
     a = m.coeff
     r = a.rank
     gens = [x for x in h.elements if x != m.group.identity]
-    rows: list[Vector] = []
-    row_moduli: list[int] = []
-    for x in gens:
-        mat = m.action[x]
-        for i in range(r):
-            rows.append(tuple(mat[i][j] - (1 if i == j else 0) for j in range(r)))
-            row_moduli.append(a.factors[i])
-    sol = modular.congruence_kernel(rows, row_moduli, a.factors)
+    rows = (m.action[gens] - np.eye(r, dtype=np.int64)).reshape(len(gens) * r, r)
+    sol = modular.congruence_kernel(rows, a.factors * len(gens), a.factors)
     sub = AbSubgroup(a, tuple(sol))
     return FixedSubmodule(sub.structure, sub, sub.inclusion())
 
@@ -212,12 +223,9 @@ def induced_quotient_action(m: GModule, n: Subgroup) -> tuple[GModule, "object",
     acts = []
     for qi in range(q.order):
         x = section[qi]
-        cols = []
-        for j in range(k):
-            col = tuple(inc[i][j] for i in range(m.coeff.rank))
-            cols.append(fixed.coordinates(m.act(x, col)))
-        acts.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
-    return GModule(q, fixed.value, tuple(acts)), proj, fixed
+        cols = [fixed.coordinates(m.act(x, col)) for col in lattice.transpose(inc)]
+        acts.append(np.array(cols, dtype=np.int64).reshape(k, k).T)
+    return GModule(q, fixed.value, acts), proj, fixed
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +311,7 @@ def _derivation_sums(m: GModule, pres: FreePresentation) -> np.ndarray:
             m.coeff.exponent - 1, max(map(len, terms)), "derivation sums", other=1
         )
         edge, sign, prefix, gen = (np.array(c, dtype=np.int64) for c in zip(*flat))
-        np.add.at(out, (edge, gen), sign[:, None, None] * m.array[prefix])
+        np.add.at(out, (edge, gen), sign[:, None, None] * m.action[prefix])
     return np.mod(out, np.array(m.coeff.factors, dtype=np.int64)[:, None])
 
 
@@ -339,7 +347,7 @@ def _h1(m: GModule) -> CohomologyGroup:
     z1 = modular.congruence_kernel(rows, a.factors * pres.rank, col_moduli)
     # the principal crossed homomorphism of e_i, on the generators: s.e_i - e_i
     fac = np.array(a.factors, dtype=np.int64)[:, None]
-    b1 = np.mod(m.array[list(pres.gens)] - np.eye(r, dtype=np.int64), fac)
+    b1 = np.mod(m.action[list(pres.gens)] - np.eye(r, dtype=np.int64), fac)
     sq = modular.subquotient(col_moduli, z1, b1.transpose(2, 0, 1).reshape(r, k * r))
     value = FiniteAbelianGroup(sq.factors)
     reps = tuple(
@@ -373,24 +381,14 @@ def _h2(m: GModule) -> CohomologyGroup:
         return CohomologyGroup(2, value, (), space, m, lambda cocycle: ())
 
     # solution space: G-equivariant homs from the relation module to A
-    rows: list[Vector] = []
-    row_moduli: list[int] = []
-    for s, gelt in enumerate(pres.gens):
-        conj = pres.conjugation_matrix(s)
-        mat = m.action[gelt]
-        for e in range(rho):
-            block = [[0] * (rho * r) for _ in range(r)]
-            for e2 in range(rho):
-                c = conj[e][e2]
-                if c:
-                    for i in range(r):
-                        block[i][e2 * r + i] += c
-            for i in range(r):
-                for j in range(r):
-                    block[i][e * r + j] -= mat[i][j]
-            rows.extend(tuple(row) for row in block)
-            row_moduli.extend(a.factors)
-    hom_gens = modular.congruence_kernel(rows, row_moduli, col_moduli)
+    # row (s, e, i), column (e2, j): conj_s[e][e2] [i == j] - [e == e2] action[s][i][j]
+    ident_r, ident_rho = np.eye(r, dtype=np.int64), np.eye(rho, dtype=np.int64)
+    rows = np.concatenate([
+        np.kron(np.array(pres.conjugation_matrix(s), dtype=np.int64), ident_r)
+        - np.kron(ident_rho, m.action[gelt])
+        for s, gelt in enumerate(pres.gens)
+    ])
+    hom_gens = modular.congruence_kernel(rows, a.factors * (len(pres.gens) * rho), col_moduli)
 
     # denominator: restrictions of free-group derivations, the one with
     # d(s0) = e_i at row (s0, i), column (e, j)
@@ -502,10 +500,7 @@ def inflation(m: GModule, n: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP) 
                 for x in range(m.group.order)
             )
         cols.append(h_g.classify(pulled))
-    mat = tuple(
-        tuple(cols[j][i] for j in range(len(cols))) for i in range(h_g.value.rank)
-    )
-    return AbHom(h_q.value, h_g.value, mat)
+    return AbHom.from_columns(h_q.value, h_g.value, cols)
 
 
 def subgroup_as_group(h: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -522,8 +517,7 @@ def subgroup_as_group(h: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
 
 def restricted_module(m: GModule, h: Subgroup) -> tuple[GModule, tuple[int, ...]]:
     sub, ordered = subgroup_as_group(h)
-    acts = tuple(m.action[x] for x in ordered)
-    return GModule(sub, m.coeff, acts), ordered
+    return GModule(sub, m.coeff, m.action[list(ordered)]), ordered
 
 
 def restriction(m: GModule, h: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP) -> AbHom:
@@ -538,10 +532,7 @@ def restriction(m: GModule, h: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP
         else:
             restricted = tuple(tuple(rep[x][y] for y in ordered) for x in ordered)
         cols.append(h_h.classify(restricted))
-    mat = tuple(
-        tuple(cols[j][i] for j in range(len(cols))) for i in range(h_h.value.rank)
-    )
-    return AbHom(h_g.value, h_h.value, mat)
+    return AbHom.from_columns(h_g.value, h_h.value, cols)
 
 
 @dataclass(frozen=True)
@@ -611,27 +602,22 @@ def coinduced_module(group: FiniteGroup, coeff) -> CoinducedModule:
     # (x.f)(y) = f(yx)
     table = np.array(g.table, dtype=np.int64).reshape(n, n)
     perm = (np.arange(r)[None, :, None] * n + table.T[:, None, :]).reshape(n, n * r)
-    coind = GModule(g, coind_ab, np.eye(n * r, dtype=np.int64)[perm].tolist())
+    coind = GModule(g, coind_ab, np.eye(n * r, dtype=np.int64)[perm])
 
     # a in A goes to y -> y.a; column i is the image of e_i
-    emb = m.array.transpose(1, 0, 2).reshape(n * r, r)
+    emb = m.action.transpose(1, 0, 2).reshape(n * r, r)
     embedding = AbHom(a, coind_ab, emb.tolist())
     qpres = modular.quotient_presentation(factors, emb.T)
     quotient_ab = FiniteAbelianGroup(qpres.factors)
     basis = [tuple(1 if j == i else 0 for j in range(n * r)) for i in range(n * r)]
-    proj_cols = [qpres.classify(b) for b in basis]
-    projection = AbHom(
-        coind_ab,
-        quotient_ab,
-        tuple(tuple(proj_cols[j][i] for j in range(n * r)) for i in range(quotient_ab.rank)),
-    )
+    projection = AbHom.from_columns(coind_ab, quotient_ab, [qpres.classify(b) for b in basis])
     lift = np.array(qpres.reps, dtype=np.int64).reshape(quotient_ab.rank, n * r).T
     # x acts on A' by projecting the permuted lifts
     proj = np.array(projection.matrix, dtype=np.int64).reshape(quotient_ab.rank, n * r)
     modular.check_int64_products(a.exponent - 1, n * r, "coinduced quotient action")
     qfac = np.array(quotient_ab.factors, dtype=np.int64)[:, None]
     q_acts = np.mod(proj @ lift[perm], qfac)
-    quotient = GModule(g, quotient_ab, q_acts.tolist())
+    quotient = GModule(g, quotient_ab, q_acts)
     return CoinducedModule(m, coind, embedding, quotient, projection, lattice.freeze(lift), perm)
 
 
@@ -685,10 +671,7 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
                 "shift cocycle does not lie in the embedded coefficients"
             )
         cols.append(h2.classify(tuple(lattice.freeze(row) for row in pre.tolist())))
-    mat = tuple(
-        tuple(cols[j][i] for j in range(len(cols))) for i in range(h2.value.rank)
-    )
-    return AbHom(h1q.value, h2.value, mat)
+    return AbHom.from_columns(h1q.value, h2.value, cols)
 
 
 def dimension_shift_check(m: GModule, cap: int = DEFAULT_COH_CAP) -> DimensionShiftReport:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from . import modular
+from . import lattice, modular
 from .abelian import (
     AbHom,
     AbSubgroup,
@@ -80,8 +80,14 @@ class FamilyModule:
 
     @staticmethod
     def build(coeff, actions: dict | None = None, tail_action=None) -> "FamilyModule":
-        acts = tuple(sorted((name, tuple(a)) for name, a in (actions or {}).items()))
-        return FamilyModule(coeff, acts, tuple(tail_action) if tail_action else None)
+        """Actions may be given as any nested integer sequences or arrays;
+        they are kept as hashable tuples, one matrix per group element."""
+
+        def freeze(action):
+            return tuple(lattice.freeze(m) for m in action)
+
+        acts = tuple(sorted((name, freeze(a)) for name, a in (actions or {}).items()))
+        return FamilyModule(coeff, acts, None if tail_action is None else freeze(tail_action))
 
     def action_for(self, name: str):
         for n, a in self.exceptional_actions:
@@ -256,18 +262,18 @@ def _require_plain(trunc: TruncatedFamily) -> None:
         )
 
 
+def fixed_elements(coeff: FiniteAbelianGroup, mods) -> tuple:
+    """The elements of A fixed by every module in ``mods``, by enumeration."""
+    return tuple(
+        vec
+        for vec in coeff.elements()
+        if all(m.act(x, vec) == vec for m in mods for x in range(m.group.order))
+    )
+
+
 def common_fixed_elements(trunc: TruncatedFamily, module: FamilyModule):
-    """A^G = intersection of the fiber fixed sets, by enumeration."""
-    mods = _fiber_modules(trunc, module)
-    out = []
-    for vec in module.coeff.elements():
-        if all(
-            m.act(x, vec) == tuple(vec)
-            for m in mods
-            for x in range(m.group.order)
-        ):
-            out.append(tuple(vec))
-    return tuple(out)
+    """A^G = intersection of the fiber fixed sets."""
+    return fixed_elements(module.coeff, _fiber_modules(trunc, module))
 
 
 def oracle_h1(
@@ -362,16 +368,8 @@ def four_term_sequence(
     t1 = FiniteAbelianGroup(t1_pres.factors)
 
     # term 2: sum over fibers of A / A^{G_t}
-    fiber_fixed = []
-    for m in mods:
-        fixed = [
-            tuple(vec)
-            for vec in a.elements()
-            if all(m.act(x, vec) == tuple(vec) for x in range(m.group.order))
-        ]
-        fiber_fixed.append(fixed)
     fiber_quotients = [
-        modular.quotient_presentation(a.factors, fixed) for fixed in fiber_fixed
+        modular.quotient_presentation(a.factors, fixed_elements(a, (m,))) for m in mods
     ]
     chart2 = direct_sum_chart([q.factors for q in fiber_quotients])
     t2 = chart2.value
@@ -389,7 +387,7 @@ def four_term_sequence(
         for q in fiber_quotients:
             concat.extend(q.classify(vec))
         cols.append(chart2.classify(tuple(concat)))
-    m1 = AbHom(t1, t2, tuple(tuple(c[i] for c in cols) for i in range(t2.rank)))
+    m1 = AbHom.from_columns(t1, t2, cols)
 
     # map 2: (a_t)_t |-> class of the cocycle that is principal-from-a_t on G_t
     cols = []
@@ -404,7 +402,7 @@ def four_term_sequence(
                 tuple(a.add(m.act(x, lifted), a.neg(lifted)) for x in range(m.group.order))
             )
         cols.append(oracle.classify(tuple(tables)))
-    m2 = AbHom(t2, oracle.value, tuple(tuple(c[i] for c in cols) for i in range(oracle.value.rank)))
+    m2 = AbHom.from_columns(t2, oracle.value, cols)
 
     # map 3: restriction to the factors
     cols = []
@@ -413,7 +411,7 @@ def four_term_sequence(
         for table, h in zip(rep, fiber_h1):
             concat.extend(h.classify(table))
         cols.append(chart4.classify(tuple(concat)))
-    m3 = AbHom(oracle.value, t4, tuple(tuple(c[i] for c in cols) for i in range(t4.rank)))
+    m3 = AbHom.from_columns(oracle.value, t4, cols)
 
     return FourTermSequence((t1, t2, oracle.value, t4), (m1, m2, m3), (trunc, module))
 
@@ -720,8 +718,7 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
         iso_ok = h1.value.factors == expected_h1
         if iso_ok and k:
             source = FiniteAbelianGroup((p,) * k)
-            mat = tuple(tuple(c[i] for c in char_cols) for i in range(h1.value.rank))
-            hom = AbHom(source, h1.value, mat)
+            hom = AbHom.from_columns(source, h1.value, char_cols)
             iso_ok = hom.is_injective() and hom.is_surjective()
         elif iso_ok:
             iso_ok = h1.value.order == 1
@@ -824,13 +821,7 @@ def truncation_colimit(
             for rep in oracles[n].representatives:
                 extended = rep + ((zero_table,) if zero_table is not None else ())
                 cols.append(oracles[n + 1].classify(extended))
-            transitions.append(
-                AbHom(
-                    levels[n],
-                    levels[n + 1],
-                    tuple(tuple(c[i] for c in cols) for i in range(levels[n + 1].rank)),
-                )
-            )
+            transitions.append(AbHom.from_columns(levels[n], levels[n + 1], cols))
         # per level: exactness of the four-term sequence is the formula
         level_ok = []
         for t in truncs:
@@ -858,13 +849,7 @@ def truncation_colimit(
                 pad = len(fiber_h2[n + 1][-1].value.factors) if spec.tail is not None else 0
                 extended = tuple(concat) + (0,) * pad
                 cols.append(charts[n + 1].classify(extended))
-            transitions.append(
-                AbHom(
-                    levels[n],
-                    levels[n + 1],
-                    tuple(tuple(c[i] for c in cols) for i in range(levels[n + 1].rank)),
-                )
-            )
+            transitions.append(AbHom.from_columns(levels[n], levels[n + 1], cols))
         # formula instance: block factors match the per-fiber pair formula
         level_ok = []
         for t, hs in zip(truncs, fiber_h2):
@@ -946,8 +931,7 @@ def section_for(retraction: AbHom) -> AbHom | None:
         if sol is None:
             return None
         cols.append(sol)
-    mat = tuple(tuple(cols[j][i] for j in range(tgt.rank)) for i in range(src.rank))
-    section = AbHom(tgt, src, mat)
+    section = AbHom.from_columns(tgt, src, cols)
     check = retraction.compose(section)
     if check.matrix != identity_matrix(tgt.rank):
         raise VerificationFailure("section does not invert the retraction")
@@ -978,11 +962,7 @@ def splitting_check(
     for rep in full.representatives:
         restricted = tuple(rep[i] for i in keep_idx)
         cols.append(sub.classify(restricted))
-    retraction = AbHom(
-        full.value,
-        sub.value,
-        tuple(tuple(c[i] for c in cols) for i in range(sub.value.rank)),
-    )
+    retraction = AbHom.from_columns(full.value, sub.value, cols)
     surj = retraction.is_surjective()
     section = section_for(retraction) if surj else None
 

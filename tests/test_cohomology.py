@@ -5,9 +5,11 @@ homomorphisms; degree-2 values against a bar-resolution solver that
 works directly with the normalized cochain system.
 """
 
+import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import corprod.cohomology as coh
@@ -15,7 +17,7 @@ from conftest import negation_action
 from corprod import groups as gr
 from corprod import modular
 from corprod.abelian import FiniteAbelianGroup as FAG
-from corprod.errors import PreconditionError, SizeCapExceeded
+from corprod.errors import InvariantViolation, PreconditionError, SizeCapExceeded
 
 
 def brute_z1(m):
@@ -436,3 +438,56 @@ def test_module_validation_refuses_rather_than_wraps():
             assert "2^63" in str(exc)
             outcomes.add("refused")
     assert outcomes == {"accepted", "refused"}
+
+
+def test_actions_equal_mod_the_factors_are_one_module(zoo):
+    # the matrices differ by multiples of the row factors 2 and 6, and
+    # one entry is far past int64
+    c6, coeff = zoo["C6"], FAG((2, 6))
+    small = negation_action(c6, coeff, 1)
+    shifted = [
+        [[x + 2 * (i + 1) for x in mat[0]], [x - 6 * 10**30 for x in mat[1]]]
+        for i, mat in enumerate(small.action.tolist())
+    ]
+    big = coh.GModule(c6, coeff, shifted)
+    assert big == small and hash(big) == hash(small)
+    assert big.action.dtype == np.int64
+    assert (big.action < np.array(coeff.factors)[:, None]).all()
+    coh._cohomology_cached.cache_clear()
+    h_small = coh.cohomology(small, 2)
+    hits = coh._cohomology_cached.cache_info().hits
+    assert coh.cohomology(big, 2) is h_small
+    assert coh._cohomology_cached.cache_info().hits == hits + 1
+
+
+def test_the_action_array_is_read_only(zoo):
+    m = negation_action(zoo["C4"], FAG((3,)), 1)
+    with pytest.raises(ValueError):
+        m.action[1, 0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.action = np.eye(1, dtype=np.int64)[None].repeat(4, axis=0)
+    assert m.act(1, (1,)) == (2,)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        [[[1]]] * 3,  # one matrix short
+        [[[1, 0]]] * 4,  # not square
+        [[[1]], [[2]], [[1]], [[2, 0]]],  # ragged
+        [[[1.0]]] * 4,  # not integers
+    ],
+)
+def test_wrong_action_shapes_are_refused(zoo, action):
+    with pytest.raises(InvariantViolation):
+        coh.GModule(zoo["C4"], FAG((3,)), action)
+
+
+def test_rank_zero_modules_build(zoo):
+    g = zoo["S3"]
+    for action in ([()] * g.order, np.zeros((g.order, 0, 0), dtype=np.int64)):
+        m = coh.GModule(g, FAG(()), action)
+        assert m.action.shape == (g.order, 0, 0)
+        assert m == coh.trivial_module(g, FAG(())) and m.is_trivial_action()
+        assert coh.cohomology(m, 2).value.factors == ()
+        assert coh.fixed_submodule(m, gr.Subgroup(g, tuple(range(g.order)))).value.factors == ()

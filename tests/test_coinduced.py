@@ -13,6 +13,7 @@ actions by non-symmetric matrices.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import corprod.cohomology as coh
@@ -224,7 +225,7 @@ def test_coinduced_module_matches_dense_reference(name, m):
     assert cm.projection == projection
     assert cm.lift == lift
     assert cm.quotient == quotient
-    assert cm.quotient.action == quotient.action
+    assert np.array_equal(cm.quotient.action, quotient.action)
     assert coh.connecting_map(cm).matrix == ref_connecting_matrix(
         m, module, embedding, lift, quotient
     )

@@ -139,15 +139,27 @@ def test_digest_stability():
 
 
 def test_action_powers_beyond_int64_are_refused():
-    # the powers of [[10^9]] on C4 reach 10^27; validation used to raise a
-    # bare OverflowError converting them to int64
+    # the unreduced powers of [[10^9]] on C4 reach 10^27; the action is
+    # reduced mod 6 first, to [[4]], which is not an automorphism
     spec = serialize.parse_family(VALID_FAMILY)
     doc = {
         "coeff": {"kind": "ab", "factors": [6]},
         "actions": {"a": [{"element": 1, "matrix": [[10**9]]}]},
     }
-    with pytest.raises(SpecFileError, match=r"2\^63"):
+    with pytest.raises(SpecFileError, match="not a homomorphism"):
         serialize.parse_module(doc, spec)
+
+
+def test_large_action_representatives_are_reduced():
+    # 6 * 10^30 - 1 is -1 mod 6: the same negation action as [[-1]]
+    spec = serialize.parse_family(VALID_FAMILY)
+    doc = {
+        "coeff": {"kind": "ab", "factors": [6]},
+        "actions": {"a": [{"element": 1, "matrix": [[6 * 10**30 - 1]]}]},
+    }
+    big = serialize.parse_module(doc, spec)
+    assert big == serialize.parse_module(VALID_MODULE, spec)
+    assert big.action_for("a") == (((1,),), ((5,),), ((1,),), ((5,),))
 
 
 def test_table_groups_obey_the_order_cap():
