@@ -16,10 +16,12 @@ satisfy the inhomogeneous cocycle identities exactly.
 
 Degrees >= 3 are reached only by iterated dimension shifting through
 coinduced modules, mirroring how one proves anything about them.  The
-coinduced module Maps(G, A) acts by a permutation of coordinates, so its
-quotient actions are gathers of lifted columns.  The connecting map reads
-the preimage of each coboundary at the identity coordinates (evaluation
-at 1 is a left inverse of A -> Maps(G, A)) and verifies it by
+coinduced module Maps(G, A) acts by a permutation of coordinates.
+Evaluation at 1 is a left inverse of A -> Maps(G, A), so the shifted
+module A' = Maps(G, A)/A is the maps vanishing at 1: f projects to
+f - emb(f(1)), and the action on A' is a gather of projection columns.
+The connecting map scatters each cocycle of A' into Maps(G, A), reads the
+preimage of its coboundary at the identity coordinates and verifies it by
 re-embedding.
 
 A module stores its action once, as a read-only int64 array with every
@@ -76,6 +78,10 @@ class GModule:
     def __post_init__(self):
         g, a = self.group, self.coeff
         n, r = g.order, a.rank
+        if r and a.factors[-1] >= 2**63:  # the largest factor of the chain
+            raise SizeCapExceeded(
+                f"coefficient factor {a.factors[-1]} >= 2^63, beyond exact int64 arithmetic"
+            )
         try:
             raw = np.asarray(self.action)
         except ValueError as exc:  # ragged nesting
@@ -570,19 +576,17 @@ class CoinducedModule:
 
     Component (i, y) of Maps(G, A), the i-th coordinate of the value at y,
     sits at position i*n + y.  Translation by x only relabels coordinates:
-    coordinate p of x.f is coordinate ``perm[x, p]`` of f.
+    coordinate p of x.f is coordinate ``perm[x, p]`` of f.  Evaluation at 1
+    is a left inverse of the embedding, so A' is the maps vanishing at 1:
+    its coordinates are the components (i, y) with y != 1, in order, and
+    f projects to f - emb(f(1)).
     """
 
     base: GModule
     module: GModule
     embedding: AbHom
     quotient: GModule
-    projection: AbHom
-    lift: Matrix  # one column per quotient generator
     perm: np.ndarray = field(repr=False, compare=False)
-
-    def project_table(self, table):
-        return tuple(self.projection.apply(v) for v in table)
 
 
 def coinduced_module(group: FiniteGroup, coeff) -> CoinducedModule:
@@ -607,18 +611,14 @@ def coinduced_module(group: FiniteGroup, coeff) -> CoinducedModule:
     # a in A goes to y -> y.a; column i is the image of e_i
     emb = m.action.transpose(1, 0, 2).reshape(n * r, r)
     embedding = AbHom(a, coind_ab, emb.tolist())
-    qpres = modular.quotient_presentation(factors, emb.T)
-    quotient_ab = FiniteAbelianGroup(qpres.factors)
-    basis = [tuple(1 if j == i else 0 for j in range(n * r)) for i in range(n * r)]
-    projection = AbHom.from_columns(coind_ab, quotient_ab, [qpres.classify(b) for b in basis])
-    lift = np.array(qpres.reps, dtype=np.int64).reshape(quotient_ab.rank, n * r).T
-    # x acts on A' by projecting the permuted lifts
-    proj = np.array(projection.matrix, dtype=np.int64).reshape(quotient_ab.rank, n * r)
-    modular.check_int64_products(a.exponent - 1, n * r, "coinduced quotient action")
-    qfac = np.array(quotient_ab.factors, dtype=np.int64)[:, None]
-    q_acts = np.mod(proj @ lift[perm], qfac)
-    quotient = GModule(g, quotient_ab, q_acts)
-    return CoinducedModule(m, coind, embedding, quotient, projection, lattice.freeze(lift), perm)
+    keep = np.arange(n * r) % n != g.identity  # the components (i, y), y != 1
+    quotient_ab = FiniteAbelianGroup(tuple(d for d in a.factors for _ in range(n - 1)))
+    # f -> f - emb(f(1)) on the kept coordinates; GModule reduces the rows
+    proj = np.eye(n * r, dtype=np.int64)[keep]
+    proj[:, np.arange(r) * n + g.identity] -= emb[keep]
+    # x acts on A' as the projection of x.f, a gather of projection columns
+    q_acts = proj[:, np.argsort(perm, axis=1)[:, keep]].transpose(1, 0, 2)
+    return CoinducedModule(m, coind, embedding, GModule(g, quotient_ab, q_acts), perm)
 
 
 @dataclass(frozen=True)
@@ -640,28 +640,27 @@ class DimensionShiftReport:
 def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
     """The shift isomorphism H^1(G, A') -> H^2(G, A) on representatives.
 
-    A cocycle f of A' lifts to Maps(G, A); its coboundary
-    v(x, y) = f~(x) + x.f~(y) - f~(xy) lies in the embedded A, and
-    evaluation at the identity, a left inverse of the embedding, reads off
-    the preimage.  Re-embedding every preimage verifies it exactly.
+    A cocycle f of A' is a map into the maps vanishing at 1; scattered into
+    Maps(G, A), its coboundary v(x, y) = f(x) + x.f(y) - f(xy) lies in the
+    embedded A, and evaluation at the identity, a left inverse of the
+    embedding, reads off the preimage.  Re-embedding every preimage
+    verifies it exactly.
     """
     m = coind.base
     g, a = m.group, m.coeff
     n, r = g.order, a.rank
     h1q = cohomology(coind.quotient, 1, cap)
     h2 = cohomology(m, 2, cap)
-    rq = coind.quotient.coeff.rank
     fac = np.array(coind.module.coeff.factors, dtype=np.int64)
-    lift = np.array(coind.lift, dtype=np.int64).reshape(n * r, rq)
     emb = np.array(coind.embedding.matrix, dtype=np.int64).reshape(n * r, r)
     table = np.array(g.table, dtype=np.int64).reshape(n, n)
     at_identity = np.arange(r) * n + g.identity
-    modular.check_int64_products(a.exponent - 1, rq, "connecting map lifts")
+    keep = np.arange(n * r) % n != g.identity  # the coordinates of A'
     modular.check_int64_products(a.exponent - 1, r, "connecting map re-embedding")
     cols = []
     for rep in h1q.representatives:
-        values = np.array(rep, dtype=np.int64).reshape(n, rq)
-        lifted = np.mod(values @ lift.T, fac)
+        lifted = np.zeros((n, n * r), dtype=np.int64)
+        lifted[:, keep] = np.array(rep, dtype=np.int64).reshape(n, -1)
         # x.lifted[y] is lifted[y] read through perm[x]
         moved = lifted[np.arange(n)[None, :, None], coind.perm[:, None, :]]
         v = np.mod(lifted[:, None, :] + moved - lifted[table], fac)

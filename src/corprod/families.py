@@ -95,10 +95,6 @@ class FamilySpec:
                 return f
         raise KeyError(name)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.tail is None
-
 
 def family(exceptional, tail=None, prime_set=None) -> FamilySpec:
     """Convenience constructor; infers the prime set when not given."""
@@ -343,9 +339,6 @@ class FamilyMorphism:
                 or self.tail_map.target != self.target.tail.group
             ):
                 raise InvariantViolation("tail map has wrong type")
-
-    def fiber_map(self, name: str) -> GroupHom | None:
-        return self.fiber_maps.get(name)
 
 
 def identity_morphism(spec: FamilySpec) -> FamilyMorphism:

@@ -363,8 +363,7 @@ def four_term_sequence(
     oracle = oracle_h1(trunc, module, enum_cap)
 
     # term 1: A / A^G
-    fixed_all = common_fixed_elements(trunc, module)
-    t1_pres = modular.quotient_presentation(a.factors, list(fixed_all))
+    t1_pres = modular.quotient_presentation(a.factors, list(oracle.fixed_elements))
     t1 = FiniteAbelianGroup(t1_pres.factors)
 
     # term 2: sum over fibers of A / A^{G_t}

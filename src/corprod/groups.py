@@ -95,10 +95,6 @@ class FiniteGroup:
             x = self.mul(x, g)
         return x
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
-
 
 def validate_cayley_table(table, identity: int = 0) -> None:
     """Full validation: Latin square, identity, associativity.
@@ -349,9 +345,6 @@ class Subgroup:
         eset = set(self.elements)
         return all(g.conj(x, a) in eset for x in range(g.order) for a in self.elements)
 
-    def is_full(self) -> bool:
-        return self.order == self.parent.order
-
     def is_trivial(self) -> bool:
         return self.order == 1
 
@@ -480,9 +473,6 @@ class GroupHom:
             self.source,
             tuple(g for g in range(self.source.order) if self.images[g] == self.target.identity),
         )
-
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.target, tuple(sorted(set(self.images))))
 
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.order

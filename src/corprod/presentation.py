@@ -121,10 +121,8 @@ class FreePresentation:
 
 
 @lru_cache(maxsize=None)
-def free_presentation(group: FiniteGroup, gens: tuple[int, ...] | None = None) -> FreePresentation:
-    if gens is None:
-        gens = generating_set(group)
-    gens = tuple(gens)
+def free_presentation(group: FiniteGroup) -> FreePresentation:
+    gens = generating_set(group)
     n = group.order
     coset_word: list[Word | None] = [None] * n
     coset_word[group.identity] = ()
@@ -140,8 +138,6 @@ def free_presentation(group: FiniteGroup, gens: tuple[int, ...] | None = None) -
                     tree.add((x, s))
                     nxt.append(y)
         frontier = nxt
-    if any(w is None for w in coset_word):
-        raise ValueError("the given elements do not generate the group")
     edges = tuple(
         (x, s)
         for x in range(n)

@@ -317,3 +317,27 @@ def test_cohomology_refuses_moduli_beyond_int64(tmp_path, family_file):
     status, text = run_cli(["cohomology", "--spec", family_file, "--module", str(mod)])
     assert status == 2
     assert "q=2147483648" in text and "2^63" in text
+
+
+C2_FAMILY = {
+    "prime_set": [2],
+    "exceptional": {"a": {"group": {"kind": "cyclic", "n": 2}, "subgroup_generators": []}},
+    "tail": None,
+}
+
+
+@pytest.mark.parametrize("factor", [2**63 - 1, 2**63, 2**64])
+def test_cohomology_refuses_factors_from_2_63(tmp_path, factor):
+    spec = tmp_path / "c2.json"
+    spec.write_text(json.dumps(C2_FAMILY))
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [factor]}, "actions": {}}))
+    status, text = run_cli(
+        ["cohomology", "--spec", str(spec), "--module", str(mod), "--degree", "1"]
+    )
+    if factor < 2**63:
+        # odd, so coprime to |C2|: nothing is computed and nothing overflows
+        assert status == 0 and "value=[]" in text
+    else:
+        assert status == 2
+        assert str(factor) in text and "2^63" in text

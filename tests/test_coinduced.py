@@ -1,14 +1,17 @@
 """Coinduced modules, the connecting map and coboundary assembly against
 dense reference implementations.
 
-The library builds Maps(G, A) as a coordinate permutation, reads the
-connecting map's preimages at the identity coordinates and assembles the
-H^1 coboundaries and the H^2 denominator in bulk from each module's action
+The library builds Maps(G, A) as a coordinate permutation, takes the
+shifted module A' to be the maps vanishing at 1, reads the connecting
+map's preimages at the identity coordinates and assembles the H^1
+coboundaries and the H^2 denominator in bulk from each module's action
 array.  The references below do the same work the direct way: one dense
-matrix per group element, one ``act`` per vector and one congruence solve
-per pair of group elements.  Every structure they produce must match
-exactly, over every corpus group, module and named action, and over a few
-actions by non-symmetric matrices.
+matrix per group element, a general quotient presentation of
+Maps(G, A)/A, one ``act`` per vector and one congruence solve per pair of
+group elements.  Maps(G, A), its embedding and the cohomology engines
+must match them exactly; A' and the connecting map must match them through
+the reference projection, over every corpus group, module and named
+action, and over a few actions by non-symmetric matrices.
 """
 
 import dataclasses
@@ -222,13 +225,32 @@ def test_coinduced_module_matches_dense_reference(name, m):
     module, embedding, projection, lift, quotient = ref_coinduced(m)
     assert cm.module == module
     assert cm.embedding == embedding
-    assert cm.projection == projection
-    assert cm.lift == lift
-    assert cm.quotient == quotient
-    assert np.array_equal(cm.quotient.action, quotient.action)
-    assert coh.connecting_map(cm).matrix == ref_connecting_matrix(
-        m, module, embedding, lift, quotient
+    # phi: the reference projection on the maps vanishing at 1 must be an
+    # isomorphism of G-modules from A' onto the reference A'
+    n = m.group.order
+    keep = [p for p in range(module.coeff.rank) if p % n != m.group.identity]
+    phi = AbHom(
+        cm.quotient.coeff,
+        quotient.coeff,
+        tuple(tuple(row[p] for p in keep) for row in projection.matrix),
     )
+    assert phi.is_injective() and phi.is_surjective()
+    mat = np.array(phi.matrix, dtype=np.int64).reshape(quotient.coeff.rank, len(keep))
+    fac = np.array(quotient.coeff.factors, dtype=np.int64)[:, None]
+    for x in range(n):
+        assert np.array_equal(
+            np.mod(mat @ cm.quotient.action[x], fac), np.mod(quotient.action[x] @ mat, fac)
+        )
+    # column f of the connecting map is the reference image of phi o f
+    h1 = coh.cohomology(cm.quotient, 1)
+    h1_ref = coh.cohomology(quotient, 1)
+    h2_factors = coh.cohomology(m, 2).value.factors
+    ref = ref_connecting_matrix(m, module, embedding, lift, quotient)
+    delta = coh.connecting_map(cm).matrix
+    for j, rep in enumerate(h1.representatives):
+        c = h1_ref.classify(tuple(phi.apply(v) for v in rep))
+        expected = [sum(u * v for u, v in zip(row, c)) % d for row, d in zip(ref, h2_factors)]
+        assert [row[j] % d for row, d in zip(delta, h2_factors)] == expected
 
 
 @pytest.mark.parametrize("name,m", CASES, ids=[name for name, _ in CASES])
@@ -242,16 +264,18 @@ def test_h1_h2_match_act_based_assembly(name, m):
     assert (h2.value.factors, h2.representatives) == ref_h2(m)
 
 
-def test_corrupted_lift_is_caught_by_re_embedding():
-    # H^1(C3, A') = H^2(C3, Z/3) = Z/3; the lift of A' is corrupted so that
-    # the coboundaries of lifted cocycles leave the embedded coefficients
+def test_corrupted_perm_is_caught_by_re_embedding():
+    # H^1(C3, A') = H^2(C3, Z/3) = Z/3; translation by x != 1 is corrupted
+    # so that the coboundaries of scattered cocycles leave the embedded
+    # coefficients
     m = coh.trivial_module(corpus._zoo()["C3"], FAG((3,)))
     cm = coh.coinduced_module(m.group, m)
     assert coh.connecting_map(cm).is_surjective()
-    bad = [list(row) for row in cm.lift]
-    bad[1][0] = (bad[1][0] + 1) % 3
+    x = next(x for x in range(3) if x != m.group.identity)
+    bad = cm.perm.copy()
+    bad[x, [0, 1]] = bad[x, [1, 0]]
     with pytest.raises(VerificationFailure, match="embedded coefficients"):
-        coh.connecting_map(dataclasses.replace(cm, lift=lattice.freeze(bad)))
+        coh.connecting_map(dataclasses.replace(cm, perm=bad))
 
 
 def test_denominator_outside_the_numerator_raises():
@@ -264,12 +288,12 @@ def test_denominator_outside_the_numerator_raises():
 
 def test_coinduced_products_beyond_int64_are_refused():
     # Z/f with f the product of the primes up to 29: every prime-power
-    # kernel is tiny, but the quotient action's length-2 products of
-    # entries below f reach 2 (f - 1)^2 >= 2^63
+    # kernel is tiny, but the quotient action has the entry -1 = f - 1, and
+    # products of two entries below f reach (f - 1)^2 >= 2^63
     c2 = corpus._zoo()["C2"]
     f = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29
-    assert 2 * (f - 1) ** 2 >= 2**63
-    with pytest.raises(SizeCapExceeded, match=r"coinduced quotient action.*2\^63"):
+    assert (f - 1) ** 2 >= 2**63
+    with pytest.raises(SizeCapExceeded, match=r"module action matrices.*2\^63"):
         coh.coinduced_module(c2, FAG((f,)))
     # one prime fewer keeps the products exact
     small = f // 29
