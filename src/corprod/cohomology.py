@@ -14,6 +14,14 @@ and each class is materialized as an explicit normalized 2-cocycle
 f(g, h) = phi(w_g w_h w_{gh}^{-1}), so all returned representatives
 satisfy the inhomogeneous cocycle identities exactly.
 
+A cochain is an int64 array reduced mod the coefficient factors, of
+shape (|G|, r) in degree 1 and (|G|, |G|, r) in degree 2.  The H^2
+representatives are one scatter-add of phi over the edges each pair of
+transversal words crosses; ``classify`` reads phi back by a gather along
+the edge words.  Inflation, restriction and the connecting map hand
+arrays to ``classify``, which also accepts any integer array-like of the
+same shape, such as the crossed-hom oracle's nested tuples.
+
 Degrees >= 3 are reached only by iterated dimension shifting through
 coinduced modules, mirroring how one proves anything about them.  The
 coinduced module Maps(G, A) acts by a permutation of coordinates.
@@ -78,10 +86,7 @@ class GModule:
     def __post_init__(self):
         g, a = self.group, self.coeff
         n, r = g.order, a.rank
-        if r and a.factors[-1] >= 2**63:  # the largest factor of the chain
-            raise SizeCapExceeded(
-                f"coefficient factor {a.factors[-1]} >= 2^63, beyond exact int64 arithmetic"
-            )
+        modular.check_moduli(a.factors[-1:], "coefficient factor")  # the largest of the chain
         try:
             raw = np.asarray(self.action)
         except ValueError as exc:  # ragged nesting
@@ -251,10 +256,11 @@ class CocycleSpace:
 class CohomologyGroup:
     """H^degree with explicit representatives.
 
-    Degree-1 representatives are full value tables (one coefficient
-    vector per group element); degree-2 representatives are normalized
-    tables indexed by ordered pairs.  ``classify`` sends any cocycle in
-    the same format to its coordinate vector in ``value``.
+    Each representative is a read-only int64 array reduced mod the
+    coefficient factors: shape (|G|, r) in degree 1, a value per group
+    element, and (|G|, |G|, r) in degree 2, a normalized factor set.
+    ``classify`` sends any cocycle given as an integer array-like of that
+    shape, nested tuples included, to its coordinate vector in ``value``.
     """
 
     degree: int
@@ -284,24 +290,26 @@ def _coprime_shortcut(m: GModule) -> bool:
     return gcd(m.group.order, m.coeff.exponent) == 1
 
 
-def _extend_cocycle_over_tree(m: GModule, pres: FreePresentation, gen_values) -> tuple[Vector, ...]:
-    """Full value table of the crossed homomorphism with the given
-    generator values (which must satisfy the edge relations)."""
-    g = m.group
+def _cochain(m: GModule, degree: int, cochain) -> np.ndarray:
+    """Any integer array-like of shape (|G|,)*degree + (r,) as a reduced
+    int64 cochain."""
+    shape = (m.group.order,) * degree + (m.coeff.rank,)
+    return np.mod(np.asarray(cochain, dtype=np.int64).reshape(shape), m.coeff.factors)
+
+
+def _act(m: GModule, xs, vecs: np.ndarray) -> np.ndarray:
+    """x.v for reduced int64 vectors, broadcast over the leading axes of
+    ``xs`` and ``vecs``, reduced."""
     a = m.coeff
-    table: list[Vector | None] = [None] * g.order
-    table[g.identity] = a.zero
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s, gelt in enumerate(pres.gens):
-                y = g.mul(x, gelt)
-                if table[y] is None:
-                    table[y] = a.add(table[x], m.act(x, gen_values[s]))
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(table)  # type: ignore[return-value]
+    bound = int(m.action.max(initial=0))
+    modular.check_int64_products(a.exponent - 1, a.rank, "cochain action", other=bound)
+    return np.mod((m.action[xs] @ vecs[..., None])[..., 0], a.factors)
+
+
+def _frozen_reps(tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One read-only cochain per class from a stack of them."""
+    tables.flags.writeable = False
+    return tuple(tables)
 
 
 def _derivation_sums(m: GModule, pres: FreePresentation) -> np.ndarray:
@@ -310,13 +318,11 @@ def _derivation_sums(m: GModule, pres: FreePresentation) -> np.ndarray:
     i: a free derivation d restricts to n_e as sum_s D[e, s] . d(s)."""
     r = m.coeff.rank
     out = np.zeros((pres.rank, len(pres.gens), r, r), dtype=np.int64)
-    terms = [pres.derivation_terms(e) for e in range(pres.rank)]
-    flat = [(e, sign, prefix, s) for e, ts in enumerate(terms) for sign, prefix, s in ts]
-    if flat:
+    edge, sign, prefix, gen = pres.derivation_table
+    if edge.size:
         modular.check_int64_products(
-            m.coeff.exponent - 1, max(map(len, terms)), "derivation sums", other=1
+            m.coeff.exponent - 1, int(np.bincount(edge).max()), "derivation sums", other=1
         )
-        edge, sign, prefix, gen = (np.array(c, dtype=np.int64) for c in zip(*flat))
         np.add.at(out, (edge, gen), sign[:, None, None] * m.action[prefix])
     return np.mod(out, np.array(m.coeff.factors, dtype=np.int64)[:, None])
 
@@ -356,18 +362,18 @@ def _h1(m: GModule) -> CohomologyGroup:
     b1 = np.mod(m.action[list(pres.gens)] - np.eye(r, dtype=np.int64), fac)
     sq = modular.subquotient(col_moduli, z1, b1.transpose(2, 0, 1).reshape(r, k * r))
     value = FiniteAbelianGroup(sq.factors)
-    reps = tuple(
-        _extend_cocycle_over_tree(
-            m, pres, [rep[s * r : (s + 1) * r] for s in range(k)]
-        )
-        for rep in sq.reps
-    )
+    # f(1) = 0 and f(ws) = f(w) + w.f(s): f(b) sums prefix . f(letter) along w_b
+    gen_vals = np.array(sq.reps, dtype=np.int64).reshape(len(sq.reps), k, r)
+    prefix, letter = pres.coset_walks
+    modular.check_int64_products(a.exponent - 1, prefix.shape[1], "degree-1 cochains", other=1)
+    tables = np.zeros((len(sq.reps), g.order, r), dtype=np.int64)
+    for t in range(prefix.shape[1]):
+        ys = np.flatnonzero(letter[:, t] >= 0)
+        tables[:, ys] += _act(m, prefix[ys, t], gen_vals[:, letter[ys, t]])
+    reps = _frozen_reps(np.mod(tables, a.factors))
 
     def classify(cocycle) -> Vector:
-        vec = []
-        for s in range(k):
-            vec.extend(cocycle[pres.gens[s]])
-        return sq.classify(tuple(vec))
+        return sq.classify([x for s in pres.gens for x in cocycle[s]])
 
     return CohomologyGroup(1, value, reps, space, m, classify)
 
@@ -402,85 +408,54 @@ def _h2(m: GModule) -> CohomologyGroup:
     sq = modular.subquotient(col_moduli, hom_gens, den)
     value = FiniteAbelianGroup(sq.factors)
 
-    pair_cache: dict[tuple[int, int], Vector] = {}
+    n = g.order
+    pair, pair_edge = pres.pair_edges
+    edge, sign, prefix, gen = pres.derivation_table
+    longest = max(pres.coset_walks[0].shape[1], int(np.bincount(edge).max()))
+    modular.check_int64_products(a.exponent - 1, longest, "degree-2 cochains", other=1)
 
-    def pair_vec(x: int, y: int) -> Vector:
-        key = (x, y)
-        if key not in pair_cache:
-            pair_cache[key] = pres.pair_vector(x, y)
-        return pair_cache[key]
+    # f(x, y) = phi(w_x w_y w_xy^-1): the sum of phi over the edges the pair crosses
+    phis = np.array(sq.reps, dtype=np.int64).reshape(len(sq.reps), rho, r)
+    tables = np.zeros((len(sq.reps), n * n, r), dtype=np.int64)
+    np.add.at(tables, (slice(None), pair), phis[:, pair_edge])
+    reps = _frozen_reps(np.mod(tables, a.factors, out=tables).reshape(len(sq.reps), n, n, r))
 
-    def phi_to_table(phi: Vector):
-        table = []
-        for x in range(g.order):
-            row = []
-            for y in range(g.order):
-                coeffs = pair_vec(x, y)
-                acc = a.zero
-                for e, c in enumerate(coeffs):
-                    if c:
-                        acc = a.add(acc, a.scale(c, phi[e * r : (e + 1) * r]))
-                row.append(acc)
-            table.append(tuple(row))
-        return tuple(table)
-
-    reps = tuple(phi_to_table(rep) for rep in sq.reps)
-
-    def table_to_phi(cocycle) -> Vector:
-        # evaluate each Schreier generator word in the extension defined
-        # by the (normalized) cocycle
-        phi = []
-        for e in range(rho):
-            acc = a.zero
-            cur = g.identity
-            for letter in pres.edge_word(e):
-                if letter > 0:
-                    s = letter - 1
-                    gelt = pres.gens[s]
-                    acc = a.add(acc, cocycle[cur][gelt])
-                    cur = g.mul(cur, gelt)
-                else:
-                    s = -letter - 1
-                    gelt = pres.gens[s]
-                    y = g.inv[gelt]
-                    b = a.neg(m.act(y, cocycle[gelt][y]))
-                    acc = a.add(a.add(acc, m.act(cur, b)), cocycle[cur][y])
-                    cur = g.mul(cur, y)
-            if cur != g.identity:
-                raise VerificationFailure("edge word did not close up")
-            phi.extend(acc)
-        return tuple(phi)
+    # phi(n_e) read off a factor set along the edge word: a letter s read at
+    # x adds f(x, s); an inverse letter read at x = p.s adds f(x, s^-1) - p.f(s, s^-1)
+    letters = np.array(pres.gens, dtype=np.int64)[gen]
+    neg = sign < 0
+    x = np.where(neg, np.array(g.table, dtype=np.int64)[prefix, letters], prefix)
+    y = np.where(neg, np.array(g.inv, dtype=np.int64)[letters], letters)
 
     def classify(cocycle) -> Vector:
-        return sq.classify(table_to_phi(cocycle))
+        c = _cochain(m, 2, cocycle)
+        terms = c[x, y]
+        terms[neg] -= _act(m, prefix[neg], c[letters[neg], y[neg]])
+        phi = np.zeros((rho, r), dtype=np.int64)
+        np.add.at(phi, edge, terms)
+        return sq.classify(np.mod(phi, a.factors).ravel())
 
     return CohomologyGroup(2, value, reps, space, m, classify)
 
 
 def is_cocycle(m: GModule, degree: int, cocycle) -> bool:
-    """Exhaustive check of the degree-1 or degree-2 cocycle identity."""
-    g, a = m.group, m.coeff
-    if degree == 1:
-        if cocycle[g.identity] != a.zero:
-            return False
-        return all(
-            cocycle[g.mul(x, y)] == a.add(cocycle[x], m.act(x, cocycle[y]))
-            for x in range(g.order)
-            for y in range(g.order)
-        )
-    if degree == 2:
-        e = g.identity
-        if any(cocycle[e][x] != a.zero or cocycle[x][e] != a.zero for x in range(g.order)):
-            return False
-        for x in range(g.order):
-            for y in range(g.order):
-                for z in range(g.order):
-                    lhs = a.add(m.act(x, cocycle[y][z]), cocycle[x][g.mul(y, z)])
-                    rhs = a.add(cocycle[g.mul(x, y)][z], cocycle[x][y])
-                    if lhs != rhs:
-                        return False
-        return True
-    raise PreconditionError("cocycle check only for degrees 1 and 2")
+    """The degree-1 or degree-2 cocycle identity, on every pair or triple
+    at once, and f(1) = 0 or f(1, -) = 0, which with the identity gives
+    f(-, 1) = 0."""
+    if degree not in (1, 2):
+        raise PreconditionError("cocycle check only for degrees 1 and 2")
+    g, fac = m.group, m.coeff.factors
+    n, e = g.order, g.identity
+    modular.check_int64_products(m.coeff.exponent - 1, 2, "cocycle identity", other=1)
+    table = np.array(g.table, dtype=np.int64)
+    c = _cochain(m, degree, cocycle)
+    # x.f(y) or x.f(y, z), at every x
+    moved = _act(m, np.arange(n).reshape((n,) + (1,) * degree), c[None])
+    if degree == 1:  # f(xy) = f(x) + x.f(y)
+        lhs, rhs = c[table], c[:, None] + moved
+    else:  # x.f(y, z) + f(x, yz) = f(xy, z) + f(x, y)
+        lhs, rhs = moved + c[:, table], c[table] + c[:, :, None]
+    return not c[e].any() and np.array_equal(np.mod(lhs, fac), np.mod(rhs, fac))
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +470,12 @@ def inflation(m: GModule, n: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP) 
     mq, proj, fixed = induced_quotient_action(m, n)
     h_q = cohomology(mq, degree, cap)
     h_g = cohomology(m, degree, cap)
-    inc = fixed.inclusion
-    cols = []
-    for rep in h_q.representatives:
-        if degree == 1:
-            pulled = tuple(inc.apply(rep[proj.apply(x)]) for x in range(m.group.order))
-        else:
-            pulled = tuple(
-                tuple(inc.apply(rep[proj.apply(x)][proj.apply(y)]) for y in range(m.group.order))
-                for x in range(m.group.order)
-            )
-        cols.append(h_g.classify(pulled))
+    a, an = m.coeff, fixed.value
+    if h_q.representatives:
+        modular.check_int64_products(an.exponent - 1, an.rank, "inflation", other=a.exponent - 1)
+    inc = np.array(fixed.inclusion.matrix, dtype=np.int64).reshape(a.rank, an.rank)
+    idx = np.ix_(*(np.array(proj.images, dtype=np.int64),) * degree)
+    cols = [h_g.classify(np.mod(rep[idx] @ inc.T, a.factors)) for rep in h_q.representatives]
     return AbHom.from_columns(h_q.value, h_g.value, cols)
 
 
@@ -531,13 +501,8 @@ def restriction(m: GModule, h: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP
     mh, ordered = restricted_module(m, h)
     h_g = cohomology(m, degree, cap)
     h_h = cohomology(mh, degree, cap)
-    cols = []
-    for rep in h_g.representatives:
-        if degree == 1:
-            restricted = tuple(rep[x] for x in ordered)
-        else:
-            restricted = tuple(tuple(rep[x][y] for y in ordered) for x in ordered)
-        cols.append(h_h.classify(restricted))
+    idx = np.ix_(*(np.array(ordered, dtype=np.int64),) * degree)
+    cols = [h_h.classify(rep[idx]) for rep in h_g.representatives]
     return AbHom.from_columns(h_g.value, h_h.value, cols)
 
 
@@ -660,7 +625,7 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
     cols = []
     for rep in h1q.representatives:
         lifted = np.zeros((n, n * r), dtype=np.int64)
-        lifted[:, keep] = np.array(rep, dtype=np.int64).reshape(n, -1)
+        lifted[:, keep] = rep
         # x.lifted[y] is lifted[y] read through perm[x]
         moved = lifted[np.arange(n)[None, :, None], coind.perm[:, None, :]]
         v = np.mod(lifted[:, None, :] + moved - lifted[table], fac)
@@ -669,7 +634,7 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
             raise VerificationFailure(
                 "shift cocycle does not lie in the embedded coefficients"
             )
-        cols.append(h2.classify(tuple(lattice.freeze(row) for row in pre.tolist())))
+        cols.append(h2.classify(pre))
     return AbHom.from_columns(h1q.value, h2.value, cols)
 
 

@@ -19,7 +19,8 @@ valuations arithmetically, so nothing is allocated in proportion to q.
 The longest dot product the kernel and its consumers form has
 max(m, n) terms below q, so an m x n system is refused with
 ``SizeCapExceeded`` before any allocation when max(m, n, 1).(q-1)^2
-reaches 2^63.  A pure integer fallback (``subquotient_int``) built on the
+reaches 2^63; every entry point refuses a modulus of 2^63 or more before
+factoring it.  A pure integer fallback (``subquotient_int``) built on the
 Smith normal form is kept as an independent oracle for the tests.
 """
 
@@ -50,6 +51,13 @@ def check_int64_products(bound: int, length: int, what: str, other: int | None =
             f"{what}: dot products of length {length} over entries up to {bound}{times} "
             f"reach {worst} >= 2^63, beyond exact int64 arithmetic"
         )
+
+
+def check_moduli(moduli, what: str = "modulus") -> None:
+    """Refuse a modulus of 2^63 or more before it is factored or cast to int64."""
+    for m in moduli:
+        if m >= 2**63:
+            raise SizeCapExceeded(f"{what} {m} >= 2^63, beyond exact int64 arithmetic")
 
 
 def local_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool = True):
@@ -155,6 +163,7 @@ class _PrimePart:
 
 
 def _prime_parts(moduli) -> list[_PrimePart]:
+    check_moduli(moduli)
     primes: dict[int, dict[int, int]] = {}
     for j, m in enumerate(moduli):
         if m <= 0:
@@ -337,10 +346,11 @@ def _prime_systems(rows, row_moduli, col_moduli):
     that it holds mod q.  Returns the column factorizations and a list of
     ``(p, k, q, keep, scales, mat)``."""
     n = len(col_moduli)
+    check_moduli((*col_moduli, *row_moduli))
     fac = {m: factorint(m) if m > 1 else {} for m in {*col_moduli, *row_moduli}}
     col_exp = [fac[m] for m in col_moduli]
     row_exp = [fac[m] for m in row_moduli]
-    full = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    full = np.asarray(rows, dtype=np.int64).reshape(len(rows), n)
     systems = []
     for p in sorted(set().union(*col_exp, *row_exp)):
         k = max(f.get(p, 0) for f in col_exp + row_exp)
@@ -350,7 +360,9 @@ def _prime_systems(rows, row_moduli, col_moduli):
         if keep:
             # the kernel's own refusal, made before the scaling below can wrap
             check_int64_products(q - 1, max(len(keep), n), f"modulus q={q}")
-        mat = np.mod(full[keep], q) * np.array(scales, dtype=np.int64).reshape(-1, 1) % q
+        mat = np.mod(full[keep], q)
+        mat *= np.array(scales, dtype=np.int64).reshape(-1, 1)
+        mat %= q
         systems.append((p, k, q, keep, scales, mat))
     return col_exp, systems
 

@@ -9,14 +9,20 @@ conjugation, and every word of N rewrites to an integer vector over the
 edge basis (Reidemeister rewriting).
 
 Degree-1 and degree-2 cohomology both reduce to small linear systems
-over this data, which is how the package stays fast at desk scale.
+over this data, which is how the package stays fast at desk scale.  The
+bulk consumers read it as cached int64 arrays: the derivation terms of
+every edge word, the walk along every transversal word and the edges that
+every pair of transversal words crosses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
+import numpy as np
+
+from .errors import VerificationFailure
 from .groups import FiniteGroup, generating_set
 
 Word = tuple[int, ...]  # +(i+1) = generator i, -(i+1) = its inverse
@@ -105,7 +111,33 @@ class FreePresentation:
                 prev = g.mul(cur, g.inv[self.gens[s]])
                 out.append((-1, prev, s))
                 cur = prev
+        if cur != g.identity:
+            raise VerificationFailure("edge word did not close up")
         return tuple(out)
+
+    @cached_property
+    def derivation_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``derivation_terms`` of every edge as read-only int64 arrays
+        (edge, sign, prefix element, generator index)."""
+        flat = [(e, *t) for e in range(self.rank) for t in self.derivation_terms(e)]
+        return _frozen(*np.array(flat, dtype=np.int64).reshape(len(flat), 4).T.copy())
+
+    @cached_property
+    def coset_walks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int64 arrays (prefix, letter) of shape (|G|, depth):
+        ``prefix[b, t]`` is the element reached after t letters of w_b and
+        ``letter[b, t]`` the generator index of letter t, or -1 past the
+        end of w_b.  Every transversal word is positive."""
+        g = self.group
+        depth = max(map(len, self.coset_word))
+        prefix = np.zeros((g.order, depth), dtype=np.int64)
+        letter = np.full((g.order, depth), -1, dtype=np.int64)
+        for b, word in enumerate(self.coset_word):
+            cur = g.identity
+            for t, s in enumerate(word):
+                prefix[b, t], letter[b, t] = cur, s - 1
+                cur = g.mul(cur, self.gens[s - 1])
+        return _frozen(prefix, letter)
 
     # -- factor sets ---------------------------------------------------------
 
@@ -118,6 +150,33 @@ class FreePresentation:
             + _invert_word(self.coset_word[g.mul(a, b)])
         )
         return self.rewrite(w)
+
+    @cached_property
+    def pair_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero entries of every ``pair_vector(a, b)``, as read-only
+        int64 arrays (a*|G| + b, edge) sorted by pair; each entry is 1.
+
+        w_a and w_{ab}^{-1} run along the tree, so only the letters of w_b,
+        read from a, cross edges, and they visit distinct elements.
+        """
+        g = self.group
+        n, k = g.order, len(self.gens)
+        prefix, letter = self.coset_walks
+        # edge_of[x, s]: the edge (x, s), or -1 on a tree edge and in column
+        # k, which letter -1 (past the end of a word) reads
+        edge_of = np.full((n, k + 1), -1, dtype=np.int64)
+        for i, (x, s) in enumerate(self.edges):
+            edge_of[x, s] = i
+        table = np.array(g.table, dtype=np.int64).reshape(n, n)
+        edge = edge_of[table[:, prefix], letter]  # (a, b, t): the letter t of w_b read from a
+        a, b, _ = np.nonzero(edge >= 0)
+        return _frozen(a * n + b, edge[edge >= 0])
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=None)

@@ -261,3 +261,21 @@ def test_solver_refuses_systems_beyond_int64():
             modular.solve_congruence(rows, [q] * 4, [q] * 5, rhs)
     with pytest.raises(SizeCapExceeded):
         modular.congruence_kernel(rows, [q] * 4, [q] * 5)
+
+
+def test_moduli_from_2_63_are_refused():
+    # each of these once raised a bare OverflowError
+    from corprod.abelian import AbSubgroup, FiniteAbelianGroup
+
+    big = 2**64
+    calls = [
+        lambda: modular.quotient_presentation((big,), []),
+        lambda: modular.subquotient((big,), [(2,)], []),
+        lambda: AbSubgroup(FiniteAbelianGroup((big,)), ((2,),)).structure,
+        lambda: modular.congruence_kernel([], [], (big,)),
+    ]
+    for call in calls:
+        with pytest.raises(SizeCapExceeded, match=rf"modulus {big} >= 2\^63"):
+            call()
+    # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657: every prime power is small
+    assert modular.quotient_presentation((2**63 - 1,), []).factors == (2**63 - 1,)

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import numpy as np
+
 from corprod import groups as gr
 from corprod.presentation import free_presentation
 
@@ -48,3 +50,26 @@ def test_normalization(zoo):
     for x in range(g.order):
         assert pres.pair_vector(g.identity, x) == (0,) * pres.rank
         assert pres.pair_vector(x, g.identity) == (0,) * pres.rank
+
+
+def test_cached_tables_match_the_rewriting(zoo):
+    # pair_edges against pair_vector, coset_walks against coset_word and
+    # derivation_table against derivation_terms
+    for g in [zoo["C6"], zoo["D4"], zoo["Q8"], zoo["S3"], zoo["Heis27"], gr.trivial_group()]:
+        pres = free_presentation(g)
+        n = g.order
+        pair, edge = pres.pair_edges
+        dense = np.zeros((n * n, pres.rank), dtype=np.int64)
+        np.add.at(dense, (pair, edge), 1)
+        assert dense.tolist() == [list(pres.pair_vector(a, b)) for a in range(n) for b in range(n)]
+        prefix, letter = pres.coset_walks
+        for b, word in enumerate(pres.coset_word):
+            assert letter[b, : len(word)].tolist() == [s - 1 for s in word]
+            assert (letter[b, len(word):] == -1).all()
+            cur = g.identity
+            for t, s in enumerate(word):
+                assert prefix[b, t] == cur
+                cur = g.mul(cur, pres.gens[s - 1])
+            assert cur == b
+        flat = [(e, *t) for e in range(pres.rank) for t in pres.derivation_terms(e)]
+        assert np.array(pres.derivation_table).T.tolist() == [list(t) for t in flat]
