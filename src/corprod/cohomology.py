@@ -54,7 +54,7 @@ from .errors import (
     SizeCapExceeded,
     VerificationFailure,
 )
-from .groups import FiniteGroup, Subgroup, generating_set, normal_closure, quotient_group
+from .groups import FiniteGroup, Subgroup, normal_closure, quotient_group
 from .lattice import Matrix, Vector
 from .presentation import FreePresentation, free_presentation
 
@@ -109,7 +109,7 @@ class GModule:
             raise InvariantViolation("identity must act as the identity matrix")
         # multiplicativity against a generating set implies it everywhere
         table = np.array(g.table, dtype=np.int64).reshape(n, n)
-        for s in generating_set(g):
+        for s in g.generators:
             if not np.array_equal(np.mod(arr @ arr[s], fac), arr[table[:, s]]):
                 raise InvariantViolation(f"action is not a homomorphism against generator {s}")
         object.__setattr__(self, "_hash", hash((g, a, arr.tobytes())))
@@ -396,9 +396,8 @@ def _h2(m: GModule) -> CohomologyGroup:
     # row (s, e, i), column (e2, j): conj_s[e][e2] [i == j] - [e == e2] action[s][i][j]
     ident_r, ident_rho = np.eye(r, dtype=np.int64), np.eye(rho, dtype=np.int64)
     rows = np.concatenate([
-        np.kron(np.array(pres.conjugation_matrix(s), dtype=np.int64), ident_r)
-        - np.kron(ident_rho, m.action[gelt])
-        for s, gelt in enumerate(pres.gens)
+        np.kron(conj, ident_r) - np.kron(ident_rho, m.action[gelt])
+        for conj, gelt in zip(pres.conjugation_table, pres.gens)
     ])
     hom_gens = modular.congruence_kernel(rows, a.factors * (len(pres.gens) * rho), col_moduli)
 

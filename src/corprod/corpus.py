@@ -20,7 +20,6 @@ from .formulas import FamilyModule
 from .groups import (
     FiniteGroup,
     abelian_group_from_factors,
-    abelianization,
     cyclic_group,
     dihedral_group,
     group_from_generators,
@@ -77,7 +76,7 @@ def _subgroup_choices(g: FiniteGroup):
 
 
 def _order2_character(g: FiniteGroup):
-    ab, proj = abelianization(g)
+    ab, proj = g.abelianization
     for i, d in enumerate(ab.factors):
         if d % 2 == 0:
             return lambda x, i=i, d=d: (proj.apply(x)[i] * (d // 2)) % 2
@@ -85,7 +84,7 @@ def _order2_character(g: FiniteGroup):
 
 
 def _order3_character(g: FiniteGroup):
-    ab, proj = abelianization(g)
+    ab, proj = g.abelianization
     for i, d in enumerate(ab.factors):
         if d % 3 == 0:
             return lambda x, i=i, d=d: (proj.apply(x)[i] * (d // 3)) % 3
@@ -219,11 +218,10 @@ def closure_invariance_record(inst: CorpusInstance, cap, enum_cap) -> CheckRecor
             != fp.h_formula(closed, module, deg, cap).canonical()
         ):
             problems.append(f"h-formula-deg{deg}")
-    t0, t1 = truncate(spec, 0), truncate(closed, 0)
-    if fp.oracle_h1(t0, module, enum_cap).value != fp.oracle_h1(t1, module, enum_cap).value:
+    s0 = fp.four_term_sequence(truncate(spec, 0), module, cap, enum_cap)
+    s1 = fp.four_term_sequence(truncate(closed, 0), module, cap, enum_cap)
+    if s0.oracle.value != s1.oracle.value:
         problems.append("oracle-h1")
-    s0 = fp.four_term_sequence(t0, module, cap, enum_cap)
-    s1 = fp.four_term_sequence(t1, module, cap, enum_cap)
     if [t.factors for t in s0.terms] != [t.factors for t in s1.terms]:
         problems.append("four-term-terms")
     return record(

@@ -18,7 +18,6 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    abelianization,
     normal_closure,
     quotient_group,
     subgroup_from_generators,
@@ -231,7 +230,7 @@ def abelianize_family(spec: FamilySpec) -> RestrictedAbFamily:
     abelianized free product is the compactified restricted product."""
 
     def pair(g: FiniteGroup, u: Subgroup) -> AbPair:
-        a, proj = abelianization(g)
+        a, proj = g.abelianization
         gens = tuple(sorted(set(proj.apply(x) for x in u.elements)))
         return AbPair(a, gens)
 

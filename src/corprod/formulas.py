@@ -52,12 +52,7 @@ from .families import (
     normal_closure,
     truncate,
 )
-from .groups import (
-    FiniteGroup,
-    abelian_structure_from_elements,
-    abelianization,
-    generating_set,
-)
+from .groups import FiniteGroup, abelian_structure_from_elements
 from .lattice import Matrix, Vector, identity_matrix
 
 DEFAULT_ENUM_CAP = 200_000
@@ -98,14 +93,9 @@ class FamilyModule:
         return None
 
     def gmodule(self, fiber: FiberSpec) -> GModule:
-        act = self.action_for(fiber.name)
-        if act is None:
-            return _trivial_gmodule(fiber.group, self.coeff)
-        return _gmodule(fiber.group, self.coeff, act)
+        return _gmodule(fiber.group, self.coeff, self.action_for(fiber.name))
 
     def tail_gmodule(self, group: FiniteGroup) -> GModule:
-        if self.tail_action is None:
-            return _trivial_gmodule(group, self.coeff)
         return _gmodule(group, self.coeff, self.tail_action)
 
     def tail_action_trivial(self, group: FiniteGroup) -> bool:
@@ -113,13 +103,10 @@ class FamilyModule:
 
 
 @lru_cache(maxsize=None)
-def _trivial_gmodule(group: FiniteGroup, coeff: FiniteAbelianGroup) -> GModule:
-    return trivial_module(group, coeff)
-
-
-@lru_cache(maxsize=None)
 def _gmodule(group: FiniteGroup, coeff: FiniteAbelianGroup, action) -> GModule:
-    return GModule(group, coeff, action)
+    """The module, built once per argument triple; ``action=None`` is the
+    trivial action."""
+    return trivial_module(group, coeff) if action is None else GModule(group, coeff, action)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +161,7 @@ def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP):
     """All crossed homomorphisms f: G -> A by exhaustive search on
     generator values plus consistency checks over the Cayley graph."""
     g, a = m.group, m.coeff
-    gens = generating_set(g)
+    gens = g.generators
     n_candidates = a.order ** len(gens)
     if n_candidates > cap:
         raise SizeCapExceeded(
@@ -230,7 +217,6 @@ class OracleH1:
     representatives: tuple
     fibers: tuple[FiberSpec, ...]
     fixed_elements: tuple          # A^G as enumerated element vectors
-    _chart: DirectSumChart = field(repr=False)
     _fiber_data: tuple = field(repr=False)
     _quotient: modular.Subquotient = field(repr=False)
 
@@ -252,6 +238,15 @@ class OracleH1:
 
 def _fiber_modules(trunc: TruncatedFamily, module: FamilyModule):
     return tuple(module.gmodule(f) for f in trunc.fibers)
+
+
+def _principal_tables(mods, vecs) -> tuple:
+    """The principal crossed homomorphisms x |-> x.a - a, one table per
+    fiber module and its vector a."""
+    return tuple(
+        tuple(m.coeff.add(m.act(x, vec), m.coeff.neg(vec)) for x in range(m.group.order))
+        for m, vec in zip(mods, vecs)
+    )
 
 
 def _require_plain(trunc: TruncatedFamily) -> None:
@@ -287,25 +282,15 @@ def oracle_h1(
     """
     _require_plain(trunc)
     a = module.coeff
-    fiber_data = tuple(_fiber_z1(m, cap) for m in _fiber_modules(trunc, module))
-    chart_blocks = [data[1].factors for data in fiber_data]
-    moduli = tuple(x for b in chart_blocks for x in b)
-
-    def principal_tuple(vec):
-        tables = []
-        for m in _fiber_modules(trunc, module):
-            tables.append(
-                tuple(
-                    a.add(m.act(x, vec), a.neg(vec)) for x in range(m.group.order)
-                )
-            )
-        return tuple(tables)
+    mods = _fiber_modules(trunc, module)
+    fiber_data = tuple(_fiber_z1(m, cap) for m in mods)
+    moduli = tuple(x for data in fiber_data for x in data[1].factors)
 
     b1 = []
     for i in range(a.rank):
         e_i = tuple(1 if j == i else 0 for j in range(a.rank))
         coords = []
-        for table, data in zip(principal_tuple(e_i), fiber_data):
+        for table, data in zip(_principal_tables(mods, [e_i] * len(mods)), fiber_data):
             coords.extend(data[1].coordinates(table))
         b1.append(tuple(coords))
     quotient = modular.quotient_presentation(moduli, b1)
@@ -326,7 +311,6 @@ def oracle_h1(
         return tuple(tables)
 
     reps = tuple(lift(quotient.reps[i]) for i in range(len(value.factors)))
-    chart = direct_sum_chart(chart_blocks)
     fixed = common_fixed_elements(trunc, module)
     # cardinality bookkeeping: |Z1| = |B1| * |H1| with |B1| = |A| / |A^G|
     z1_order = 1
@@ -334,7 +318,7 @@ def oracle_h1(
         z1_order *= len(data[0])
     if z1_order * len(fixed) != value.order * a.order:
         raise VerificationFailure("oracle cardinality bookkeeping failed")
-    return OracleH1(value, reps, trunc.fibers, fixed, chart, fiber_data, quotient)
+    return OracleH1(value, reps, trunc.fibers, fixed, fiber_data, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +328,16 @@ def oracle_h1(
 
 @dataclass
 class FourTermSequence:
-    """0 -> A/A^G -> sum A/A^{G_t} -> H^1(G, A) -> sum H^1(G_t, A) -> 0."""
+    """0 -> A/A^G -> sum A/A^{G_t} -> H^1(G, A) -> sum H^1(G_t, A) -> 0.
+
+    ``oracle`` is the crossed-hom oracle the sequence was built from: its
+    value is ``terms[2]``, and its representatives and ``classify`` serve
+    anything else that needs H^1 of the free product.
+    """
 
     terms: tuple[FiniteAbelianGroup, FiniteAbelianGroup, FiniteAbelianGroup, FiniteAbelianGroup]
     maps: tuple[AbHom, AbHom, AbHom]
-    context: tuple = field(repr=False, default=())
+    oracle: OracleH1 = field(repr=False)
 
 
 def four_term_sequence(
@@ -357,10 +346,14 @@ def four_term_sequence(
     cap: int = DEFAULT_COH_CAP,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> FourTermSequence:
-    _require_plain(trunc)
+    return _sequence_from_oracle(oracle_h1(trunc, module, enum_cap), module, cap)
+
+
+def _sequence_from_oracle(oracle: OracleH1, module: FamilyModule, cap: int) -> FourTermSequence:
+    """The sequence of the truncation ``oracle`` was built on; callers build
+    the oracle first, so the enumeration cap refuses before the cohomology cap."""
     a = module.coeff
-    mods = _fiber_modules(trunc, module)
-    oracle = oracle_h1(trunc, module, enum_cap)
+    mods = tuple(module.gmodule(f) for f in oracle.fibers)
 
     # term 1: A / A^G
     t1_pres = modular.quotient_presentation(a.factors, list(oracle.fixed_elements))
@@ -391,16 +384,13 @@ def four_term_sequence(
     # map 2: (a_t)_t |-> class of the cocycle that is principal-from-a_t on G_t
     cols = []
     for i in range(t2.rank):
-        block_coords = chart2.split(chart2.rep(i))
-        tables = []
-        for m, q, chunk in zip(mods, fiber_quotients, block_coords):
+        lifts = []
+        for q, chunk in zip(fiber_quotients, chart2.split(chart2.rep(i))):
             lifted = a.zero
             for c, rep in zip(chunk, q.reps):
                 lifted = a.add(lifted, a.scale(int(c), rep))
-            tables.append(
-                tuple(a.add(m.act(x, lifted), a.neg(lifted)) for x in range(m.group.order))
-            )
-        cols.append(oracle.classify(tuple(tables)))
+            lifts.append(lifted)
+        cols.append(oracle.classify(_principal_tables(mods, lifts)))
     m2 = AbHom.from_columns(t2, oracle.value, cols)
 
     # map 3: restriction to the factors
@@ -412,7 +402,7 @@ def four_term_sequence(
         cols.append(chart4.classify(tuple(concat)))
     m3 = AbHom.from_columns(oracle.value, t4, cols)
 
-    return FourTermSequence((t1, t2, oracle.value, t4), (m1, m2, m3), (trunc, module))
+    return FourTermSequence((t1, t2, oracle.value, t4), (m1, m2, m3), oracle)
 
 
 @dataclass(frozen=True)
@@ -503,7 +493,7 @@ def corrupt_map_entry(seq: FourTermSequence, which: int, i: int, j: int, delta: 
     new = AbHom(hom.source, hom.target, tuple(tuple(r) for r in mat))
     maps = list(seq.maps)
     maps[which] = new
-    return FourTermSequence(seq.terms, tuple(maps), seq.context)
+    return FourTermSequence(seq.terms, tuple(maps), seq.oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -700,10 +690,10 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
     if spec.tail is not None:
         fibers.append(("tail", spec.tail.group, spec.tail.subgroup))
     for name, group, subgroup in fibers:
-        m = _trivial_gmodule(group, zp)
+        m = _gmodule(group, zp, None)
         h1 = cohomology(m, 1, cap)
         nr = unramified_subgroup(group, subgroup, m, 1, cap)
-        ab, proj = abelianization(group)
+        ab, proj = group.abelianization
         expected_h1 = _mod_p_dual_factors(ab, p)
 
         # characters of G^ab of order dividing p, as explicit cocycles
@@ -791,10 +781,16 @@ def truncation_colimit(
     Requires closure(U_tail) = G_tail, so every truncation is a plain
     finite free product, and a trivial tail action, so that pulling a
     cocycle back along the projection killing the new factor is exactly
-    extension by zero.
+    extension by zero.  A negative n_max is refused.
+
+    In degree 1 each level is the H^1 term of that truncation's four-term
+    sequence: one oracle per level serves the level, both transitions at
+    it and the exactness check.
     """
     if degree not in (1, 2):
         raise PreconditionError("colimits are computed in degrees 1 and 2")
+    if n_max < 0:
+        raise PreconditionError("truncation level must be >= 0")
     if spec.tail is not None:
         if normal_closure(spec.tail.group, spec.tail.subgroup).order != spec.tail.group.order:
             raise PreconditionError(
@@ -808,30 +804,20 @@ def truncation_colimit(
 
     truncs = [truncate(spec, n) for n in range(n_max + 1)]
     if degree == 1:
+        # every oracle before any sequence, so the enumeration cap refuses first
         oracles = [oracle_h1(t, module, enum_cap) for t in truncs]
-        levels = tuple(o.value for o in oracles)
-        transitions = []
-        for n in range(n_max):
-            cols = []
-            zero_table = None
-            if spec.tail is not None:
-                g_tail = spec.tail.group
-                zero_table = tuple(module.coeff.zero for _ in range(g_tail.order))
-            for rep in oracles[n].representatives:
-                extended = rep + ((zero_table,) if zero_table is not None else ())
-                cols.append(oracles[n + 1].classify(extended))
-            transitions.append(AbHom.from_columns(levels[n], levels[n + 1], cols))
+        seqs = [_sequence_from_oracle(o, module, cap) for o in oracles]
+        levels = tuple(seq.oracle.value for seq in seqs)
+        # a level's cocycle tuple extends by the zero table on the new tail factor
+        pad = () if spec.tail is None else ((module.coeff.zero,) * spec.tail.group.order,)
+        transitions = [
+            AbHom.from_columns(levels[n], levels[n + 1], [
+                seqs[n + 1].oracle.classify(rep + pad) for rep in seqs[n].oracle.representatives
+            ])
+            for n in range(n_max)
+        ]
         # per level: exactness of the four-term sequence is the formula
-        level_ok = []
-        for t in truncs:
-            seq = four_term_sequence(t, module, cap, enum_cap)
-            level_ok.append(check_exactness(seq).passed)
-        if spec.tail is not None:
-            contribution = cohomology(
-                module.tail_gmodule(spec.tail.group), 1, cap
-            ).value.order
-        else:
-            contribution = 1
+        level_ok = [check_exactness(seq).passed for seq in seqs]
     else:
         charts = []
         fiber_h2 = []
@@ -859,27 +845,16 @@ def truncation_colimit(
                 )
                 expected.append(nr.cohomology.value.factors)
             level_ok.append([h.value.factors for h in hs] == expected)
-        if spec.tail is not None:
-            contribution = cohomology(
-                module.tail_gmodule(spec.tail.group), 2, cap
-            ).value.order
-        else:
-            contribution = 1
 
-    growth_ok = True
-    for n in range(n_max):
-        if levels[n + 1].order != levels[n].order * (
-            contribution if spec.tail is not None else 1
-        ):
-            growth_ok = False
-    stabilization = None
-    if spec.tail is None or contribution == 1:
-        stabilization = 0
+    contribution = 1
+    if spec.tail is not None:
+        contribution = cohomology(module.tail_gmodule(spec.tail.group), degree, cap).value.order
+    growth_ok = all(levels[n + 1].order == levels[n].order * contribution for n in range(n_max))
     return ColimitSystem(
         degree,
         levels,
         tuple(transitions),
-        stabilization,
+        0 if contribution == 1 else None,
         contribution,
         tuple(level_ok),
         growth_ok,
@@ -965,7 +940,7 @@ def splitting_check(
     surj = retraction.is_surjective()
     section = section_for(retraction) if surj else None
 
-    ab_blocks = [abelianization(f.group)[0].factors for f in trunc.fibers]
+    ab_blocks = [f.group.abelianization[0].factors for f in trunc.fibers]
     ab_full = direct_sum_chart(ab_blocks)
     ab_sub = direct_sum_chart([ab_blocks[i] for i in keep_idx])
     return SplittingReport(

@@ -28,6 +28,10 @@ DEFAULT_ORDER_CAP = 2000
 
 @dataclass(frozen=True)
 class FiniteGroup:
+    """A group by its Cayley table.  Derived data (the inverse table,
+    :func:`generating_set` and :func:`abelianization`) is computed on
+    first use and kept on the group."""
+
     table: tuple[tuple[int, ...], ...]
     identity: int = 0
     label: str = "G"
@@ -72,6 +76,18 @@ class FiniteGroup:
             if out[a] is None:
                 raise InvariantViolation(f"element {a} has no right inverse")
         return tuple(out)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return generating_set(self)
+
+    @cached_property
+    def abelianization(self) -> tuple[FiniteAbelianGroup, "AbelianizationMap"]:
+        q, proj = quotient_group(self, commutator_subgroup(self))
+        structure = abelian_structure_from_elements(list(range(q.order)), q.mul, q.identity)
+        target = FiniteAbelianGroup(structure.factors)
+        images = tuple(structure.coordinates(proj.apply(x)) for x in range(self.order))
+        return target, AbelianizationMap(self, target, images)
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
@@ -388,7 +404,7 @@ def normal_closure(g: FiniteGroup, s: Subgroup) -> Subgroup:
 
 
 def generating_set(g: FiniteGroup) -> tuple[int, ...]:
-    """Small deterministic generating set.
+    """Small deterministic generating set; ``g.generators`` keeps it.
 
     For small groups each step picks the element whose addition grows the
     closure the most; larger groups fall back to a cheaper greedy pass
@@ -534,15 +550,9 @@ class AbelianizationMap:
 
 
 def abelianization(g: FiniteGroup) -> tuple[FiniteAbelianGroup, AbelianizationMap]:
-    """G/[G,G] in invariant-factor form with the projection on elements."""
-    comm = commutator_subgroup(g)
-    q, proj = quotient_group(g, comm)
-    structure = abelian_structure_from_elements(
-        list(range(q.order)), q.mul, q.identity
-    )
-    target = FiniteAbelianGroup(structure.factors)
-    images = tuple(structure.coordinates(proj.apply(x)) for x in range(g.order))
-    return target, AbelianizationMap(g, target, images)
+    """G/[G,G] in invariant-factor form with the projection on elements,
+    computed once per group: this is ``g.abelianization``."""
+    return g.abelianization
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ edge basis (Reidemeister rewriting).
 Degree-1 and degree-2 cohomology both reduce to small linear systems
 over this data, which is how the package stays fast at desk scale.  The
 bulk consumers read it as cached int64 arrays: the derivation terms of
-every edge word, the walk along every transversal word and the edges that
-every pair of transversal words crosses.
+every edge word, the walk along every transversal word, the edges that
+every pair of transversal words crosses and the conjugation action of the
+generators on the edges.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import VerificationFailure
-from .groups import FiniteGroup, generating_set
+from .groups import FiniteGroup
 
 Word = tuple[int, ...]  # +(i+1) = generator i, -(i+1) = its inverse
 
@@ -82,13 +83,28 @@ class FreePresentation:
 
     # -- group action on the abelianized kernel -----------------------------
 
-    def conjugation_matrix(self, s: int) -> tuple[tuple[int, ...], ...]:
-        """Action of generator s on the edge basis, one row per edge."""
-        rows = []
-        for e in range(len(self.edges)):
-            w = (s + 1,) + self.edge_word(e) + (-(s + 1),)
-            rows.append(self.rewrite(w))
-        return tuple(rows)
+    @cached_property
+    def conjugation_table(self) -> np.ndarray:
+        """Read-only int64 array of shape (k, rank, rank): row e of matrix s
+        is s n_e s^-1 in edge coordinates.  For e = (x, t) and g = gens[s]
+        that is pair_vector(g, x) + n_{(gx, t)} - pair_vector(g, xt), since
+        s n_e s^-1 = u (g, x) n_{(gx, t)} (g, xt)^-1 u^-1 with u = s w_g^-1."""
+        n, rho = self.group.order, self.rank
+        pair, pair_edge = self.pair_edges
+        table = np.array(self.group.table, dtype=np.int64).reshape(n, n)
+        x, t = np.array(self.edges, dtype=np.int64).reshape(rho, 2).T
+        gens = np.array(self.gens, dtype=np.int64)
+        a, b = np.divmod(pair, n)
+        slot = np.full(n, -1, dtype=np.int64)  # [g]: s with gens[s] = g, or -1
+        slot[gens] = np.arange(len(gens))
+        by_gen = np.zeros((len(gens), n, rho), dtype=np.int64)  # [s, y]: pair_vector(gens[s], y)
+        hit = slot[a] >= 0
+        by_gen[slot[a[hit]], b[hit], pair_edge[hit]] = 1
+        out = by_gen[:, x] - by_gen[:, table[x, gens[t]]]
+        target = self._edge_of[table[gens[:, None], x], t]  # n_{(gx, t)}, or -1 on the tree
+        s, e = np.nonzero(target >= 0)
+        out[s, e, target[s, e]] += 1
+        return _frozen(out)[0]
 
     # -- derivations ---------------------------------------------------------
 
@@ -159,18 +175,21 @@ class FreePresentation:
         w_a and w_{ab}^{-1} run along the tree, so only the letters of w_b,
         read from a, cross edges, and they visit distinct elements.
         """
-        g = self.group
-        n, k = g.order, len(self.gens)
+        n = self.group.order
         prefix, letter = self.coset_walks
-        # edge_of[x, s]: the edge (x, s), or -1 on a tree edge and in column
-        # k, which letter -1 (past the end of a word) reads
-        edge_of = np.full((n, k + 1), -1, dtype=np.int64)
-        for i, (x, s) in enumerate(self.edges):
-            edge_of[x, s] = i
-        table = np.array(g.table, dtype=np.int64).reshape(n, n)
-        edge = edge_of[table[:, prefix], letter]  # (a, b, t): the letter t of w_b read from a
+        table = np.array(self.group.table, dtype=np.int64).reshape(n, n)
+        edge = self._edge_of[table[:, prefix], letter]  # (a, b, t): the letter t of w_b read from a
         a, b, _ = np.nonzero(edge >= 0)
         return _frozen(a * n + b, edge[edge >= 0])
+
+    @cached_property
+    def _edge_of(self) -> np.ndarray:
+        """``[x, s]``: the index of edge (x, s), or -1 on a tree edge and in
+        column k, which letter -1 (past the end of a word) reads."""
+        edge_of = np.full((self.group.order, len(self.gens) + 1), -1, dtype=np.int64)
+        for i, (x, s) in enumerate(self.edges):
+            edge_of[x, s] = i
+        return edge_of
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -181,7 +200,7 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def free_presentation(group: FiniteGroup) -> FreePresentation:
-    gens = generating_set(group)
+    gens = group.generators
     n = group.order
     coset_word: list[Word | None] = [None] * n
     coset_word[group.identity] = ()

@@ -219,6 +219,10 @@ def test_colimit_command(tmp_path):
     )
     assert status == 0
     assert "colimit-level-03" in text
+    status, _ = run_cli(
+        ["colimit", "--spec", str(spec), "--module", str(mod), "--degree", "1", "--truncate", "-1"]
+    )
+    assert status == 2
 
 
 def test_tower_check_command(tmp_path):

@@ -136,7 +136,8 @@ def ref_h2(m):
     col_moduli = a.factors * rho
     rows, row_moduli = [], []
     for s, gelt in enumerate(pres.gens):
-        conj = pres.conjugation_matrix(s)
+        # s n_e s^-1 by Reidemeister rewriting, not the library's table
+        conj = [pres.rewrite((s + 1,) + pres.edge_word(e) + (-(s + 1),)) for e in range(rho)]
         mat = m.action[gelt]
         for e in range(rho):
             block = [[0] * (rho * r) for _ in range(r)]

@@ -76,6 +76,30 @@ def test_four_term_worked_instance(worked_instance):
     seq = fp.four_term_sequence(fam.truncate(spec, 0), module)
     assert [t.factors for t in seq.terms] == [(3,), (3, 3), (3,), ()]
     assert fp.check_exactness(seq).passed
+    assert seq.oracle.value == seq.terms[2]
+    assert fp.corrupt_map_entry(seq, 1, 0, 0, 1).oracle is seq.oracle
+
+
+def count_oracles(monkeypatch):
+    calls = []
+    original = fp.oracle_h1
+    monkeypatch.setattr(fp, "oracle_h1", lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_each_truncation_builds_one_oracle(zoo, monkeypatch):
+    from corprod import corpus
+
+    c2, c3 = zoo["C2"], zoo["C3"]
+    spec = fam.family([("a", c2, gr.trivial_subgroup(c2))], tail=(c3, gr.full_subgroup(c3)))
+    module = neg_module(spec, FAG((3,)), ["a"])
+    calls = count_oracles(monkeypatch)
+    assert fp.truncation_colimit(spec, module, 1, 3).passed
+    assert len(calls) == 4
+    calls.clear()
+    inst = corpus.generate_corpus(0, 1)[0]
+    assert corpus.closure_invariance_record(inst, coh.DEFAULT_COH_CAP, fp.DEFAULT_ENUM_CAP).passed
+    assert len(calls) == 2
 
 
 def test_four_term_trivial_action(zoo):
@@ -280,6 +304,9 @@ def test_truncation_colimit_preconditions(zoo):
     )
     with pytest.raises(PreconditionError):
         fp.truncation_colimit(spec, acting, 1, 2)
+    for degree in (1, 2):
+        with pytest.raises(PreconditionError, match="level"):
+            fp.truncation_colimit(spec, fp.FamilyModule.build(FAG((3,))), degree, -1)
 
 
 def test_splitting(zoo):

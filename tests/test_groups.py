@@ -197,6 +197,21 @@ def test_generating_sets(zoo):
     assert len(gr.generating_set(zoo["Heis27"])) == 2
 
 
+def test_generators_and_abelianization_are_computed_once(monkeypatch):
+    from corprod.cohomology import trivial_module
+    from corprod.abelian import FiniteAbelianGroup as FAG
+
+    g = gr.dihedral_group(4)  # a fresh group: nothing cached on it yet
+    trivial_module(g, FAG((2,)))
+    calls = []
+    original = gr.subgroup_from_generators
+    monkeypatch.setattr(gr, "subgroup_from_generators", lambda *a: calls.append(a) or original(*a))
+    trivial_module(g, FAG((3,)))
+    assert calls == [] and g.generators == gr.generating_set(g)
+    first = gr.abelianization(g)
+    assert gr.abelianization(g) is first and g.abelianization is first
+
+
 def test_enumerated_structure(zoo, rng):
     g = zoo["C2xC4"]
     st = gr.abelian_structure_from_elements(list(range(8)), g.mul, 0)

@@ -53,9 +53,11 @@ def test_normalization(zoo):
 
 
 def test_cached_tables_match_the_rewriting(zoo):
-    # pair_edges against pair_vector, coset_walks against coset_word and
-    # derivation_table against derivation_terms
-    for g in [zoo["C6"], zoo["D4"], zoo["Q8"], zoo["S3"], zoo["Heis27"], gr.trivial_group()]:
+    # pair_edges against pair_vector, coset_walks against coset_word,
+    # derivation_table against derivation_terms and conjugation_table
+    # against the rewriting of s n_e s^-1
+    c2_cubed = gr.abelian_group_from_factors((2, 2, 2))
+    for g in [zoo["C6"], zoo["D4"], zoo["Q8"], zoo["S3"], zoo["Heis27"], c2_cubed, gr.trivial_group()]:
         pres = free_presentation(g)
         n = g.order
         pair, edge = pres.pair_edges
@@ -73,3 +75,9 @@ def test_cached_tables_match_the_rewriting(zoo):
             assert cur == b
         flat = [(e, *t) for e in range(pres.rank) for t in pres.derivation_terms(e)]
         assert np.array(pres.derivation_table).T.tolist() == [list(t) for t in flat]
+        conj = pres.conjugation_table
+        assert conj.shape == (len(pres.gens), pres.rank, pres.rank) and not conj.flags.writeable
+        for s in range(len(pres.gens)):
+            for e in range(pres.rank):
+                word = (s + 1,) + pres.edge_word(e) + (-(s + 1),)
+                assert conj[s, e].tolist() == list(pres.rewrite(word))
