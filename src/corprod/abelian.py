@@ -202,10 +202,6 @@ class AbSubgroup:
         """Inclusion of the canonical generators into the ambient group."""
         return AbHom.from_columns(self.structure, self.ambient, self.presentation.reps)
 
-    def coordinates(self, vec) -> Vector:
-        """Coordinates of ``vec`` with respect to the canonical generators."""
-        return self.presentation.classify(self.ambient.reduce(vec))
-
 
 def full_subgroup(a: FiniteAbelianGroup) -> AbSubgroup:
     n = a.rank

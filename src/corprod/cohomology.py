@@ -17,10 +17,13 @@ satisfy the inhomogeneous cocycle identities exactly.
 A cochain is an int64 array reduced mod the coefficient factors, of
 shape (|G|, r) in degree 1 and (|G|, |G|, r) in degree 2.  The H^2
 representatives are one scatter-add of phi over the edges each pair of
-transversal words crosses; ``classify`` reads phi back by a gather along
-the edge words.  Inflation, restriction and the connecting map hand
-arrays to ``classify``, which also accepts any integer array-like of the
-same shape, such as the crossed-hom oracle's nested tuples.
+transversal words crosses; ``classify_many`` reads phi back by a gather
+along the edge words.  Coordinates are batched: ``classify_many`` takes a
+stack of cochains, any integer array-like with a leading axis, such as
+the crossed-hom oracle's nested tuples, and answers it with one
+subquotient call; ``classify`` is ``classify_many`` of one cochain.
+Inflation, restriction and the connecting map classify all their columns
+in one call.
 
 Degrees >= 3 are reached only by iterated dimension shifting through
 coinduced modules, mirroring how one proves anything about them.  The
@@ -203,9 +206,6 @@ class FixedSubmodule:
     subgroup: AbSubgroup
     inclusion: AbHom
 
-    def coordinates(self, vec) -> Vector:
-        return self.subgroup.coordinates(vec)
-
 
 def fixed_submodule(m: GModule, h: Subgroup) -> FixedSubmodule:
     """{a : x.a = a for all x in h} as a subgroup of the coefficients."""
@@ -225,17 +225,14 @@ def induced_quotient_action(m: GModule, n: Subgroup) -> tuple[GModule, "object",
     """
     q, proj = quotient_group(m.group, n)
     fixed = fixed_submodule(m, n)
-    inc = fixed.inclusion.matrix
-    k = fixed.value.rank
-    section = [None] * q.order
-    for x in range(m.group.order):
-        if section[proj.apply(x)] is None:
-            section[proj.apply(x)] = x
-    acts = []
-    for qi in range(q.order):
-        x = section[qi]
-        cols = [fixed.coordinates(m.act(x, col)) for col in lattice.transpose(inc)]
-        acts.append(np.array(cols, dtype=np.int64).reshape(k, k).T)
+    a, k = m.coeff, fixed.value.rank
+    inc = np.array(fixed.inclusion.matrix, dtype=np.int64).reshape(a.rank, k)
+    # the first element of each coset acts on the generators of A^N:
+    # row (x, j) is x applied to generator j, and its coordinates are column j
+    _, section = np.unique(np.array(proj.images, dtype=np.int64), return_index=True)
+    moved = _act(m, section[:, None], inc.T[None])
+    coords = fixed.subgroup.presentation.classify_many(moved.reshape(q.order * k, a.rank))
+    acts = np.array(coords, dtype=np.int64).reshape(q.order, k, k).transpose(0, 2, 1)
     return GModule(q, fixed.value, acts), proj, fixed
 
 
@@ -259,8 +256,10 @@ class CohomologyGroup:
     Each representative is a read-only int64 array reduced mod the
     coefficient factors: shape (|G|, r) in degree 1, a value per group
     element, and (|G|, |G|, r) in degree 2, a normalized factor set.
-    ``classify`` sends any cocycle given as an integer array-like of that
-    shape, nested tuples included, to its coordinate vector in ``value``.
+    ``classify_many`` sends a stack of cocycles, an integer array-like of
+    that shape with a leading axis, nested tuples included, to a tuple of
+    coordinate vectors in ``value``; ``classify`` is ``classify_many`` of
+    one cocycle.
     """
 
     degree: int
@@ -268,10 +267,13 @@ class CohomologyGroup:
     representatives: tuple
     ambient: CocycleSpace
     module: GModule = field(repr=False, compare=False)
-    _classify: object = field(repr=False, compare=False)
+    _classify_many: object = field(repr=False, compare=False)
+
+    def classify_many(self, cocycles) -> tuple[Vector, ...]:
+        return self._classify_many(cocycles)
 
     def classify(self, cocycle) -> Vector:
-        return self._classify(cocycle)
+        return self.classify_many([cocycle])[0]
 
     @property
     def order(self) -> int:
@@ -290,11 +292,11 @@ def _coprime_shortcut(m: GModule) -> bool:
     return gcd(m.group.order, m.coeff.exponent) == 1
 
 
-def _cochain(m: GModule, degree: int, cochain) -> np.ndarray:
-    """Any integer array-like of shape (|G|,)*degree + (r,) as a reduced
-    int64 cochain."""
-    shape = (m.group.order,) * degree + (m.coeff.rank,)
-    return np.mod(np.asarray(cochain, dtype=np.int64).reshape(shape), m.coeff.factors)
+def _cochains(m: GModule, degree: int, stack) -> np.ndarray:
+    """Any integer array-like of shape (count,) + (|G|,)*degree + (r,) as
+    a stack of reduced int64 cochains."""
+    shape = (len(stack),) + (m.group.order,) * degree + (m.coeff.rank,)
+    return np.mod(np.asarray(stack, dtype=np.int64).reshape(shape), m.coeff.factors)
 
 
 def _act(m: GModule, xs, vecs: np.ndarray) -> np.ndarray:
@@ -310,6 +312,12 @@ def _frozen_reps(tables: np.ndarray) -> tuple[np.ndarray, ...]:
     """One read-only cochain per class from a stack of them."""
     tables.flags.writeable = False
     return tuple(tables)
+
+
+def _rep_stack(h: CohomologyGroup) -> np.ndarray:
+    """The representatives of ``h`` as one stack, empty when there are none."""
+    shape = (h.module.group.order,) * h.degree + (h.module.coeff.rank,)
+    return np.array(h.representatives, dtype=np.int64).reshape((len(h.representatives),) + shape)
 
 
 def _derivation_sums(m: GModule, pres: FreePresentation) -> np.ndarray:
@@ -352,7 +360,7 @@ def _h1(m: GModule) -> CohomologyGroup:
 
     if _coprime_shortcut(m) or r == 0 or g.order == 1:
         value = FiniteAbelianGroup(())
-        return CohomologyGroup(1, value, (), space, m, lambda cocycle: ())
+        return CohomologyGroup(1, value, (), space, m, lambda cocycles: ((),) * len(cocycles))
 
     # row (e, i), column (s, j): the cocycle condition on the edge n_e
     rows = _derivation_sums(m, pres).transpose(0, 2, 1, 3).reshape(pres.rank * r, k * r)
@@ -372,10 +380,13 @@ def _h1(m: GModule) -> CohomologyGroup:
         tables[:, ys] += _act(m, prefix[ys, t], gen_vals[:, letter[ys, t]])
     reps = _frozen_reps(np.mod(tables, a.factors))
 
-    def classify(cocycle) -> Vector:
-        return sq.classify([x for s in pres.gens for x in cocycle[s]])
+    gen_rows = list(pres.gens)
 
-    return CohomologyGroup(1, value, reps, space, m, classify)
+    def classify_many(cocycles) -> tuple[Vector, ...]:
+        c = _cochains(m, 1, cocycles)
+        return sq.classify_many(c[:, gen_rows].reshape(len(c), k * r))
+
+    return CohomologyGroup(1, value, reps, space, m, classify_many)
 
 
 def _h2(m: GModule) -> CohomologyGroup:
@@ -390,7 +401,7 @@ def _h2(m: GModule) -> CohomologyGroup:
 
     if _coprime_shortcut(m) or r == 0 or g.order == 1:
         value = FiniteAbelianGroup(())
-        return CohomologyGroup(2, value, (), space, m, lambda cocycle: ())
+        return CohomologyGroup(2, value, (), space, m, lambda cocycles: ((),) * len(cocycles))
 
     # solution space: G-equivariant homs from the relation module to A
     # row (s, e, i), column (e2, j): conj_s[e][e2] [i == j] - [e == e2] action[s][i][j]
@@ -426,15 +437,15 @@ def _h2(m: GModule) -> CohomologyGroup:
     x = np.where(neg, np.array(g.table, dtype=np.int64)[prefix, letters], prefix)
     y = np.where(neg, np.array(g.inv, dtype=np.int64)[letters], letters)
 
-    def classify(cocycle) -> Vector:
-        c = _cochain(m, 2, cocycle)
-        terms = c[x, y]
-        terms[neg] -= _act(m, prefix[neg], c[letters[neg], y[neg]])
-        phi = np.zeros((rho, r), dtype=np.int64)
-        np.add.at(phi, edge, terms)
-        return sq.classify(np.mod(phi, a.factors).ravel())
+    def classify_many(cocycles) -> tuple[Vector, ...]:
+        c = _cochains(m, 2, cocycles)
+        terms = c[:, x, y]
+        terms[:, neg] -= _act(m, prefix[neg], c[:, letters[neg], y[neg]])
+        phi = np.zeros((len(c), rho, r), dtype=np.int64)
+        np.add.at(phi, (slice(None), edge), terms)
+        return sq.classify_many(np.mod(phi, a.factors).reshape(len(c), rho * r))
 
-    return CohomologyGroup(2, value, reps, space, m, classify)
+    return CohomologyGroup(2, value, reps, space, m, classify_many)
 
 
 def is_cocycle(m: GModule, degree: int, cocycle) -> bool:
@@ -447,7 +458,7 @@ def is_cocycle(m: GModule, degree: int, cocycle) -> bool:
     n, e = g.order, g.identity
     modular.check_int64_products(m.coeff.exponent - 1, 2, "cocycle identity", other=1)
     table = np.array(g.table, dtype=np.int64)
-    c = _cochain(m, degree, cocycle)
+    c = _cochains(m, degree, [cocycle])[0]
     # x.f(y) or x.f(y, z), at every x
     moved = _act(m, np.arange(n).reshape((n,) + (1,) * degree), c[None])
     if degree == 1:  # f(xy) = f(x) + x.f(y)
@@ -473,8 +484,8 @@ def inflation(m: GModule, n: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP) 
     if h_q.representatives:
         modular.check_int64_products(an.exponent - 1, an.rank, "inflation", other=a.exponent - 1)
     inc = np.array(fixed.inclusion.matrix, dtype=np.int64).reshape(a.rank, an.rank)
-    idx = np.ix_(*(np.array(proj.images, dtype=np.int64),) * degree)
-    cols = [h_g.classify(np.mod(rep[idx] @ inc.T, a.factors)) for rep in h_q.representatives]
+    idx = (slice(None),) + np.ix_(*(np.array(proj.images, dtype=np.int64),) * degree)
+    cols = h_g.classify_many(np.mod(_rep_stack(h_q)[idx] @ inc.T, a.factors))
     return AbHom.from_columns(h_q.value, h_g.value, cols)
 
 
@@ -500,8 +511,8 @@ def restriction(m: GModule, h: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP
     mh, ordered = restricted_module(m, h)
     h_g = cohomology(m, degree, cap)
     h_h = cohomology(mh, degree, cap)
-    idx = np.ix_(*(np.array(ordered, dtype=np.int64),) * degree)
-    cols = [h_h.classify(rep[idx]) for rep in h_g.representatives]
+    idx = (slice(None),) + np.ix_(*(np.array(ordered, dtype=np.int64),) * degree)
+    cols = h_h.classify_many(_rep_stack(h_g)[idx])
     return AbHom.from_columns(h_g.value, h_h.value, cols)
 
 
@@ -621,7 +632,7 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
     at_identity = np.arange(r) * n + g.identity
     keep = np.arange(n * r) % n != g.identity  # the coordinates of A'
     modular.check_int64_products(a.exponent - 1, r, "connecting map re-embedding")
-    cols = []
+    preimages = []
     for rep in h1q.representatives:
         lifted = np.zeros((n, n * r), dtype=np.int64)
         lifted[:, keep] = rep
@@ -633,8 +644,8 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
             raise VerificationFailure(
                 "shift cocycle does not lie in the embedded coefficients"
             )
-        cols.append(h2.classify(pre))
-    return AbHom.from_columns(h1q.value, h2.value, cols)
+        preimages.append(pre)
+    return AbHom.from_columns(h1q.value, h2.value, h2.classify_many(preimages))
 
 
 def dimension_shift_check(m: GModule, cap: int = DEFAULT_COH_CAP) -> DimensionShiftReport:

@@ -19,6 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
+
 from . import lattice, modular
 from .abelian import (
     AbHom,
@@ -30,6 +33,7 @@ from .abelian import (
 from .cohomology import (
     DEFAULT_COH_CAP,
     GModule,
+    _act,
     cohomology,
     shifted_cohomology,
     trivial_module,
@@ -130,6 +134,9 @@ class DirectSumChart:
             acc += len(b)
         return tuple(out)
 
+    def classify_many(self, concat_vecs) -> tuple[Vector, ...]:
+        return self._pres.classify_many(concat_vecs)
+
     def classify(self, concat_vec) -> Vector:
         return self._pres.classify(concat_vec)
 
@@ -162,7 +169,8 @@ def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP):
     generator values plus consistency checks over the Cayley graph."""
     g, a = m.group, m.coeff
     gens = g.generators
-    n_candidates = a.order ** len(gens)
+    # with no generators the search is one assignment, but A is still listed
+    n_candidates = a.order ** max(len(gens), 1)
     if n_candidates > cap:
         raise SizeCapExceeded(
             f"{n_candidates} generator assignments exceed the enumeration cap"
@@ -211,7 +219,14 @@ def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP):
 
 @dataclass
 class OracleH1:
-    """H^1 of a finite free product from the independent oracle."""
+    """H^1 of a finite free product from the independent oracle.
+
+    A family cocycle is a tuple of crossed-hom tables, one per fiber, each
+    a tuple of value tuples.  ``classify_many`` looks every table up in its
+    fiber's enumeration, raising ``VerificationFailure`` for one that is
+    not there, and sends the whole stack through one quotient call;
+    ``classify`` is ``classify_many`` of one family cocycle.
+    """
 
     value: FiniteAbelianGroup
     representatives: tuple
@@ -220,16 +235,22 @@ class OracleH1:
     _fiber_data: tuple = field(repr=False)
     _quotient: modular.Subquotient = field(repr=False)
 
+    def classify_many(self, family_cocycles) -> tuple[Vector, ...]:
+        rows = []
+        for family_cocycle in family_cocycles:
+            concat = []
+            for table, (cocycles, structure, _, _) in zip(family_cocycle, self._fiber_data):
+                try:
+                    concat.extend(structure.coordinates(table))
+                except KeyError:
+                    raise VerificationFailure(
+                        "table is not a crossed homomorphism of this fiber"
+                    )
+            rows.append(concat)
+        return self._quotient.classify_many(rows)
+
     def classify(self, family_cocycle) -> Vector:
-        concat = []
-        for table, (cocycles, structure, _, _) in zip(family_cocycle, self._fiber_data):
-            try:
-                concat.extend(structure.coordinates(table))
-            except KeyError:
-                raise VerificationFailure(
-                    "table is not a crossed homomorphism of this fiber"
-                )
-        return self._quotient.classify(tuple(concat))
+        return self.classify_many([family_cocycle])[0]
 
     @property
     def order(self) -> int:
@@ -240,13 +261,14 @@ def _fiber_modules(trunc: TruncatedFamily, module: FamilyModule):
     return tuple(module.gmodule(f) for f in trunc.fibers)
 
 
-def _principal_tables(mods, vecs) -> tuple:
-    """The principal crossed homomorphisms x |-> x.a - a, one table per
-    fiber module and its vector a."""
-    return tuple(
-        tuple(m.coeff.add(m.act(x, vec), m.coeff.neg(vec)) for x in range(m.group.order))
-        for m, vec in zip(mods, vecs)
-    )
+def _principal_tables(m: GModule, vecs) -> tuple:
+    """The principal crossed homomorphisms x |-> x.a - a of ``m``, one
+    table per vector a of the stack ``vecs``, as the tuple tables the
+    oracle's lookup takes."""
+    a, n = m.coeff, m.group.order
+    vecs = np.mod(np.asarray(vecs, dtype=np.int64).reshape(len(vecs), a.rank), a.factors)
+    tables = np.mod(_act(m, np.arange(n)[None, :], vecs[:, None, :]) - vecs[:, None, :], a.factors)
+    return tuple(tuple(map(tuple, t)) for t in tables.tolist())
 
 
 def _require_plain(trunc: TruncatedFamily) -> None:
@@ -258,12 +280,14 @@ def _require_plain(trunc: TruncatedFamily) -> None:
 
 
 def fixed_elements(coeff: FiniteAbelianGroup, mods) -> tuple:
-    """The elements of A fixed by every module in ``mods``, by enumeration."""
-    return tuple(
-        vec
-        for vec in coeff.elements()
-        if all(m.act(x, vec) == vec for m in mods for x in range(m.group.order))
-    )
+    """The elements of A fixed by every module in ``mods``, by enumeration:
+    A as one int64 array, kept by one (|A|, r) product per generator of
+    each module's group, in the order of ``coeff.elements()``."""
+    elems = np.indices(coeff.factors).reshape(coeff.rank, coeff.order).T.astype(np.int64)
+    for m in mods:
+        for x in m.group.generators:
+            elems = elems[(_act(m, x, elems) == elems).all(axis=1)]
+    return tuple(map(tuple, elems.tolist()))
 
 
 def common_fixed_elements(trunc: TruncatedFamily, module: FamilyModule):
@@ -284,15 +308,18 @@ def oracle_h1(
     a = module.coeff
     mods = _fiber_modules(trunc, module)
     fiber_data = tuple(_fiber_z1(m, cap) for m in mods)
+    # every fiber's search weighs at least |A|; with no fiber A is still listed
+    if a.order > cap:
+        raise SizeCapExceeded(f"{a.order} elements of A exceed the enumeration cap")
     moduli = tuple(x for data in fiber_data for x in data[1].factors)
 
-    b1 = []
-    for i in range(a.rank):
-        e_i = tuple(1 if j == i else 0 for j in range(a.rank))
-        coords = []
-        for table, data in zip(_principal_tables(mods, [e_i] * len(mods)), fiber_data):
-            coords.extend(data[1].coordinates(table))
-        b1.append(tuple(coords))
+    # the principal crossed homomorphism of e_i, in every fiber
+    basis = np.eye(a.rank, dtype=np.int64)
+    per_fiber = [_principal_tables(m, basis) for m in mods]
+    b1 = [
+        tuple(c for tables, data in zip(per_fiber, fiber_data) for c in data[1].coordinates(tables[i]))
+        for i in range(a.rank)
+    ]
     quotient = modular.quotient_presentation(moduli, b1)
     value = FiniteAbelianGroup(quotient.factors)
 
@@ -372,37 +399,34 @@ def _sequence_from_oracle(oracle: OracleH1, module: FamilyModule, cap: int) -> F
     t4 = chart4.value
 
     # map 1: a |-> (a mod A^{G_t})_t
-    cols = []
-    for i in range(t1.rank):
-        vec = t1_pres.reps[i]
-        concat = []
-        for q in fiber_quotients:
-            concat.extend(q.classify(vec))
-        cols.append(chart2.classify(tuple(concat)))
-    m1 = AbHom.from_columns(t1, t2, cols)
+    per_fiber = [q.classify_many(t1_pres.reps) for q in fiber_quotients]
+    m1 = AbHom.from_columns(t1, t2, chart2.classify_many(_concat_rows(per_fiber, t1.rank)))
 
     # map 2: (a_t)_t |-> class of the cocycle that is principal-from-a_t on G_t
-    cols = []
-    for i in range(t2.rank):
+    splits = [chart2.split(chart2.rep(i)) for i in range(t2.rank)]
+    per_fiber = []
+    for f, (m, q) in enumerate(zip(mods, fiber_quotients)):
         lifts = []
-        for q, chunk in zip(fiber_quotients, chart2.split(chart2.rep(i))):
+        for chunks in splits:
             lifted = a.zero
-            for c, rep in zip(chunk, q.reps):
+            for c, rep in zip(chunks[f], q.reps):
                 lifted = a.add(lifted, a.scale(int(c), rep))
             lifts.append(lifted)
-        cols.append(oracle.classify(_principal_tables(mods, lifts)))
-    m2 = AbHom.from_columns(t2, oracle.value, cols)
+        per_fiber.append(_principal_tables(m, lifts))
+    family_cocycles = [tuple(tables[i] for tables in per_fiber) for i in range(t2.rank)]
+    m2 = AbHom.from_columns(t2, oracle.value, oracle.classify_many(family_cocycles))
 
     # map 3: restriction to the factors
-    cols = []
-    for rep in oracle.representatives:
-        concat = []
-        for table, h in zip(rep, fiber_h1):
-            concat.extend(h.classify(table))
-        cols.append(chart4.classify(tuple(concat)))
-    m3 = AbHom.from_columns(oracle.value, t4, cols)
+    reps = oracle.representatives
+    per_fiber = [h.classify_many([rep[f] for rep in reps]) for f, h in enumerate(fiber_h1)]
+    m3 = AbHom.from_columns(oracle.value, t4, chart4.classify_many(_concat_rows(per_fiber, len(reps))))
 
     return FourTermSequence((t1, t2, oracle.value, t4), (m1, m2, m3), oracle)
+
+
+def _concat_rows(per_fiber, count: int) -> list[list[int]]:
+    """Row i of a direct sum: row i of every fiber's coordinates, in order."""
+    return [[x for rows in per_fiber for x in rows[i]] for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -697,12 +721,10 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
         expected_h1 = _mod_p_dual_factors(ab, p)
 
         # characters of G^ab of order dividing p, as explicit cocycles
-        char_cols = []
-        for i, d in enumerate(ab.factors):
-            if d % p != 0:
-                continue
-            table = tuple((proj.apply(x)[i] % p,) for x in range(group.order))
-            char_cols.append(h1.classify(table))
+        images = [proj.apply(x) for x in range(group.order)]
+        char_cols = h1.classify_many([
+            [(img[i] % p,) for img in images] for i, d in enumerate(ab.factors) if d % p == 0
+        ])
         k = len(char_cols)
         iso_ok = h1.value.factors == expected_h1
         if iso_ok and k:
@@ -716,15 +738,11 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
         u_image = tuple(sorted(set(proj.apply(x) for x in subgroup.elements)))
         sq = sub_and_quotient(ab, u_image)
         expected_nr = _mod_p_dual_factors(sq.quotient, p)
-        nr_cols = []
-        for i, d in enumerate(sq.quotient.factors):
-            if d % p != 0:
-                continue
-            table = tuple(
-                (sq.projection.apply(proj.apply(x))[i] % p,)
-                for x in range(group.order)
-            )
-            nr_cols.append(h1.classify(table))
+        nr_cols = h1.classify_many([
+            [(sq.projection.apply(img)[i] % p,) for img in images]
+            for i, d in enumerate(sq.quotient.factors)
+            if d % p == 0
+        ])
         nr_match = nr.structure.factors == expected_nr
         if nr_match:
             generated = AbSubgroup(h1.value, tuple(nr_cols))
@@ -811,9 +829,9 @@ def truncation_colimit(
         # a level's cocycle tuple extends by the zero table on the new tail factor
         pad = () if spec.tail is None else ((module.coeff.zero,) * spec.tail.group.order,)
         transitions = [
-            AbHom.from_columns(levels[n], levels[n + 1], [
-                seqs[n + 1].oracle.classify(rep + pad) for rep in seqs[n].oracle.representatives
-            ])
+            AbHom.from_columns(levels[n], levels[n + 1], seqs[n + 1].oracle.classify_many(
+                [rep + pad for rep in seqs[n].oracle.representatives]
+            ))
             for n in range(n_max)
         ]
         # per level: exactness of the four-term sequence is the formula
@@ -828,12 +846,9 @@ def truncation_colimit(
         levels = tuple(c.value for c in charts)
         transitions = []
         for n in range(n_max):
-            cols = []
-            for i in range(levels[n].rank):
-                concat = charts[n].rep(i)
-                pad = len(fiber_h2[n + 1][-1].value.factors) if spec.tail is not None else 0
-                extended = tuple(concat) + (0,) * pad
-                cols.append(charts[n + 1].classify(extended))
+            pad = (0,) * (len(fiber_h2[n + 1][-1].value.factors) if spec.tail is not None else 0)
+            extended = [tuple(charts[n].rep(i)) + pad for i in range(levels[n].rank)]
+            cols = charts[n + 1].classify_many(extended)
             transitions.append(AbHom.from_columns(levels[n], levels[n + 1], cols))
         # formula instance: block factors match the per-fiber pair formula
         level_ok = []
@@ -932,10 +947,7 @@ def splitting_check(
     full = oracle_h1(trunc, module, enum_cap)
     sub = oracle_h1(sub_trunc, module, enum_cap)
     keep_idx = [i for i, f in enumerate(trunc.fibers) if f.name in set(subset)]
-    cols = []
-    for rep in full.representatives:
-        restricted = tuple(rep[i] for i in keep_idx)
-        cols.append(sub.classify(restricted))
+    cols = sub.classify_many([tuple(rep[i] for i in keep_idx) for rep in full.representatives])
     retraction = AbHom.from_columns(full.value, sub.value, cols)
     surj = retraction.is_surjective()
     section = section_for(retraction) if surj else None

@@ -67,21 +67,21 @@ def hnf(rows, ncols: int | None = None) -> Matrix:
     Returns the nonzero rows in staircase shape with positive pivots and
     entries above each pivot reduced into [0, pivot).  Two generating sets
     span the same lattice iff their HNFs are equal.
+
+    At each column only the remaining rows with a nonzero entry there are
+    reduced, and of those only a row that became zero is dropped; a row
+    the column leaves untouched stays nonzero.
     """
     work = [list(r) for r in rows if not is_zero_vector(r)]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     pivot_row = 0
     for col in range(ncols):
-        idx = None
-        for i in range(pivot_row, len(work)):
-            if work[i][col] != 0:
-                idx = i
-                break
-        if idx is None:
+        live = [i for i in range(pivot_row, len(work)) if work[i][col] != 0]
+        if not live:
             continue
-        work[pivot_row], work[idx] = work[idx], work[pivot_row]
-        for i in range(pivot_row + 1, len(work)):
+        work[pivot_row], work[live[0]] = work[live[0]], work[pivot_row]
+        for i in live[1:]:
             # rotating Euclid on the pair of column entries
             while work[i][col] != 0:
                 q = work[pivot_row][col] // work[i][col]
@@ -95,7 +95,9 @@ def hnf(rows, ncols: int | None = None) -> Matrix:
             if q:
                 work[i] = [x - q * y for x, y in zip(work[i], work[pivot_row])]
         pivot_row += 1
-        work = work[:pivot_row] + [r for r in work[pivot_row:] if not is_zero_vector(r)]
+        for i in reversed(live[1:]):
+            if is_zero_vector(work[i]):
+                del work[i]
         if pivot_row == len(work):
             break
     return freeze(work[:pivot_row])

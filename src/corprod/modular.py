@@ -10,6 +10,10 @@ submodules, quotient presentations) all reduce to two primitives:
                                factors, representatives and a coordinate
                                map for arbitrary members of N.
 
+Coordinates are batched: ``Subquotient.classify_many`` takes a stack of
+vectors and answers it with one projection and two matrix products per
+prime, and ``classify`` is ``classify_many`` of one vector.
+
 Both work prime by prime.  Modulo q = p^k every matrix is diagonalized
 exactly by ``local_diagonalize``, and the results are glued with the
 Chinese remainder theorem.  The kernel stores its matrices in the
@@ -157,9 +161,9 @@ class _PrimePart:
     comps: tuple[int, ...]       # ambient components with p | modulus
     exps: tuple[int, ...]        # p-adic exponent of each such component
 
-    def project(self, vec) -> np.ndarray:
-        q = self.prime**self.k
-        return np.array([int(vec[c]) % q for c in self.comps], dtype=np.int64)
+    def project(self, stack: np.ndarray) -> np.ndarray:
+        # rows of an int64 stack, restricted to this prime's components mod p^k
+        return np.mod(stack[:, list(self.comps)], self.prime**self.k)
 
 
 def _prime_parts(moduli) -> list[_PrimePart]:
@@ -179,6 +183,18 @@ def _prime_parts(moduli) -> list[_PrimePart]:
     return out
 
 
+def _as_stack(vecs, moduli) -> np.ndarray:
+    """A sequence of vectors as an int64 array of shape (len, len(moduli)).
+    Entries beyond int64 are first reduced mod their component's modulus,
+    which the entry points have refused at 2^63 or more."""
+    n = len(moduli)
+    try:
+        arr = np.asarray(vecs, dtype=np.int64)
+    except OverflowError:
+        arr = np.mod(np.asarray(vecs, dtype=object).reshape(-1, n), moduli).astype(np.int64)
+    return arr.reshape(len(arr), n)
+
+
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     # residue mod m1*m2 agreeing with r1 mod m1 and r2 mod m2 (coprime)
     g = pow(m1, -1, m2)
@@ -196,14 +212,17 @@ class Subquotient:
 
     ``factors`` are the invariant factors (ascending divisibility chain),
     ``reps`` lifts one generator per factor back into the ambient group,
-    and ``classify`` maps any element of N to its coordinates in
-    ``prod Z/factors``.
+    and ``classify_many`` maps a stack of elements of N, any integer
+    array-like of shape (count, len(ambient)), to their coordinate
+    vectors in ``prod Z/factors``, a tuple of tuples of Python ints.
+    ``classify`` is ``classify_many`` of one vector.  A row outside N
+    raises ``VerificationFailure``.
     """
 
     ambient: tuple[int, ...]
     factors: tuple[int, ...]
     reps: tuple[Vector, ...]
-    _classify: Callable[[Vector], Vector] = field(repr=False)
+    _classify_many: Callable[[object], tuple[Vector, ...]] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -212,29 +231,30 @@ class Subquotient:
             n *= f
         return n
 
+    def classify_many(self, vecs) -> tuple[Vector, ...]:
+        return self._classify_many(vecs)
+
     def classify(self, vec) -> Vector:
-        return self._classify(tuple(int(x) for x in vec))
+        return self.classify_many([vec])[0]
 
 
 class _PrimarySubquotient:
     """The p-primary engine behind :class:`Subquotient`."""
 
-    def __init__(self, part: _PrimePart, num_gens, den_gens):
+    def __init__(self, part: _PrimePart, num: np.ndarray, den: np.ndarray):
         p, k = part.prime, part.k
         q = p**k
         n = len(part.comps)
         self.part, self.q = part, q
-        relation_rows = np.diag([p**e for e in part.exps]).astype(np.int64) if n else np.zeros((0, 0), dtype=np.int64)
-        num = [part.project(g) for g in num_gens]
-        num_mat = np.vstack([np.array(num, dtype=np.int64).reshape(len(num), n), relation_rows]) if n else np.zeros((0, 0), dtype=np.int64)
+        relation_rows = np.diag([p**e for e in part.exps]).astype(np.int64)
+        num_mat = np.vstack([part.project(num), relation_rows])
         exps, _, v_n, vinv_n = local_diagonalize(num_mat, p, k, need_u=False)
         # pad the diagonal to full width; missing columns are zero mod q
         self.a = [exps[i] if i < len(exps) else k for i in range(n)]
         self.v_n, self.vinv_n = v_n, vinv_n
         self.pa = np.array([p**ai for ai in self.a], dtype=np.int64)
         # coordinates of the denominator in the basis p^{a_i} * Vinv_n[i]
-        den = [part.project(g) for g in den_gens]
-        den_mat = np.vstack([np.array(den, dtype=np.int64).reshape(len(den), n), relation_rows])
+        den_mat = np.vstack([part.project(den), relation_rows])
         c_mat = np.vstack([self._coords_in_basis(den_mat), np.diag(q // self.pa)])
         b_exps, _, v_c, vinv_c = local_diagonalize(c_mat, p, k, need_u=False)
         self.b = [b_exps[i] if i < len(b_exps) else k for i in range(n)]
@@ -257,11 +277,11 @@ class _PrimarySubquotient:
         y = (self.vinv_c[i, :] * self.pa) % q
         return (y @ self.vinv_n) % q
 
-    def classify(self, vec) -> list[int]:
-        q = self.q
-        y = self._coords_in_basis(self.part.project(vec)[None, :])[0]
-        z = (y @ self.v_c) % q
-        return [int(z[i]) % (self.part.prime ** self.b[i]) for i in self.kept]
+    def classify(self, stack: np.ndarray) -> np.ndarray:
+        # coordinates of every row of an ambient int64 stack, one row each
+        y = self._coords_in_basis(self.part.project(stack))
+        z = (y @ self.v_c[:, self.kept]) % self.q
+        return z % np.array(self.factors, dtype=np.int64)
 
 
 def subquotient(moduli, num_gens, den_gens) -> Subquotient:
@@ -270,7 +290,8 @@ def subquotient(moduli, num_gens, den_gens) -> Subquotient:
     """
     moduli = tuple(int(m) for m in moduli)
     parts = _prime_parts(moduli)
-    engines = [_PrimarySubquotient(part, num_gens, den_gens) for part in parts]
+    num, den = _as_stack(num_gens, moduli), _as_stack(den_gens, moduli)
+    engines = [_PrimarySubquotient(part, num, den) for part in parts]
 
     # align the per-prime factor lists so that the largest factors pair up
     length = max((len(e.factors) for e in engines), default=0)
@@ -302,25 +323,30 @@ def subquotient(moduli, num_gens, den_gens) -> Subquotient:
         factors.append(f)
         reps.append(tuple(rep))
 
-    align_map = aligned  # capture for the closure
-
-    def classify(vec: Vector) -> Vector:
-        per_engine = {id(e): e.classify(vec) for e in engines}
+    def classify_many(vecs) -> tuple[Vector, ...]:
+        stack = _as_stack(vecs, moduli)
+        # every engine checks membership, even one that keeps no factor
+        per_engine = [e.classify(stack).tolist() for e in engines]
+        if len(engines) == 1:
+            return tuple(map(tuple, per_engine[0]))
+        # glue each position on Python ints: a glued factor can pass 2^63
         out = []
-        for pos in range(length):
-            residue, modulus = 0, 1
-            for col in align_map:
-                slot = col[pos]
-                if slot is None:
-                    continue
-                engine, i = slot
-                r = per_engine[id(engine)][i]
-                residue = _crt_pair(residue, modulus, r, engine.factors[i])
-                modulus *= engine.factors[i]
-            out.append(residue)
+        for row in range(len(stack)):
+            coords = []
+            for pos in range(length):
+                residue, modulus = 0, 1
+                for col, coords_e in zip(aligned, per_engine):
+                    slot = col[pos]
+                    if slot is None:
+                        continue
+                    engine, i = slot
+                    residue = _crt_pair(residue, modulus, coords_e[row][i], engine.factors[i])
+                    modulus *= engine.factors[i]
+                coords.append(residue)
+            out.append(tuple(coords))
         return tuple(out)
 
-    return Subquotient(moduli, tuple(factors), tuple(reps), classify)
+    return Subquotient(moduli, tuple(factors), tuple(reps), classify_many)
 
 
 def subgroup_presentation(moduli, gens) -> Subquotient:
@@ -439,7 +465,11 @@ def subquotient_int(moduli, num_gens, den_gens) -> Subquotient:
         z = lattice.vec_mat(y, v)
         return tuple(z[i] % diag[i] for i in kept)
 
-    return Subquotient(tuple(moduli), tuple(factors), tuple(reps), classify)
+    def classify_many(vecs) -> tuple[Vector, ...]:
+        # row by row, on Python ints
+        return tuple(classify(tuple(int(x) for x in vec)) for vec in vecs)
+
+    return Subquotient(tuple(moduli), tuple(factors), tuple(reps), classify_many)
 
 
 class CongruenceSolver:

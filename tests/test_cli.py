@@ -345,3 +345,47 @@ def test_cohomology_refuses_factors_from_2_63(tmp_path, factor):
     else:
         assert status == 2
         assert str(factor) in text and "2^63" in text
+
+
+TRIVIAL_FIBER_FAMILY = {
+    "prime_set": [2, 3],
+    "exceptional": {"a": {"group": {"kind": "table", "table": [[0]]}, "subgroup_generators": []}},
+    "tail": None,
+}
+
+
+@pytest.mark.parametrize("factor", [2**40, 3_000_000, 3])
+def test_trivial_fiber_is_weighed_against_the_enumeration_cap(tmp_path, factor):
+    # the oracle lists A even for a group with no generators, so |A| alone
+    # must stay under the enumeration cap of 200000
+    spec = tmp_path / "trivial.json"
+    spec.write_text(json.dumps(TRIVIAL_FIBER_FAMILY))
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [factor]}, "actions": {}}))
+    status, text = run_cli(
+        ["exact-check", "--spec", str(spec), "--module", str(mod), "--truncate", "0"]
+    )
+    if factor == 3:
+        assert status == 0 and "term2=[]" in text
+    else:
+        assert status == 2
+        assert f"{factor} generator assignments exceed the enumeration cap" in text
+
+
+def test_empty_truncation_is_weighed_against_the_enumeration_cap(tmp_path):
+    # no fiber at all: the oracle still lists A for its fixed elements
+    spec = tmp_path / "tail-only.json"
+    spec.write_text(json.dumps({
+        "prime_set": [2],
+        "exceptional": {},
+        "tail": {"group": {"kind": "cyclic", "n": 2}, "subgroup_generators": [1]},
+    }))
+    mod = tmp_path / "m.json"
+    for factor, want in ((2**40, 2), (3, 0)):
+        mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [factor]}, "actions": {}}))
+        status, text = run_cli(
+            ["exact-check", "--spec", str(spec), "--module", str(mod), "--truncate", "0"]
+        )
+        assert status == want, text
+        if want == 2:
+            assert f"{factor} elements of A exceed the enumeration cap" in text

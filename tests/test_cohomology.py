@@ -220,6 +220,48 @@ def test_representatives_satisfy_cocycle_identities(zoo):
                 )
 
 
+def coboundary(m, degree, b):
+    """The coboundary of the cochain ``b`` one degree down: x.b - b for a
+    vector b, or (x, y) -> x.b(y) - b(xy) + b(x) for a normalized b."""
+    g, a = m.group, m.coeff
+    n = g.order
+    if degree == 1:
+        return [a.add(m.act(x, b), a.neg(b)) for x in range(n)]
+    return [
+        [a.add(a.add(m.act(x, b[y]), a.neg(b[g.mul(x, y)])), b[x]) for y in range(n)]
+        for x in range(n)
+    ]
+
+
+def test_classify_many_reads_representatives_and_ignores_coboundaries(zoo):
+    rnd = random.Random(8)
+    for m in engine_vs_brutes_cases(zoo):
+        g, a = m.group, m.coeff
+        for degree in (1, 2):
+            h = coh.cohomology(m, degree)
+            reps = h.representatives
+            k = len(h.value.factors)
+            identity = tuple(tuple(int(j == i) for j in range(k)) for i in range(k))
+            assert h.classify_many(reps) == identity
+            assert h.classify_many([]) == ()
+            # each representative plus a random coboundary, as nested tuples
+            if degree == 1:
+                b = [tuple(rnd.randrange(d) for d in a.factors) for _ in reps]
+            else:
+                b = [[tuple(rnd.randrange(d) for d in a.factors) for _ in range(g.order)] for _ in reps]
+                for cochain in b:
+                    cochain[g.identity] = a.zero
+            moved = [
+                np.mod(rep + np.array(coboundary(m, degree, bi), dtype=np.int64), a.factors)
+                for rep, bi in zip(reps, b)
+            ]
+            assert h.classify_many([as_tuples(c) for c in moved]) == identity
+            # and as one int64 stack after the representatives themselves
+            shape = (2 * k,) + (g.order,) * degree + (a.rank,)
+            stack = np.array(moved + list(reps), dtype=np.int64).reshape(shape)
+            assert h.classify_many(stack) == identity * 2
+
+
 def named_module(gname, factors, action):
     """A corpus group acting on a corpus module by a named action."""
     g, a = corpus._zoo()[gname], FAG(factors)

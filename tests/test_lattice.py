@@ -93,3 +93,60 @@ def test_factorint():
     assert lattice.factorint(1) == {}
     assert lattice.factorint(12) == {2: 2, 3: 1}
     assert lattice.factorint(27) == {3: 3}
+
+
+def reference_hnf(rows, ncols=None):
+    """The Hermite form as first written, re-filtering every remaining row
+    for zeros after each pivot; the reference for :func:`lattice.hnf`."""
+    work = [list(r) for r in rows if not lattice.is_zero_vector(r)]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivot_row = 0
+    for col in range(ncols):
+        idx = None
+        for i in range(pivot_row, len(work)):
+            if work[i][col] != 0:
+                idx = i
+                break
+        if idx is None:
+            continue
+        work[pivot_row], work[idx] = work[idx], work[pivot_row]
+        for i in range(pivot_row + 1, len(work)):
+            while work[i][col] != 0:
+                q = work[pivot_row][col] // work[i][col]
+                reduced = [x - q * y for x, y in zip(work[pivot_row], work[i])]
+                work[pivot_row], work[i] = work[i], reduced
+        if work[pivot_row][col] < 0:
+            work[pivot_row] = [-x for x in work[pivot_row]]
+        p = work[pivot_row][col]
+        for i in range(pivot_row):
+            q = work[i][col] // p
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], work[pivot_row])]
+        pivot_row += 1
+        work = work[:pivot_row] + [r for r in work[pivot_row:] if not lattice.is_zero_vector(r)]
+        if pivot_row == len(work):
+            break
+    return lattice.freeze(work[:pivot_row])
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices, st.randoms(use_true_random=False))
+def test_hnf_matches_the_reference(rows, rnd):
+    # zero rows, duplicates, and combinations of other rows, which vanish
+    # partway through the elimination
+    n = len(rows[0])
+    m = [tuple(r) for r in rows]
+    for _ in range(rnd.randrange(4)):
+        a, b = rnd.choice(m), rnd.choice(m)
+        kind = rnd.randrange(3)
+        if kind == 0:
+            m.append((0,) * n)
+        elif kind == 1:
+            m.append(a)
+        else:
+            c, d = rnd.randint(-3, 3), rnd.randint(-3, 3)
+            m.append(tuple(c * x + d * y for x, y in zip(a, b)))
+    rnd.shuffle(m)
+    for ncols in (None, n, rnd.randint(0, n)):
+        assert lattice.hnf(m, ncols) == reference_hnf(m, ncols)

@@ -6,9 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corprod import lattice, modular
-from corprod.errors import SizeCapExceeded
+from corprod.errors import SizeCapExceeded, VerificationFailure
 
 
 def subgroup_canon(gens, moduli):
@@ -191,6 +193,72 @@ def test_subquotient_rejects_outsiders():
     sq = modular.subquotient([4, 4], [(2, 0)], [])
     with pytest.raises(modular.VerificationFailure):
         sq.classify((1, 0))
+
+
+@st.composite
+def subquotient_stacks(draw):
+    """Moduli, numerator and denominator generators, and a stack of
+    integer combinations of the numerator's generators and relations,
+    with entries of either sign and beyond the moduli."""
+    n = draw(st.integers(1, 4))
+    moduli = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 25]), min_size=n, max_size=n))
+    vec = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+    den = draw(st.lists(vec, max_size=3))
+    num = draw(st.lists(vec, max_size=3)) + den
+    spanning = num + [tuple(m if j == i else 0 for j in range(n)) for i, m in enumerate(moduli)]
+    combos = st.lists(st.integers(-30, 30), min_size=len(spanning), max_size=len(spanning))
+    stack = [
+        tuple(sum(c * g[j] for c, g in zip(coeffs, spanning)) for j in range(n))
+        for coeffs in draw(st.lists(combos, max_size=6))
+    ]
+    return moduli, num, den, stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(subquotient_stacks())
+def test_classify_many_matches_the_integer_oracle(case):
+    moduli, num, den, stack = case
+    fast = modular.subquotient(moduli, num, den)
+    slow = modular.subquotient_int(moduli, num, den)
+    assert fast.factors == slow.factors
+    coords = fast.classify_many(stack)
+    assert len(coords) == len(stack)
+    for vec, row in zip(stack, coords):
+        assert all(type(c) is int and 0 <= c < f for c, f in zip(row, fast.factors))
+        assert len(row) == len(fast.factors)
+        assert fast.classify(vec) == row
+        # the two engines choose different generators: lift the fast
+        # coordinates through the fast generators and let the oracle compare
+        lifted = tuple(
+            sum(c * rep[j] for c, rep in zip(row, fast.reps)) % m for j, m in enumerate(moduli)
+        )
+        assert slow.classify(lifted) == slow.classify(vec)
+
+
+def test_classify_many_refuses_a_stack_with_one_outsider():
+    # 3 is outside <2> in Z/4 (the 2-part) and 2 is outside <3> in Z/6 (the 3-part)
+    for moduli, num, members, outsider in (
+        ((4, 6), [(2, 0), (0, 1)], [(0, 0), (2, 5), (2, 3)], (3, 1)),
+        ((6,), [(3,)], [(3,), (0,)], (2,)),
+    ):
+        for sq in (modular.subquotient(moduli, num, []), modular.subquotient_int(moduli, num, [])):
+            assert len(sq.classify_many(members)) == len(members)
+            with pytest.raises(VerificationFailure):
+                sq.classify_many(members[:1] + [outsider] + members[1:])
+
+
+def test_classify_many_of_an_empty_stack_and_rank_zero():
+    for build in (modular.subquotient, modular.subquotient_int):
+        assert build((4, 6), [(1, 0), (0, 1)], []).classify_many([]) == ()
+        # N = D: no factor is left, but membership is still checked
+        sq = build((4, 6), [(2, 0), (0, 3)], [(2, 0), (0, 3)])
+        assert sq.factors == ()
+        assert sq.classify_many([(2, 3), (0, 0)]) == ((), ())
+        assert sq.classify((2, 0)) == ()
+        with pytest.raises(VerificationFailure):
+            sq.classify_many([(0, 0), (0, 1)])
+    # no components at all
+    assert modular.subquotient((), [], []).classify_many([(), ()]) == ((), ())
 
 
 def test_solver_roundtrip_and_inconsistency():
