@@ -386,10 +386,12 @@ def _sequence_from_oracle(oracle: OracleH1, module: FamilyModule, cap: int) -> F
     t1_pres = modular.quotient_presentation(a.factors, list(oracle.fixed_elements))
     t1 = FiniteAbelianGroup(t1_pres.factors)
 
-    # term 2: sum over fibers of A / A^{G_t}
-    fiber_quotients = [
-        modular.quotient_presentation(a.factors, fixed_elements(a, (m,))) for m in mods
-    ]
+    # term 2: sum over fibers of A / A^{G_t}, presented once per distinct module
+    by_module = {
+        m: modular.quotient_presentation(a.factors, fixed_elements(a, (m,)))
+        for m in dict.fromkeys(mods)
+    }
+    fiber_quotients = [by_module[m] for m in mods]
     chart2 = direct_sum_chart([q.factors for q in fiber_quotients])
     t2 = chart2.value
 

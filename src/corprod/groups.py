@@ -365,13 +365,10 @@ class Subgroup:
         return self.order == 1
 
 
-def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:
+def _closure(g: FiniteGroup, gens: list[int]) -> set[int]:
+    # the elements generated by in-range indices, by breadth-first search
     closure = {g.identity}
     frontier = [g.identity]
-    gens = [int(x) for x in gens]
-    for x in gens:
-        if not 0 <= x < g.order:
-            raise NotASubgroup(f"generator index {x} out of range")
     while frontier:
         nxt = []
         for x in frontier:
@@ -381,7 +378,15 @@ def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:
                     closure.add(y)
                     nxt.append(y)
         frontier = nxt
-    return Subgroup(g, tuple(sorted(closure)))
+    return closure
+
+
+def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:
+    gens = [int(x) for x in gens]
+    for x in gens:
+        if not 0 <= x < g.order:
+            raise NotASubgroup(f"generator index {x} out of range")
+    return Subgroup(g, tuple(sorted(_closure(g, gens))))
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
@@ -426,7 +431,7 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
             for x in range(g.order):
                 if x in closure:
                     continue
-                size = len(subgroup_from_generators(g, gens + [x]).elements)
+                size = len(_closure(g, gens + [x]))
                 key = (-size, cent[x], x)
                 if best_key is None or key < best_key:
                     best, best_key = x, key

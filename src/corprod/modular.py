@@ -16,10 +16,15 @@ prime, and ``classify`` is ``classify_many`` of one vector.
 
 Both work prime by prime.  Modulo q = p^k every matrix is diagonalized
 exactly by ``local_diagonalize``, and the results are glued with the
-Chinese remainder theorem.  The kernel stores its matrices in the
-narrowest signed numpy dtype that holds (q-1)^2 (int8 for q <= 12, then
-int16, int32, int64) and returns them as int64; it finds pivot
-valuations arithmetically, so nothing is allocated in proportion to q.
+Chinese remainder theorem; the p-part of a residue is lifted to the
+other primes by one idempotent per component (``_lift_p_parts``).  The
+kernel has two paths with one pivot rule and the same transforms, both
+returning int64.  At q = 2 it eliminates on packed bits, one Python int
+per column, so clearing a pivot's rows is one XOR per column.  For every
+other q a numpy kernel stores its matrices in the narrowest signed dtype
+that holds (q-1)^2 (int8 for q <= 12, then int16, int32, int64); it
+finds pivot valuations arithmetically, so nothing is allocated in
+proportion to q.
 The longest dot product the kernel and its consumers form has
 max(m, n) terms below q, so an m x n system is refused with
 ``SizeCapExceeded`` before any allocation when max(m, n, 1).(q-1)^2
@@ -31,6 +36,8 @@ Smith normal form is kept as an independent oracle for the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable
 
 import numpy as np
@@ -77,6 +84,15 @@ def local_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool = True):
     q = p**k
     m, n = mat.shape
     check_int64_products(q - 1, max(m, n), f"modulus q={q}")
+    if q == 2:
+        return _gf2_diagonalize(mat, need_u)
+    return _zq_diagonalize(mat, p, k, need_u)
+
+
+def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool):
+    """The numpy kernel of :func:`local_diagonalize`, for any q = p^k."""
+    q = p**k
+    m, n = mat.shape
     dt = next((d for d, top in _STORAGE if (q - 1) ** 2 <= top), np.int64)
     a = np.mod(np.asarray(mat, dtype=np.int64), q).astype(dt, copy=False)
     u = np.eye(m, dtype=dt) if need_u else None
@@ -129,24 +145,97 @@ def local_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool = True):
     return exps, u, v.astype(np.int64, copy=False), vinv.astype(np.int64, copy=False)
 
 
-def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> list[np.ndarray]:
-    """Generators of {x in (Z/p^k)^n : mat.x = 0 mod p^k} (column kernel)."""
-    q = p**k
+def _pack(bits: np.ndarray) -> list[int]:
+    # each row of a 0/1 array as one int, bit j = column j
+    nb = (bits.shape[1] + 7) // 8
+    data = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[i * nb:(i + 1) * nb], "little") for i in range(len(bits))]
+
+
+def _unpack(words: list[int], width: int) -> np.ndarray:
+    # the inverse of _pack: one row of ``width`` bits per int, as uint8
+    nb = (width + 7) // 8
+    data = b"".join(w.to_bytes(nb, "little") for w in words)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(words), nb)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _gf2_diagonalize(mat: np.ndarray, need_u: bool):
+    """:func:`local_diagonalize` at q = 2 on bit-packed Python ints: the
+    same pivot rule, so the same ``(exps, U, V, Vinv)`` as the numpy kernel.
+
+    Column c of the work matrix is one int, bit i being row i; V is kept
+    by columns and Vinv by rows, with column swaps as list swaps.  Rows of
+    the work matrix are never swapped.  A row that is zero on the remaining
+    block stays zero, and the kernel only ever swaps such a row with its
+    pivot row, so the rows still nonzero on the block keep their order:
+    the kernel's first nonzero row in row-major order is the lowest row,
+    not yet a pivot, that is nonzero on the block.  U is kept by physical
+    row, and the kernel's row order is tracked only to order U's rows.
+    """
     m, n = mat.shape
-    if n == 0:
-        return []
+    cols = _pack(np.mod(np.asarray(mat, dtype=np.int64), 2).astype(np.uint8).T)
+    v = [1 << c for c in range(n)]       # columns of V
+    vinv = [1 << c for c in range(n)]    # rows of Vinv
+    if need_u:
+        u = [1 << r for r in range(m)]   # rows of U, by physical row
+        at = list(range(m))              # the kernel's row order
+        where = list(range(m))
+    live = (1 << m) - 1                  # rows not yet a pivot
+    rank = 0
+    for t in range(min(m, n)):
+        acc = reduce(or_, cols[t:], 0) & live
+        if not acc:
+            break
+        low = acc & -acc                 # the pivot row's bit
+        bj = t
+        while not cols[bj] & low:
+            bj += 1
+        if bj != t:
+            cols[t], cols[bj] = cols[bj], cols[t]
+            v[t], v[bj] = v[bj], v[t]
+            vinv[t], vinv[bj] = vinv[bj], vinv[t]
+        live ^= low
+        rows = cols[t] & live            # the rows the pivot clears
+        vt, row_t = v[t], vinv[t]
+        for c in range(t + 1, n):
+            if cols[c] & low:
+                cols[c] ^= rows
+                v[c] ^= vt
+                row_t ^= vinv[c]
+        vinv[t] = row_t
+        if need_u:
+            r = low.bit_length() - 1
+            s, bi = at[t], where[r]
+            at[t], at[bi], where[r], where[s] = r, s, t, bi
+            ur = u[r]
+            while rows:
+                bit = rows & -rows
+                u[bit.bit_length() - 1] ^= ur
+                rows ^= bit
+        rank += 1
+    u_out = _unpack([u[r] for r in at], m).astype(np.int64) if need_u else None
+    return (
+        [0] * rank,
+        u_out,
+        _unpack(v, n).T.astype(np.int64, order="C"),
+        _unpack(vinv, n).astype(np.int64),
+    )
+
+
+def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Generators of {x in (Z/p^k)^n : mat.x = 0 mod p^k} (column kernel),
+    one row each: column j of V scaled by p^(k - a_j), for a_j > 0.  Some
+    rows may be zero."""
+    m, n = mat.shape
     if m == 0:
-        return [np.eye(n, dtype=np.int64)[:, j] for j in range(n)]
+        return np.eye(n, dtype=np.int64)
     exps, _, v, _ = local_diagonalize(mat, p, k, need_u=False)
-    gens = []
-    for j in range(n):
-        a = exps[j] if j < len(exps) else k
-        if a == 0:
-            continue
-        g = (v[:, j] * (p ** (k - a))) % q
-        if np.any(g):
-            gens.append(g)
-    return gens
+    a = exps + [k] * (n - len(exps))
+    keep = [j for j in range(n) if a[j] > 0]
+    # entries below q times p^(k-1): within the kernel's own refusal bound
+    scale = np.array([p ** (k - a[j]) for j in keep], dtype=np.int64)
+    return (v[:, keep] * scale % p**k).T
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +288,25 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     # residue mod m1*m2 agreeing with r1 mod m1 and r2 mod m2 (coprime)
     g = pow(m1, -1, m2)
     return (r1 + m1 * ((r2 - r1) * g % m2)) % (m1 * m2)
+
+
+def _lift_p_parts(stack, p: int, exps, moduli) -> np.ndarray:
+    """Entry (i, j) of an integer stack, read mod p^exps[j], lifted to the
+    residue mod moduli[j] that is 0 at every other prime (0 where exps[j]
+    is 0), as an int64 array of the stack's shape.
+
+    The lift is multiplication by the idempotent that is 1 mod p^e and 0
+    mod the cofactor.  When that product could reach 2^63 in some column,
+    the stack is multiplied on Python ints.
+    """
+    pe = [p**e for e in exps]
+    r = np.asarray(stack, dtype=np.int64) % np.array(pe, dtype=np.int64)
+    if pe == list(moduli):
+        return r  # every idempotent is 1
+    idem = [(m // q) * pow(m // q, -1, q) % m for m, q in zip(moduli, pe)]
+    dt = object if any((q - 1) * e >= 2**63 for q, e in zip(pe, idem)) else np.int64
+    lifted = r.astype(dt, copy=False) * np.array(idem, dtype=dt) % np.array(moduli, dtype=dt)
+    return lifted.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +378,10 @@ class _PrimarySubquotient:
             raise VerificationFailure("vector is not in the numerator subgroup")
         return y // self.pa
 
-    def rep(self, idx: int) -> np.ndarray:
-        # ambient vector of the generator of factor idx
+    def reps(self) -> np.ndarray:
+        # ambient vectors of the generators of the factors, one row each
         q = self.q
-        i = self.kept[idx]
-        y = (self.vinv_c[i, :] * self.pa) % q
+        y = (self.vinv_c[self.kept, :] * self.pa) % q
         return (y @ self.vinv_n) % q
 
     def classify(self, stack: np.ndarray) -> np.ndarray:
@@ -296,32 +403,22 @@ def subquotient(moduli, num_gens, den_gens) -> Subquotient:
     # align the per-prime factor lists so that the largest factors pair up
     length = max((len(e.factors) for e in engines), default=0)
     aligned: list[list[tuple[_PrimarySubquotient, int] | None]] = []
+    factors = [1] * length
+    reps = [[0] * len(moduli) for _ in range(length)]
     for e in engines:
-        pad: list[tuple[_PrimarySubquotient, int] | None] = [None] * (length - len(e.factors))
-        aligned.append(pad + [(e, i) for i in range(len(e.factors))])
-    factors = []
-    reps = []
-    for pos in range(length):
-        f = 1
-        rep = [0] * len(moduli)
-        for slot in (col[pos] for col in aligned):
-            if slot is None:
-                continue
-            engine, i = slot
-            f *= engine.factors[i]
-            part_rep = engine.rep(i)
-            for c, comp in enumerate(engine.part.comps):
-                m = moduli[comp]
-                pe = engine.part.prime ** engine.part.exps[c]
-                cof = m // pe
-                if cof == 1:
-                    rep[comp] = (rep[comp] + int(part_rep[c])) % m
-                else:
-                    # lift the p-part without touching the other primes
-                    add = _crt_pair(int(part_rep[c]) % pe, pe, 0, cof)
-                    rep[comp] = (rep[comp] + add) % m
-        factors.append(f)
-        reps.append(tuple(rep))
+        start = length - len(e.factors)
+        aligned.append([None] * start + [(e, i) for i in range(len(e.factors))])
+        if not e.factors:
+            continue
+        # lift the p-parts without touching the other primes, then add
+        # them up on Python ints
+        comps = e.part.comps
+        lifted = _lift_p_parts(e.reps(), e.part.prime, e.part.exps, [moduli[c] for c in comps])
+        for i, (f, row) in enumerate(zip(e.factors, lifted.tolist())):
+            factors[start + i] *= f
+            rep = reps[start + i]
+            for c, x in zip(comps, row):
+                rep[c] = (rep[c] + x) % moduli[c]
 
     def classify_many(vecs) -> tuple[Vector, ...]:
         stack = _as_stack(vecs, moduli)
@@ -346,7 +443,7 @@ def subquotient(moduli, num_gens, den_gens) -> Subquotient:
             out.append(tuple(coords))
         return tuple(out)
 
-    return Subquotient(moduli, tuple(factors), tuple(reps), classify_many)
+    return Subquotient(moduli, tuple(factors), tuple(map(tuple, reps)), classify_many)
 
 
 def subgroup_presentation(moduli, gens) -> Subquotient:
@@ -407,20 +504,10 @@ def congruence_kernel(rows, row_moduli, col_moduli) -> list[Vector]:
     exp_of, systems = _prime_systems(rows, row_moduli, col_moduli)
     out: list[Vector] = []
     for p, k, _, _, _, mat in systems:
-        for g in _kernel_gens_mod(mat, p, k):
-            # keep the p-part of each component, zero at the other primes
-            vec = []
-            for j, m in enumerate(col_moduli):
-                e = exp_of[j].get(p, 0)
-                if e == 0:
-                    vec.append(0)
-                    continue
-                pe = p**e
-                cof = m // pe
-                r = int(g[j]) % pe
-                vec.append(r if cof == 1 else _crt_pair(r, pe, 0, cof))
-            if any(vec):
-                out.append(tuple(vec))
+        # keep the p-part of each component, zero at the other primes
+        exps = [f.get(p, 0) for f in exp_of]
+        gens = _lift_p_parts(_kernel_gens_mod(mat, p, k), p, exps, col_moduli)
+        out.extend(tuple(g) for g in gens.tolist() if any(g))
     return out
 
 
@@ -507,31 +594,24 @@ class CongruenceSolver:
                     [(rhs[i] * s) % q for i, s in zip(keep, scales)], dtype=np.int64
                 )
                 ub = (u @ vec) % q
+                pa = np.array([p**a for a in exps] + [q] * (nrows - len(exps)), dtype=np.int64)
+                if np.any(ub % pa):
+                    return None
                 z = np.zeros(self.n, dtype=np.int64)
-                for i in range(nrows):
-                    a = exps[i] if i < len(exps) else k
-                    pa = p**a
-                    if int(ub[i]) % pa != 0:
-                        return None
-                    if i < self.n:
-                        z[i] = int(ub[i]) // pa
+                top = min(nrows, self.n)
+                z[:top] = ub[:top] // pa[:top]
                 xp = (v @ z) % q
             else:
                 xp = np.zeros(self.n, dtype=np.int64)
-            for j, mm in enumerate(self.col_moduli):
-                e = self.exp_of[j].get(p, 0)
-                if e == 0:
-                    continue
-                pe = p**e
-                cof = mm // pe
-                r = int(xp[j]) % pe
-                add = r if cof == 1 else _crt_pair(r, pe, 0, cof)
-                solution[j] = (solution[j] + add) % mm
+            col_exps = [f.get(p, 0) for f in self.exp_of]
+            lifted = _lift_p_parts(xp[None, :], p, col_exps, self.col_moduli)[0].tolist()
+            solution = [(s + x) % m for s, x, m in zip(solution, lifted, self.col_moduli)]
+        solution = tuple(solution)
         # verify (cheap, and guards the p-free corner cases)
         for row, b, mm in zip(self.rows, rhs, self.row_moduli):
             if (sum(c * x for c, x in zip(row, solution)) - b) % mm != 0:
                 return None
-        return tuple(solution)
+        return solution
 
 
 def solve_congruence(rows, row_moduli, col_moduli, rhs) -> Vector | None:

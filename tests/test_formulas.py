@@ -441,6 +441,31 @@ def test_exactness_with_nontrivial_tail_action(zoo):
     assert [t.factors for t in seq.terms] == [(3,), (3, 3), (3, 3), (3,)]
 
 
+def test_each_distinct_fiber_module_is_presented_once(zoo, monkeypatch):
+    # A4, D4 and three copies of the V4 tail: five fibers, three modules
+    a4 = gr.group_from_generators(4, [(1, 2, 0, 3), (1, 0, 3, 2)])
+    d4, v4 = zoo["D4"], zoo["V4"]
+    spec = fam.family(
+        [("a4", a4, gr.trivial_subgroup(a4)), ("d4", d4, gr.trivial_subgroup(d4))],
+        tail=(v4, gr.full_subgroup(v4)),
+    )
+    module = fp.FamilyModule.build(FAG((2, 2)))
+    trunc = fam.truncate(spec, 3)
+    calls = []
+    original = fp.fixed_elements
+
+    def counted(coeff, mods):
+        calls.append(tuple(mods))
+        return original(coeff, calls[-1])
+
+    monkeypatch.setattr(fp, "fixed_elements", counted)
+    seq = fp.four_term_sequence(trunc, module)
+    # one call for the oracle's A^G over all five fibers, then one per module
+    assert [len(mods) for mods in calls] == [5, 1, 1, 1]
+    assert len({mods[0] for mods in calls[1:]}) == 3
+    assert len(trunc.fibers) == 5 and fp.check_exactness(seq).passed
+
+
 def test_family_module_prefers_exceptional_actions(zoo):
     # an exceptional fiber that happens to be named like a tail copy
     # still gets its own action

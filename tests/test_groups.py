@@ -197,6 +197,57 @@ def test_generating_sets(zoo):
     assert len(gr.generating_set(zoo["Heis27"])) == 2
 
 
+def reference_generating_set(g):
+    """The greedy loop of :func:`gr.generating_set` with a validated
+    Subgroup per candidate, kept to pin the generators it chooses."""
+    if g.order == 1:
+        return ()
+    gens, closure = [], {g.identity}
+    if g.order <= 128:
+        cent = {
+            x: sum(1 for y in range(g.order) if g.mul(x, y) == g.mul(y, x))
+            for x in range(g.order)
+        }
+        while len(closure) < g.order:
+            best, best_key = None, None
+            for x in range(g.order):
+                if x in closure:
+                    continue
+                size = len(gr.subgroup_from_generators(g, gens + [x]).elements)
+                key = (-size, cent[x], x)
+                if best_key is None or key < best_key:
+                    best, best_key = x, key
+            gens.append(best)
+            closure = set(gr.subgroup_from_generators(g, gens).elements)
+        return tuple(gens)
+    order = {x: g.element_order(x) for x in range(g.order)}
+    for x in sorted(range(g.order), key=lambda x: (-order[x], x)):
+        if x in closure:
+            continue
+        gens.append(x)
+        closure = set(gr.subgroup_from_generators(g, gens).elements)
+        if len(closure) == g.order:
+            break
+    return tuple(gens)
+
+
+def test_generating_set_matches_the_reference_loop(zoo):
+    from corprod.corpus import _zoo
+
+    groups = {
+        "A4": gr.group_from_generators(4, [(1, 2, 0, 3), (1, 0, 3, 2)]),
+        "S4": gr.symmetric_group(4),
+        "D16": gr.dihedral_group(16),
+        "Q8": gr.quaternion_group(),
+        "C2^5": gr.abelian_group_from_factors((2,) * 5),
+        "C2^8": gr.abelian_group_from_factors((2,) * 8),  # past the greedy search
+        **{f"corpus-{k}": g for k, g in _zoo().items()},
+        **zoo,
+    }
+    for name, g in groups.items():
+        assert gr.generating_set(g) == reference_generating_set(g), name
+
+
 def test_generators_and_abelianization_are_computed_once(monkeypatch):
     from corprod.cohomology import trivial_module
     from corprod.abelian import FiniteAbelianGroup as FAG

@@ -1,5 +1,6 @@
 """The numpy mod-p^k engines against their pure-integer counterparts."""
 
+import functools
 import itertools
 import math
 import random
@@ -147,6 +148,109 @@ def test_local_diagonalize_properties():
                 assert d[i][j] == want
         assert np.array_equal((v @ vinv) % q, np.eye(n, dtype=np.int64) % q)
         assert exps == sorted(exps)
+
+
+def assert_same_transforms(got, want):
+    assert got[0] == want[0]
+    for x, y in zip(got[1:], want[1:]):
+        if y is None:
+            assert x is None
+        else:
+            assert x.dtype == y.dtype == np.int64 and x.shape == y.shape
+            assert np.array_equal(x, y)
+
+
+def random_bits(rng, m, n, density=0.5):
+    return np.array(
+        [[int(rng.random() < density) for _ in range(n)] for _ in range(m)], dtype=np.int64
+    ).reshape(m, n)
+
+
+def invertible_bits(rng, n):
+    # lower times upper unitriangular is invertible mod 2
+    low = np.tril(random_bits(rng, n, n), -1) + np.eye(n, dtype=np.int64)
+    up = np.triu(random_bits(rng, n, n), 1) + np.eye(n, dtype=np.int64)
+    return (low @ up) % 2
+
+
+@functools.cache
+def gf2_cases():
+    rng = random.Random(11)
+    dup = random_bits(rng, 12, 9)
+    dup[[3, 7, 10]] = dup[1]
+    wide = np.hstack([np.eye(20, dtype=np.int64), random_bits(rng, 20, 30)])
+    cases = {
+        "0x5": np.zeros((0, 5), dtype=np.int64),
+        "5x0": np.zeros((5, 0), dtype=np.int64),
+        "0x0": np.zeros((0, 0), dtype=np.int64),
+        "zero": np.zeros((7, 9), dtype=np.int64),
+        "identity": np.eye(8, dtype=np.int64),
+        "invertible": invertible_bits(rng, 40),
+        "full-row-rank": wide[:, rng.sample(range(50), 50)],
+        "duplicate-rows": dup,
+        "odd-and-negative": random_bits(rng, 9, 7) * 3 - random_bits(rng, 9, 7) * 4,
+        "300x150": random_bits(rng, 300, 150),
+        "150x300": random_bits(rng, 150, 300, density=0.1),
+    }
+    for a, b in itertools.product((63, 64, 65, 127, 128, 129), repeat=2):
+        if abs(a - b) <= 1 or {a, b} in ({63, 129}, {64, 128}):
+            cases[f"{a}x{b}"] = random_bits(rng, a, b, density=rng.choice([0.05, 0.5]))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(gf2_cases()))
+def test_gf2_kernel_matches_numpy_kernel(name):
+    mat = gf2_cases()[name]
+    for need_u in (True, False):
+        want = modular._zq_diagonalize(mat, 2, 1, need_u)
+        assert_same_transforms(modular._gf2_diagonalize(mat, need_u), want)
+        assert_same_transforms(modular.local_diagonalize(mat, 2, 1, need_u), want)
+
+
+def test_gf2_kernel_matches_numpy_kernel_on_random_bits(monkeypatch):
+    rng = random.Random(12)
+    cases = [random_bits(rng, rng.randint(0, 40), rng.randint(0, 40), rng.random()) for _ in range(300)]
+    want = [modular._zq_diagonalize(mat, 2, 1, i % 2 == 0) for i, mat in enumerate(cases)]
+    # q = 2 never reaches the numpy kernel
+    monkeypatch.setattr(modular, "_zq_diagonalize", None)
+    for i, mat in enumerate(cases):
+        assert_same_transforms(modular.local_diagonalize(mat, 2, 1, i % 2 == 0), want[i])
+
+
+# moduli below 2^63 with their factorizations; the first three have
+# p-parts whose lifts pass 2^63 when multiplied out in int64
+LIFT_MODULI = {
+    3 * (2**61 - 1): {3: 1, 2**61 - 1: 1},
+    2**40 * 3**13: {2: 40, 3: 13},
+    5**3 * 7 * (2**31 - 1) * 11 * 13 * 17 * 19: {5: 3, 7: 1, 2**31 - 1: 1, 11: 1, 13: 1, 17: 1, 19: 1},
+    (2**31 - 1) ** 2: {2**31 - 1: 2},
+    2**62: {2: 62},
+    12: {2: 2, 3: 1},
+    7: {7: 1},
+}
+
+
+def test_lifted_p_parts_match_crt_pair():
+    rng = random.Random(13)
+    moduli = list(LIFT_MODULI)
+    primes = sorted({p for fac in LIFT_MODULI.values() for p in fac})
+    stack = np.array(
+        [[rng.randrange(2**63) for _ in moduli] for _ in range(6)] + [[0] * len(moduli)],
+        dtype=np.int64,
+    )
+    total = [[0] * len(moduli) for _ in stack]
+    for p in primes:
+        exps = [LIFT_MODULI[m].get(p, 0) for m in moduli]
+        lifted = modular._lift_p_parts(stack, p, exps, moduli)
+        assert lifted.dtype == np.int64
+        for row, out in zip(stack.tolist(), lifted.tolist()):
+            for r, m, e, x in zip(row, moduli, exps, out):
+                pe = p**e
+                assert x == (modular._crt_pair(r % pe, pe, 0, m // pe) if e else 0)
+        for row, out in zip(total, lifted.tolist()):
+            row[:] = [(t + x) % m for t, x, m in zip(row, out, moduli)]
+    # the p-parts of every prime add up to the residue itself
+    assert total == [[r % m for r, m in zip(row, moduli)] for row in stack.tolist()]
 
 
 def test_congruence_kernel_matches_integer_oracle():
