@@ -342,7 +342,7 @@ def cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> Cohomolog
     return _cohomology_cached(m, degree, cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=modular.MEMO_SIZE)
 def _cohomology_cached(m: GModule, degree: int, cap: int) -> CohomologyGroup:
     _check_cap(m, degree, cap)
     if degree == 1:

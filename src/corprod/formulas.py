@@ -106,7 +106,7 @@ class FamilyModule:
         return self.tail_gmodule(group).is_trivial_action()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=modular.MEMO_SIZE)
 def _gmodule(group: FiniteGroup, coeff: FiniteAbelianGroup, action) -> GModule:
     """The module, built once per argument triple; ``action=None`` is the
     trivial action."""
@@ -163,7 +163,7 @@ def direct_sum_chart(blocks) -> DirectSumChart:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=modular.MEMO_SIZE)
 def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP):
     """All crossed homomorphisms f: G -> A by exhaustive search on
     generator values plus consistency checks over the Cayley graph."""

@@ -31,12 +31,26 @@ max(m, n) terms below q, so an m x n system is refused with
 reaches 2^63; every entry point refuses a modulus of 2^63 or more before
 factoring it.  A pure integer fallback (``subquotient_int``) built on the
 Smith normal form is kept as an independent oracle for the tests.
+
+``subquotient`` is memoized: the same subgroups are presented many times
+over (rebuilt but equal ``AbSubgroup``s, the quotients of the oracle and
+of the direct-sum charts), so once the moduli are checked and the
+generators stacked, the presentation is looked up in an
+``lru_cache`` of ``MEMO_SIZE`` entries keyed by the moduli and the
+int64 stacks exactly as given, not reduced.  A hit is therefore exactly
+what a miss would compute, and the shared ``Subquotient`` is frozen with
+read-only arrays.  A refusal or a failed membership check raises again
+on every call, as ``lru_cache`` keeps no exception.  The oracles
+``subquotient_int`` and ``congruence_kernel_int`` are not memoized, nor
+is ``congruence_kernel``: its callers rarely repeat a system, and keys
+holding whole cocycle systems would keep them alive for nothing.
+``MEMO_SIZE`` bounds every other input-keyed cache of the package too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable
 
@@ -45,6 +59,12 @@ import numpy as np
 from . import lattice
 from .errors import SizeCapExceeded, VerificationFailure
 from .lattice import Vector, factorint
+
+# The bound of every input-keyed cache in the package.  It lives beside
+# the ``subquotient`` memo, the cache it was sized for (about 300 entries
+# on a full corpus run); the caches of cohomology, formulas and
+# presentation import it from here, and this module imports none of them.
+MEMO_SIZE = 1024
 
 # narrowest signed dtype whose maximum holds (q-1)^2, as (dtype, maximum)
 _STORAGE = ((np.int8, 2**7 - 1), (np.int16, 2**15 - 1), (np.int32, 2**31 - 1))
@@ -71,25 +91,29 @@ def check_moduli(moduli, what: str = "modulus") -> None:
             raise SizeCapExceeded(f"{what} {m} >= 2^63, beyond exact int64 arithmetic")
 
 
-def local_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool = True):
+def local_diagonalize(
+    mat: np.ndarray, p: int, k: int, need_u: bool = True, need_vinv: bool = True
+):
     """Diagonalize ``mat`` over Z/p^k: U.M.V = diag(p^a_i) with U, V
     invertible mod p^k.
 
     Returns ``(exps, U, V, Vinv)`` where ``exps[i]`` is the valuation of
     the i-th diagonal entry (k encodes a zero block).  With
     ``need_u=False`` the (potentially large) U is not tracked and None
-    is returned in its place.  The pivot at each step is the first entry
-    of least valuation, in row-major order, of the remaining block.
+    is returned in its place, and likewise Vinv with ``need_vinv=False``;
+    the other outputs do not depend on either flag.  The pivot at each
+    step is the first entry of least valuation, in row-major order, of
+    the remaining block.
     """
     q = p**k
     m, n = mat.shape
     check_int64_products(q - 1, max(m, n), f"modulus q={q}")
     if q == 2:
-        return _gf2_diagonalize(mat, need_u)
-    return _zq_diagonalize(mat, p, k, need_u)
+        return _gf2_diagonalize(mat, need_u, need_vinv)
+    return _zq_diagonalize(mat, p, k, need_u, need_vinv)
 
 
-def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool):
+def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool, need_vinv: bool = True):
     """The numpy kernel of :func:`local_diagonalize`, for any q = p^k."""
     q = p**k
     m, n = mat.shape
@@ -97,7 +121,7 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool):
     a = np.mod(np.asarray(mat, dtype=np.int64), q).astype(dt, copy=False)
     u = np.eye(m, dtype=dt) if need_u else None
     v = np.eye(n, dtype=dt)
-    vinv = np.eye(n, dtype=dt)
+    vinv = np.eye(n, dtype=dt) if need_vinv else None
     exps: list[int] = []
     for t in range(min(m, n)):
         block = a[t:, t:]
@@ -117,7 +141,8 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool):
         if bj != t:
             a[t:, [t, bj]] = a[t:, [bj, t]]
             v[:, [t, bj]] = v[:, [bj, t]]
-            vinv[[t, bj], :] = vinv[[bj, t], :]
+            if need_vinv:
+                vinv[[t, bj], :] = vinv[[bj, t], :]
         pj = p**j
         inv = pow(int(a[t, t]) // pj, -1, q)
         if inv != 1:
@@ -139,10 +164,12 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool):
             # col_j -= w_j * col_t;  inverse acts on Vinv as row_t += w . rows
             w = a[t, cols] // pj
             v[:, cols] = (v[:, cols] - v[:, t, None] * w) % q
-            vinv[t, :] = (vinv[t, :] + w.astype(np.int64) @ vinv[cols, :]) % q
+            if need_vinv:
+                vinv[t, :] = (vinv[t, :] + w.astype(np.int64) @ vinv[cols, :]) % q
         exps.append(j)
     u = u.astype(np.int64, copy=False) if need_u else None
-    return exps, u, v.astype(np.int64, copy=False), vinv.astype(np.int64, copy=False)
+    vinv = vinv.astype(np.int64, copy=False) if need_vinv else None
+    return exps, u, v.astype(np.int64, copy=False), vinv
 
 
 def _pack(bits: np.ndarray) -> list[int]:
@@ -160,7 +187,7 @@ def _unpack(words: list[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
-def _gf2_diagonalize(mat: np.ndarray, need_u: bool):
+def _gf2_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
     """:func:`local_diagonalize` at q = 2 on bit-packed Python ints: the
     same pivot rule, so the same ``(exps, U, V, Vinv)`` as the numpy kernel.
 
@@ -176,7 +203,7 @@ def _gf2_diagonalize(mat: np.ndarray, need_u: bool):
     m, n = mat.shape
     cols = _pack(np.mod(np.asarray(mat, dtype=np.int64), 2).astype(np.uint8).T)
     v = [1 << c for c in range(n)]       # columns of V
-    vinv = [1 << c for c in range(n)]    # rows of Vinv
+    vinv = [1 << c for c in range(n)] if need_vinv else None  # rows of Vinv
     if need_u:
         u = [1 << r for r in range(m)]   # rows of U, by physical row
         at = list(range(m))              # the kernel's row order
@@ -194,16 +221,19 @@ def _gf2_diagonalize(mat: np.ndarray, need_u: bool):
         if bj != t:
             cols[t], cols[bj] = cols[bj], cols[t]
             v[t], v[bj] = v[bj], v[t]
-            vinv[t], vinv[bj] = vinv[bj], vinv[t]
+            if need_vinv:
+                vinv[t], vinv[bj] = vinv[bj], vinv[t]
         live ^= low
         rows = cols[t] & live            # the rows the pivot clears
-        vt, row_t = v[t], vinv[t]
+        vt, row_t = v[t], (vinv[t] if need_vinv else 0)
         for c in range(t + 1, n):
             if cols[c] & low:
                 cols[c] ^= rows
                 v[c] ^= vt
-                row_t ^= vinv[c]
-        vinv[t] = row_t
+                if need_vinv:
+                    row_t ^= vinv[c]
+        if need_vinv:
+            vinv[t] = row_t
         if need_u:
             r = low.bit_length() - 1
             s, bi = at[t], where[r]
@@ -219,7 +249,7 @@ def _gf2_diagonalize(mat: np.ndarray, need_u: bool):
         [0] * rank,
         u_out,
         _unpack(v, n).T.astype(np.int64, order="C"),
-        _unpack(vinv, n).astype(np.int64),
+        _unpack(vinv, n).astype(np.int64) if need_vinv else None,
     )
 
 
@@ -230,7 +260,7 @@ def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> np.ndarray:
     m, n = mat.shape
     if m == 0:
         return np.eye(n, dtype=np.int64)
-    exps, _, v, _ = local_diagonalize(mat, p, k, need_u=False)
+    exps, _, v, _ = local_diagonalize(mat, p, k, need_u=False, need_vinv=False)
     a = exps + [k] * (n - len(exps))
     keep = [j for j in range(n) if a[j] > 0]
     # entries below q times p^(k-1): within the kernel's own refusal bound
@@ -256,11 +286,9 @@ class _PrimePart:
 
 
 def _prime_parts(moduli) -> list[_PrimePart]:
-    check_moduli(moduli)
+    # the moduli have been checked by ``subquotient``
     primes: dict[int, dict[int, int]] = {}
     for j, m in enumerate(moduli):
-        if m <= 0:
-            raise ValueError("coordinate moduli must be positive")
         for p, e in factorint(m).items():
             primes.setdefault(p, {})[j] = e
     out = []
@@ -314,7 +342,7 @@ def _lift_p_parts(stack, p: int, exps, moduli) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Subquotient:
     """Presentation of N/D for subgroups D <= N of prod Z/moduli.
 
@@ -347,65 +375,85 @@ class Subquotient:
 
 
 class _PrimarySubquotient:
-    """The p-primary engine behind :class:`Subquotient`."""
+    """The p-primary engine behind :class:`Subquotient`: what ``classify``
+    reads, and nothing else.  Its arrays are read-only, since one engine
+    may serve many callers (see ``subquotient``)."""
 
-    def __init__(self, part: _PrimePart, num: np.ndarray, den: np.ndarray):
-        p, k = part.prime, part.k
-        q = p**k
-        n = len(part.comps)
-        self.part, self.q = part, q
-        relation_rows = np.diag([p**e for e in part.exps]).astype(np.int64)
-        num_mat = np.vstack([part.project(num), relation_rows])
-        exps, _, v_n, vinv_n = local_diagonalize(num_mat, p, k, need_u=False)
-        # pad the diagonal to full width; missing columns are zero mod q
-        self.a = [exps[i] if i < len(exps) else k for i in range(n)]
-        self.v_n, self.vinv_n = v_n, vinv_n
-        self.pa = np.array([p**ai for ai in self.a], dtype=np.int64)
-        # coordinates of the denominator in the basis p^{a_i} * Vinv_n[i]
-        den_mat = np.vstack([part.project(den), relation_rows])
-        c_mat = np.vstack([self._coords_in_basis(den_mat), np.diag(q // self.pa)])
-        b_exps, _, v_c, vinv_c = local_diagonalize(c_mat, p, k, need_u=False)
-        self.b = [b_exps[i] if i < len(b_exps) else k for i in range(n)]
-        self.v_c, self.vinv_c = v_c, vinv_c
-        self.kept = [i for i in range(n) if self.b[i] > 0]
-        self.factors = tuple(self.part.prime ** self.b[i] for i in self.kept)
-
-    def _coords_in_basis(self, d: np.ndarray) -> np.ndarray:
-        # one row per vector; the kernel's refusal of num_mat covers these
-        # length-n products of entries below q
-        y = (d @ self.v_n) % self.q
-        if np.any(y % self.pa):
-            raise VerificationFailure("vector is not in the numerator subgroup")
-        return y // self.pa
-
-    def reps(self) -> np.ndarray:
-        # ambient vectors of the generators of the factors, one row each
-        q = self.q
-        y = (self.vinv_c[self.kept, :] * self.pa) % q
-        return (y @ self.vinv_n) % q
+    def __init__(self, part: _PrimePart, v_n, pa, v_kept, factors: tuple[int, ...]):
+        self.part, self.q = part, part.prime**part.k
+        self.v_n, self.pa, self.v_kept, self.factors = v_n, pa, v_kept, factors
+        for arr in (v_n, pa, v_kept):
+            arr.flags.writeable = False
 
     def classify(self, stack: np.ndarray) -> np.ndarray:
         # coordinates of every row of an ambient int64 stack, one row each
-        y = self._coords_in_basis(self.part.project(stack))
-        z = (y @ self.v_c[:, self.kept]) % self.q
+        y = _coords_in_basis(self.part.project(stack), self.v_n, self.pa, self.q)
+        z = (y @ self.v_kept) % self.q
         return z % np.array(self.factors, dtype=np.int64)
+
+
+def _coords_in_basis(d: np.ndarray, v_n: np.ndarray, pa: np.ndarray, q: int) -> np.ndarray:
+    # coordinates of the rows of d in the basis p^{a_i} * Vinv_n[i]; the
+    # kernel's refusal of the numerator covers these length-n products of
+    # entries below q
+    y = (d @ v_n) % q
+    if np.any(y % pa):
+        raise VerificationFailure("vector is not in the numerator subgroup")
+    return y // pa
+
+
+def _present_prime(part: _PrimePart, num: np.ndarray, den: np.ndarray):
+    """The p-primary engine of <num>/<den>, and the ambient vectors of the
+    generators of its factors, one row each.  The vectors are read once,
+    while the primes are glued, so the engine does not keep them."""
+    p, k = part.prime, part.k
+    q = p**k
+    n = len(part.comps)
+    relation_rows = np.diag([p**e for e in part.exps]).astype(np.int64)
+    num_mat = np.vstack([part.project(num), relation_rows])
+    exps, _, v_n, vinv_n = local_diagonalize(num_mat, p, k, need_u=False)
+    # pad the diagonal to full width; missing columns are zero mod q
+    a = [exps[i] if i < len(exps) else k for i in range(n)]
+    pa = np.array([p**ai for ai in a], dtype=np.int64)
+    den_mat = np.vstack([part.project(den), relation_rows])
+    c_mat = np.vstack([_coords_in_basis(den_mat, v_n, pa, q), np.diag(q // pa)])
+    b_exps, _, v_c, vinv_c = local_diagonalize(c_mat, p, k, need_u=False)
+    b = [b_exps[i] if i < len(b_exps) else k for i in range(n)]
+    kept = [i for i in range(n) if b[i] > 0]
+    engine = _PrimarySubquotient(part, v_n, pa, v_c[:, kept], tuple(p ** b[i] for i in kept))
+    y = (vinv_c[kept, :] * pa) % q
+    return engine, (y @ vinv_n) % q
 
 
 def subquotient(moduli, num_gens, den_gens) -> Subquotient:
     """Present the quotient of subgroups <num_gens> / <den_gens> of
     prod Z/moduli.  The denominator must be contained in the numerator.
+
+    The presentation is memoized on the int64 stacks of the generators
+    exactly as given, so equal inputs share one immutable result.
     """
     moduli = tuple(int(m) for m in moduli)
-    parts = _prime_parts(moduli)
+    check_moduli(moduli)
+    if any(m <= 0 for m in moduli):
+        raise ValueError("coordinate moduli must be positive")
     num, den = _as_stack(num_gens, moduli), _as_stack(den_gens, moduli)
-    engines = [_PrimarySubquotient(part, num, den) for part in parts]
+    return _subquotient_cached(moduli, len(num), num.tobytes(), len(den), den.tobytes())
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _subquotient_cached(moduli, n_num: int, num_bytes: bytes, n_den: int, den_bytes: bytes):
+    n = len(moduli)
+    num = np.frombuffer(num_bytes, dtype=np.int64).reshape(n_num, n)
+    den = np.frombuffer(den_bytes, dtype=np.int64).reshape(n_den, n)
+    presented = [_present_prime(part, num, den) for part in _prime_parts(moduli)]
+    engines = [e for e, _ in presented]
 
     # align the per-prime factor lists so that the largest factors pair up
     length = max((len(e.factors) for e in engines), default=0)
     aligned: list[list[tuple[_PrimarySubquotient, int] | None]] = []
     factors = [1] * length
     reps = [[0] * len(moduli) for _ in range(length)]
-    for e in engines:
+    for e, e_reps in presented:
         start = length - len(e.factors)
         aligned.append([None] * start + [(e, i) for i in range(len(e.factors))])
         if not e.factors:
@@ -413,7 +461,7 @@ def subquotient(moduli, num_gens, den_gens) -> Subquotient:
         # lift the p-parts without touching the other primes, then add
         # them up on Python ints
         comps = e.part.comps
-        lifted = _lift_p_parts(e.reps(), e.part.prime, e.part.exps, [moduli[c] for c in comps])
+        lifted = _lift_p_parts(e_reps, e.part.prime, e.part.exps, [moduli[c] for c in comps])
         for i, (f, row) in enumerate(zip(e.factors, lifted.tolist())):
             factors[start + i] *= f
             rep = reps[start + i]
@@ -453,9 +501,8 @@ def subgroup_presentation(moduli, gens) -> Subquotient:
 
 def quotient_presentation(moduli, den_gens) -> Subquotient:
     """Structure of (prod Z/moduli) / <den_gens>, with coordinate map."""
-    n = len(moduli)
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return subquotient(moduli, basis, list(den_gens))
+    # the identity as an array: a memo hit then costs no Python loop over it
+    return subquotient(moduli, np.eye(len(moduli), dtype=np.int64), list(den_gens))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +627,7 @@ class CongruenceSolver:
         self.systems = []
         for p, k, q, keep, scales, mat in systems:
             if mat.shape[0]:
-                exps, u, v, _ = local_diagonalize(mat, p, k)
+                exps, u, v, _ = local_diagonalize(mat, p, k, need_vinv=False)
             else:
                 exps, u, v = [], np.zeros((0, 0), dtype=np.int64), np.eye(n, dtype=np.int64)
             self.systems.append((p, k, q, keep, scales, exps, u, v, mat.shape[0]))

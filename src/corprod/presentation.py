@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import VerificationFailure
 from .groups import FiniteGroup
+from .modular import MEMO_SIZE
 
 Word = tuple[int, ...]  # +(i+1) = generator i, -(i+1) = its inverse
 
@@ -198,7 +199,7 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def free_presentation(group: FiniteGroup) -> FreePresentation:
     gens = group.generators
     n = group.order

@@ -1,15 +1,21 @@
 """The numpy mod-p^k engines against their pure-integer counterparts."""
 
+import dataclasses
 import functools
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corprod
 from corprod import lattice, modular
 from corprod.errors import SizeCapExceeded, VerificationFailure
 
@@ -125,6 +131,13 @@ def test_local_diagonalize_matches_seed_kernel():
         for x, y in zip(got[1:], want[1:]):
             if y is not None:
                 assert x.dtype == np.int64 and np.array_equal(x, y)
+        # skipping Vinv changes nothing else
+        skip = modular.local_diagonalize(mat, p, k, need_u, False)
+        assert skip[0] == want[0] and skip[3] is None
+        for x, y in zip(skip[1:3], want[1:3]):
+            assert (x is None) == (y is None)
+            if y is not None:
+                assert x.dtype == np.int64 and np.array_equal(x, y)
 
 
 def test_local_diagonalize_properties():
@@ -205,6 +218,11 @@ def test_gf2_kernel_matches_numpy_kernel(name):
         want = modular._zq_diagonalize(mat, 2, 1, need_u)
         assert_same_transforms(modular._gf2_diagonalize(mat, need_u), want)
         assert_same_transforms(modular.local_diagonalize(mat, 2, 1, need_u), want)
+        # without Vinv both kernels return the same exps, U and V
+        skip = want[:3] + (None,)
+        assert_same_transforms(modular._zq_diagonalize(mat, 2, 1, need_u, False), skip)
+        assert_same_transforms(modular._gf2_diagonalize(mat, need_u, False), skip)
+        assert_same_transforms(modular.local_diagonalize(mat, 2, 1, need_u, False), skip)
 
 
 def test_gf2_kernel_matches_numpy_kernel_on_random_bits(monkeypatch):
@@ -215,6 +233,8 @@ def test_gf2_kernel_matches_numpy_kernel_on_random_bits(monkeypatch):
     monkeypatch.setattr(modular, "_zq_diagonalize", None)
     for i, mat in enumerate(cases):
         assert_same_transforms(modular.local_diagonalize(mat, 2, 1, i % 2 == 0), want[i])
+        skip = want[i][:3] + (None,)
+        assert_same_transforms(modular.local_diagonalize(mat, 2, 1, i % 2 == 0, False), skip)
 
 
 # moduli below 2^63 with their factorizations; the first three have
@@ -318,11 +338,7 @@ def subquotient_stacks(draw):
     return moduli, num, den, stack
 
 
-@settings(max_examples=200, deadline=None)
-@given(subquotient_stacks())
-def test_classify_many_matches_the_integer_oracle(case):
-    moduli, num, den, stack = case
-    fast = modular.subquotient(moduli, num, den)
+def assert_matches_the_oracle(fast, moduli, num, den, stack):
     slow = modular.subquotient_int(moduli, num, den)
     assert fast.factors == slow.factors
     coords = fast.classify_many(stack)
@@ -337,6 +353,101 @@ def test_classify_many_matches_the_integer_oracle(case):
             sum(c * rep[j] for c, rep in zip(row, fast.reps)) % m for j, m in enumerate(moduli)
         )
         assert slow.classify(lifted) == slow.classify(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subquotient_stacks(), st.booleans())
+def test_classify_many_matches_the_integer_oracle(case, again):
+    moduli, num, den, stack = case
+    if again:
+        # the call below is then a memo hit
+        modular.subquotient(moduli, num, den)
+    assert_matches_the_oracle(modular.subquotient(moduli, num, den), moduli, num, den, stack)
+
+
+def memo_info():
+    return modular._subquotient_cached.cache_info()
+
+
+def test_subquotient_memo_keys_on_the_int64_stacks():
+    moduli, num, den = (4, 6, 9), ((2, 3, 3), (1, 0, 6), (0, 2, 0)), ((2, 5, 3),)
+    stack = [(3, 2, 6), (0, 4, 0), (2, 5, 3)]
+    modular._subquotient_cached.cache_clear()
+    first = modular.subquotient(moduli, num, den)
+    again = modular.subquotient(
+        np.array(moduli), np.array(num, dtype=np.int64), np.array(den, dtype=np.int64)
+    )
+    # nested tuples and int64 arrays of the same entries are one cache entry
+    info = memo_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert again is first
+    assert again.factors == first.factors and again.reps == first.reps
+    assert again.classify_many(stack) == first.classify_many(stack)
+    assert_matches_the_oracle(again, moduli, num, den, stack)
+
+
+def test_subquotient_memo_keeps_residues_apart():
+    # equal mod the moduli, but not equal as given: two entries, both right
+    moduli, stack = (4, 6), [(1, 2), (2, 4), (3, 0)]
+    cases = [([(1, 2)], [(2, 4)]), ([(5, 2)], [(2, -2)])]
+    modular._subquotient_cached.cache_clear()
+    presented = [modular.subquotient(moduli, num, den) for num, den in cases]
+    assert presented[0] is not presented[1]
+    assert memo_info().currsize == 2
+    assert modular.subquotient(moduli, *cases[1]) is presented[1]
+    for sq, (num, den) in zip(presented, cases):
+        assert_matches_the_oracle(sq, moduli, num, den, stack)
+
+
+def test_subquotient_memo_caches_no_refusal():
+    q = 2**31 - 1
+    refusals = [
+        # a denominator outside the numerator
+        (VerificationFailure, "not in the numerator", ((4, 4), [(2, 0)], [(1, 0)])),
+        # a modulus from 2^63, and a 3 x 2 system mod q past the int64 bound
+        (SizeCapExceeded, r"2\^63", ((2**63, 3), [(1, 1)], [])),
+        (SizeCapExceeded, r"2\^63", ((q, q), [(1, 2)], [])),
+    ]
+    for error, match, args in refusals:
+        for _ in range(2):
+            size = memo_info().currsize
+            with pytest.raises(error, match=match):
+                modular.subquotient(*args)
+            assert memo_info().currsize == size
+
+
+def test_a_shared_subquotient_is_immutable():
+    sq = modular.subquotient((4, 6), [(1, 1), (2, 3)], [(0, 3)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sq.factors = (2,)
+    engines = [
+        e for cell in sq._classify_many.__closure__ if isinstance(cell.cell_contents, list)
+        for e in cell.cell_contents if isinstance(e, modular._PrimarySubquotient)
+    ]
+    assert len(engines) == 2
+    for e in engines:
+        for arr in (e.v_n, e.pa, e.v_kept):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+def test_every_corprod_cache_is_bounded():
+    # found as the benchmark's tracer finds them: callables with cache_info
+    # bound by a corprod module
+    for info in pkgutil.iter_modules(corprod.__path__):
+        importlib.import_module(f"corprod.{info.name}")
+    caches = {
+        id(value): value
+        for name, mod in sys.modules.items()
+        if name == "corprod" or name.startswith("corprod.")
+        for value in vars(mod).values()
+        if callable(getattr(value, "cache_info", None))
+    }
+    assert modular._subquotient_cached in caches.values()
+    for cache in caches.values():
+        # a cache of a function without arguments holds one entry at most
+        if inspect.signature(cache.__wrapped__).parameters:
+            assert cache.cache_parameters()["maxsize"] == modular.MEMO_SIZE, cache.__qualname__
 
 
 def test_classify_many_refuses_a_stack_with_one_outsider():
