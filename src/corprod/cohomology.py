@@ -52,6 +52,7 @@ import numpy as np
 from . import lattice, modular
 from .abelian import AbHom, AbSubgroup, FiniteAbelianGroup
 from .errors import (
+    MEMO_SIZE,
     InvariantViolation,
     PreconditionError,
     SizeCapExceeded,
@@ -111,9 +112,8 @@ class GModule:
         if not np.array_equal(arr[g.identity], np.eye(r, dtype=np.int64)):
             raise InvariantViolation("identity must act as the identity matrix")
         # multiplicativity against a generating set implies it everywhere
-        table = np.array(g.table, dtype=np.int64).reshape(n, n)
         for s in g.generators:
-            if not np.array_equal(np.mod(arr @ arr[s], fac), arr[table[:, s]]):
+            if not np.array_equal(np.mod(arr @ arr[s], fac), arr[g.array[:, s]]):
                 raise InvariantViolation(f"action is not a homomorphism against generator {s}")
         object.__setattr__(self, "_hash", hash((g, a, arr.tobytes())))
 
@@ -342,7 +342,7 @@ def cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> Cohomolog
     return _cohomology_cached(m, degree, cap)
 
 
-@lru_cache(maxsize=modular.MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _cohomology_cached(m: GModule, degree: int, cap: int) -> CohomologyGroup:
     _check_cap(m, degree, cap)
     if degree == 1:
@@ -434,7 +434,7 @@ def _h2(m: GModule) -> CohomologyGroup:
     # x adds f(x, s); an inverse letter read at x = p.s adds f(x, s^-1) - p.f(s, s^-1)
     letters = np.array(pres.gens, dtype=np.int64)[gen]
     neg = sign < 0
-    x = np.where(neg, np.array(g.table, dtype=np.int64)[prefix, letters], prefix)
+    x = np.where(neg, g.array[prefix, letters], prefix)
     y = np.where(neg, np.array(g.inv, dtype=np.int64)[letters], letters)
 
     def classify_many(cocycles) -> tuple[Vector, ...]:
@@ -457,7 +457,7 @@ def is_cocycle(m: GModule, degree: int, cocycle) -> bool:
     g, fac = m.group, m.coeff.factors
     n, e = g.order, g.identity
     modular.check_int64_products(m.coeff.exponent - 1, 2, "cocycle identity", other=1)
-    table = np.array(g.table, dtype=np.int64)
+    table = g.array
     c = _cochains(m, degree, [cocycle])[0]
     # x.f(y) or x.f(y, z), at every x
     moved = _act(m, np.arange(n).reshape((n,) + (1,) * degree), c[None])
@@ -494,11 +494,10 @@ def subgroup_as_group(h: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     parent = h.parent
     # keep ambient ordering but identity first
     ordered = [parent.identity] + [x for x in h.elements if x != parent.identity]
-    index = {x: i for i, x in enumerate(ordered)}
-    table = tuple(
-        tuple(index[parent.mul(x, y)] for y in ordered) for x in ordered
-    )
-    return FiniteGroup(table, 0, f"{parent.label}|sub"), tuple(ordered)
+    index = np.zeros(parent.order, dtype=np.int64)
+    index[ordered] = np.arange(len(ordered))
+    table = index[parent.array[np.ix_(ordered, ordered)]]
+    return FiniteGroup(table.tolist(), 0, f"{parent.label}|sub"), tuple(ordered)
 
 
 def restricted_module(m: GModule, h: Subgroup) -> tuple[GModule, tuple[int, ...]]:
@@ -579,8 +578,7 @@ def coinduced_module(group: FiniteGroup, coeff) -> CoinducedModule:
     factors = tuple(d for d in a.factors for _ in range(n))
     coind_ab = FiniteAbelianGroup(factors)
     # (x.f)(y) = f(yx)
-    table = np.array(g.table, dtype=np.int64).reshape(n, n)
-    perm = (np.arange(r)[None, :, None] * n + table.T[:, None, :]).reshape(n, n * r)
+    perm = (np.arange(r)[None, :, None] * n + g.array.T[:, None, :]).reshape(n, n * r)
     coind = GModule(g, coind_ab, np.eye(n * r, dtype=np.int64)[perm])
 
     # a in A goes to y -> y.a; column i is the image of e_i
@@ -628,7 +626,6 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
     h2 = cohomology(m, 2, cap)
     fac = np.array(coind.module.coeff.factors, dtype=np.int64)
     emb = np.array(coind.embedding.matrix, dtype=np.int64).reshape(n * r, r)
-    table = np.array(g.table, dtype=np.int64).reshape(n, n)
     at_identity = np.arange(r) * n + g.identity
     keep = np.arange(n * r) % n != g.identity  # the coordinates of A'
     modular.check_int64_products(a.exponent - 1, r, "connecting map re-embedding")
@@ -638,7 +635,7 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
         lifted[:, keep] = rep
         # x.lifted[y] is lifted[y] read through perm[x]
         moved = lifted[np.arange(n)[None, :, None], coind.perm[:, None, :]]
-        v = np.mod(lifted[:, None, :] + moved - lifted[table], fac)
+        v = np.mod(lifted[:, None, :] + moved - lifted[g.array], fac)
         pre = v[:, :, at_identity]
         if not np.array_equal(np.mod(pre @ emb.T, fac), v):
             raise VerificationFailure(
@@ -648,8 +645,10 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
     return AbHom.from_columns(h1q.value, h2.value, h2.classify_many(preimages))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def dimension_shift_check(m: GModule, cap: int = DEFAULT_COH_CAP) -> DimensionShiftReport:
-    """Verify H^1(G, A') = H^2(G, A) and the acyclicity of Maps(G, A)."""
+    """Verify H^1(G, A') = H^2(G, A) and the acyclicity of Maps(G, A),
+    once per module and cap."""
     coind = coinduced_module(m.group, m)
     h2 = cohomology(m, 2, cap)
     h1q = cohomology(coind.quotient, 1, cap)

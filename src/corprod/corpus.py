@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import formulas as fp
 from .abelian import FiniteAbelianGroup
-from .cohomology import GModule, dimension_shift_check
+from .cohomology import dimension_shift_check
 from .errors import CorprodError
 from .families import FamilySpec, family, normal_closure_family, truncate
 from .formulas import FamilyModule
@@ -229,16 +229,11 @@ def closure_invariance_record(inst: CorpusInstance, cap, enum_cap) -> CheckRecor
     )
 
 
-def dimension_shift_records(inst: CorpusInstance, cap, seen: dict) -> list[CheckRecord]:
+def dimension_shift_records(inst: CorpusInstance, cap) -> list[CheckRecord]:
     out = []
     trunc = truncate(inst.spec, 0)
     for f in trunc.fibers:
-        m = inst.module.gmodule(f)
-        if m in seen:
-            rep = seen[m]
-        else:
-            rep = dimension_shift_check(m, cap)
-            seen[m] = rep
+        rep = dimension_shift_check(inst.module.gmodule(f), cap)
         out.append(
             record(
                 f"dimension-shift-{f.name}",
@@ -268,16 +263,11 @@ def duality_record(inst: CorpusInstance) -> CheckRecord:
     )
 
 
-def run_instance(
-    inst: CorpusInstance,
-    cap: int,
-    enum_cap: int,
-    shift_cache: dict | None = None,
-) -> list[CheckRecord]:
+def run_instance(inst: CorpusInstance, cap: int, enum_cap: int) -> list[CheckRecord]:
     recs = [exactness_record(inst, cap, enum_cap)]
     recs.extend(cross_check_records(inst, cap))
     recs.append(closure_invariance_record(inst, cap, enum_cap))
-    recs.extend(dimension_shift_records(inst, cap, shift_cache if shift_cache is not None else {}))
+    recs.extend(dimension_shift_records(inst, cap))
     recs.append(duality_record(inst))
     return recs
 
@@ -285,10 +275,9 @@ def run_instance(
 def corpus_summary_records(seed: int, count: int, cap: int, enum_cap: int) -> list[CheckRecord]:
     """One aggregated record per corpus instance."""
     out = []
-    shift_cache: dict[GModule, object] = {}
     for inst in generate_corpus(seed, count):
         try:
-            recs = run_instance(inst, cap, enum_cap, shift_cache)
+            recs = run_instance(inst, cap, enum_cap)
             ok = all(r.passed for r in recs)
             failing = [r.check for r in recs if not r.passed]
             out.append(

@@ -13,6 +13,14 @@ class SizeCapExceeded(CorprodError):
     """A computation would exceed the configured size cap."""
 
 
+# The bound of every input-keyed cache in the package.  It sits here,
+# beside the size caps, because every layer imports this module and it
+# imports none of them: a cache in ``groups`` or ``presentation`` need
+# not import the Z/p^k layer for a constant.  A full corpus run keeps
+# about 300 entries in the largest cache, so nothing is evicted.
+MEMO_SIZE = 1024
+
+
 class NotASubgroup(InvariantViolation):
     """The given element set is not a subgroup of its parent."""
 

@@ -369,13 +369,6 @@ class MorphismPredicates:
         )
 
 
-def _preimage_elements(hom: GroupHom, subset) -> tuple[int, ...]:
-    target = set(subset)
-    return tuple(
-        x for x in range(hom.source.order) if hom.images[x] in target
-    )
-
-
 def morphism_predicates(m: FamilyMorphism) -> MorphismPredicates:
     """Decide strictness, fibrewise surjectivity, unique star preimage
     and openness of the index map for one-point-compactified shapes."""
@@ -389,13 +382,13 @@ def morphism_predicates(m: FamilyMorphism) -> MorphismPredicates:
                 strict = False
             continue
         hom = m.fiber_maps[name]
-        pre = _preimage_elements(hom, m.target.fiber(tgt).subgroup.elements)
+        pre = hom.preimage(m.target.fiber(tgt).subgroup.elements)
         if set(pre) != set(f.subgroup.elements):
             strict = False
         if not hom.is_surjective():
             surjective = False
     if m.source.tail is not None:
-        pre = _preimage_elements(m.tail_map, m.target.tail.subgroup.elements)
+        pre = m.tail_map.preimage(m.target.tail.subgroup.elements)
         if set(pre) != set(m.source.tail.subgroup.elements):
             strict = False
         if not m.tail_map.is_surjective():

@@ -40,6 +40,7 @@ from .cohomology import (
     unramified_subgroup,
 )
 from .errors import (
+    MEMO_SIZE,
     InvariantViolation,
     PreconditionError,
     SizeCapExceeded,
@@ -106,7 +107,7 @@ class FamilyModule:
         return self.tail_gmodule(group).is_trivial_action()
 
 
-@lru_cache(maxsize=modular.MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _gmodule(group: FiniteGroup, coeff: FiniteAbelianGroup, action) -> GModule:
     """The module, built once per argument triple; ``action=None`` is the
     trivial action."""
@@ -163,7 +164,7 @@ def direct_sum_chart(blocks) -> DirectSumChart:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=modular.MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP):
     """All crossed homomorphisms f: G -> A by exhaustive search on
     generator values plus consistency checks over the Cayley graph."""
@@ -213,8 +214,7 @@ def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP):
     def add_tables(t1, t2):
         return tuple(a.add(v1, v2) for v1, v2 in zip(t1, t2))
 
-    structure = abelian_structure_from_elements(cocycles, add_tables, zero)
-    return cocycles, structure, add_tables, zero
+    return cocycles, abelian_structure_from_elements(cocycles, add_tables, zero)
 
 
 @dataclass
@@ -239,7 +239,7 @@ class OracleH1:
         rows = []
         for family_cocycle in family_cocycles:
             concat = []
-            for table, (cocycles, structure, _, _) in zip(family_cocycle, self._fiber_data):
+            for table, (_, structure) in zip(family_cocycle, self._fiber_data):
                 try:
                     concat.extend(structure.coordinates(table))
                 except KeyError:
@@ -326,15 +326,9 @@ def oracle_h1(
     def lift(coords) -> tuple:
         tables = []
         pos = 0
-        for data in fiber_data:
-            cocycles, structure, add_tables, zero = data
-            chunk = coords[pos : pos + len(structure.factors)]
+        for _, structure in fiber_data:
+            tables.append(structure.element(coords[pos : pos + len(structure.factors)]))
             pos += len(structure.factors)
-            t = zero
-            for c, rep in zip(chunk, structure.representatives):
-                for _ in range(int(c)):
-                    t = add_tables(t, rep)
-            tables.append(t)
         return tuple(tables)
 
     reps = tuple(lift(quotient.reps[i]) for i in range(len(value.factors)))

@@ -5,18 +5,25 @@ factory functions.  Tables built by the factories here are valid by
 construction; tables from untrusted input go through
 :func:`group_from_table`, which checks the Latin square property,
 identity laws and associativity.
+
+A group also keeps ``array``, one read-only int64 view of its table that
+bulk readers gather from; ``mul`` and scalar loops read the tuples, whose
+Python ints reach witnesses.  Homomorphisms are checked on generators, as
+module actions are, and G/N is built once per (G, N).  Plain
+``np.unique(x)`` is avoided: its first call imports ``numpy.ma``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .abelian import FiniteAbelianGroup
 from .errors import (
+    MEMO_SIZE,
     InvariantViolation,
     NotASubgroup,
     NotNormal,
@@ -28,9 +35,9 @@ DEFAULT_ORDER_CAP = 2000
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A group by its Cayley table.  Derived data (the inverse table,
-    :func:`generating_set` and :func:`abelianization`) is computed on
-    first use and kept on the group."""
+    """A group by its Cayley table.  Derived data (the table as an array,
+    the inverse table, :func:`generating_set` and :func:`abelianization`)
+    is computed on first use and kept on the group."""
 
     table: tuple[tuple[int, ...], ...]
     identity: int = 0
@@ -45,9 +52,10 @@ class FiniteGroup:
         for g in range(n):
             if self.table[e][g] != g or self.table[g][e] != g:
                 raise InvariantViolation("identity row/column is not the identity map")
+        object.__setattr__(self, "_hash", hash((self.table, e)))
 
     def __hash__(self):
-        return hash((self.table, self.identity))
+        return self._hash
 
     def __eq__(self, other):
         return (
@@ -64,18 +72,19 @@ class FiniteGroup:
         return self.table[a][b]
 
     @cached_property
+    def array(self) -> np.ndarray:
+        """The table as a read-only int64 array of shape (order, order)."""
+        arr = np.array(self.table, dtype=np.int64).reshape(self.order, self.order)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def inv(self) -> tuple[int, ...]:
-        n = self.order
-        out = [None] * n
-        for a in range(n):
-            row = self.table[a]
-            for b in range(n):
-                if row[b] == self.identity:
-                    out[a] = b
-                    break
-            if out[a] is None:
-                raise InvariantViolation(f"element {a} has no right inverse")
-        return tuple(out)
+        right = self.array == self.identity  # [a, b]: ab = 1
+        found = right.any(axis=1)
+        if not found.all():
+            raise InvariantViolation(f"element {int(np.argmin(found))} has no right inverse")
+        return tuple(right.argmax(axis=1).tolist())
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -357,12 +366,18 @@ class Subgroup:
         return g in set(self.elements)
 
     def is_normal(self) -> bool:
-        g = self.parent
-        eset = set(self.elements)
-        return all(g.conj(x, a) in eset for x in range(g.order) for a in self.elements)
+        member = np.zeros(self.parent.order, dtype=bool)
+        member[list(self.elements)] = True
+        return bool(member[_conjugates(self.parent, self.elements)].all())
 
     def is_trivial(self) -> bool:
         return self.order == 1
+
+
+def _conjugates(g: FiniteGroup, elements) -> np.ndarray:
+    """x a x^-1 at [x, i] for every x of g and the i-th of ``elements``."""
+    inv = np.array(g.inv, dtype=np.int64)
+    return g.array[g.array[:, list(elements)], inv[:, None]]
 
 
 def _closure(g: FiniteGroup, gens: list[int]) -> set[int]:
@@ -401,11 +416,7 @@ def normal_closure(g: FiniteGroup, s: Subgroup) -> Subgroup:
     """Smallest normal subgroup of g containing s."""
     if s.parent is not g and s.parent != g:
         raise NotASubgroup("subgroup belongs to a different group")
-    gens = set(s.elements)
-    for x in range(g.order):
-        for a in s.elements:
-            gens.add(g.conj(x, a))
-    return subgroup_from_generators(g, gens)
+    return subgroup_from_generators(g, set(_conjugates(g, s.elements).ravel().tolist()))
 
 
 def generating_set(g: FiniteGroup) -> tuple[int, ...]:
@@ -422,10 +433,7 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
     if g.order <= 128:
         # prefer elements with small centralizers among equal closure
         # growth; central picks tend to force an extra generator
-        cent = {
-            x: sum(1 for y in range(g.order) if g.mul(x, y) == g.mul(y, x))
-            for x in range(g.order)
-        }
+        cent = (g.array == g.array.T).sum(axis=1).tolist()
         while len(closure) < g.order:
             best, best_key = None, None
             for x in range(g.order):
@@ -470,12 +478,12 @@ class GroupHom:
             raise InvariantViolation("image index out of range")
         if im[s.identity] != t.identity:
             raise InvariantViolation("identity is not mapped to the identity")
-        for a in range(s.order):
-            for b in range(s.order):
-                if im[s.mul(a, b)] != t.mul(im[a], im[b]):
-                    raise InvariantViolation(
-                        f"not a homomorphism at pair ({a},{b})"
-                    )
+        # f(xs) = f(x)f(s) for every x and generator s implies f(xy) = f(x)f(y)
+        f, gens = np.array(im, dtype=np.int64), list(s.generators)
+        if not np.array_equal(f[s.array[:, gens]], t.array[f[:, None], f[gens]]):
+            bad = np.argwhere(f[s.array] != t.array[f[:, None], f])
+            a, b = bad[0].tolist()  # the first pair in row-major order
+            raise InvariantViolation(f"not a homomorphism at pair ({a},{b})")
 
     def __hash__(self):
         return hash((self.source, self.target, self.images))
@@ -489,11 +497,13 @@ class GroupHom:
             other.source, self.target, tuple(self.images[x] for x in other.images)
         )
 
+    def preimage(self, subset) -> tuple[int, ...]:
+        """The source elements that map into ``subset``, in increasing order."""
+        target = set(subset)
+        return tuple(x for x in range(self.source.order) if self.images[x] in target)
+
     def kernel(self) -> Subgroup:
-        return Subgroup(
-            self.source,
-            tuple(g for g in range(self.source.order) if self.images[g] == self.target.identity),
-        )
+        return Subgroup(self.source, self.preimage((self.target.identity,)))
 
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.order
@@ -506,32 +516,25 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
     return GroupHom(g, g, tuple(range(g.order)))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """G/N with minimal-index coset representatives, plus the projection."""
+    """G/N with minimal-index coset representatives, plus the projection,
+    built once per (G, N).  Coset i is the one whose least element is the
+    i-th smallest.  Labels are not part of group equality, so a memo hit
+    may carry an equal group's label."""
     if not n.is_normal():
         raise NotNormal("quotient requires a normal subgroup")
-    rep_of = {}
-    for x in range(g.order):
-        if x in rep_of:
-            continue
-        coset = sorted(g.mul(a, x) for a in n.elements)
-        r = coset[0]
-        for y in coset:
-            rep_of[y] = r
-    reps = sorted(set(rep_of.values()))
-    index = {r: i for i, r in enumerate(reps)}
-    table = tuple(
-        tuple(index[rep_of[g.mul(reps[i], reps[j])]] for j in range(len(reps)))
-        for i in range(len(reps))
-    )
-    q = FiniteGroup(table, 0, f"{g.label}/N")
-    proj = GroupHom(g, q, tuple(index[rep_of[x]] for x in range(g.order)))
-    return q, proj
+    least = g.array[list(n.elements)].min(axis=0)  # x -> the least element of Nx
+    reps, images = np.unique(least, return_inverse=True)
+    q = FiniteGroup(images[g.array[np.ix_(reps, reps)]].tolist(), 0, f"{g.label}/N")
+    return q, GroupHom(g, q, images.tolist())
 
 
 def commutator_subgroup(g: FiniteGroup) -> Subgroup:
-    gens = {g.commutator(a, b) for a in range(g.order) for b in range(g.order)}
-    return subgroup_from_generators(g, gens)
+    inv = np.array(g.inv, dtype=np.int64)
+    # [a, b] = (a b a^-1) b^-1 at [a, b]
+    comm = g.array[g.array[g.array, inv[:, None]], inv[None, :]]
+    return subgroup_from_generators(g, set(comm.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -569,16 +572,23 @@ def abelianization(g: FiniteGroup) -> tuple[FiniteAbelianGroup, AbelianizationMa
 class EnumeratedAbelianStructure:
     """Invariant factors of an abelian group given by enumeration.
 
-    ``coordinates`` sends an element to its vector in prod Z/factors;
-    ``representatives`` lifts each canonical generator back.
+    ``coordinates`` sends an element to its vector in prod Z/factors, and
+    ``element`` is its inverse.
     """
 
     factors: tuple[int, ...]
     _coords: dict
-    representatives: tuple
 
     def coordinates(self, element):
         return self._coords[element]
+
+    @cached_property
+    def _elements(self) -> dict:
+        return {c: x for x, c in self._coords.items()}
+
+    def element(self, coords):
+        """The element with these coordinates, each read mod its factor."""
+        return self._elements[tuple(int(c) % d for c, d in zip(coords, self.factors))]
 
 
 def abelian_structure_from_elements(elements, add, zero) -> EnumeratedAbelianStructure:
@@ -624,22 +634,11 @@ def abelian_structure_from_elements(elements, add, zero) -> EnumeratedAbelianStr
         )
         for i in range(k)
     ]
-    diag, _, v, vinv = lattice.snf_transforms(rel) if k else ((), (), (), ())
+    diag, _, v, _ = lattice.snf_transforms(rel) if k else ((), (), (), ())
     kept = [i for i in range(k) if diag[i] != 1]
     factors = tuple(diag[i] for i in kept)
-
-    def element_from_gen_vector(y):
-        out = zero
-        for j, c in enumerate(y):
-            c %= rel_orders[j]
-            g = gens[j]
-            for _ in range(c):
-                out = add(out, g)
-        return out
-
-    reps = tuple(element_from_gen_vector(vinv[i]) for i in kept)
     classified = {
         x: tuple(lattice.vec_mat(c, v)[i] % diag[i] for i in kept) if k else ()
         for x, c in coords.items()
     }
-    return EnumeratedAbelianStructure(factors, classified, reps)
+    return EnumeratedAbelianStructure(factors, classified)

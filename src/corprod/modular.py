@@ -44,7 +44,8 @@ on every call, as ``lru_cache`` keeps no exception.  The oracles
 ``subquotient_int`` and ``congruence_kernel_int`` are not memoized, nor
 is ``congruence_kernel``: its callers rarely repeat a system, and keys
 holding whole cocycle systems would keep them alive for nothing.
-``MEMO_SIZE`` bounds every other input-keyed cache of the package too.
+``MEMO_SIZE`` comes from ``errors`` and bounds every other input-keyed
+cache of the package too.
 """
 
 from __future__ import annotations
@@ -57,14 +58,8 @@ from typing import Callable
 import numpy as np
 
 from . import lattice
-from .errors import SizeCapExceeded, VerificationFailure
+from .errors import MEMO_SIZE, SizeCapExceeded, VerificationFailure
 from .lattice import Vector, factorint
-
-# The bound of every input-keyed cache in the package.  It lives beside
-# the ``subquotient`` memo, the cache it was sized for (about 300 entries
-# on a full corpus run); the caches of cohomology, formulas and
-# presentation import it from here, and this module imports none of them.
-MEMO_SIZE = 1024
 
 # narrowest signed dtype whose maximum holds (q-1)^2, as (dtype, maximum)
 _STORAGE = ((np.int8, 2**7 - 1), (np.int16, 2**15 - 1), (np.int32, 2**31 - 1))

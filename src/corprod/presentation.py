@@ -23,9 +23,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import VerificationFailure
+from .errors import MEMO_SIZE, VerificationFailure
 from .groups import FiniteGroup
-from .modular import MEMO_SIZE
 
 Word = tuple[int, ...]  # +(i+1) = generator i, -(i+1) = its inverse
 
@@ -92,7 +91,7 @@ class FreePresentation:
         s n_e s^-1 = u (g, x) n_{(gx, t)} (g, xt)^-1 u^-1 with u = s w_g^-1."""
         n, rho = self.group.order, self.rank
         pair, pair_edge = self.pair_edges
-        table = np.array(self.group.table, dtype=np.int64).reshape(n, n)
+        table = self.group.array
         x, t = np.array(self.edges, dtype=np.int64).reshape(rho, 2).T
         gens = np.array(self.gens, dtype=np.int64)
         a, b = np.divmod(pair, n)
@@ -178,8 +177,7 @@ class FreePresentation:
         """
         n = self.group.order
         prefix, letter = self.coset_walks
-        table = np.array(self.group.table, dtype=np.int64).reshape(n, n)
-        edge = self._edge_of[table[:, prefix], letter]  # (a, b, t): the letter t of w_b read from a
+        edge = self._edge_of[self.group.array[:, prefix], letter]  # (a, b, t): the letter t of w_b read from a
         a, b, _ = np.nonzero(edge >= 0)
         return _frozen(a * n + b, edge[edge >= 0])
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
 from .families import FamilyMorphism, FamilySpec, MorphismPredicates, STAR, morphism_predicates
-from .groups import GroupHom
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,6 @@ def union_specs(a: OpenSetSpec, b: OpenSetSpec) -> OpenSetSpec:
     )
 
 
-def _hom_preimage(hom: GroupHom, subset: frozenset) -> frozenset:
-    return frozenset(x for x in range(hom.source.order) if hom.images[x] in subset)
-
-
 def preimage_spec(m: FamilyMorphism, v: OpenSetSpec) -> OpenSetSpec:
     """Preimage of a target open-set spec under a family morphism."""
     if v.family != m.target:
@@ -136,13 +131,13 @@ def preimage_spec(m: FamilyMorphism, v: OpenSetSpec) -> OpenSetSpec:
                 frozenset(range(src_group.order)) if v.contains_star else frozenset()
             )
         else:
-            parts[name] = _hom_preimage(m.fiber_maps[name], v.part(tgt))
+            parts[name] = frozenset(m.fiber_maps[name].preimage(v.part(tgt)))
     tail_default: frozenset = frozenset()
     tail_exceptions: dict[int, frozenset] = {}
     if m.source.tail is not None:
-        tail_default = _hom_preimage(m.tail_map, v.tail_default)
+        tail_default = frozenset(m.tail_map.preimage(v.tail_default))
         tail_exceptions = {
-            i: _hom_preimage(m.tail_map, p) for i, p in v.tail_exceptions.items()
+            i: frozenset(m.tail_map.preimage(p)) for i, p in v.tail_exceptions.items()
         }
     return OpenSetSpec(m.source, parts, tail_default, tail_exceptions, v.contains_star)
 

@@ -133,9 +133,8 @@ def test_criterion_6_colimit_structure(zoo):
 
 def test_criterion_7_dimension_shifting(instances):
     start = time.time()
-    cache = {}
     for inst in instances:
-        for rec in corpus.dimension_shift_records(inst, CAP, cache):
+        for rec in corpus.dimension_shift_records(inst, CAP):
             assert rec.passed, (inst.descriptor, rec)
     report(7, "dimension shifting on every corpus fiber", time.time() - start, 10)
 

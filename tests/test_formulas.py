@@ -64,6 +64,11 @@ def test_oracle_cardinality_bookkeeping(zoo, rng):
         module = fp.FamilyModule.build(coeff)
         trunc = fam.truncate(spec, 0)
         o = fp.oracle_h1(trunc, module)
+        # each lifted representative classifies to its unit vector
+        k = len(o.value.factors)
+        assert o.classify_many(o.representatives) == tuple(
+            tuple(int(i == j) for j in range(k)) for i in range(k)
+        )
         z1 = 1
         for m in _fiber_modules(trunc, module):
             z1 *= len(_fiber_z1(m)[0])

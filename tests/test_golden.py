@@ -23,9 +23,8 @@ GOLDEN = Path(__file__).parent / "data" / "corpus-seed0-records.jsonl"
 
 def test_seed0_records_match_the_golden_report():
     report = Report()
-    shift_cache: dict = {}
     for inst in corpus.generate_corpus(0, 30):
-        report.extend(corpus.run_instance(inst, DEFAULT_COH_CAP, DEFAULT_ENUM_CAP, shift_cache))
+        report.extend(corpus.run_instance(inst, DEFAULT_COH_CAP, DEFAULT_ENUM_CAP))
     assert report.render("structured").encode() == GOLDEN.read_bytes()
 
 

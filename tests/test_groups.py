@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from corprod import groups as gr
@@ -39,6 +40,55 @@ def brute_commutator_subgroup(g):
                     nxt.append(y)
         frontier = nxt
     return frozenset(closure)
+
+
+def brute_normal_subgroups(g):
+    """Every normal subgroup, as the joins of the normal closures of
+    single elements."""
+    found = {brute_normal_closure(g, (x,)) for x in range(g.order)}
+    frontier = set(found)
+    while frontier:
+        frontier = {brute_normal_closure(g, a | b) for a in frontier for b in found} - found
+        found |= frontier
+    return sorted(found, key=sorted)
+
+
+def reference_quotient(g, n):
+    """The coset loop the array form replaced: G/N's table and the
+    projection's images, cosets numbered by their least elements."""
+    rep_of = {}
+    for x in range(g.order):
+        if x in rep_of:
+            continue
+        coset = sorted(g.mul(a, x) for a in n.elements)
+        for y in coset:
+            rep_of[y] = coset[0]
+    reps = sorted(set(rep_of.values()))
+    index = {r: i for i, r in enumerate(reps)}
+    table = tuple(tuple(index[rep_of[g.mul(a, b)]] for b in reps) for a in reps)
+    return table, tuple(index[rep_of[x]] for x in range(g.order))
+
+
+def reference_hom_refusal(s, t, images):
+    """The pair loop the generator rule replaced: None for a homomorphism,
+    else the message it refused with."""
+    if len(images) != s.order:
+        return "image list has wrong length"
+    if any(not 0 <= x < t.order for x in images):
+        return "image index out of range"
+    if images[s.identity] != t.identity:
+        return "identity is not mapped to the identity"
+    for a in range(s.order):
+        for b in range(s.order):
+            if images[s.mul(a, b)] != t.mul(images[a], images[b]):
+                return f"not a homomorphism at pair ({a},{b})"
+    return None
+
+
+def both_zoos(zoo):
+    from corprod.corpus import _zoo
+
+    return {**{f"corpus-{k}": g for k, g in _zoo().items()}, **zoo}
 
 
 def test_closure_examples():
@@ -103,6 +153,37 @@ def test_quotient_examples(zoo):
     q, _ = gr.quotient_group(c4, gr.full_subgroup(c4))
     assert q.order == 1
 
+    # one object per (G, N): equal inputs built afresh hit the memo
+    d4_again = gr.dihedral_group(4)
+    again = gr.quotient_group(d4_again, gr.Subgroup(d4_again, center))
+    assert again is gr.quotient_group(d4, gr.Subgroup(d4, center))
+    assert proj.preimage({q.identity}) == proj.kernel().elements == center
+
+
+def test_quotient_and_projection_match_the_reference_loops(zoo):
+    corruptions = refused = 0
+    for name, g in both_zoos(zoo).items():
+        for elements in brute_normal_subgroups(g):
+            n = gr.Subgroup(g, tuple(elements))
+            q, proj = gr.quotient_group(g, n)
+            table, images = reference_quotient(g, n)
+            assert (q.table, proj.images) == (table, images), (name, elements)
+            # every single-entry corruption of the projection, out of range too
+            for x in range(g.order):
+                for v in range(-1, q.order + 1):
+                    if v == images[x]:
+                        continue
+                    bad = images[:x] + (v,) + images[x + 1 :]
+                    try:
+                        gr.GroupHom(g, q, bad)
+                        got = None
+                    except InvariantViolation as exc:
+                        got = str(exc)
+                    assert got == reference_hom_refusal(g, q, bad), (name, elements, x, v)
+                    corruptions += 1
+                    refused += got is not None
+    assert corruptions == 6336 and 0 < refused < corruptions
+
 
 def test_quotient_needs_normal(zoo):
     d4 = zoo["D4"]
@@ -112,8 +193,11 @@ def test_quotient_needs_normal(zoo):
         if d4.element_order(x) == 2
         and any(d4.mul(x, y) != d4.mul(y, x) for y in range(d4.order))
     )
-    with pytest.raises(NotNormal):
-        gr.quotient_group(d4, gr.subgroup_from_generators(d4, [refl]))
+    before = gr.quotient_group.cache_info().currsize
+    for _ in range(2):  # a refusal is not memoized: it raises every time
+        with pytest.raises(NotNormal):
+            gr.quotient_group(d4, gr.subgroup_from_generators(d4, [refl]))
+    assert gr.quotient_group.cache_info().currsize == before
 
 
 def test_order_multiplicativity(zoo, rng):
@@ -154,6 +238,15 @@ def test_abelianization_order_and_kernel(zoo):
                 lhs = m.apply(g.mul(x, y))
                 rhs = a.add(m.apply(x), m.apply(y))
                 assert lhs == rhs
+
+
+def test_array_is_a_read_only_view_of_the_table(zoo):
+    for g in zoo.values():
+        arr = g.array
+        assert arr is g.array and arr.dtype == np.int64
+        assert arr.tolist() == [list(row) for row in g.table]
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
 
 
 def test_table_validation_rejects_any_single_corruption(zoo, rng):
@@ -272,6 +365,11 @@ def test_enumerated_structure(zoo, rng):
         ca, cb = st.coordinates(a), st.coordinates(b)
         cab = st.coordinates(g.mul(a, b))
         assert cab == tuple((x + y) % f for x, y, f in zip(ca, cb, st.factors))
+    # ``element`` inverts ``coordinates``, reading each coordinate mod its factor
+    for x in range(8):
+        c = st.coordinates(x)
+        assert st.element(c) == x
+        assert st.element([ci + 3 * f for ci, f in zip(c, st.factors)]) == x
 
 
 def test_direct_product(zoo):
