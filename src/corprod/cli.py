@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import corpus as corpus_mod
 from . import formulas as fp
 from .cohomology import DEFAULT_COH_CAP
-from .errors import CorprodError, PreconditionError, SpecFileError
+from .errors import CorprodError, SpecFileError
 from .families import check_tower, truncate, validate_family
 from .formulas import DEFAULT_ENUM_CAP
 from .reports import CheckRecord, Report, record
@@ -25,7 +25,7 @@ from .serialize import (
     canonical_digest,
     parse_family,
     parse_module,
-    parse_open_sets,
+    parse_topology,
     parse_tower,
 )
 from .topology import intersect_specs, is_open, union_specs
@@ -297,10 +297,7 @@ def cmd_topo_check(cfg: RunConfig) -> Report:
         raise SpecFileError("topo-check requires --spec")
     data = _load_json(cfg.spec_path)
     digest = canonical_digest(data)
-    if "family" not in data:
-        raise SpecFileError("topo-check file must contain a 'family' entry")
-    spec = parse_family(data["family"])
-    sets = parse_open_sets(data, spec)
+    _, sets = parse_topology(data)
     rep = Report()
     for i, v in enumerate(sets):
         chk = is_open(v)
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(cfg: RunConfig) -> tuple[int, str]:
     try:
         report = COMMANDS[cfg.command](cfg)
-    except (SpecFileError, PreconditionError, CorprodError) as exc:
+    except CorprodError as exc:
         diag = CheckRecord(cfg.command, "-", "error", (str(exc),))
         rep = Report([diag])
         return 2, rep.render(cfg.fmt)

@@ -241,14 +241,6 @@ def induced_quotient_action(m: GModule, n: Subgroup) -> tuple[GModule, "object",
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CocycleSpace:
-    degree: int
-    group_order: int
-    coeff_factors: tuple[int, ...]
-    description: str
-
-
 @dataclass
 class CohomologyGroup:
     """H^degree with explicit representatives.
@@ -265,7 +257,6 @@ class CohomologyGroup:
     degree: int
     value: FiniteAbelianGroup
     representatives: tuple
-    ambient: CocycleSpace
     module: GModule = field(repr=False, compare=False)
     _classify_many: object = field(repr=False, compare=False)
 
@@ -356,11 +347,10 @@ def _h1(m: GModule) -> CohomologyGroup:
     r = a.rank
     k = len(pres.gens)
     col_moduli = a.factors * k
-    space = CocycleSpace(1, g.order, a.factors, "crossed homomorphisms f: G -> A")
 
     if _coprime_shortcut(m) or r == 0 or g.order == 1:
         value = FiniteAbelianGroup(())
-        return CohomologyGroup(1, value, (), space, m, lambda cocycles: ((),) * len(cocycles))
+        return CohomologyGroup(1, value, (), m, lambda cocycles: ((),) * len(cocycles))
 
     # row (e, i), column (s, j): the cocycle condition on the edge n_e
     rows = _derivation_sums(m, pres).transpose(0, 2, 1, 3).reshape(pres.rank * r, k * r)
@@ -386,7 +376,7 @@ def _h1(m: GModule) -> CohomologyGroup:
         c = _cochains(m, 1, cocycles)
         return sq.classify_many(c[:, gen_rows].reshape(len(c), k * r))
 
-    return CohomologyGroup(1, value, reps, space, m, classify_many)
+    return CohomologyGroup(1, value, reps, m, classify_many)
 
 
 def _h2(m: GModule) -> CohomologyGroup:
@@ -395,13 +385,10 @@ def _h2(m: GModule) -> CohomologyGroup:
     r = a.rank
     rho = pres.rank
     col_moduli = a.factors * rho
-    space = CocycleSpace(
-        2, g.order, a.factors, "normalized 2-cocycles f: G x G -> A (bar cochains)"
-    )
 
     if _coprime_shortcut(m) or r == 0 or g.order == 1:
         value = FiniteAbelianGroup(())
-        return CohomologyGroup(2, value, (), space, m, lambda cocycles: ((),) * len(cocycles))
+        return CohomologyGroup(2, value, (), m, lambda cocycles: ((),) * len(cocycles))
 
     # solution space: G-equivariant homs from the relation module to A
     # row (s, e, i), column (e2, j): conj_s[e][e2] [i == j] - [e == e2] action[s][i][j]
@@ -445,7 +432,7 @@ def _h2(m: GModule) -> CohomologyGroup:
         np.add.at(phi, (slice(None), edge), terms)
         return sq.classify_many(np.mod(phi, a.factors).reshape(len(c), rho * r))
 
-    return CohomologyGroup(2, value, reps, space, m, classify_many)
+    return CohomologyGroup(2, value, reps, m, classify_many)
 
 
 def is_cocycle(m: GModule, degree: int, cocycle) -> bool:

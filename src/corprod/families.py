@@ -5,6 +5,13 @@ uniform tail pattern standing for countably many identical fibers
 tau_1, tau_2, ...; the point at infinity always carries the trivial
 group.  Morphisms map exceptional names to exceptional names or to the
 star, and tail to tail; towers are chains of such morphisms.
+
+``FamilySpec.fibers`` lists the exceptional fibers and then the tail
+pattern as one more fiber, named ``tail``; a per-fiber computation is
+one loop over that list, and ``FamilySpec.split_tail`` turns values
+listed in that order back into (exceptional values, tail value).  The
+name ``tail`` is reserved for the tail pattern, and a truncation names
+its copies of it ``tail1``, ``tail2``, ...
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .groups import (
 from .lattice import factorint
 
 STAR = "*"
+TAIL = "tail"
 
 
 @dataclass(frozen=True)
@@ -41,7 +49,8 @@ class FiberSpec:
 
 
 def _is_tail_name(name: str) -> bool:
-    return name.startswith("tail") and name[4:].isdigit()
+    """The tail pattern or one of its truncation copies."""
+    return name.startswith(TAIL) and (name == TAIL or name[4:].isdigit())
 
 
 @dataclass(frozen=True)
@@ -66,13 +75,16 @@ class FamilySpec:
         if len(set(names)) != len(names):
             raise InvariantViolation("duplicate fiber names")
         for f in self.exceptional:
+            if f.name == TAIL:
+                raise InvariantViolation(
+                    f"fiber name {TAIL!r} is reserved for the tail pattern"
+                )
             if self.tail is not None and _is_tail_name(f.name):
                 raise InvariantViolation(
                     f"fiber name {f.name!r} collides with the tail copy names"
                 )
+        for f in self.fibers:
             self._check_primes(f.group, f.name)
-        if self.tail is not None:
-            self._check_primes(self.tail.group, "tail")
 
     def _check_primes(self, g: FiniteGroup, where: str) -> None:
         for p in factorint(g.order):
@@ -83,6 +95,26 @@ class FamilySpec:
 
     def __hash__(self):
         return hash((self.exceptional, self.tail, self.prime_set))
+
+    @cached_property
+    def fibers(self) -> tuple[FiberSpec, ...]:
+        """The exceptional fibers, then the tail pattern named ``tail``."""
+        if self.tail is None:
+            return self.exceptional
+        return self.exceptional + (FiberSpec(TAIL, self.tail.group, self.tail.subgroup),)
+
+    def split_tail(self, values) -> tuple[tuple, object]:
+        """Values listed in ``fibers`` order as (the exceptional values, the
+        tail value or None)."""
+        values = tuple(values)
+        n = len(self.exceptional)
+        return values[:n], values[n] if self.tail is not None else None
+
+    def with_fibers(self, fibers) -> "FamilySpec":
+        """The family on new fibers listed in ``fibers`` order."""
+        exceptional, tail = self.split_tail(fibers)
+        tl = None if tail is None else TailSpec(tail.group, tail.subgroup)
+        return FamilySpec(exceptional, tl, self.prime_set)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -139,33 +171,21 @@ def validate_family(spec: FamilySpec) -> FamilyValidation:
     derived data (which U_t are already normal, their closures).
     """
     infos = []
-    for f in spec.exceptional:
+    for f in spec.fibers:
         cl = normal_closure(f.group, f.subgroup)
         infos.append(
             FiberClosureInfo(f.name, f.subgroup.is_normal(), cl.order, cl.elements)
         )
-    tail_info = None
-    if spec.tail is not None:
-        cl = normal_closure(spec.tail.group, spec.tail.subgroup)
-        tail_info = FiberClosureInfo(
-            "tail", spec.tail.subgroup.is_normal(), cl.order, cl.elements
-        )
-    return FamilyValidation(True, tuple(infos), tail_info)
+    return FamilyValidation(True, *spec.split_tail(infos))
 
 
 def normal_closure_family(spec: FamilySpec) -> FamilySpec:
     """Replace every U_t by its normal closure; the free product does
     not change, so all formula operations treat this as canonical."""
-    fibers = tuple(
+    return spec.with_fibers(
         FiberSpec(f.name, f.group, normal_closure(f.group, f.subgroup))
-        for f in spec.exceptional
+        for f in spec.fibers
     )
-    tl = None
-    if spec.tail is not None:
-        tl = TailSpec(
-            spec.tail.group, normal_closure(spec.tail.group, spec.tail.subgroup)
-        )
-    return FamilySpec(fibers, tl, spec.prime_set)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +249,13 @@ def abelianize_family(spec: FamilySpec) -> RestrictedAbFamily:
     """Fiberwise (G_t^ab, image of U_t); tagged compactified because the
     abelianized free product is the compactified restricted product."""
 
-    def pair(g: FiniteGroup, u: Subgroup) -> AbPair:
-        a, proj = g.abelianization
-        gens = tuple(sorted(set(proj.apply(x) for x in u.elements)))
+    def pair(f: FiberSpec) -> AbPair:
+        a, proj = f.group.abelianization
+        gens = tuple(sorted(set(proj.apply(x) for x in f.subgroup.elements)))
         return AbPair(a, gens)
 
-    exc = tuple((f.name, pair(f.group, f.subgroup)) for f in spec.exceptional)
-    tl = pair(spec.tail.group, spec.tail.subgroup) if spec.tail else None
-    return RestrictedAbFamily(exc, tl, "compactified")
+    exc, tl = spec.split_tail(pair(f) for f in spec.fibers)
+    return RestrictedAbFamily(tuple(zip(spec.names, exc)), tl, "compactified")
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +274,11 @@ def quotient_family(
 def quotient_family_morphism(
     spec: FamilySpec, choices: dict[str, Subgroup], tail_choice: Subgroup | None = None
 ) -> tuple[FamilySpec, "FamilyMorphism"]:
+    picks = {**choices, TAIL: tail_choice}
     fibers = []
-    fiber_maps = {}
-    for f in spec.exceptional:
-        v = choices.get(f.name)
+    maps = []
+    for f in spec.fibers:
+        v = picks.get(f.name)
         if v is None:
             v = Subgroup(f.group, (f.group.identity,))
         q, proj = quotient_group(f.group, v)
@@ -266,25 +286,14 @@ def quotient_family_morphism(
             q, [proj.apply(x) for x in f.subgroup.elements]
         )
         fibers.append(FiberSpec(f.name, q, u_image))
-        fiber_maps[f.name] = proj
-    tl = None
-    tail_map = None
-    if spec.tail is not None:
-        v = tail_choice if tail_choice is not None else Subgroup(
-            spec.tail.group, (spec.tail.group.identity,)
-        )
-        q, proj = quotient_group(spec.tail.group, v)
-        u_image = subgroup_from_generators(
-            q, [proj.apply(x) for x in spec.tail.subgroup.elements]
-        )
-        tl = TailSpec(q, u_image)
-        tail_map = proj
-    target = FamilySpec(tuple(fibers), tl, spec.prime_set)
+        maps.append(proj)
+    target = spec.with_fibers(fibers)
+    fiber_maps, tail_map = spec.split_tail(maps)
     morphism = FamilyMorphism(
         spec,
         target,
-        {f.name: f.name for f in spec.exceptional},
-        fiber_maps,
+        {n: n for n in spec.names},
+        dict(zip(spec.names, fiber_maps)),
         tail_map,
     )
     return target, morphism

@@ -100,12 +100,6 @@ class FamilyModule:
     def gmodule(self, fiber: FiberSpec) -> GModule:
         return _gmodule(fiber.group, self.coeff, self.action_for(fiber.name))
 
-    def tail_gmodule(self, group: FiniteGroup) -> GModule:
-        return _gmodule(group, self.coeff, self.tail_action)
-
-    def tail_action_trivial(self, group: FiniteGroup) -> bool:
-        return self.tail_gmodule(group).is_trivial_action()
-
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _gmodule(group: FiniteGroup, coeff: FiniteAbelianGroup, action) -> GModule:
@@ -563,20 +557,12 @@ def h_formula(
     if degree not in (1, 2):
         raise PreconditionError("the pair formula is stated for degrees 1 and 2")
 
-    def pair(group, subgroup, m: GModule) -> AbPair:
-        nr = unramified_subgroup(group, subgroup, m, degree, cap)
+    def pair(f: FiberSpec) -> AbPair:
+        nr = unramified_subgroup(f.group, f.subgroup, module.gmodule(f), degree, cap)
         return AbPair(nr.cohomology.value, nr.subgroup.gens)
 
-    exc = tuple(
-        (f.name, pair(f.group, f.subgroup, module.gmodule(f)))
-        for f in spec.exceptional
-    )
-    tail = None
-    if spec.tail is not None:
-        tail = pair(
-            spec.tail.group, spec.tail.subgroup, module.tail_gmodule(spec.tail.group)
-        )
-    return RestrictedAbFamily(exc, tail, "discretized")
+    exc, tail = spec.split_tail(pair(f) for f in spec.fibers)
+    return RestrictedAbFamily(tuple(zip(spec.names, exc)), tail, "discretized")
 
 
 @dataclass(frozen=True)
@@ -607,14 +593,9 @@ def high_degree_formula(
         raise PreconditionError("high-degree formula applies for degree >= 3")
     offenders = [
         f.name
-        for f in spec.exceptional
+        for f in spec.fibers
         if normal_closure(f.group, f.subgroup).order != f.group.order
     ]
-    if spec.tail is not None and (
-        normal_closure(spec.tail.group, spec.tail.subgroup).order
-        != spec.tail.group.order
-    ):
-        offenders.append("tail")
     if offenders:
         raise PreconditionError(
             "fibers "
@@ -623,16 +604,10 @@ def high_degree_formula(
             "finite quotient cannot have cohomological dimension <= 1, so "
             "the direct-sum formula does not apply"
         )
-    summands = tuple(
-        (f.name, shifted_cohomology(module.gmodule(f), degree, cap).value)
-        for f in spec.exceptional
+    summands, tail = spec.split_tail(
+        shifted_cohomology(module.gmodule(f), degree, cap).value for f in spec.fibers
     )
-    tail = None
-    if spec.tail is not None:
-        tail = shifted_cohomology(
-            module.tail_gmodule(spec.tail.group), degree, cap
-        ).value
-    return HighDegreeFormula(degree, summands, tail)
+    return HighDegreeFormula(degree, tuple(zip(spec.names, summands)), tail)
 
 
 def abelianization_formula(spec: FamilySpec) -> RestrictedAbFamily:
@@ -706,13 +681,11 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
         raise PreconditionError(f"{p} is not in the prime set of the family")
     zp = FiniteAbelianGroup((p,))
     checks = []
-    fibers = [(f.name, f.group, f.subgroup) for f in spec.exceptional]
-    if spec.tail is not None:
-        fibers.append(("tail", spec.tail.group, spec.tail.subgroup))
-    for name, group, subgroup in fibers:
+    for f in spec.fibers:
+        group = f.group
         m = _gmodule(group, zp, None)
         h1 = cohomology(m, 1, cap)
-        nr = unramified_subgroup(group, subgroup, m, 1, cap)
+        nr = unramified_subgroup(group, f.subgroup, m, 1, cap)
         ab, proj = group.abelianization
         expected_h1 = _mod_p_dual_factors(ab, p)
 
@@ -731,7 +704,7 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
             iso_ok = h1.value.order == 1
 
         # unramified side: characters killing the image of U
-        u_image = tuple(sorted(set(proj.apply(x) for x in subgroup.elements)))
+        u_image = tuple(sorted(set(proj.apply(x) for x in f.subgroup.elements)))
         sq = sub_and_quotient(ab, u_image)
         expected_nr = _mod_p_dual_factors(sq.quotient, p)
         nr_cols = h1.classify_many([
@@ -745,7 +718,7 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
             nr_match = generated.same_subgroup(nr.subgroup)
         checks.append(
             FiberCrossCheck(
-                name,
+                f.name,
                 h1.value.factors,
                 expected_h1,
                 nr.structure.factors,
@@ -805,13 +778,15 @@ def truncation_colimit(
         raise PreconditionError("colimits are computed in degrees 1 and 2")
     if n_max < 0:
         raise PreconditionError("truncation level must be >= 0")
+    tail_module = None
     if spec.tail is not None:
         if normal_closure(spec.tail.group, spec.tail.subgroup).order != spec.tail.group.order:
             raise PreconditionError(
                 "tail quotient must be trivial (closure(U) = G) for truncations "
                 "to be plain finite free products"
             )
-        if not module.tail_action_trivial(spec.tail.group):
+        tail_module = module.gmodule(spec.fibers[-1])
+        if not tail_module.is_trivial_action():
             raise PreconditionError(
                 "extend-by-zero transitions require a trivial tail action"
             )
@@ -858,8 +833,8 @@ def truncation_colimit(
             level_ok.append([h.value.factors for h in hs] == expected)
 
     contribution = 1
-    if spec.tail is not None:
-        contribution = cohomology(module.tail_gmodule(spec.tail.group), degree, cap).value.order
+    if tail_module is not None:
+        contribution = cohomology(tail_module, degree, cap).value.order
     growth_ok = all(levels[n + 1].order == levels[n].order * contribution for n in range(n_max))
     return ColimitSystem(
         degree,
@@ -1016,30 +991,18 @@ def corestriction_compare(spec: FamilySpec, smaller: FamilySpec) -> Corestrictio
     """
     if spec.names != smaller.names:
         raise PreconditionError("the two families have different index sets")
-    pairs = list(zip(spec.exceptional, smaller.exceptional))
     if (spec.tail is None) != (smaller.tail is None):
         raise PreconditionError("tail presence differs")
-    named = [(f.name, f, f2) for f, f2 in pairs]
-    if spec.tail is not None:
-        named.append(
-            (
-                "tail",
-                FiberSpec("tailpattern", spec.tail.group, spec.tail.subgroup),
-                FiberSpec("tailpattern", smaller.tail.group, smaller.tail.subgroup),
-            )
-        )
     out = []
-    big_ab = abelianize_family(spec)
-    small_ab = abelianize_family(smaller)
-    big_pairs = dict(big_ab.pairs())
-    small_pairs = dict(small_ab.pairs())
-    for name, f_big, f_small in named:
+    big_pairs = dict(abelianize_family(spec).pairs())
+    small_pairs = dict(abelianize_family(smaller).pairs())
+    for f_big, f_small in zip(spec.fibers, smaller.fibers):
+        name = f_big.name
         if f_big.group != f_small.group:
             raise PreconditionError(f"fiber {name}: groups differ")
         if not set(f_small.subgroup.elements) <= set(f_big.subgroup.elements):
             raise PreconditionError(f"fiber {name}: U' is not contained in U")
-        key = "tail" if name == "tail" else name
-        pb, ps = big_pairs[key], small_pairs[key]
+        pb, ps = big_pairs[name], small_pairs[name]
         contained = all(pb.sub.contains(g) for g in ps.sub_gens)
         ann_big = annihilator(pb.ambient, pb.sub_gens)
         ann_small = annihilator(ps.ambient, ps.sub_gens)

@@ -349,6 +349,7 @@ class Subgroup:
         for a in elems:
             if not 0 <= a < g.order:
                 raise NotASubgroup(f"element {a} out of range")
+        for a in elems:
             if g.inv[a] not in eset:
                 raise NotASubgroup(f"subgroup not closed under inversion at {a}")
             for b in elems:

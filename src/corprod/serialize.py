@@ -7,6 +7,8 @@ Abelian:   {"kind": "ab", "factors": [d1, ...]}
 Family:    {"prime_set": [...],
             "exceptional": {name: {"group": ..., "subgroup_generators": [...]}},
             "tail": {"group": ..., "subgroup_generators": [...]} | null}
+           a fiber may give "subgroup_elements" in place of its generators;
+           the name "tail" is reserved for the tail pattern
 Module:    {"coeff": {"kind": "ab", ...},
             "actions": {name | "tail": [{"element": g, "matrix": [[...]]}]}}
 
@@ -19,13 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 
 from .abelian import FiniteAbelianGroup
 from .cohomology import module_from_generator_matrices
 from .errors import CorprodError, SpecFileError
-from .families import FamilyMorphism, FamilySpec, TailSpec, Tower, family
+from .families import TAIL, FamilyMorphism, FamilySpec, Tower, family
 from .formulas import FamilyModule
 from .groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GroupHom,
     Subgroup,
@@ -43,8 +47,24 @@ def canonical_digest(obj) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def parse_group(data, cap: int = 2000) -> FiniteGroup:
+@contextmanager
+def _refused_as(invalid: str, malformed: str):
+    """Refuse a bad input as ``SpecFileError``: a library error is the
+    input's fault (``invalid``), a lookup or conversion error means the
+    document has the wrong shape (``malformed``).  An inner parser's
+    refusal passes through with its own label."""
     try:
+        yield
+    except SpecFileError:
+        raise
+    except CorprodError as exc:
+        raise SpecFileError(f"{invalid}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise SpecFileError(f"{malformed}: {exc}") from exc
+
+
+def parse_group(data, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    with _refused_as("invalid group", "malformed group spec"):
         kind = data["kind"]
         if kind == "cyclic":
             n = int(data["n"])
@@ -65,133 +85,95 @@ def parse_group(data, cap: int = 2000) -> FiniteGroup:
                 raise SpecFileError(f"table order {len(table)} exceeds the cap {cap}")
             return group_from_table(table, int(data.get("identity", 0)))
         raise SpecFileError(f"unknown group kind {kind!r}")
-    except SpecFileError:
-        raise
-    except CorprodError as exc:
-        raise SpecFileError(f"invalid group: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise SpecFileError(f"malformed group spec: {exc}") from exc
 
 
 def parse_abelian(data) -> FiniteAbelianGroup:
-    try:
+    with _refused_as("invalid abelian group", "malformed abelian spec"):
         if data.get("kind") != "ab":
             raise SpecFileError("abelian coefficient must have kind 'ab'")
         return FiniteAbelianGroup(tuple(int(d) for d in data["factors"]))
-    except SpecFileError:
-        raise
-    except CorprodError as exc:
-        raise SpecFileError(f"invalid abelian group: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise SpecFileError(f"malformed abelian spec: {exc}") from exc
 
 
 def parse_subgroup(group: FiniteGroup, generators) -> Subgroup:
-    try:
+    with _refused_as("invalid subgroup", "malformed subgroup generators"):
         return subgroup_from_generators(group, [int(x) for x in generators])
-    except CorprodError as exc:
-        raise SpecFileError(f"invalid subgroup: {exc}") from exc
-    except (TypeError, IndexError, ValueError) as exc:
-        raise SpecFileError(f"malformed subgroup generators: {exc}") from exc
 
 
-def parse_family(data, cap: int = 2000) -> FamilySpec:
-    try:
-        exceptional = []
-        for name, fiber in sorted(data.get("exceptional", {}).items()):
-            g = parse_group(fiber["group"], cap)
-            if "subgroup_elements" in fiber:
-                u = Subgroup(g, tuple(int(x) for x in fiber["subgroup_elements"]))
-            else:
-                u = parse_subgroup(g, fiber.get("subgroup_generators", []))
-            exceptional.append((str(name), g, u))
-        tail = None
-        if data.get("tail"):
-            g = parse_group(data["tail"]["group"], cap)
-            if "subgroup_elements" in data["tail"]:
-                u = Subgroup(g, tuple(int(x) for x in data["tail"]["subgroup_elements"]))
-            else:
-                u = parse_subgroup(g, data["tail"].get("subgroup_generators", []))
-            tail = TailSpec(g, u)
-        prime_set = data.get("prime_set")
-        return family(exceptional, tail, prime_set)
-    except SpecFileError:
-        raise
-    except CorprodError as exc:
-        raise SpecFileError(f"invalid family: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise SpecFileError(f"malformed family spec: {exc}") from exc
+def _parse_fiber(data, cap: int) -> tuple[FiniteGroup, Subgroup]:
+    """A fiber's group and subgroup, exceptional or tail alike."""
+    g = parse_group(data["group"], cap)
+    if "subgroup_elements" in data:
+        return g, Subgroup(g, tuple(int(x) for x in data["subgroup_elements"]))
+    return g, parse_subgroup(g, data.get("subgroup_generators", []))
+
+
+def parse_family(data, cap: int = DEFAULT_ORDER_CAP) -> FamilySpec:
+    with _refused_as("invalid family", "malformed family spec"):
+        exceptional = [
+            (str(name), *_parse_fiber(fiber, cap))
+            for name, fiber in sorted(data.get("exceptional", {}).items())
+        ]
+        tail = _parse_fiber(data["tail"], cap) if data.get("tail") else None
+        return family(exceptional, tail, data.get("prime_set"))
 
 
 def _parse_action(group: FiniteGroup, coeff: FiniteAbelianGroup, entries):
     if not entries:
         return None
-    try:
+    with _refused_as("invalid module action", "malformed module action"):
         mats = {
             int(e["element"]): tuple(tuple(int(x) for x in row) for row in e["matrix"])
             for e in entries
         }
         module = module_from_generator_matrices(group, coeff, mats)
-    except CorprodError as exc:
-        raise SpecFileError(f"invalid module action: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise SpecFileError(f"malformed module action: {exc}") from exc
     if module.is_trivial_action():
         return None
     return module.action
 
 
 def parse_module(data, spec: FamilySpec) -> FamilyModule:
-    try:
+    with _refused_as("invalid module file", "malformed module file"):
         coeff = parse_abelian(data["coeff"])
+        fibers = {f.name: f for f in spec.fibers}
         actions = {}
-        tail_action = None
         for name, entries in sorted(data.get("actions", {}).items()):
-            if name == "tail":
-                if spec.tail is None:
-                    raise SpecFileError("tail action given for a family without tail")
-                tail_action = _parse_action(spec.tail.group, coeff, entries)
-            else:
-                try:
-                    fiber = spec.fiber(str(name))
-                except KeyError as exc:
-                    raise SpecFileError(f"action for unknown fiber {name!r}") from exc
-                act = _parse_action(fiber.group, coeff, entries)
-                if act is not None:
-                    actions[str(name)] = act
+            fiber = fibers.get(str(name))
+            if fiber is None and name == TAIL:
+                raise SpecFileError("tail action given for a family without tail")
+            if fiber is None:
+                raise SpecFileError(f"action for unknown fiber {name!r}")
+            act = _parse_action(fiber.group, coeff, entries)
+            if act is not None:
+                actions[fiber.name] = act
+        tail_action = actions.pop(TAIL, None)
         return FamilyModule.build(coeff, actions, tail_action)
-    except SpecFileError:
-        raise
-    except CorprodError as exc:
-        raise SpecFileError(f"invalid module file: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise SpecFileError(f"malformed module file: {exc}") from exc
 
 
 def parse_open_sets(data, spec: FamilySpec) -> list[OpenSetSpec]:
-    out = []
-    try:
-        for entry in data["open_sets"]:
-            out.append(
-                OpenSetSpec(
-                    spec,
-                    {str(k): frozenset(int(x) for x in v) for k, v in entry.get("exceptional_parts", {}).items()},
-                    frozenset(int(x) for x in entry.get("tail_default", [])),
-                    {int(k): frozenset(int(x) for x in v) for k, v in entry.get("tail_exceptions", {}).items()},
-                    bool(entry.get("contains_star", False)),
-                )
+    with _refused_as("invalid open set", "malformed open set file"):
+        return [
+            OpenSetSpec(
+                spec,
+                {str(k): frozenset(int(x) for x in v) for k, v in entry.get("exceptional_parts", {}).items()},
+                frozenset(int(x) for x in entry.get("tail_default", [])),
+                {int(k): frozenset(int(x) for x in v) for k, v in entry.get("tail_exceptions", {}).items()},
+                bool(entry.get("contains_star", False)),
             )
-    except SpecFileError:
-        raise
-    except CorprodError as exc:
-        raise SpecFileError(f"invalid open set: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise SpecFileError(f"malformed open set file: {exc}") from exc
-    return out
+            for entry in data["open_sets"]
+        ]
+
+
+def parse_topology(data) -> tuple[FamilySpec, list[OpenSetSpec]]:
+    """A topo-check file: a family and open sets of its index space."""
+    with _refused_as("invalid topology file", "malformed topology file"):
+        if "family" not in data:
+            raise SpecFileError("topo-check file must contain a 'family' entry")
+        spec = parse_family(data["family"])
+        return spec, parse_open_sets(data, spec)
 
 
 def parse_morphism(data, source: FamilySpec, target: FamilySpec) -> FamilyMorphism:
-    try:
+    with _refused_as("invalid morphism", "malformed morphism"):
         index_map = {str(k): str(v) for k, v in data["index_map"].items()}
         fiber_maps = {}
         for name, images in data.get("fiber_maps", {}).items():
@@ -207,25 +189,13 @@ def parse_morphism(data, source: FamilySpec, target: FamilySpec) -> FamilyMorphi
                 source.tail.group, target.tail.group, tuple(int(x) for x in data["tail_map"])
             )
         return FamilyMorphism(source, target, index_map, fiber_maps, tail_map)
-    except SpecFileError:
-        raise
-    except CorprodError as exc:
-        raise SpecFileError(f"invalid morphism: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise SpecFileError(f"malformed morphism: {exc}") from exc
 
 
-def parse_tower(data, cap: int = 2000) -> Tower:
-    try:
+def parse_tower(data, cap: int = DEFAULT_ORDER_CAP) -> Tower:
+    with _refused_as("invalid tower", "malformed tower file"):
         levels = tuple(parse_family(entry, cap) for entry in data["levels"])
         transitions = tuple(
             parse_morphism(entry, levels[i + 1], levels[i])
             for i, entry in enumerate(data.get("transitions", []))
         )
         return Tower(levels, transitions)
-    except SpecFileError:
-        raise
-    except CorprodError as exc:
-        raise SpecFileError(f"invalid tower: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise SpecFileError(f"malformed tower file: {exc}") from exc

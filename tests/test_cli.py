@@ -389,3 +389,55 @@ def test_empty_truncation_is_weighed_against_the_enumeration_cap(tmp_path):
         assert status == want, text
         if want == 2:
             assert f"{factor} elements of A exceed the enumeration cap" in text
+
+
+# an exceptional fiber named like the tail pattern, next to a tail pattern
+TAIL_COLLISION = {
+    "prime_set": [2, 3],
+    "exceptional": {"tail": {"group": {"kind": "cyclic", "n": 4}, "subgroup_generators": []}},
+    "tail": {"group": {"kind": "cyclic", "n": 3}, "subgroup_generators": [1]},
+}
+
+MODULE_COMMANDS = ("cohomology", "exact-check", "colimit")
+# every command that reads --spec; corpus reads no file
+SPEC_COMMANDS = sorted(set(cli.COMMANDS) - {"corpus"})
+
+
+def assert_one_error(status, text):
+    assert status == 2, text
+    assert [json.loads(line)["result"] for line in text.splitlines()] == ["error"], text
+
+
+def spec_document(command, family):
+    """``family`` in the file shape ``command`` reads."""
+    if command == "tower-check":
+        return {"levels": [family]}
+    if command == "topo-check":
+        return {"family": family, "open_sets": []}
+    return family
+
+
+@pytest.mark.parametrize("command", SPEC_COMMANDS)
+def test_tail_is_a_reserved_fiber_name(tmp_path, module_file, command):
+    spec = tmp_path / "collide.json"
+    spec.write_text(json.dumps(spec_document(command, TAIL_COLLISION)))
+    args = [command, "--spec", str(spec), "--format", "structured"]
+    if command in MODULE_COMMANDS:
+        args += ["--module", module_file]
+    status, text = run_cli(args)
+    assert_one_error(status, text)
+    assert "fiber name 'tail' is reserved for the tail pattern" in text
+
+
+@pytest.mark.parametrize("junk", ["5", "null", '"family"', "[1]"])
+@pytest.mark.parametrize("command", SPEC_COMMANDS)
+def test_non_object_json_is_refused(tmp_path, family_file, module_file, command, junk):
+    path = tmp_path / "junk.json"
+    path.write_text(junk)
+    args = [command, "--spec", str(path), "--format", "structured"]
+    if command in MODULE_COMMANDS:
+        args += ["--module", module_file]
+    assert_one_error(*run_cli(args))
+    if command in MODULE_COMMANDS:
+        args = [command, "--spec", family_file, "--module", str(path), "--format", "structured"]
+        assert_one_error(*run_cli(args))

@@ -277,3 +277,87 @@ def test_quotient_family_by_center(zoo):
     spec = fam.family([("a", d4, gr.full_subgroup(d4))])
     q = fam.quotient_family(spec, {"a": gr.Subgroup(d4, center)})
     assert q.fiber("a").group.order == 4
+
+
+def test_tail_name_is_reserved(zoo):
+    c2, c3 = zoo["C2"], zoo["C3"]
+    for tail in (None, (c3, gr.full_subgroup(c3))):
+        with pytest.raises(InvariantViolation, match="reserved for the tail pattern"):
+            fam.family([("tail", c2, gr.full_subgroup(c2))], tail=tail)
+    with pytest.raises(InvariantViolation, match="reserved"):
+        fam.FamilySpec((fam.FiberSpec("tail", c2, gr.full_subgroup(c2)),), None, frozenset({2}))
+
+
+def test_fibers_list_the_tail_last_and_split_tail_inverts(zoo):
+    c2, c4, v4 = zoo["C2"], zoo["C4"], zoo["V4"]
+    exc = [("b", c4, gr.trivial_subgroup(c4)), ("a", c2, gr.full_subgroup(c2))]
+    tail_u = gr.subgroup_from_generators(v4, [1])
+    with_tail = fam.family(exc, tail=(v4, tail_u))
+    without = fam.family(exc)
+
+    assert without.fibers == without.exceptional
+    assert [f.name for f in with_tail.fibers] == ["b", "a", "tail"]
+    assert with_tail.fibers[:2] == with_tail.exceptional
+    assert with_tail.fibers[-1] == fam.FiberSpec("tail", v4, tail_u)
+
+    assert with_tail.split_tail(f.name for f in with_tail.fibers) == (("b", "a"), "tail")
+    assert without.split_tail(f.name for f in without.fibers) == (("b", "a"), None)
+    assert with_tail.with_fibers(with_tail.fibers) == with_tail
+    assert without.with_fibers(without.fibers) == without
+
+
+def _old_normal_closure_family(spec):
+    """The per-site loop ``normal_closure_family`` replaced, as a reference."""
+    fibers = tuple(
+        fam.FiberSpec(f.name, f.group, gr.normal_closure(f.group, f.subgroup))
+        for f in spec.exceptional
+    )
+    tl = None
+    if spec.tail is not None:
+        tl = fam.TailSpec(spec.tail.group, gr.normal_closure(spec.tail.group, spec.tail.subgroup))
+    return fam.FamilySpec(fibers, tl, spec.prime_set)
+
+
+def _old_quotient_family_morphism(spec, choices, tail_choice=None):
+    """The per-site loop ``quotient_family_morphism`` replaced, as a reference."""
+    fibers, fiber_maps = [], {}
+    for f in spec.exceptional:
+        v = choices.get(f.name)
+        if v is None:
+            v = gr.Subgroup(f.group, (f.group.identity,))
+        q, proj = gr.quotient_group(f.group, v)
+        u_image = gr.subgroup_from_generators(q, [proj.apply(x) for x in f.subgroup.elements])
+        fibers.append(fam.FiberSpec(f.name, q, u_image))
+        fiber_maps[f.name] = proj
+    tl = tail_map = None
+    if spec.tail is not None:
+        t = spec.tail
+        v = tail_choice if tail_choice is not None else gr.Subgroup(t.group, (t.group.identity,))
+        q, proj = gr.quotient_group(t.group, v)
+        tl = fam.TailSpec(q, gr.subgroup_from_generators(q, [proj.apply(x) for x in t.subgroup.elements]))
+        tail_map = proj
+    target = fam.FamilySpec(tuple(fibers), tl, spec.prime_set)
+    return target, fiber_maps, tail_map
+
+
+def test_closure_and_quotient_with_a_tail_match_the_old_loops(zoo):
+    d4, c4, v4 = zoo["D4"], zoo["C4"], zoo["V4"]
+    refl = gr.subgroup_from_generators(d4, [d4_reflection(d4)])
+    center = gr.Subgroup(
+        d4, tuple(x for x in range(d4.order) if all(d4.mul(x, y) == d4.mul(y, x) for y in range(d4.order)))
+    )
+    u2 = gr.subgroup_from_generators(c4, [2])
+    cases = [
+        (fam.family([("a", c4, u2), ("b", d4, refl)], tail=(d4, refl)), {"a": u2}, center),
+        (fam.family([("a", c4, u2)], tail=(v4, gr.subgroup_from_generators(v4, [1]))), {}, None),
+        (fam.family([], tail=(c4, gr.trivial_subgroup(c4))), {"tail": u2}, u2),
+        (fam.family([("a", d4, refl)]), {"a": center}, None),
+    ]
+    for spec, choices, tail_choice in cases:
+        assert fam.normal_closure_family(spec) == _old_normal_closure_family(spec)
+        for tc in (tail_choice, None):
+            target, fiber_maps, tail_map = _old_quotient_family_morphism(spec, choices, tc)
+            new_target, mor = fam.quotient_family_morphism(spec, choices, tc)
+            assert new_target == target
+            assert mor.fiber_maps == fiber_maps and mor.tail_map == tail_map
+            assert mor.index_map == {n: n for n in spec.names}

@@ -509,3 +509,21 @@ def test_abelianization_formula_plain_finite_sum(zoo):
     assert pairs["b"].ambient.factors == (2,) and pairs["b"].sub_structure.factors == ()
     total = fp.direct_sum_chart([p.ambient.factors for _, p in abf.exceptional])
     assert total.value.factors == (2, 4)
+
+
+def test_tail_fiber_gets_the_tail_action(zoo):
+    # the tail pattern, its truncation copies and the old tail-only
+    # accessor (the memoized module of the tail group and action) agree
+    c2, c3 = zoo["C2"], zoo["C3"]
+    spec = fam.family(
+        [("a", c3, gr.full_subgroup(c3))], tail=(c2, gr.full_subgroup(c2))
+    )
+    neg = negation_action(c2, FAG((3,)), 1).action
+    for module in (fp.FamilyModule.build(FAG((3,)), tail_action=neg), fp.FamilyModule.build(FAG((3,)))):
+        old = fp._gmodule(spec.tail.group, module.coeff, module.tail_action)
+        tail = spec.fibers[-1]
+        assert tail.name == "tail"
+        assert module.gmodule(tail) is old
+        assert module.gmodule(fam.truncate(spec, 1).fiber("tail1")) is old
+        assert module.gmodule(spec.exceptional[0]).is_trivial_action()
+    assert not fp.FamilyModule.build(FAG((3,)), tail_action=neg).gmodule(spec.fibers[-1]).is_trivial_action()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corprod import groups as gr
-from corprod.errors import InvariantViolation, NotNormal, SizeCapExceeded
+from corprod.errors import InvariantViolation, NotASubgroup, NotNormal, SizeCapExceeded
 
 
 def brute_normal_closure(g, sub_elements):
@@ -381,3 +381,11 @@ def test_direct_product(zoo):
     assert g.order == 12
     a, _ = gr.abelianization(g)
     assert a.factors == (2, 2)
+
+
+def test_subgroup_checks_every_range_before_any_product():
+    c4 = gr.cyclic_group(4)
+    for elements in ((0, 100), (0, 2, 4), (-1, 0)):
+        bad = max(elements) if max(elements) >= 4 else min(elements)
+        with pytest.raises(NotASubgroup, match=f"element {bad} out of range"):
+            gr.Subgroup(c4, elements)

@@ -173,3 +173,42 @@ def test_table_groups_obey_the_order_cap():
     row = list(range(2001))
     with pytest.raises(SpecFileError, match="exceeds the cap 2000"):
         serialize.parse_group({"kind": "table", "table": [row] * 2001})
+
+
+def test_out_of_range_subgroup_element_is_an_invalid_family():
+    doc = copy.deepcopy(VALID_FAMILY)
+    doc["exceptional"]["a"]["subgroup_elements"] = [0, 100]
+    with pytest.raises(SpecFileError, match="^invalid family: element 100 out of range$"):
+        serialize.parse_family(doc)
+
+
+@pytest.mark.parametrize("junk", [5, None, "family", [1]])
+def test_non_object_coefficients_are_malformed(junk):
+    # every parser refuses the five shape errors under its own label
+    with pytest.raises(SpecFileError, match="^malformed abelian spec: "):
+        serialize.parse_abelian(junk)
+    spec = serialize.parse_family(VALID_FAMILY)
+    with pytest.raises(SpecFileError, match="^malformed abelian spec: "):
+        serialize.parse_module({"coeff": junk}, spec)
+
+
+def test_tail_entry_takes_subgroup_elements_like_an_exceptional_fiber():
+    doc = copy.deepcopy(VALID_FAMILY)
+    doc["tail"] = {"group": {"kind": "cyclic", "n": 3}, "subgroup_elements": [0, 1, 2]}
+    spec = serialize.parse_family(doc)
+    assert spec.tail.subgroup.elements == (0, 1, 2)
+    assert spec.fibers[-1].name == "tail"
+
+
+def test_module_action_keys_name_fibers_and_tail_names_the_pattern():
+    spec = serialize.parse_family(VALID_FAMILY)
+    # the tail group is C3; its generator acts on Z/7 as multiplication by 2
+    doc = {"coeff": {"kind": "ab", "factors": [7]}, "actions": {"tail": [{"element": 1, "matrix": [[2]]}]}}
+    module = serialize.parse_module(doc, spec)
+    assert module.exceptional_actions == () and module.tail_action is not None
+    assert module.gmodule(spec.fibers[-1]).action.tolist() == [[[1]], [[2]], [[4]]]
+    no_tail = serialize.parse_family(dict(VALID_FAMILY, tail=None))
+    with pytest.raises(SpecFileError, match="tail action given for a family without tail"):
+        serialize.parse_module(doc, no_tail)
+    with pytest.raises(SpecFileError, match="action for unknown fiber 'c'"):
+        serialize.parse_module(dict(doc, actions={"c": doc["actions"]["tail"]}), spec)
