@@ -218,8 +218,9 @@ def fixed_submodule(m: GModule, h: Subgroup) -> FixedSubmodule:
     return FixedSubmodule(sub.structure, sub, sub.inclusion())
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def induced_quotient_action(m: GModule, n: Subgroup) -> tuple[GModule, "object", FixedSubmodule]:
-    """The G/N-module structure on A^N, for normal N.
+    """The G/N-module structure on A^N, for normal N, built once per (module, N).
 
     Returns (module over G/N, projection G -> G/N, fixed submodule data).
     """

@@ -11,11 +11,13 @@ pattern as one more fiber, named ``tail``; a per-fiber computation is
 one loop over that list, and ``FamilySpec.split_tail`` turns values
 listed in that order back into (exceptional values, tail value).  The
 name ``tail`` is reserved for the tail pattern, and a truncation names
-its copies of it ``tail1``, ``tail2``, ...
+its copies of it ``tail1``, ``tail2``, ...; ``summary`` is reserved for
+the summary record that reports add after the per-fiber ones.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,6 +35,9 @@ from .lattice import factorint
 
 STAR = "*"
 TAIL = "tail"
+# exceptional fiber names that name something else: the tail fiber, and
+# the closing record of the cohomology report
+RESERVED = {TAIL: "the tail pattern", "summary": "the summary record"}
 
 
 @dataclass(frozen=True)
@@ -70,14 +75,18 @@ class FamilySpec:
     prime_set: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "prime_set", frozenset(int(p) for p in self.prime_set))
+        try:
+            primes = frozenset(operator.index(p) for p in self.prime_set)
+        except TypeError:
+            raise InvariantViolation("the prime set must be a list of integers") from None
+        object.__setattr__(self, "prime_set", primes)
         names = [f.name for f in self.exceptional]
         if len(set(names)) != len(names):
             raise InvariantViolation("duplicate fiber names")
         for f in self.exceptional:
-            if f.name == TAIL:
+            if f.name in RESERVED:
                 raise InvariantViolation(
-                    f"fiber name {TAIL!r} is reserved for the tail pattern"
+                    f"fiber name {f.name!r} is reserved for {RESERVED[f.name]}"
                 )
             if self.tail is not None and _is_tail_name(f.name):
                 raise InvariantViolation(
@@ -141,7 +150,7 @@ def family(exceptional, tail=None, prime_set=None) -> FamilySpec:
         if tl is not None:
             primes.update(factorint(tl.group.order))
         prime_set = primes or {2}
-    return FamilySpec(fibers, tl, frozenset(prime_set))
+    return FamilySpec(fibers, tl, prime_set)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ cross-validates the oracle against the per-fiber engine.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .families import (
     normal_closure,
     truncate,
 )
-from .groups import FiniteGroup, abelian_structure_from_elements
+from .groups import EnumeratedAbelianStructure, FiniteGroup, abelian_structure_from_elements
 from .lattice import Matrix, Vector, identity_matrix
 
 DEFAULT_ENUM_CAP = 200_000
@@ -158,57 +160,87 @@ def direct_sum_chart(blocks) -> DirectSumChart:
 # ---------------------------------------------------------------------------
 
 
+# bytes of one chunk's (c, |G|, r) int64 tables in the crossed-hom oracle
+_Z1_CHUNK_BYTES = 1 << 20
+
+
+class FiberZ1(NamedTuple):
+    """Z^1 of one fiber.  A cocycle is fixed by its generator values
+    (f(s))_s, so ``structure`` is built on them and ``tables`` maps them
+    to the tables, which ``cocycles`` lists in generator-assignment order;
+    a table is looked up by its generator values, then compared whole."""
+
+    cocycles: list
+    structure: EnumeratedAbelianStructure
+    tables: dict
+    gens: tuple
+
+    def coordinates(self, table):
+        """The coordinates of a cocycle table; ``VerificationFailure`` for any other table."""
+        values = tuple(map(table.__getitem__, self.gens))
+        if self.tables.get(values) != table:
+            raise VerificationFailure("table is not a crossed homomorphism of this fiber")
+        return self.structure.coordinates(values)
+
+    def table(self, coords) -> tuple:
+        return self.tables[self.structure.element(coords)]
+
+
 @lru_cache(maxsize=MEMO_SIZE)
-def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP):
+def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP) -> FiberZ1:
     """All crossed homomorphisms f: G -> A by exhaustive search on
-    generator values plus consistency checks over the Cayley graph."""
-    g, a = m.group, m.coeff
-    gens = g.generators
+    generator values, independent of the engines.  The assignments are
+    taken in ``itertools.product`` order, in chunks of ``_Z1_CHUNK_BYTES``
+    of tables; a chunk fills its tables along one BFS spanning tree of the
+    Cayley graph by f(xs) = f(x) + x.f(s) and keeps the rows where every
+    edge satisfies that identity."""
+    g, a, gens = m.group, m.coeff, m.group.generators
+    k, n, r = len(gens), g.order, a.rank
     # with no generators the search is one assignment, but A is still listed
-    n_candidates = a.order ** max(len(gens), 1)
+    n_candidates = a.order ** max(k, 1)
     if n_candidates > cap:
         raise SizeCapExceeded(
             f"{n_candidates} generator assignments exceed the enumeration cap"
         )
-    cocycles = []
-    for choice in itertools.product(list(a.elements()), repeat=len(gens)):
-        table: list = [None] * g.order
-        table[g.identity] = a.zero
-        frontier = [g.identity]
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for x in frontier:
-                for s, gelt in enumerate(gens):
-                    y = g.mul(x, gelt)
-                    val = a.add(table[x], m.act(x, choice[s]))
-                    if table[y] is None:
-                        table[y] = val
-                        nxt.append(y)
-                    elif table[y] != val:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            frontier = nxt
-        if not ok:
-            continue
-        # verify every edge, not only the spanning tree
-        for x in range(g.order):
-            for s, gelt in enumerate(gens):
-                if table[g.mul(x, gelt)] != a.add(table[x], m.act(x, choice[s])):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            cocycles.append(tuple(table))
-    zero = tuple(a.zero for _ in range(g.order))
+    # the tree edges (x, s, xs) in BFS order; the list grows while it is read
+    reached, seen, tree = [g.identity], {g.identity}, []
+    for x in reached:
+        for s, gelt in enumerate(gens):
+            y = g.mul(x, gelt)
+            if y not in seen:
+                reached.append(y)
+                seen.add(y)
+                tree.append((x, s, y))
+    radix, mods = a.factors * k, np.array(a.factors, dtype=np.int64)
+    total, step = a.order**k, max(1, _Z1_CHUNK_BYTES // (8 * n * max(r, 1)))
+    cocycles, values = [], []
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+        flat, rest = np.empty((len(idx), k * r), dtype=np.int64), idx
+        for j in reversed(range(k * r)):
+            rest, flat[:, j] = np.divmod(rest, radix[j])
+        vals = flat.reshape(len(idx), k, r)
+        tables = np.zeros((len(idx), n, r), dtype=np.int64)
+        for x, s, y in tree:
+            tables[:, y] = (tables[:, x] + vals[:, s] @ m.action[x].T) % mods
+        keep = _edges_hold(m, tables, vals)
+        cocycles.extend(tuple(map(tuple, t)) for t in tables[keep].tolist())
+        values.extend(tuple(map(tuple, v)) for v in vals[keep].tolist())
 
-    def add_tables(t1, t2):
-        return tuple(a.add(v1, v2) for v1, v2 in zip(t1, t2))
+    def add(u, v):
+        return tuple(map(a.add, u, v))
 
-    return cocycles, abelian_structure_from_elements(cocycles, add_tables, zero)
+    structure = abelian_structure_from_elements(values, add, (a.zero,) * k)
+    return FiberZ1(cocycles, structure, dict(zip(values, cocycles)), gens)
+
+
+def _edges_hold(m: GModule, tables: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The rows of a (c, |G|, r) stack of tables that hold on every edge."""
+    ok = np.ones(len(tables), dtype=bool)
+    for s, gelt in enumerate(m.group.generators):
+        moved = np.einsum("xij,cj->cxi", m.action, vals[:, s])
+        ok &= (tables[:, m.group.array[:, gelt]] == (tables + moved) % m.coeff.factors).all(axis=(1, 2))
+    return ok
 
 
 @dataclass
@@ -216,9 +248,10 @@ class OracleH1:
     """H^1 of a finite free product from the independent oracle.
 
     A family cocycle is a tuple of crossed-hom tables, one per fiber, each
-    a tuple of value tuples.  ``classify_many`` looks every table up in its
-    fiber's enumeration, raising ``VerificationFailure`` for one that is
-    not there, and sends the whole stack through one quotient call;
+    a tuple of value tuples.  ``classify_many`` finds every table in its
+    fiber's enumeration by its generator values, compares it whole,
+    raising ``VerificationFailure`` for one that is not there, and sends
+    the whole stack through one quotient call;
     ``classify`` is ``classify_many`` of one family cocycle.
     """
 
@@ -230,17 +263,10 @@ class OracleH1:
     _quotient: modular.Subquotient = field(repr=False)
 
     def classify_many(self, family_cocycles) -> tuple[Vector, ...]:
-        rows = []
-        for family_cocycle in family_cocycles:
-            concat = []
-            for table, (_, structure) in zip(family_cocycle, self._fiber_data):
-                try:
-                    concat.extend(structure.coordinates(table))
-                except KeyError:
-                    raise VerificationFailure(
-                        "table is not a crossed homomorphism of this fiber"
-                    )
-            rows.append(concat)
+        rows = [
+            [c for table, z1 in zip(family_cocycle, self._fiber_data) for c in z1.coordinates(table)]
+            for family_cocycle in family_cocycles
+        ]
         return self._quotient.classify_many(rows)
 
     def classify(self, family_cocycle) -> Vector:
@@ -305,32 +331,27 @@ def oracle_h1(
     # every fiber's search weighs at least |A|; with no fiber A is still listed
     if a.order > cap:
         raise SizeCapExceeded(f"{a.order} elements of A exceed the enumeration cap")
-    moduli = tuple(x for data in fiber_data for x in data[1].factors)
+    moduli = tuple(x for z1 in fiber_data for x in z1.structure.factors)
 
     # the principal crossed homomorphism of e_i, in every fiber
     basis = np.eye(a.rank, dtype=np.int64)
     per_fiber = [_principal_tables(m, basis) for m in mods]
     b1 = [
-        tuple(c for tables, data in zip(per_fiber, fiber_data) for c in data[1].coordinates(tables[i]))
+        tuple(c for tables, z1 in zip(per_fiber, fiber_data) for c in z1.coordinates(tables[i]))
         for i in range(a.rank)
     ]
     quotient = modular.quotient_presentation(moduli, b1)
     value = FiniteAbelianGroup(quotient.factors)
 
+    ends = list(accumulate((len(z1.structure.factors) for z1 in fiber_data), initial=0))
+
     def lift(coords) -> tuple:
-        tables = []
-        pos = 0
-        for _, structure in fiber_data:
-            tables.append(structure.element(coords[pos : pos + len(structure.factors)]))
-            pos += len(structure.factors)
-        return tuple(tables)
+        return tuple(z1.table(coords[i:j]) for z1, i, j in zip(fiber_data, ends, ends[1:]))
 
     reps = tuple(lift(quotient.reps[i]) for i in range(len(value.factors)))
     fixed = common_fixed_elements(trunc, module)
     # cardinality bookkeeping: |Z1| = |B1| * |H1| with |B1| = |A| / |A^G|
-    z1_order = 1
-    for data in fiber_data:
-        z1_order *= len(data[0])
+    z1_order = math.prod(len(z1.cocycles) for z1 in fiber_data)
     if z1_order * len(fixed) != value.order * a.order:
         raise VerificationFailure("oracle cardinality bookkeeping failed")
     return OracleH1(value, reps, trunc.fibers, fixed, fiber_data, quotient)

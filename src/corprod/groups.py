@@ -206,15 +206,17 @@ def group_from_generators(
     """Closure of permutations of 0..degree-1 under composition.
 
     Element 0 is the identity; the remaining elements are enumerated by
-    breadth-first search, which makes the numbering reproducible.
+    breadth-first search, which makes the numbering reproducible.  A
+    degree that is not every generator's length (at most 1 with none) is
+    refused before anything of its size is built.
     """
+    gens = [tuple(int(x) for x in g) for g in generators]
+    if any(len(g) != degree for g in gens) or (not gens and degree > 1):
+        raise InvariantViolation(f"degree {degree} is not the length of every generator")
     idp = tuple(range(degree))
-    gens = []
-    for g in generators:
-        g = tuple(int(x) for x in g)
-        if sorted(g) != list(range(degree)):
+    for g in gens:
+        if sorted(g) != list(idp):
             raise InvariantViolation(f"not a permutation of 0..{degree-1}: {g}")
-        gens.append(g)
     elems = [idp]
     seen = {idp: 0}
     frontier = [idp]

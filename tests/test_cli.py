@@ -1,6 +1,10 @@
 """CLI behavior: exit codes, determinism, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -427,6 +431,50 @@ def test_tail_is_a_reserved_fiber_name(tmp_path, module_file, command):
     status, text = run_cli(args)
     assert_one_error(status, text)
     assert "fiber name 'tail' is reserved for the tail pattern" in text
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_summary_is_a_reserved_fiber_name(tmp_path, degree):
+    # the cohomology report names its fiber records h{d}-<name> next to h{d}-summary
+    family = {"prime_set": [2], "exceptional": {"summary": C2_FAMILY["exceptional"]["a"]}}
+    spec, module = tmp_path / "summary.json", tmp_path / "module.json"
+    spec.write_text(json.dumps(family))
+    module.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [2]}, "actions": {}}))
+    args = ["cohomology", "--spec", str(spec), "--module", str(module), "--degree", str(degree)]
+    status, text = run_cli(args + ["--format", "structured"])
+    assert_one_error(status, text)
+    assert "fiber name 'summary' is reserved for the summary record" in text
+
+
+def test_an_unbacked_perm_degree_is_refused(tmp_path):
+    family = {
+        "prime_set": [2],
+        "exceptional": {"a": {"group": {"kind": "perm", "degree": 10**9, "generators": [[1, 0]]}}},
+    }
+    spec = tmp_path / "perm.json"
+    spec.write_text(json.dumps(family))
+    status, text = run_cli(["validate", "--spec", str(spec), "--format", "structured"])
+    assert_one_error(status, text)
+    assert "degree 1000000000 is not the length of every generator" in text
+
+
+@pytest.mark.parametrize("prime_set", ["family", "23", [2, 2.5], 5])
+def test_a_non_integer_prime_set_is_refused_alike_under_any_hash_seed(tmp_path, prime_set):
+    # a string was once read as a set of characters, named in an order set by the hash seed
+    spec = tmp_path / "primes.json"
+    spec.write_text(json.dumps({**C2_FAMILY, "prime_set": prime_set}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "corprod.cli", "validate", "--spec", str(spec), "--format", "structured"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        outputs.add(proc.stdout)
+    (text,) = outputs
+    assert "the prime set must be a list of integers" in text
 
 
 @pytest.mark.parametrize("junk", ["5", "null", '"family"', "[1]"])

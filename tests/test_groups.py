@@ -1,6 +1,7 @@
 """Finite group arithmetic, with brute-force oracles for the derived values."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ def test_closure_examples():
     d4 = gr.group_from_generators(4, [(1, 2, 3, 0), (2, 1, 0, 3)])
     assert d4.order == 8
     assert gr.group_from_generators(1, []).order == 1
+
+
+def test_an_unbacked_degree_is_refused_before_allocation():
+    # 10^9 points would take gigabytes as a tuple; the refusal builds nothing
+    tracemalloc.start()
+    try:
+        for gens in ([(1, 0)], [(1, 2, 0), (0, 1)], []):
+            with pytest.raises(InvariantViolation, match="^degree 1000000000 is not the length"):
+                gr.group_from_generators(10**9, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(InvariantViolation, match="not the length"):
+        gr.group_from_generators(3, [(1, 0, 2), (1, 0)])
 
 
 def test_closure_cap():
