@@ -102,10 +102,12 @@ class AbHom:
     matrix: Matrix
 
     def __post_init__(self):
+        rows, cols = self.target.rank, self.source.rank
+        if len(self.matrix) != rows or any(len(row) != cols for row in self.matrix):
+            raise InvariantViolation(f"matrix is not {rows} x {cols} (target rank x source rank)")
         mat = lattice.freeze(
             tuple(
-                tuple(self.matrix[i][j] % self.target.factors[i] for j in range(self.source.rank))
-                for i in range(self.target.rank)
+                tuple(x % d for x in row) for row, d in zip(self.matrix, self.target.factors)
             )
         )
         object.__setattr__(self, "matrix", mat)
@@ -159,45 +161,53 @@ def identity_hom(a: FiniteAbelianGroup) -> AbHom:
 
 @dataclass(frozen=True)
 class AbSubgroup:
-    """Subgroup of a finite abelian group, given by generating vectors."""
+    """Subgroup of a finite abelian group, given by generating vectors.
+
+    Every answer comes from ``modular``: the structure, the order and the
+    inclusion from the presentation of the subgroup, and membership from
+    the presentation of the ambient group modulo the subgroup, in which
+    the members are exactly the vectors of class zero.
+    """
 
     ambient: FiniteAbelianGroup
     gens: tuple[Vector, ...]
 
-    @cached_property
-    def canonical_rows(self) -> Matrix:
-        n = self.ambient.rank
-        rel = [
-            tuple(self.ambient.factors[i] if j == i else 0 for j in range(n))
-            for i in range(n)
-        ]
-        return lattice.hnf(list(self.gens) + rel, n)
+    def __post_init__(self):
+        for g in self.gens:
+            if len(g) != self.ambient.rank:
+                raise InvariantViolation(
+                    f"generator {tuple(g)} has length {len(g)}, "
+                    f"not the ambient rank {self.ambient.rank}"
+                )
 
     @cached_property
     def presentation(self) -> modular.Subquotient:
         return modular.subgroup_presentation(self.ambient.factors, self.gens)
 
-    @property
+    @cached_property
     def structure(self) -> FiniteAbelianGroup:
         return FiniteAbelianGroup(self.presentation.factors)
 
-    @cached_property
+    @property
     def order(self) -> int:
-        pivots = lattice.hnf_pivots(self.canonical_rows)
-        det = 1
-        for row, p in zip(self.canonical_rows, pivots):
-            det *= row[p]
-        return self.ambient.order // det
+        return self.presentation.order
+
+    def contains_many(self, vecs) -> tuple[bool, ...]:
+        """Membership of each vector of the ambient group, in one batch."""
+        quotient = modular.quotient_presentation(self.ambient.factors, self.gens)
+        return tuple(not any(c) for c in quotient.classify_many(vecs))
 
     def contains(self, vec) -> bool:
-        return lattice.in_rowspan(self.canonical_rows, self.ambient.reduce(vec))
+        return self.contains_many([vec])[0]
 
     def same_subgroup(self, other: "AbSubgroup") -> bool:
         return (
             self.ambient.factors == other.ambient.factors
-            and self.canonical_rows == other.canonical_rows
+            and self.order == other.order
+            and all(self.contains_many(other.gens))
         )
 
+    @cached_property
     def inclusion(self) -> AbHom:
         """Inclusion of the canonical generators into the ambient group."""
         return AbHom.from_columns(self.structure, self.ambient, self.presentation.reps)

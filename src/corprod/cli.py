@@ -99,7 +99,7 @@ def cmd_abelianize(cfg: RunConfig) -> Report:
                 True,
                 factors=[
                     ("ambient", pair.ambient.factors),
-                    ("u-image", pair.sub_structure.factors),
+                    ("u-image", pair.structure.factors),
                 ],
                 detail=f"flavor {fam.flavor}",
             )
@@ -141,7 +141,7 @@ def cmd_cohomology(cfg: RunConfig) -> Report:
                 True,
                 factors=[
                     ("value", pair.ambient.factors),
-                    ("nr", pair.sub_structure.factors),
+                    ("nr", pair.structure.factors),
                 ],
             )
         )
@@ -190,7 +190,7 @@ def cmd_duality_check(cfg: RunConfig) -> Report:
         record(
             "duality-involution",
             digest,
-            double.canonical() == fam.canonical(),
+            double.same_as(fam),
             detail=f"flavors {fam.flavor} -> {dual.flavor} -> {double.flavor}",
         )
     )
@@ -200,11 +200,11 @@ def cmd_duality_check(cfg: RunConfig) -> Report:
             record(
                 f"duality-annihilator-{name}",
                 digest,
-                pair.sub.order * dpair.sub.order == pair.ambient.order,
+                pair.order * dpair.order == pair.ambient.order,
                 factors=[
                     ("ambient", pair.ambient.factors),
-                    ("sub", pair.sub_structure.factors),
-                    ("annihilator", dpair.sub_structure.factors),
+                    ("sub", pair.structure.factors),
+                    ("annihilator", dpair.structure.factors),
                 ],
             )
         )

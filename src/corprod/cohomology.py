@@ -198,43 +198,32 @@ def module_from_generator_matrices(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedSubmodule:
-    """A^H with its inclusion into A."""
-
-    value: FiniteAbelianGroup
-    subgroup: AbSubgroup
-    inclusion: AbHom
-
-
-def fixed_submodule(m: GModule, h: Subgroup) -> FixedSubmodule:
+def fixed_submodule(m: GModule, h: Subgroup) -> AbSubgroup:
     """{a : x.a = a for all x in h} as a subgroup of the coefficients."""
     a = m.coeff
     r = a.rank
     gens = [x for x in h.elements if x != m.group.identity]
     rows = (m.action[gens] - np.eye(r, dtype=np.int64)).reshape(len(gens) * r, r)
-    sol = modular.congruence_kernel(rows, a.factors * len(gens), a.factors)
-    sub = AbSubgroup(a, tuple(sol))
-    return FixedSubmodule(sub.structure, sub, sub.inclusion())
+    return AbSubgroup(a, tuple(modular.congruence_kernel(rows, a.factors * len(gens), a.factors)))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def induced_quotient_action(m: GModule, n: Subgroup) -> tuple[GModule, "object", FixedSubmodule]:
+def induced_quotient_action(m: GModule, n: Subgroup) -> tuple[GModule, "object", AbSubgroup]:
     """The G/N-module structure on A^N, for normal N, built once per (module, N).
 
-    Returns (module over G/N, projection G -> G/N, fixed submodule data).
+    Returns (module over G/N, projection G -> G/N, the fixed submodule A^N).
     """
     q, proj = quotient_group(m.group, n)
     fixed = fixed_submodule(m, n)
-    a, k = m.coeff, fixed.value.rank
+    a, k = m.coeff, fixed.structure.rank
     inc = np.array(fixed.inclusion.matrix, dtype=np.int64).reshape(a.rank, k)
     # the first element of each coset acts on the generators of A^N:
     # row (x, j) is x applied to generator j, and its coordinates are column j
     _, section = np.unique(np.array(proj.images, dtype=np.int64), return_index=True)
     moved = _act(m, section[:, None], inc.T[None])
-    coords = fixed.subgroup.presentation.classify_many(moved.reshape(q.order * k, a.rank))
+    coords = fixed.presentation.classify_many(moved.reshape(q.order * k, a.rank))
     acts = np.array(coords, dtype=np.int64).reshape(q.order, k, k).transpose(0, 2, 1)
-    return GModule(q, fixed.value, acts), proj, fixed
+    return GModule(q, fixed.structure, acts), proj, fixed
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +457,7 @@ def inflation(m: GModule, n: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP) 
     mq, proj, fixed = induced_quotient_action(m, n)
     h_q = cohomology(mq, degree, cap)
     h_g = cohomology(m, degree, cap)
-    a, an = m.coeff, fixed.value
+    a, an = m.coeff, fixed.structure
     if h_q.representatives:
         modular.check_int64_products(an.exponent - 1, an.rank, "inflation", other=a.exponent - 1)
     inc = np.array(fixed.inclusion.matrix, dtype=np.int64).reshape(a.rank, an.rank)

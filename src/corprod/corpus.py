@@ -207,16 +207,10 @@ def closure_invariance_record(inst: CorpusInstance, cap, enum_cap) -> CheckRecor
     spec, module = inst.spec, inst.module
     closed = normal_closure_family(spec)
     problems = []
-    if (
-        fp.abelianization_formula(spec).canonical()
-        != fp.abelianization_formula(closed).canonical()
-    ):
+    if not fp.abelianization_formula(spec).same_as(fp.abelianization_formula(closed)):
         problems.append("abelianization-formula")
     for deg in (1, 2):
-        if (
-            fp.h_formula(spec, module, deg, cap).canonical()
-            != fp.h_formula(closed, module, deg, cap).canonical()
-        ):
+        if not fp.h_formula(spec, module, deg, cap).same_as(fp.h_formula(closed, module, deg, cap)):
             problems.append(f"h-formula-deg{deg}")
     s0 = fp.four_term_sequence(truncate(spec, 0), module, cap, enum_cap)
     s1 = fp.four_term_sequence(truncate(closed, 0), module, cap, enum_cap)
@@ -250,9 +244,9 @@ def duality_record(inst: CorpusInstance) -> CheckRecord:
     abf = fp.abelianization_formula(inst.spec)
     dual = fp.dualize_family(abf)
     double = fp.dualize_family(dual)
-    ok = double.canonical() == abf.canonical() and dual.flavor == "discretized"
+    ok = double.same_as(abf) and dual.flavor == "discretized"
     law = all(
-        pair.sub.order * dict(dual.pairs())[name].sub.order == pair.ambient.order
+        pair.order * dict(dual.pairs())[name].order == pair.ambient.order
         for name, pair in abf.pairs()
     )
     return record(

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .abelian import AbSubgroup, FiniteAbelianGroup
+from .abelian import AbSubgroup
 from .errors import InvariantViolation, PreconditionError
 from .groups import (
     FiniteGroup,
@@ -168,7 +168,6 @@ class FiberClosureInfo:
 
 @dataclass(frozen=True)
 class FamilyValidation:
-    ok: bool
     fibers: tuple[FiberClosureInfo, ...]
     tail: FiberClosureInfo | None
 
@@ -185,7 +184,7 @@ def validate_family(spec: FamilySpec) -> FamilyValidation:
         infos.append(
             FiberClosureInfo(f.name, f.subgroup.is_normal(), cl.order, cl.elements)
         )
-    return FamilyValidation(True, *spec.split_tail(infos))
+    return FamilyValidation(*spec.split_tail(infos))
 
 
 def normal_closure_family(spec: FamilySpec) -> FamilySpec:
@@ -202,49 +201,29 @@ def normal_closure_family(spec: FamilySpec) -> FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbPair:
-    """A finite abelian group with a distinguished subgroup, the fiber
-    datum of a restricted product."""
-
-    ambient: FiniteAbelianGroup
-    sub_gens: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def sub(self) -> AbSubgroup:
-        return AbSubgroup(self.ambient, self.sub_gens)
-
-    @property
-    def sub_structure(self) -> FiniteAbelianGroup:
-        return self.sub.structure
-
-    def canonical(self):
-        return (self.ambient.factors, self.sub.canonical_rows)
-
-    def __hash__(self):
-        return hash((self.ambient, self.sub_gens))
-
-
 FLAVORS = ("plain", "discretized", "compactified")
 
 
 @dataclass(frozen=True)
 class RestrictedAbFamily:
-    """Family (A_t, B_t) of abelian pairs with a topological flavor tag."""
+    """Family (A_t, B_t) of subgroups B_t <= A_t with a topological flavor tag."""
 
-    exceptional: tuple[tuple[str, AbPair], ...]
-    tail: AbPair | None
+    exceptional: tuple[tuple[str, AbSubgroup], ...]
+    tail: AbSubgroup | None
     flavor: str
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise InvariantViolation(f"unknown flavor {self.flavor}")
 
-    def canonical(self):
+    def same_as(self, other: "RestrictedAbFamily") -> bool:
+        """Same flavor, names and tail presence, and fiber by fiber the
+        same subgroup of the same group."""
         return (
-            self.flavor,
-            tuple((name, pair.canonical()) for name, pair in self.exceptional),
-            self.tail.canonical() if self.tail else None,
+            self.flavor == other.flavor
+            and [n for n, _ in self.exceptional] == [n for n, _ in other.exceptional]
+            and (self.tail is None) == (other.tail is None)
+            and all(a.same_subgroup(b) for (_, a), (_, b) in zip(self.pairs(), other.pairs()))
         )
 
     def pairs(self):
@@ -258,10 +237,9 @@ def abelianize_family(spec: FamilySpec) -> RestrictedAbFamily:
     """Fiberwise (G_t^ab, image of U_t); tagged compactified because the
     abelianized free product is the compactified restricted product."""
 
-    def pair(f: FiberSpec) -> AbPair:
+    def pair(f: FiberSpec) -> AbSubgroup:
         a, proj = f.group.abelianization
-        gens = tuple(sorted(set(proj.apply(x) for x in f.subgroup.elements)))
-        return AbPair(a, gens)
+        return AbSubgroup(a, tuple(sorted(set(proj.apply(x) for x in f.subgroup.elements))))
 
     exc, tl = spec.split_tail(pair(f) for f in spec.fibers)
     return RestrictedAbFamily(tuple(zip(spec.names, exc)), tl, "compactified")

@@ -49,7 +49,6 @@ from .errors import (
     VerificationFailure,
 )
 from .families import (
-    AbPair,
     FamilySpec,
     FiberSpec,
     RestrictedAbFamily,
@@ -482,8 +481,11 @@ def check_exactness(seq: FourTermSequence) -> ExactnessReport:
     ):
         image = incoming.image()
         kernel = outgoing.kernel()
-        im_in_ker = all(kernel.contains(g) for g in image.gens)
-        same = im_in_ker and image.same_subgroup(kernel)
+        inside = kernel.contains_many(image.gens)
+        escaping = [g for g, ok in zip(image.gens, inside) if not ok]
+        im_in_ker = not escaping
+        # the image lies in the kernel, so equal orders make them equal
+        same = im_in_ker and image.order == kernel.order
         if same:
             obstruction = 1
             witness = None
@@ -491,16 +493,14 @@ def check_exactness(seq: FourTermSequence) -> ExactnessReport:
             obstruction = (
                 kernel.order // image.order if im_in_ker and image.order else 0
             )
-            witness = None
-            for g in kernel.gens:
-                if not image.contains(g):
-                    witness = (name, g)
-                    break
-            if witness is None and not im_in_ker:
-                for g in image.gens:
-                    if not kernel.contains(g):
-                        witness = (name + ":image-escapes-kernel", g)
-                        break
+            inside = image.contains_many(kernel.gens)
+            missing = [g for g, ok in zip(kernel.gens, inside) if not ok]
+            if missing:
+                witness = (name, missing[0])
+            elif escaping:
+                witness = (name + ":image-escapes-kernel", escaping[0])
+            else:
+                witness = None
         reports.append(PositionReport(name, same, obstruction, witness))
 
     image3 = m3.image()
@@ -564,8 +564,8 @@ def summarize_family(fam: RestrictedAbFamily) -> RestrictedSummary:
         exc_order *= pair.ambient.order
     if fam.tail is None:
         return RestrictedSummary(False, exc_order, None, True, exc_order)
-    tail_pair = (fam.tail.ambient.factors, fam.tail.sub_structure.factors)
-    direct = fam.tail.sub_structure.order == 1
+    tail_pair = (fam.tail.ambient.factors, fam.tail.structure.factors)
+    direct = fam.tail.order == 1
     finite = exc_order if fam.tail.ambient.order == 1 else None
     return RestrictedSummary(True, exc_order, tail_pair, direct, finite)
 
@@ -578,11 +578,10 @@ def h_formula(
     if degree not in (1, 2):
         raise PreconditionError("the pair formula is stated for degrees 1 and 2")
 
-    def pair(f: FiberSpec) -> AbPair:
-        nr = unramified_subgroup(f.group, f.subgroup, module.gmodule(f), degree, cap)
-        return AbPair(nr.cohomology.value, nr.subgroup.gens)
-
-    exc, tail = spec.split_tail(pair(f) for f in spec.fibers)
+    exc, tail = spec.split_tail(
+        unramified_subgroup(f.group, f.subgroup, module.gmodule(f), degree, cap).subgroup
+        for f in spec.fibers
+    )
     return RestrictedAbFamily(tuple(zip(spec.names, exc)), tail, "discretized")
 
 
@@ -643,12 +642,8 @@ def dualize_family(fam: RestrictedAbFamily) -> RestrictedAbFamily:
     compactified/discretized flavors swap."""
     flip = {"plain": "plain", "compactified": "discretized", "discretized": "compactified"}
 
-    def dual_pair(pair: AbPair) -> AbPair:
-        ann = annihilator(pair.ambient, pair.sub_gens)
-        return AbPair(FiniteAbelianGroup(pair.ambient.factors), ann.gens)
-
-    exc = tuple((name, dual_pair(p)) for name, p in fam.exceptional)
-    tail = dual_pair(fam.tail) if fam.tail is not None else None
+    exc = tuple((name, annihilator(b.ambient, b.gens)) for name, b in fam.exceptional)
+    tail = annihilator(fam.tail.ambient, fam.tail.gens) if fam.tail is not None else None
     return RestrictedAbFamily(exc, tail, flip[fam.flavor])
 
 
@@ -1024,16 +1019,16 @@ def corestriction_compare(spec: FamilySpec, smaller: FamilySpec) -> Corestrictio
         if not set(f_small.subgroup.elements) <= set(f_big.subgroup.elements):
             raise PreconditionError(f"fiber {name}: U' is not contained in U")
         pb, ps = big_pairs[name], small_pairs[name]
-        contained = all(pb.sub.contains(g) for g in ps.sub_gens)
-        ann_big = annihilator(pb.ambient, pb.sub_gens)
-        ann_small = annihilator(ps.ambient, ps.sub_gens)
-        reversed_ok = all(ann_small.contains(g) for g in ann_big.gens)
+        contained = all(pb.contains_many(ps.gens))
+        ann_big = annihilator(pb.ambient, pb.gens)
+        ann_small = annihilator(ps.ambient, ps.gens)
+        reversed_ok = all(ann_small.contains_many(ann_big.gens))
         out.append(
             FiberCorestriction(
                 name,
                 contained,
-                ps.sub_structure.factors,
-                pb.sub_structure.factors,
+                ps.structure.factors,
+                pb.structure.factors,
                 reversed_ok,
             )
         )

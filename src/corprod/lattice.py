@@ -1,4 +1,4 @@
-"""Exact integer matrix and lattice arithmetic.
+"""Exact integer matrix and lattice arithmetic on Python ints.
 
 Conventions used throughout the package:
 
@@ -7,7 +7,18 @@ Conventions used throughout the package:
 * homomorphism matrices act on column vectors, so composition is
   ordinary matrix multiplication.
 
-Everything here is exact; no floating point is used anywhere.
+Everything here is exact; no floating point is used anywhere.  The
+elementary arithmetic and the factorizations serve the whole package,
+but subgroups and quotients are computed by ``modular``.  The Hermite
+and Smith normal forms serve the independent oracles of ``modular`` and
+two small callers only:
+
+* ``hnf``, ``hnf_pivots`` and ``solve_against_basis``: the numerator
+  basis and the coordinates of ``modular.subquotient_int``;
+* ``snf_transforms``: the invariant factors of ``subquotient_int``, of
+  ``groups.abelian_structure_from_elements`` and, through
+  ``smith_normal_form``, of the public ``abelian.smith_normal_form``;
+* ``row_kernel``: ``modular.congruence_kernel_int``.
 """
 
 from __future__ import annotations
@@ -112,24 +123,6 @@ def hnf_pivots(h: Matrix) -> tuple[int, ...]:
                 out.append(j)
                 break
     return tuple(out)
-
-
-def reduce_mod_lattice(h: Matrix, vec) -> Vector:
-    """Reduce ``vec`` modulo the lattice with HNF basis ``h``.
-
-    The result is zero iff ``vec`` lies in the lattice.
-    """
-    v = list(vec)
-    pivots = hnf_pivots(h)
-    for row, p in zip(h, pivots):
-        q = v[p] // row[p]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return tuple(v)
-
-
-def in_rowspan(h: Matrix, vec) -> bool:
-    return is_zero_vector(reduce_mod_lattice(h, vec))
 
 
 def solve_against_basis(basis: Matrix, vec) -> Vector | None:

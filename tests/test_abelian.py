@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corprod import abelian as ab
-from corprod.errors import InvariantViolation
+from corprod import lattice
+from corprod.errors import InvariantViolation, SizeCapExceeded
 
 small_groups = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]), max_size=3).map(
     ab.group_from_moduli
@@ -153,3 +154,82 @@ def test_abhom_validation_and_kernel_image():
     for x in itertools.product(range(2), range(4)):
         y = h.apply(x)
         assert h.kernel().contains(x) == (y == (0,))
+
+
+def test_abhom_refuses_a_matrix_of_the_wrong_shape():
+    z2 = ab.FiniteAbelianGroup((2,))
+    # an extra column, an extra row, a short row, no rows
+    for matrix in (((1, 5),), ((1,), (0,)), ((),), ()):
+        with pytest.raises(InvariantViolation):
+            ab.AbHom(z2, z2, matrix)
+    assert ab.AbHom(ab.TRIVIAL, z2, ((),)).matrix == ((),)
+    assert ab.AbHom(z2, ab.TRIVIAL, ()).matrix == ()
+
+
+def test_absubgroup_refuses_a_generator_of_the_wrong_length():
+    z2 = ab.FiniteAbelianGroup((2,))
+    for gens in (((1, 1),), ((),), ((1,), (0, 1))):
+        with pytest.raises(InvariantViolation):
+            ab.AbSubgroup(z2, gens)
+    assert ab.AbSubgroup(ab.TRIVIAL, ((),)).order == 1
+
+
+def test_absubgroup_refuses_a_factor_beyond_int64():
+    sub = ab.AbSubgroup(ab.FiniteAbelianGroup((2**63,)), ((2,),))
+    with pytest.raises(SizeCapExceeded):
+        sub.order
+    with pytest.raises(SizeCapExceeded):
+        sub.contains((4,))
+
+
+def hermite_reference(a, gens):
+    """HNF basis of the preimage of <gens> in Z^rank, and the order of <gens>."""
+    n = a.rank
+    rel = [tuple(d if j == i else 0 for j in range(n)) for i, d in enumerate(a.factors)]
+    h = lattice.hnf(list(gens) + rel, n)
+    index = prod(row[p] for row, p in zip(h, lattice.hnf_pivots(h)))
+    return h, a.order // index
+
+
+def test_subgroup_queries_match_the_hermite_form_300_random_subgroups():
+    rng = random.Random(12)
+    unequal_of_equal_order = outside = 0
+    for _ in range(300):
+        moduli = [rng.choice([2, 3, 4, 5, 6, 8, 9, 12]) for _ in range(rng.randint(0, 3))]
+        a = ab.group_from_moduli(moduli) if moduli else ab.TRIVIAL
+
+        def element():
+            return tuple(rng.randrange(d) for d in a.factors)
+
+        gens = tuple(element() for _ in range(rng.randint(0, 3)))
+        sub = ab.AbSubgroup(a, gens)
+        h, order = hermite_reference(a, gens)
+        assert sub.order == order
+
+        # members, members moved by one unit, and unreduced or negative lifts
+        members = [
+            tuple(sum(rng.randrange(5) * g[i] for g in gens) for i in range(a.rank))
+            for _ in range(4)
+        ]
+        probes = members + [element() for _ in range(4)]
+        for v in members:
+            for i in range(a.rank):
+                probes.append(tuple(x + (j == i) for j, x in enumerate(v)))
+        probes += [tuple(x - 3 * d for x, d in zip(v, a.factors)) for v in probes[:6]]
+        want = [lattice.solve_against_basis(h, v) is not None for v in probes]
+        assert sub.contains_many(probes) == tuple(want)
+        assert [sub.contains(v) for v in probes] == want
+        outside += want.count(False)
+
+        # a random subgroup, then cyclic subgroups of the same order as <x>
+        other_gens = tuple(element() for _ in range(rng.randint(0, 3)))
+        equal = h == hermite_reference(a, other_gens)[0]
+        assert sub.same_subgroup(ab.AbSubgroup(a, other_gens)) == equal
+        x = element()
+        cyclic_x, h_x = ab.AbSubgroup(a, (x,)), hermite_reference(a, (x,))[0]
+        for y in [y for y in a.elements() if a.element_order(y) == a.element_order(x)][:6]:
+            cyclic_y = ab.AbSubgroup(a, (y,))
+            equal = hermite_reference(a, (y,))[0] == h_x
+            assert cyclic_x.same_subgroup(cyclic_y) == cyclic_y.same_subgroup(cyclic_x) == equal
+            unequal_of_equal_order += not equal
+    assert unequal_of_equal_order > 100 and outside > 500

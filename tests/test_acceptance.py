@@ -15,6 +15,7 @@ from corprod import families as fam
 from corprod import formulas as fp
 from corprod import groups as gr
 from corprod import topology as topo
+from corprod.abelian import AbSubgroup
 from corprod.abelian import FiniteAbelianGroup as FAG
 from corprod.abelian import group_from_moduli
 from corprod.errors import InvariantViolation
@@ -70,15 +71,15 @@ def test_criterion_3_duality():
                 tuple(rng.randrange(d) for d in a.factors)
                 for _ in range(rng.randint(0, 3))
             )
-            named.append((f"f{i}", fam.AbPair(a, gens)))
+            named.append((f"f{i}", AbSubgroup(a, gens)))
         family_obj = fam.RestrictedAbFamily(tuple(named), None, "compactified")
         dual = fp.dualize_family(family_obj)
         double = fp.dualize_family(dual)
         assert dual.flavor == "discretized" and double.flavor == "compactified"
-        assert double.canonical() == family_obj.canonical()
+        assert double.same_as(family_obj)
         for name, pair in family_obj.pairs():
             dpair = dict(dual.pairs())[name]
-            assert pair.sub.order * dpair.sub.order == pair.ambient.order
+            assert pair.order * dpair.order == pair.ambient.order
             pairs_checked += 1
     report(3, "duality involution and annihilator law", time.time() - start, 5)
 

@@ -160,14 +160,14 @@ def test_h_formula(zoo):
     out = fp.h_formula(spec, fp.FamilyModule.build(FAG((3,))), 1)
     assert out.flavor == "discretized"
     assert out.tail.ambient.factors == (3,)
-    assert out.tail.sub_structure.factors == ()
+    assert out.tail.structure.factors == ()
     assert fp.summarize_family(out).is_direct_sum
 
     v4 = zoo["V4"]
     spec = fam.family([], tail=(v4, gr.subgroup_from_generators(v4, [2])))
     out = fp.h_formula(spec, fp.FamilyModule.build(FAG((2,))), 1)
     assert out.tail.ambient.factors == (2, 2)
-    assert out.tail.sub_structure.factors == (2,)
+    assert out.tail.structure.factors == (2,)
     assert not fp.summarize_family(out).is_direct_sum
 
     empty = fam.family([], prime_set={2})
@@ -184,17 +184,17 @@ def test_h_formula_degree2(zoo):
     # the degree-2 inflation H^2(C4/<2>, Z/2) -> H^2(C4, Z/2) is zero:
     # in the five-term sequence the restriction H^1(C4) -> H^1(<2>) is
     # the zero map, so the transgression hits all of H^2(C2, Z/2)
-    assert pair.sub_structure.factors == ()
+    assert pair.structure.factors == ()
     # sanity: with the full subgroup the quotient is trivial, nr = 0,
     # and with the trivial subgroup nr is everything
     full = fam.family([("a", c4, gr.full_subgroup(c4))])
     assert dict(fp.h_formula(full, fp.FamilyModule.build(FAG((2,))), 2).exceptional)[
         "a"
-    ].sub_structure.factors == ()
+    ].structure.factors == ()
     triv = fam.family([("a", c4, gr.trivial_subgroup(c4))])
     assert dict(fp.h_formula(triv, fp.FamilyModule.build(FAG((2,))), 2).exceptional)[
         "a"
-    ].sub_structure.factors == (2,)
+    ].structure.factors == (2,)
 
 
 def test_high_degree_formula(zoo):
@@ -221,15 +221,15 @@ def test_abelianization_formula_and_duality(zoo):
     assert abf.flavor == "compactified"
     pairs = dict(abf.pairs())
     assert pairs["a"].ambient.factors == (4,)
-    assert pairs["a"].sub_structure.factors == (2,)
+    assert pairs["a"].structure.factors == (2,)
     assert pairs["tail"].ambient.factors == (2,)
 
     dual = fp.dualize_family(abf)
     assert dual.flavor == "discretized"
-    assert fp.dualize_family(dual).canonical() == abf.canonical()
+    assert fp.dualize_family(dual).same_as(abf)
     for name, pair in abf.pairs():
         dpair = dict(dual.pairs())[name]
-        assert pair.sub.order * dpair.sub.order == pair.ambient.order
+        assert pair.order * dpair.order == pair.ambient.order
     # plain stays plain
     plain = fp.RestrictedAbFamily(abf.exceptional, abf.tail, "plain")
     assert fp.dualize_family(plain).flavor == "plain"
@@ -505,8 +505,8 @@ def test_abelianization_formula_plain_finite_sum(zoo):
     )
     abf = fp.abelianization_formula(spec)
     pairs = dict(abf.exceptional)
-    assert pairs["a"].ambient.factors == (4,) and pairs["a"].sub_structure.factors == ()
-    assert pairs["b"].ambient.factors == (2,) and pairs["b"].sub_structure.factors == ()
+    assert pairs["a"].ambient.factors == (4,) and pairs["a"].structure.factors == ()
+    assert pairs["b"].ambient.factors == (2,) and pairs["b"].structure.factors == ()
     total = fp.direct_sum_chart([p.ambient.factors for _, p in abf.exceptional])
     assert total.value.factors == (2, 4)
 

@@ -5,7 +5,12 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corprod import lattice
+from corprod import corpus, lattice
+from corprod import formulas as fp
+from corprod import groups as gr
+from corprod.abelian import FiniteAbelianGroup
+from corprod.cohomology import DEFAULT_COH_CAP
+from corprod.families import family
 
 matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -78,7 +83,7 @@ def test_hnf_canonical(rows, rnd):
     h2 = lattice.hnf(shuffled + extra, len(rows[0]))
     assert h1 == h2
     for row in m:
-        assert lattice.in_rowspan(h1, row)
+        assert lattice.solve_against_basis(h1, row) is not None
 
 
 def test_invariant_factors_of_diagonal():
@@ -150,3 +155,21 @@ def test_hnf_matches_the_reference(rows, rnd):
     rnd.shuffle(m)
     for ncols in (None, n, rnd.randint(0, n)):
         assert lattice.hnf(m, ncols) == reference_hnf(m, ncols)
+
+
+def test_the_hermite_form_serves_only_the_oracles(monkeypatch):
+    """The corpus suite and a truncation colimit run with ``hnf`` disabled:
+    subgroups are answered by ``modular``, not by a Hermite form."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice.hnf called outside the oracles")
+
+    monkeypatch.setattr(lattice, "hnf", refuse)
+    records = corpus.corpus_summary_records(0, 4, DEFAULT_COH_CAP, fp.DEFAULT_ENUM_CAP)
+    assert [r.passed for r in records] == [True] * 4
+    c4, c2 = gr.cyclic_group(4), gr.cyclic_group(2)
+    spec = family(
+        [("a", c4, gr.subgroup_from_generators(c4, [2]))], tail=(c2, gr.full_subgroup(c2))
+    )
+    system = fp.truncation_colimit(spec, fp.FamilyModule.build(FiniteAbelianGroup((2, 2))), 1, 3)
+    assert system.passed and len(system.levels) == 4
