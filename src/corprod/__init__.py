@@ -25,6 +25,7 @@ from .cohomology import (
     fixed_submodule,
     inflation,
     module_from_generator_matrices,
+    resolution_cohomology,
     restriction,
     shifted_cohomology,
     trivial_module,

@@ -130,7 +130,13 @@ class AbHom:
         """self after other."""
         if other.target.factors != self.source.factors:
             raise InvariantViolation("composition type mismatch")
-        return AbHom(other.source, self.target, lattice.mat_mul(self.matrix, other.matrix))
+        # from the ranks: through the trivial group both factors are empty
+        a, b, mid = self.matrix, other.matrix, self.source.rank
+        product = tuple(
+            tuple(sum(a[i][t] * b[t][j] for t in range(mid)) for j in range(other.source.rank))
+            for i in range(self.target.rank)
+        )
+        return AbHom(other.source, self.target, product)
 
     def kernel(self) -> "AbSubgroup":
         gens = modular.congruence_kernel(
@@ -146,7 +152,10 @@ class AbHom:
         return AbSubgroup(self.target, cols)
 
     def is_injective(self) -> bool:
-        return self.kernel().order == 1
+        # the kernel's generators are nonzero, so none means a trivial kernel
+        return not modular.congruence_kernel(
+            self.matrix, self.target.factors, self.source.factors
+        )
 
     def is_surjective(self) -> bool:
         return self.image().order == self.target.order

@@ -25,9 +25,12 @@ subquotient call; ``classify`` is ``classify_many`` of one cochain.
 Inflation, restriction and the connecting map classify all their columns
 in one call.
 
-Degrees >= 3 are reached only by iterated dimension shifting through
-coinduced modules, mirroring how one proves anything about them.  The
-coinduced module Maps(G, A) acts by a permutation of coordinates.
+Degrees >= 3 come from a free (Z/p^k)[G]-resolution, one prime at a time
+(``resolution_cohomology``), as groups without cochains.  Iterated
+dimension shifting through coinduced modules (``shifted_cohomology``)
+is kept as its oracle, and fixes the cap: the engine refuses exactly
+the inputs shifting refuses, with the same message.  The coinduced
+module Maps(G, A) acts by a permutation of coordinates.
 Evaluation at 1 is a left inverse of A -> Maps(G, A), so the shifted
 module A' = Maps(G, A)/A is the maps vanishing at 1: f projects to
 f - emb(f(1)), and the action on A' is a gather of projection columns.
@@ -262,7 +265,11 @@ class CohomologyGroup:
 
 
 def _check_cap(m: GModule, degree: int, cap: int) -> None:
-    weight = m.group.order**degree * max(m.coeff.rank, 1)
+    _check_weight(m.group.order, m.coeff.rank, degree, cap)
+
+
+def _check_weight(order: int, rank: int, degree: int, cap: int) -> None:
+    weight = order**degree * max(rank, 1)
     if weight > cap:
         raise SizeCapExceeded(
             f"|G|^{degree} * rank = {weight} exceeds the cohomology cap {cap}"
@@ -639,7 +646,11 @@ def dimension_shift_check(m: GModule, cap: int = DEFAULT_COH_CAP) -> DimensionSh
 
 def shifted_cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> CohomologyGroup:
     """H^i for i >= 3 via iterated dimension shifting; H^i(G, A) is
-    computed as H^2(G, A^(i-2)) with A^(k+1) = Maps(G, A^(k)) / A^(k)."""
+    computed as H^2(G, A^(i-2)) with A^(k+1) = Maps(G, A^(k)) / A^(k).
+
+    The oracle of ``resolution_cohomology``: the rank grows by |G|-1 per
+    degree, so only small cases are in reach, and its cap checks set the
+    inputs both refuse."""
     if degree < 3:
         return cohomology(m, degree, cap)
     current = m
@@ -647,3 +658,128 @@ def shifted_cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> C
         _check_cap(current, 2, cap)
         current = coinduced_module(current.group, current).quotient
     return cohomology(current, 2, cap)
+
+
+# ---------------------------------------------------------------------------
+# free resolutions
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def resolution_cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> FiniteAbelianGroup:
+    """H^degree(G, A) for degree >= 1, as a group, from a free resolution.
+
+    H^n(G, A) is the sum of H^n(G, A_p) over the primes p dividing both
+    |G| and the exponent of A, A_p being the p-part, of exponent q = p^k.
+    A free Z[G]-resolution of Z reduced mod q is a free (Z/q)[G]-resolution
+    of Z/q, so H^n(G, A_p) = Ext^n over (Z/q)[G] of (Z/q, A_p): one small
+    resolution per prime, whose ranks do not grow with |G| as the shifted
+    modules' do.  The inputs refused are those ``shifted_cohomology``
+    refuses at the cap, with its message, and nothing is built before.
+    """
+    if degree < 1:
+        raise PreconditionError("the resolution engine computes degrees >= 1")
+    n, r = m.group.order, m.coeff.rank
+    if degree < 3:  # as ``cohomology`` weighs it
+        _check_cap(m, degree, cap)
+    else:  # as shifting weighs H^2 of the j-th shifted module, of rank r.(|G|-1)^j
+        for j in range(degree - 1):
+            _check_weight(n, r * (n - 1) ** j, 2, cap)
+    factors = []
+    for p in sorted(lattice.factorint(gcd(n, m.coeff.exponent))):
+        factors.extend(_primary_cohomology(m, p, degree))
+    return FiniteAbelianGroup(lattice.invariant_factors_of_diagonal(factors))
+
+
+def _primary_cohomology(m: GModule, p: int, degree: int) -> tuple[int, ...]:
+    """The invariant factors of H^degree(G, A_p).
+
+    Hom_G(P_i, A_p) is A_p^(rank P_i), a homomorphism given by its values
+    on the free generators.  A cocycle on P_n vanishes on ker d_n, and
+    since it is G-linear, on the Z/q generators of ker d_n; the
+    coboundaries are the images of the unit cochains on P_(n-1).
+    """
+    g, a = m.group, m.coeff
+    comps = [i for i, d in enumerate(a.factors) if d % p == 0]
+    # the p-part of Z/d is Z/p^v, v the valuation of d
+    moduli = tuple(gcd(a.factors[i], p ** a.factors[i].bit_length()) for i in comps)
+    q = moduli[-1]
+    rho = np.mod(m.action[np.ix_(range(g.order), comps, comps)], q)
+    last, kernel = _free_resolution(g, p, q, degree)
+    top = moduli * len(last)  # the coordinates of Hom_G(P_n, A_p)
+    cocycles = modular.congruence_kernel(_coboundary(kernel, rho, q), moduli * len(kernel), top)
+    return modular.subquotient(top, cocycles, _coboundary(last, rho, q).T).factors
+
+
+def _coboundary(coeffs: np.ndarray, rho: np.ndarray, q: int) -> np.ndarray:
+    """The matrix with block (l, j) sum_h coeffs[l, j, h] . rho[h], mod q:
+    the map A_p^cols -> A_p^rows that sends phi to its values on the
+    elements sum_j coeffs[l, j] e_j."""
+    rows, cols, n = coeffs.shape
+    s = rho.shape[1]
+    modular.check_int64_products(q - 1, n, "resolution coboundaries")
+    blocks = np.tensordot(coeffs, rho, axes=(2, 0)).transpose(0, 2, 1, 3)
+    return np.mod(blocks.reshape(rows * s, cols * s), q)
+
+
+def _translates(vecs: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """x.v for every row x of ``left`` and every v in a stack of elements
+    of (Z/q)[G]^rank, shape (count, rank, |G|), coefficient b of component
+    j at [j, b]: shape (count, len(left), rank, |G|).  ``left[x, b]`` is
+    x^-1 b, and coefficient b of x.v is coefficient x^-1 b of v."""
+    return vecs[:, :, left].transpose(0, 2, 1, 3)
+
+
+def _free_resolution(g: FiniteGroup, p: int, q: int, length: int):
+    """The last differential d_length of a free (Z/q)[G]-resolution of
+    Z/q, q a power of p, and the Z/q generators of ker d_length.
+
+    A differential d_i is an int64 array of shape (rank P_i, rank P_(i-1),
+    |G|), row l being the image of free generator l; the kernel is a stack
+    of shape (count, rank P_i, |G|).  d_1 sends e_s to s - 1 for the
+    generators s of G.  Each kernel is solved over Z/q from the matrix
+    whose columns are the translates x.d(e_l), and its cover by free
+    generators (``_cover``) is the next differential.
+    """
+    n = g.order
+    left = g.array[np.array(g.inv)]
+    gens = list(g.generators)
+    d = np.zeros((len(gens), 1, n), dtype=np.int64)
+    d[np.arange(len(gens)), 0, gens] = 1
+    d[:, 0, g.identity] = q - 1
+    p_gens = gens if set(lattice.factorint(n)) == {p} else None
+    for i in range(1, length + 1):
+        rank, below = d.shape[:2]
+        cols = _translates(d, left).reshape(rank * n, below * n)
+        kernel = np.array(
+            modular.congruence_kernel(cols.T, (q,) * (below * n), (q,) * (rank * n)),
+            dtype=np.int64,
+        ).reshape(-1, rank, n)
+        if i == length:
+            return d, kernel
+        d = _cover(kernel, q, left, p_gens)
+
+
+def _cover(kernel: np.ndarray, q: int, left: np.ndarray, gens) -> np.ndarray:
+    """Free generators of the (Z/q)[G]-module K spanned by a kernel stack.
+
+    For a p-group, given its generators, the radical of K is pK + J.K, J
+    being the augmentation ideal, and J.K is spanned by (s - 1).K over the
+    generators s.  One representative per invariant factor of K/J.K makes
+    dim K/(pK + J.K) of them: they generate K by Nakayama's lemma, and no
+    fewer can.  Otherwise representatives of K/span are taken one at a
+    time, each adding its translates to the span, until nothing is left.
+    """
+    count, rank, n = kernel.shape
+    moduli = (q,) * (rank * n)
+    flat = kernel.reshape(count, rank * n)
+    if gens is not None:
+        moved = _translates(kernel, left[gens]) - kernel[:, None]
+        chosen = modular.subquotient(moduli, flat, np.mod(moved.reshape(-1, rank * n), q)).reps
+    else:
+        chosen, span = [], np.zeros((0, rank * n), dtype=np.int64)
+        while reps := modular.subquotient(moduli, flat, span).reps:
+            chosen.append(reps[-1])
+            new = np.array(reps[-1], dtype=np.int64).reshape(1, rank, n)
+            span = np.concatenate([span, _translates(new, left).reshape(n, rank * n)])
+    return np.array(chosen, dtype=np.int64).reshape(-1, rank, n)

@@ -37,7 +37,7 @@ from .cohomology import (
     GModule,
     _act,
     cohomology,
-    shifted_cohomology,
+    resolution_cohomology,
     trivial_module,
     unramified_subgroup,
 )
@@ -625,7 +625,7 @@ def high_degree_formula(
             "the direct-sum formula does not apply"
         )
     summands, tail = spec.split_tail(
-        shifted_cohomology(module.gmodule(f), degree, cap).value for f in spec.fibers
+        resolution_cohomology(module.gmodule(f), degree, cap) for f in spec.fibers
     )
     return HighDegreeFormula(degree, tuple(zip(spec.names, summands)), tail)
 

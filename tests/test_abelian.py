@@ -166,6 +166,54 @@ def test_abhom_refuses_a_matrix_of_the_wrong_shape():
     assert ab.AbHom(z2, ab.TRIVIAL, ()).matrix == ()
 
 
+def random_hom(rng, a, b):
+    """A homomorphism a -> b: entry (i, j) is a multiple of e_i / gcd(d_j, e_i)."""
+    return ab.AbHom(a, b, tuple(
+        tuple(rng.randrange(gcd(d, e)) * (e // gcd(d, e)) for d in a.factors) for e in b.factors
+    ))
+
+
+def random_group(rng):
+    moduli = [rng.choice([2, 3, 4, 6, 9]) for _ in range(rng.randint(0, 3))]
+    return ab.group_from_moduli(moduli) if moduli else ab.TRIVIAL
+
+
+def test_composing_through_the_trivial_group_is_the_zero_map():
+    z2, z6 = ab.FiniteAbelianGroup((2,)), ab.FiniteAbelianGroup((2, 6))
+    for a, c in ((z2, z2), (z6, z2), (z2, z6), (ab.TRIVIAL, z2), (z6, ab.TRIVIAL)):
+        into = ab.AbHom(a, ab.TRIVIAL, ())
+        out = ab.AbHom(ab.TRIVIAL, c, ((),) * c.rank)
+        through = out.compose(into)
+        assert (through.source, through.target) == (a, c)
+        assert through.matrix == ((0,) * a.rank,) * c.rank and through.is_zero()
+    # and compose agrees with applying one map after the other
+    rng = random.Random(14)
+    for _ in range(100):
+        a, b, c = random_group(rng), random_group(rng), random_group(rng)
+        f, g = random_hom(rng, a, b), random_hom(rng, b, c)
+        gf = g.compose(f)
+        assert (gf.source, gf.target) == (a, c)
+        for x in itertools.islice(a.elements(), 20):
+            assert gf.apply(x) == g.apply(f.apply(x))
+
+
+def test_is_injective_agrees_with_the_kernel_order_on_seeded_homomorphisms():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(200):
+        a, b = random_group(rng), random_group(rng)
+        h = random_hom(rng, a, b)
+        assert h.is_injective() == (h.kernel().order == 1)
+        seen.add((h.is_injective(), a.rank == 0, b.rank == 0))
+    z2 = ab.FiniteAbelianGroup((2,))
+    assert ab.AbHom(ab.TRIVIAL, z2, ((),)).is_injective()
+    assert not ab.AbHom(z2, ab.TRIVIAL, ()).is_injective()
+    assert ab.identity_hom(z2).is_injective()
+    # both answers, trivial sources and trivial targets all occur
+    assert {inj for inj, _, _ in seen} == {True, False}
+    assert any(src for _, src, _ in seen) and any(tgt for _, _, tgt in seen)
+
+
 def test_absubgroup_refuses_a_generator_of_the_wrong_length():
     z2 = ab.FiniteAbelianGroup((2,))
     for gens in (((1, 1),), ((),), ((1,), (0, 1))):

@@ -1,12 +1,18 @@
 """The benchmark's tracer names library functions by module and attribute;
 each must still exist, or a traced run would fail on a renamed or deleted
-function."""
+function.  A traced call must also open only spans the tracer summarizes."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import corprod
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +33,33 @@ def test_every_trace_target_resolves(module, attr):
         assert callable(vars(getattr(owner, cls_name)).get(meth))
     else:
         assert callable(getattr(owner, attr, None))
+
+
+TRACED_CALL = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import corprod.cli
+import tracing, workloads
+
+tracer = tracing.Tracer()
+problems = tracer.install()
+call = workloads.prepare("shift-h3", 0, sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    status = corprod.cli.main(call["cli"])
+summary = tracer.summary(1.0)
+print(json.dumps({"problems": problems, "status": status, "summary": summary}))
+"""
+
+
+def test_a_traced_degree_3_call_summarizes(tmp_path):
+    # every span a degree-3 call opens must be one the summary knows
+    src = str(Path(corprod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_CALL, str(TRACING.parent), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["problems"] == [] and out["status"] == 0
+    assert out["summary"]["formulas.high_degree_formula.calls"] == 1
