@@ -70,6 +70,9 @@ class FiniteAbelianGroup:
         return tuple((c * x) % d for x, d in zip(v, self.factors))
 
     def elements(self):
+        # construction accepts a factor of 2^63 or more (``modular`` refuses
+        # it when a subgroup is computed); enumeration refuses it here
+        modular.check_moduli(self.factors, "invariant factor")
         return itertools.product(*(range(d) for d in self.factors))
 
     def element_order(self, v) -> int:

@@ -18,13 +18,18 @@ Both work prime by prime.  Modulo q = p^k every matrix is diagonalized
 exactly by ``local_diagonalize``, and the results are glued with the
 Chinese remainder theorem; the p-part of a residue is lifted to the
 other primes by one idempotent per component (``_lift_p_parts``).  The
-kernel has two paths with one pivot rule and the same transforms, both
-returning int64.  At q = 2 it eliminates on packed bits, one Python int
-per column, so clearing a pivot's rows is one XOR per column.  For every
-other q a numpy kernel stores its matrices in the narrowest signed dtype
-that holds (q-1)^2 (int8 for q <= 12, then int16, int32, int64); it
-finds pivot valuations arithmetically, so nothing is allocated in
-proportion to q.
+kernel has four paths with one pivot rule and the same transforms, all
+returning int64; ``_PACKED`` maps q to its packed path.  At q = 2 it
+eliminates on packed bits, one Python int per column, so clearing a
+pivot's rows is one XOR per column.  At q = 3 and q = 4 each column is
+two such ints: over GF(3) the bit-planes of the 1s and of the 2s
+(bitsliced, after Boothby and Bradshaw), over Z/4 the low and the high
+binary digit.  Over GF(2) and GF(3) no row is ever swapped, but over Z/4
+a row of 2s can lie above the first unit, so there the rows are swapped
+as the numpy kernel swaps them.  For every other q a numpy kernel stores
+its matrices in the narrowest signed dtype that holds (q-1)^2 (int8 for
+q <= 12, then int16, int32, int64); it finds pivot valuations
+arithmetically, so nothing is allocated in proportion to q.
 The longest dot product the kernel and its consumers form has
 max(m, n) terms below q, so an m x n system is refused with
 ``SizeCapExceeded`` before any allocation when max(m, n, 1).(q-1)^2
@@ -103,8 +108,9 @@ def local_diagonalize(
     q = p**k
     m, n = mat.shape
     check_int64_products(q - 1, max(m, n), f"modulus q={q}")
-    if q == 2:
-        return _gf2_diagonalize(mat, need_u, need_vinv)
+    packed = _PACKED.get(q)
+    if packed is not None:
+        return packed(mat, need_u, need_vinv)
     return _zq_diagonalize(mat, p, k, need_u, need_vinv)
 
 
@@ -246,6 +252,227 @@ def _gf2_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
         _unpack(v, n).T.astype(np.int64, order="C"),
         _unpack(vinv, n).astype(np.int64) if need_vinv else None,
     )
+
+
+def _pack_planes(mat: np.ndarray, q: int) -> tuple[list[int], list[int]]:
+    # the columns of mat mod q (3 or 4) as two planes of ints, bit i = row i:
+    # the low digit (set on 1 and 3) and the high digit (set on 2 and 3)
+    a = np.mod(np.asarray(mat, dtype=np.int64), q).astype(np.uint8).T
+    words = _pack(np.concatenate((a & 1, a >> 1)))
+    return words[: len(a)], words[len(a):]
+
+
+def _unpack_planes(lo: list[int], hi: list[int], width: int) -> np.ndarray:
+    # the inverse of _pack_planes, one int64 row of lo + 2.hi per pair of ints
+    bits = _unpack(lo + hi, width).astype(np.int64)
+    return bits[: len(lo)] + 2 * bits[len(lo):]
+
+
+def _swap(i: int, j: int, *lists: list) -> None:
+    for x in lists:
+        x[i], x[j] = x[j], x[i]
+
+
+def _planes_result(exps, u, v, vinv, m: int, n: int):
+    # (exps, U, V, Vinv) from the (lo, hi) planes of U's rows, V's columns
+    # and Vinv's rows (U or Vinv None when not tracked); V and Vinv share
+    # one unpack
+    vl, vh = v
+    if vinv is not None:
+        vl, vh = vl + vinv[0], vh + vinv[1]
+    both = _unpack_planes(vl, vh, n)
+    return (
+        exps,
+        _unpack_planes(*u, m) if u is not None else None,
+        np.ascontiguousarray(both[:n].T),
+        both[n:] if vinv is not None else None,
+    )
+
+
+def _gf3_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
+    """:func:`local_diagonalize` at q = 3 on two bit-planes, the bitsliced
+    form of Boothby and Bradshaw (arXiv:0901.1413): the same pivot rule,
+    so the same ``(exps, U, V, Vinv)`` as the numpy kernel.
+
+    Each column of the work matrix and of V, and each row of U and Vinv,
+    is a pair of ints: ``lo`` marks the entries equal to 1 and ``hi`` those
+    equal to 2.  Negation swaps the pair, and x + y is
+    ``t = (x.lo | y.hi) ^ (x.hi | y.lo)``, ``((x.hi | y.hi) ^ t,
+    (x.lo | y.lo) ^ t)``.  As over GF(2), rows of the work matrix are never
+    swapped: the kernel's first nonzero row in row-major order is the lowest
+    row, not yet a pivot, that is nonzero on the block, and the kernel's row
+    order is tracked only to order U's rows.
+    """
+    m, n = mat.shape
+    lo, hi = _pack_planes(mat, 3)                   # columns of the work matrix
+    vl, vh = [1 << c for c in range(n)], [0] * n    # columns of V
+    if need_vinv:
+        il, ih = [1 << c for c in range(n)], [0] * n   # rows of Vinv
+    if need_u:
+        ul, uh = [1 << r for r in range(m)], [0] * m   # rows of U, by physical row
+        at = list(range(m))                          # the kernel's row order
+        where = list(range(m))
+    live = (1 << m) - 1                              # rows not yet a pivot
+    rank = 0
+    for t in range(min(m, n)):
+        acc = (reduce(or_, lo[t:], 0) | reduce(or_, hi[t:], 0)) & live
+        if not acc:
+            break
+        low = acc & -acc                             # the pivot row's bit
+        bj = t
+        while not (lo[bj] | hi[bj]) & low:
+            bj += 1
+        if bj != t:
+            _swap(t, bj, lo, hi, vl, vh, *((il, ih) if need_vinv else ()))
+        live ^= low
+        neg = hi[t] & low                            # a pivot of 2 scales its row by 2 = -1
+        wl, wh = lo[t] & live, hi[t] & live          # the rows the pivot clears, by multiplier
+        # -s.w and -s.v_t for a pivot-row entry s = 1, 2 (after scaling)
+        minus_w = (None, (wh, wl), (wl, wh))
+        minus_v = (None, (vh[t], vl[t]), (vl[t], vh[t]))
+        al, ah = (il[t], ih[t]) if need_vinv else (0, 0)
+        for c in range(t + 1, n):
+            x, y = lo[c], hi[c]
+            if x & low:
+                s = 2 if neg else 1
+            elif y & low:
+                s = 1 if neg else 2
+            else:
+                continue
+            zl, zh = minus_w[s]
+            z = (x | zh) ^ (y | zl)
+            lo[c], hi[c] = (y | zh) ^ z, (x | zl) ^ z
+            x, y = vl[c], vh[c]
+            zl, zh = minus_v[s]
+            z = (x | zh) ^ (y | zl)
+            vl[c], vh[c] = (y | zh) ^ z, (x | zl) ^ z
+            if need_vinv:
+                zl, zh = (il[c], ih[c]) if s == 1 else (ih[c], il[c])
+                z = (al | zh) ^ (ah | zl)
+                al, ah = (ah | zh) ^ z, (al | zl) ^ z
+        if need_vinv:
+            il[t], ih[t] = al, ah
+        if need_u:
+            r = low.bit_length() - 1
+            s, bi = at[t], where[r]
+            at[t], at[bi], where[r], where[s] = r, s, t, bi
+            if neg:
+                ul[r], uh[r] = uh[r], ul[r]
+            # row -= w.u_r: add -u_r where w = 1 and u_r where w = 2
+            for rows, (zl, zh) in ((wl, (uh[r], ul[r])), (wh, (ul[r], uh[r]))):
+                while rows:
+                    b = rows & -rows
+                    rows ^= b
+                    i = b.bit_length() - 1
+                    x, y = ul[i], uh[i]
+                    z = (x | zh) ^ (y | zl)
+                    ul[i], uh[i] = (y | zh) ^ z, (x | zl) ^ z
+        rank += 1
+    return _planes_result(
+        [0] * rank,
+        ([ul[r] for r in at], [uh[r] for r in at]) if need_u else None,
+        (vl, vh),
+        (il, ih) if need_vinv else None,
+        m,
+        n,
+    )
+
+
+def _z4_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
+    """:func:`local_diagonalize` at q = 4 on two digit planes: the same
+    pivot rule, so the same ``(exps, U, V, Vinv)`` as the numpy kernel.
+
+    Each column of the work matrix and of V, and each row of U and Vinv,
+    is a pair of ints, the low and the high binary digit of its entries;
+    x + y is ``(x.lo ^ y.lo, x.hi ^ y.hi ^ (x.lo & y.lo))`` and -x is
+    ``(x.lo, x.hi ^ x.lo)``.  An entry is a unit exactly when its low digit
+    is set, so the pivot search reads the low planes, and the high planes
+    only once no unit is left.  Unlike over a field, rows are really
+    swapped: rows above the first unit can still hold 2s, so the kernel's
+    row swap moves a nonzero row, and bits t and bi change places in every
+    column still read, as rows t and bi of U do.
+    """
+    m, n = mat.shape
+    lo, hi = _pack_planes(mat, 4)                   # columns of the work matrix
+    vl, vh = [1 << c for c in range(n)], [0] * n    # columns of V
+    if need_vinv:
+        il, ih = [1 << c for c in range(n)], [0] * n   # rows of Vinv
+    if need_u:
+        ul, uh = [1 << r for r in range(m)], [0] * m   # rows of U
+    exps: list[int] = []
+    for t in range(min(m, n)):
+        bit = 1 << t
+        acc = reduce(or_, lo[t:], 0) >> t << t
+        j, plane = 0, lo
+        if not acc:
+            acc = reduce(or_, hi[t:], 0) >> t << t
+            if not acc:
+                break
+            j, plane = 1, hi
+        low = acc & -acc                             # the pivot row's bit
+        bj = t
+        while not plane[bj] & low:
+            bj += 1
+        if bj != t:
+            _swap(t, bj, lo, hi, vl, vh, *((il, ih) if need_vinv else ()))
+        if low != bit:
+            both = bit | low
+            for c in range(t, n):
+                if (not lo[c] & bit) != (not lo[c] & low):
+                    lo[c] ^= both
+                if (not hi[c] & bit) != (not hi[c] & low):
+                    hi[c] ^= both
+            if need_u:
+                _swap(t, low.bit_length() - 1, ul, uh)
+        neg = not j and hi[t] & bit                  # a pivot of 3 scales its row by 3 = -1
+        scale = (0, 3, 2, 1) if neg else (0, 1, 2, 3)
+        below = -(bit << 1)                          # rows t+1 and down
+        if j == 0:
+            wl, wh = lo[t] & below, hi[t] & below   # the multipliers a[r, t]
+        else:
+            wl, wh = hi[t] & below, 0                # a[r, t] = 2 is cleared once
+        # -s.w and -s.v_t for a pivot-row entry s = 1, 2, 3 (after scaling)
+        minus_w = (None, (wl, wh ^ wl), (0, wl), (wl, wh))
+        minus_v = (None, (vl[t], vh[t] ^ vl[t]), (0, vl[t]), (vl[t], vh[t]))
+        al, ah = (il[t], ih[t]) if need_vinv else (0, 0)
+        for c in range(t + 1, n):
+            x, y = lo[c], hi[c]
+            s = scale[(1 if x & bit else 0) | (2 if y & bit else 0)]
+            if not s:
+                continue
+            zl, zh = minus_w[s]
+            lo[c], hi[c] = x ^ zl, y ^ zh ^ (x & zl)
+            s >>= j                                  # the column multiplier s / p^j
+            zl, zh = minus_v[s]
+            x = vl[c]
+            vl[c], vh[c] = x ^ zl, vh[c] ^ zh ^ (x & zl)
+            if need_vinv:
+                x, y = il[c], ih[c]
+                zl, zh = (x, y) if s == 1 else (0, x) if s == 2 else (x, y ^ x)
+                al, ah = al ^ zl, ah ^ zh ^ (al & zl)
+        if need_vinv:
+            il[t], ih[t] = al, ah
+        if need_u:
+            if neg:
+                uh[t] ^= ul[t]
+            ult, uht = ul[t], uh[t]
+            minus_u = (None, (ult, uht ^ ult), (0, ult), (ult, uht))
+            rows = wl | wh
+            while rows:
+                b = rows & -rows
+                rows ^= b
+                i = b.bit_length() - 1
+                zl, zh = minus_u[(1 if wl & b else 0) | (2 if wh & b else 0)]
+                x = ul[i]
+                ul[i], uh[i] = x ^ zl, uh[i] ^ zh ^ (x & zl)
+        exps.append(j)
+    return _planes_result(
+        exps, (ul, uh) if need_u else None, (vl, vh), (il, ih) if need_vinv else None, m, n
+    )
+
+
+# the packed kernels of local_diagonalize, by q; every other q runs _zq_diagonalize
+_PACKED = {2: _gf2_diagonalize, 3: _gf3_diagonalize, 4: _z4_diagonalize}
 
 
 def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> np.ndarray:

@@ -230,6 +230,13 @@ def test_absubgroup_refuses_a_factor_beyond_int64():
         sub.contains((4,))
 
 
+def test_elements_refuses_a_factor_beyond_int64():
+    # the group is made, as above; enumerating it once raised a bare OverflowError
+    for factors in ((2**63,), (2, 2**64)):
+        with pytest.raises(SizeCapExceeded, match=rf"factor {factors[-1]} >= 2\^63"):
+            ab.FiniteAbelianGroup(factors).elements()
+
+
 def hermite_reference(a, gens):
     """HNF basis of the preimage of <gens> in Z^rank, and the order of <gens>."""
     n = a.rank

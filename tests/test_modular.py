@@ -16,8 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corprod
-from corprod import lattice, modular
+from corprod import cohomology, corpus, lattice, modular
+from corprod.abelian import FiniteAbelianGroup
+from corprod.cohomology import DEFAULT_COH_CAP
 from corprod.errors import SizeCapExceeded, VerificationFailure
+from corprod.formulas import DEFAULT_ENUM_CAP
+from corprod.presentation import free_presentation
 
 
 def subgroup_canon(gens, moduli):
@@ -237,6 +241,140 @@ def test_gf2_kernel_matches_numpy_kernel_on_random_bits(monkeypatch):
         assert_same_transforms(modular.local_diagonalize(mat, 2, 1, i % 2 == 0, False), skip)
 
 
+def prime_power(q):
+    ((p, k),) = lattice.factorint(q).items()
+    return p, k
+
+
+def random_residues(rng, m, n, q, density=0.5, low=0, high=None):
+    high = q if high is None else high
+    return np.array(
+        [[rng.randrange(low, high) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)],
+        dtype=np.int64,
+    ).reshape(m, n)
+
+
+def invertible_mod(rng, n, q):
+    # lower times upper unitriangular is invertible mod q
+    low = np.tril(random_residues(rng, n, n, q), -1) + np.eye(n, dtype=np.int64)
+    up = np.triu(random_residues(rng, n, n, q), 1) + np.eye(n, dtype=np.int64)
+    return (low @ up) % q
+
+
+@functools.cache
+def packed_cases(q):
+    rng = random.Random(q)
+    dup = random_residues(rng, 12, 9, q)
+    dup[[3, 7, 10]] = dup[1]
+    cases = {
+        "0x5": np.zeros((0, 5), dtype=np.int64),
+        "5x0": np.zeros((5, 0), dtype=np.int64),
+        "0x0": np.zeros((0, 0), dtype=np.int64),
+        "zero": np.zeros((7, 9), dtype=np.int64),
+        "identity": np.eye(8, dtype=np.int64),
+        "invertible": invertible_mod(rng, 40, q),
+        "duplicate-rows": dup,
+        "negative-and-out-of-range": random_residues(rng, 9, 7, q, 0.8, -5 * q, 5 * q),
+        "120x60": random_residues(rng, 120, 60, q),
+    }
+    # each of 63, 64 and 65 bits as the width of the work matrix's columns
+    # and of V's columns and Vinv's rows
+    for a, b in ((63, 65), (64, 64), (65, 63)):
+        cases[f"{a}x{b}"] = random_residues(rng, a, b, q, density=rng.choice([0.05, 0.5]))
+    if q == 4:
+        # no unit anywhere: every pivot sits at valuation 1
+        cases["all-even"] = 2 * random_residues(rng, 20, 15, 2, 0.6)
+        # rows of 2s above the first unit: the kernel swaps a nonzero row
+        # into the pivot row's place, here and in the units block below
+        twos = np.vstack([np.full((1, 12), 2), 2 * random_residues(rng, 4, 12, 2, 0.7)])
+        cases["twos-above-a-unit"] = np.vstack([twos, random_residues(rng, 8, 12, 4, 0.3)])
+        cases["twos-above-units-wide"] = np.vstack(
+            [2 * random_residues(rng, 30, 70, 2, 0.5), random_residues(rng, 40, 70, 4, 0.05)]
+        )
+    return cases
+
+
+@pytest.mark.parametrize(
+    "q,name", [(q, name) for q in sorted(set(modular._PACKED) - {2}) for name in sorted(packed_cases(q))]
+)
+def test_packed_kernels_match_numpy_kernel(q, name):
+    mat = packed_cases(q)[name]
+    p, k = prime_power(q)
+    for need_u, need_vinv in itertools.product((True, False), repeat=2):
+        want = modular._zq_diagonalize(mat, p, k, need_u, need_vinv)
+        assert_same_transforms(modular._PACKED[q](mat, need_u, need_vinv), want)
+        assert_same_transforms(modular.local_diagonalize(mat, p, k, need_u, need_vinv), want)
+    if name == "all-even":
+        assert set(want[0]) == {1}
+    if name.startswith("twos-above"):
+        # the first row holds 2s and no unit, and a unit lies below it
+        assert mat[0].any() and not (mat[0] % 2).any() and (mat % 2).any()
+        assert want[0][0] == 0
+
+
+def test_packed_kernels_match_numpy_kernel_on_random_residues(monkeypatch):
+    rng = random.Random(14)
+    cases = []
+    for q in sorted(modular._PACKED):
+        p, k = prime_power(q)
+        for i in range(60):
+            # vary the density of units so that deep pivot levels occur
+            m, n, dense = rng.randint(0, 30), rng.randint(0, 30), rng.random()
+            mat = np.array(
+                [[rng.randrange(-2 * q, 2 * q) if rng.random() < dense else p * rng.randrange(q)
+                  for _ in range(n)] for _ in range(m)],
+                dtype=np.int64,
+            ).reshape(m, n)
+            flags = (i % 2 == 0, i % 4 < 2)
+            cases.append((mat, p, k, flags, modular._zq_diagonalize(mat, p, k, *flags)))
+    # no packed q reaches the numpy kernel
+    monkeypatch.setattr(modular, "_zq_diagonalize", None)
+    for mat, p, k, flags, want in cases:
+        assert_same_transforms(modular.local_diagonalize(mat, p, k, *flags), want)
+
+
+def corprod_caches():
+    # found as the benchmark's tracer finds them: callables with cache_info
+    # bound by a corprod module
+    for info in pkgutil.iter_modules(corprod.__path__):
+        importlib.import_module(f"corprod.{info.name}")
+    return {
+        id(value): value
+        for name, mod in sys.modules.items()
+        if name == "corprod" or name.startswith("corprod.")
+        for value in vars(mod).values()
+        if callable(getattr(value, "cache_info", None))
+    }.values()
+
+
+def test_packed_kernels_match_numpy_kernel_on_corpus_traffic(monkeypatch):
+    # every matrix that the full corpus at seeds 0 and 3 diagonalizes at a
+    # packed q, recorded with the numpy kernel answering and the input-keyed
+    # caches emptied first; a hit at seed 3 skips only matrices that seed 0
+    # recorded
+    packed = modular._PACKED
+    recorded = []
+    numpy_kernel = modular._zq_diagonalize
+
+    def record(mat, p, k, need_u, need_vinv=True):
+        out = numpy_kernel(mat, p, k, need_u, need_vinv)
+        if p**k in packed:
+            recorded.append((np.array(mat), p**k, need_u, need_vinv, out))
+        return out
+
+    monkeypatch.setattr(modular, "_PACKED", {})
+    monkeypatch.setattr(modular, "_zq_diagonalize", record)
+    for cache in corprod_caches():
+        if inspect.signature(cache.__wrapped__).parameters:
+            cache.cache_clear()
+    for seed in (0, 3):
+        corpus.corpus_summary_records(seed, 30, DEFAULT_COH_CAP, DEFAULT_ENUM_CAP)
+    monkeypatch.undo()
+    assert {q for _, q, *_ in recorded} == set(packed)
+    for mat, q, need_u, need_vinv, want in recorded:
+        assert_same_transforms(packed[q](mat, need_u, need_vinv), want)
+
+
 # moduli below 2^63 with their factorizations; the first three have
 # p-parts whose lifts pass 2^63 when multiplied out in int64
 LIFT_MODULI = {
@@ -273,16 +411,46 @@ def test_lifted_p_parts_match_crt_pair():
     assert total == [[r % m for r, m in zip(row, moduli)] for row in stack.tolist()]
 
 
+def assert_kernel_matches_the_oracle(rows, row, col):
+    fast = modular.congruence_kernel(rows, row, col)
+    slow = modular.congruence_kernel_int(rows, row, col)
+    assert subgroup_canon(fast, col) == subgroup_canon(slow, col)
+    for g in fast:
+        for r, mm in zip(rows, row):
+            assert sum(a * b for a, b in zip(r, g)) % mm == 0
+
+
 def test_congruence_kernel_matches_integer_oracle():
     rng = random.Random(3)
     for _ in range(250):
-        rows, row, col = random_system(rng)
-        fast = modular.congruence_kernel(rows, row, col)
-        slow = modular.congruence_kernel_int(rows, row, col)
-        assert subgroup_canon(fast, col) == subgroup_canon(slow, col)
-        for g in fast:
-            for r, mm in zip(rows, row):
-                assert sum(a * b for a, b in zip(r, g)) % mm == 0
+        assert_kernel_matches_the_oracle(*random_system(rng))
+
+
+@st.composite
+def corpus_module_systems(draw):
+    """A congruence system of a module the corpus can draw: the fixed points
+    of a few group elements, or the cocycle condition of H^1."""
+    zoo = corpus._zoo()
+    g = zoo[draw(st.sampled_from(sorted(zoo)))]
+    a = FiniteAbelianGroup(draw(st.sampled_from(corpus._MODULES)))
+    options = corpus._action_options(g, a)
+    option = options[draw(st.sampled_from(sorted(options)))]
+    m = cohomology.GModule(g, a, corpus._action_matrices(g, a, option))
+    r = a.rank
+    if draw(st.booleans()):
+        elems = draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=4))
+        rows = (m.action[elems] - np.eye(r, dtype=np.int64)).reshape(len(elems) * r, r)
+        return rows.tolist(), a.factors * len(elems), a.factors
+    pres = free_presentation(g)
+    k = len(pres.gens)
+    rows = cohomology._derivation_sums(m, pres).transpose(0, 2, 1, 3).reshape(pres.rank * r, k * r)
+    return rows.tolist(), a.factors * pres.rank, a.factors * k
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_module_systems())
+def test_congruence_kernel_matches_integer_oracle_on_corpus_modules(system):
+    assert_kernel_matches_the_oracle(*system)
 
 
 def test_subquotient_matches_integer_oracle():
@@ -432,19 +600,9 @@ def test_a_shared_subquotient_is_immutable():
 
 
 def test_every_corprod_cache_is_bounded():
-    # found as the benchmark's tracer finds them: callables with cache_info
-    # bound by a corprod module
-    for info in pkgutil.iter_modules(corprod.__path__):
-        importlib.import_module(f"corprod.{info.name}")
-    caches = {
-        id(value): value
-        for name, mod in sys.modules.items()
-        if name == "corprod" or name.startswith("corprod.")
-        for value in vars(mod).values()
-        if callable(getattr(value, "cache_info", None))
-    }
-    assert modular._subquotient_cached in caches.values()
-    for cache in caches.values():
+    caches = corprod_caches()
+    assert modular._subquotient_cached in caches
+    for cache in caches:
         # a cache of a function without arguments holds one entry at most
         if inspect.signature(cache.__wrapped__).parameters:
             assert cache.cache_parameters()["maxsize"] == modular.MEMO_SIZE, cache.__qualname__
