@@ -8,8 +8,6 @@ never floats.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -17,9 +15,10 @@ from math import gcd
 from . import lattice, modular
 from .errors import InvariantViolation, VerificationFailure
 from .lattice import Matrix, Vector
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteAbelianGroup:
     """Z/d1 + ... + Z/dr with d1 | d2 | ... | dr, each di >= 2.
 
@@ -70,10 +69,20 @@ class FiniteAbelianGroup:
         return tuple((c * x) % d for x, d in zip(v, self.factors))
 
     def elements(self):
+        """Every element, in ``itertools.product`` order (last coordinate
+        fastest), decoded one at a time from its index, so nothing is
+        listed before the first element."""
         # construction accepts a factor of 2^63 or more (``modular`` refuses
         # it when a subgroup is computed); enumeration refuses it here
         modular.check_moduli(self.factors, "invariant factor")
-        return itertools.product(*(range(d) for d in self.factors))
+        return map(self._element, range(self.order))
+
+    def _element(self, index: int) -> Vector:
+        digits = []
+        for d in reversed(self.factors):
+            index, x = divmod(index, d)
+            digits.append(x)
+        return tuple(reversed(digits))
 
     def element_order(self, v) -> int:
         n = 1
@@ -95,7 +104,7 @@ def group_from_moduli(moduli) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(lattice.invariant_factors_of_diagonal(moduli))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbHom:
     """Homomorphism between finite abelian groups as an integer matrix
     acting on column vectors; shape is (target.rank, source.rank)."""
@@ -171,7 +180,7 @@ def identity_hom(a: FiniteAbelianGroup) -> AbHom:
     return AbHom(a, a, lattice.identity_matrix(a.rank))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbSubgroup:
     """Subgroup of a finite abelian group, given by generating vectors.
 
@@ -246,7 +255,7 @@ def smith_normal_form(mat):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DualPairing:
     """Evaluation pairing A x A^ into Q/Z, exact fractions in [0, 1)."""
 
@@ -307,7 +316,7 @@ def hom_group(a: FiniteAbelianGroup, b: FiniteAbelianGroup) -> FiniteAbelianGrou
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubQuotient:
     """A subgroup B of A with the quotient A/B and the annihilator of B."""
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import corpus as corpus_mod
 from . import formulas as fp
+from . import records
 from .cohomology import DEFAULT_COH_CAP
 from .errors import CorprodError, SpecFileError
 from .families import check_tower, truncate, validate_family
@@ -31,7 +31,7 @@ from .serialize import (
 from .topology import intersect_specs, is_open, union_specs
 
 
-@dataclass
+@records.record()
 class RunConfig:
     command: str
     spec_path: str | None = None

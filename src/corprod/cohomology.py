@@ -46,7 +46,6 @@ could wrap; ``act`` reads it with Python integers and is always exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -64,6 +63,7 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup, normal_closure, quotient_group
 from .lattice import Matrix, Vector
 from .presentation import FreePresentation, free_presentation
+from .records import field, record
 
 DEFAULT_COH_CAP = 20_000
 
@@ -73,7 +73,7 @@ DEFAULT_COH_CAP = 20_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class GModule:
     """A finite abelian group with an action of a finite group by
     automorphism matrices (column convention, one matrix per element).
@@ -234,7 +234,7 @@ def induced_quotient_action(m: GModule, n: Subgroup) -> tuple[GModule, "object",
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record()
 class CohomologyGroup:
     """H^degree with explicit representatives.
 
@@ -499,7 +499,7 @@ def restriction(m: GModule, h: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP
     return AbHom.from_columns(h_g.value, h_h.value, cols)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnramifiedPart:
     """Image of inflation from G/closure(U): the 'nr' subgroup of H^i."""
 
@@ -527,7 +527,7 @@ def unramified_subgroup(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoinducedModule:
     """Maps(G, A) with the translation action, with A embedded
     equivariantly and the quotient module A' = Maps(G, A)/A.
@@ -578,7 +578,7 @@ def coinduced_module(group: FiniteGroup, coeff) -> CoinducedModule:
     return CoinducedModule(m, coind, embedding, GModule(g, quotient_ab, q_acts), perm)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DimensionShiftReport:
     h2_factors: tuple[int, ...]
     shifted_h1_factors: tuple[int, ...]

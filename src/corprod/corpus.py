@@ -8,10 +8,10 @@ plain JSON-able descriptors so reports carry stable input digests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import formulas as fp
+from . import records
 from .abelian import FiniteAbelianGroup
 from .cohomology import dimension_shift_check
 from .errors import CorprodError
@@ -123,7 +123,7 @@ def _action_matrices(g: FiniteGroup, a: FiniteAbelianGroup, option):
     return tuple(powers[chi(x) % order] for x in range(g.order))
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class CorpusInstance:
     index: int
     spec: FamilySpec

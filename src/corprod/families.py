@@ -18,7 +18,6 @@ the summary record that reports add after the per-fiber ones.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .abelian import AbSubgroup
@@ -32,6 +31,7 @@ from .groups import (
     subgroup_from_generators,
 )
 from .lattice import factorint
+from .records import field, record
 
 STAR = "*"
 TAIL = "tail"
@@ -40,7 +40,7 @@ TAIL = "tail"
 RESERVED = {TAIL: "the tail pattern", "summary": "the summary record"}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiberSpec:
     name: str
     group: FiniteGroup
@@ -58,7 +58,7 @@ def _is_tail_name(name: str) -> bool:
     return name.startswith(TAIL) and (name == TAIL or name[4:].isdigit())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TailSpec:
     group: FiniteGroup
     subgroup: Subgroup
@@ -68,7 +68,7 @@ class TailSpec:
             raise InvariantViolation("tail subgroup has wrong parent")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilySpec:
     exceptional: tuple[FiberSpec, ...]
     tail: TailSpec | None = None
@@ -158,7 +158,7 @@ def family(exceptional, tail=None, prime_set=None) -> FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiberClosureInfo:
     name: str
     already_normal: bool
@@ -166,7 +166,7 @@ class FiberClosureInfo:
     closure_elements: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilyValidation:
     fibers: tuple[FiberClosureInfo, ...]
     tail: FiberClosureInfo | None
@@ -204,7 +204,7 @@ def normal_closure_family(spec: FamilySpec) -> FamilySpec:
 FLAVORS = ("plain", "discretized", "compactified")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RestrictedAbFamily:
     """Family (A_t, B_t) of subgroups B_t <= A_t with a topological flavor tag."""
 
@@ -291,7 +291,7 @@ def quotient_family_morphism(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilyMorphism:
     """Morphism of families: exceptional names map to names or to the
     star; tails map to tails uniformly; the star maps to the star."""
@@ -348,7 +348,7 @@ def identity_morphism(spec: FamilySpec) -> FamilyMorphism:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorphismPredicates:
     strict: bool
     fibrewise_surjective: bool
@@ -416,7 +416,7 @@ def morphism_predicates(m: FamilyMorphism) -> MorphismPredicates:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tower:
     """Projective system: transitions[i] maps levels[i+1] -> levels[i]."""
 
@@ -431,7 +431,7 @@ class Tower:
                 raise InvariantViolation(f"transition {i} connects wrong levels")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TowerCertificate:
     """Certified hypotheses for the limit theorem: every transition must
     be fibrewise surjective and strict, with a unique star preimage."""
@@ -464,7 +464,7 @@ def check_tower(t: Tower) -> TowerCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BeyondPattern:
     """What the family looks like past the truncation: the quotient of
     the tail group by the closure of the tail subgroup."""
@@ -477,7 +477,7 @@ class BeyondPattern:
         return self.group.order == 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TruncatedFamily:
     base: FamilySpec
     level: int

@@ -17,10 +17,8 @@ cross-validates the oracle against the per-fiber engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +58,7 @@ from .families import (
 )
 from .groups import EnumeratedAbelianStructure, FiniteGroup, abelian_structure_from_elements
 from .lattice import Matrix, Vector, identity_matrix
+from .records import field, record
 
 DEFAULT_ENUM_CAP = 200_000
 
@@ -69,7 +68,7 @@ DEFAULT_ENUM_CAP = 200_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilyModule:
     """Coefficients for a whole family: one abelian group acted on
     fiberwise, with at most finitely many nontrivial actions plus a
@@ -114,7 +113,7 @@ def _gmodule(group: FiniteGroup, coeff: FiniteAbelianGroup, action) -> GModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record()
 class DirectSumChart:
     """Canonical invariant-factor form of a concatenated block group."""
 
@@ -163,7 +162,8 @@ def direct_sum_chart(blocks) -> DirectSumChart:
 _Z1_CHUNK_BYTES = 1 << 20
 
 
-class FiberZ1(NamedTuple):
+@record(frozen=True)
+class FiberZ1:
     """Z^1 of one fiber.  A cocycle is fixed by its generator values
     (f(s))_s, so ``structure`` is built on them and ``tables`` maps them
     to the tables, which ``cocycles`` lists in generator-assignment order;
@@ -242,7 +242,7 @@ def _edges_hold(m: GModule, tables: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return ok
 
 
-@dataclass
+@record()
 class OracleH1:
     """H^1 of a finite free product from the independent oracle.
 
@@ -361,7 +361,7 @@ def oracle_h1(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record()
 class FourTermSequence:
     """0 -> A/A^G -> sum A/A^{G_t} -> H^1(G, A) -> sum H^1(G_t, A) -> 0.
 
@@ -439,7 +439,7 @@ def _concat_rows(per_fiber, count: int) -> list[list[int]]:
     return [[x for rows in per_fiber for x in rows[i]] for i in range(count)]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PositionReport:
     position: str
     holds: bool
@@ -447,7 +447,7 @@ class PositionReport:
     witness: tuple | None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExactnessReport:
     positions: tuple[PositionReport, ...]
 
@@ -536,7 +536,7 @@ def corrupt_map_entry(seq: FourTermSequence, which: int, i: int, j: int, delta: 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RestrictedSummary:
     """Shape of a restricted product of pairs over the family index."""
 
@@ -585,7 +585,7 @@ def h_formula(
     return RestrictedAbFamily(tuple(zip(spec.names, exc)), tail, "discretized")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HighDegreeFormula:
     degree: int
     summands: tuple[tuple[str, FiniteAbelianGroup], ...]
@@ -652,7 +652,7 @@ def dualize_family(fam: RestrictedAbFamily) -> RestrictedAbFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiberCrossCheck:
     name: str
     h1_factors: tuple[int, ...]
@@ -672,7 +672,7 @@ class FiberCrossCheck:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CrossCheckReport:
     prime: int
     fibers: tuple[FiberCrossCheck, ...]
@@ -751,7 +751,7 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record()
 class ColimitSystem:
     degree: int
     levels: tuple[FiniteAbelianGroup, ...]
@@ -868,7 +868,7 @@ def truncation_colimit(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SplittingReport:
     subset: tuple[str, ...]
     h1_full: tuple[int, ...]
@@ -980,7 +980,7 @@ def blocks_split(full: DirectSumChart, sub: DirectSumChart, inclusion, projectio
     return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiberCorestriction:
     name: str
     contained: bool
@@ -989,7 +989,7 @@ class FiberCorestriction:
     ann_reversed: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CorestrictionReport:
     fibers: tuple[FiberCorestriction, ...]
 

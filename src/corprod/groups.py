@@ -16,7 +16,6 @@ module actions are, and G/N is built once per (G, N).  Plain
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -29,11 +28,12 @@ from .errors import (
     NotNormal,
     SizeCapExceeded,
 )
+from .records import record
 
 DEFAULT_ORDER_CAP = 2000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteGroup:
     """A group by its Cayley table.  Derived data (the table as an array,
     the inverse table, :func:`generating_set` and :func:`abelianization`)
@@ -336,7 +336,7 @@ def trivial_group() -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Subgroup:
     parent: FiniteGroup
     elements: tuple[int, ...]
@@ -466,7 +466,7 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupHom:
     source: FiniteGroup
     target: FiniteGroup
@@ -540,7 +540,7 @@ def commutator_subgroup(g: FiniteGroup) -> Subgroup:
     return subgroup_from_generators(g, set(comm.ravel().tolist()))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbelianizationMap:
     """Projection of a finite group onto its abelianization.
 
@@ -571,7 +571,7 @@ def abelianization(g: FiniteGroup) -> tuple[FiniteAbelianGroup, AbelianizationMa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnumeratedAbelianStructure:
     """Invariant factors of an abelian group given by enumeration.
 

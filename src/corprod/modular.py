@@ -55,7 +55,6 @@ cache of the package too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable
@@ -65,6 +64,7 @@ import numpy as np
 from . import lattice
 from .errors import MEMO_SIZE, SizeCapExceeded, VerificationFailure
 from .lattice import Vector, factorint
+from .records import field, record
 
 # narrowest signed dtype whose maximum holds (q-1)^2, as (dtype, maximum)
 _STORAGE = ((np.int8, 2**7 - 1), (np.int16, 2**15 - 1), (np.int32, 2**31 - 1))
@@ -108,6 +108,16 @@ def local_diagonalize(
     q = p**k
     m, n = mat.shape
     check_int64_products(q - 1, max(m, n), f"modulus q={q}")
+    # no pivot: the identities every kernel returns, without a kernel's fixed
+    # cost.  The first nonzero entry, found without dividing, rules out most
+    # other matrices: dividing every entry costs more than the kernels save
+    if (mat.size == 0 or mat.item((mat != 0).argmax()) % q == 0) and not np.mod(mat, q).any():
+        return (
+            [],
+            np.eye(m, dtype=np.int64) if need_u else None,
+            np.eye(n, dtype=np.int64),
+            np.eye(n, dtype=np.int64) if need_vinv else None,
+        )
     packed = _PACKED.get(q)
     if packed is not None:
         return packed(mat, need_u, need_vinv)
@@ -495,7 +505,7 @@ def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _PrimePart:
     prime: int
     k: int                       # exponent precision: p^k kills the part
@@ -564,7 +574,7 @@ def _lift_p_parts(stack, p: int, exps, moduli) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Subquotient:
     """Presentation of N/D for subgroups D <= N of prod Z/moduli.
 

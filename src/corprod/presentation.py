@@ -18,13 +18,13 @@ generators on the edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import MEMO_SIZE, VerificationFailure
 from .groups import FiniteGroup
+from .records import record
 
 Word = tuple[int, ...]  # +(i+1) = generator i, -(i+1) = its inverse
 
@@ -33,7 +33,7 @@ def _invert_word(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FreePresentation:
     group: FiniteGroup
     gens: tuple[int, ...]

@@ -8,10 +8,11 @@ output, which makes runs diffable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from . import records
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class CheckRecord:
     check: str
     input_digest: str
@@ -62,9 +63,9 @@ def record(check, digest, ok, witnesses=(), factors=(), detail="") -> CheckRecor
     )
 
 
-@dataclass
+@records.record()
 class Report:
-    records: list = field(default_factory=list)
+    records: list = records.field(default_factory=list)
 
     def add(self, rec: CheckRecord) -> None:
         self.records.append(rec)

@@ -8,13 +8,12 @@ exceptions this is decidable by inspecting the default tail part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvariantViolation
 from .families import FamilyMorphism, FamilySpec, MorphismPredicates, STAR, morphism_predicates
+from .records import field, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpenSetSpec:
     """A subset of the total space of a family.
 
@@ -63,7 +62,7 @@ class OpenSetSpec:
         return self.exceptional_parts.get(name, frozenset())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpenCheck:
     is_open: bool
     witness: str | None
@@ -142,7 +141,7 @@ def preimage_spec(m: FamilyMorphism, v: OpenSetSpec) -> OpenSetSpec:
     return OpenSetSpec(m.source, parts, tail_default, tail_exceptions, v.contains_star)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpenMapCertificate:
     """Hypothesis certification for the open-mapping statement.
 

@@ -237,6 +237,14 @@ def test_elements_refuses_a_factor_beyond_int64():
             ab.FiniteAbelianGroup(factors).elements()
 
 
+def test_elements_are_decoded_lazily_in_product_order():
+    # product() copied each range into a tuple first: this raised MemoryError
+    assert next(iter(ab.FiniteAbelianGroup((2**63 - 1,)).elements())) == (0,)
+    for factors in ((), (2,), (2, 4), (3, 3, 9), (2, 2, 2, 4)):
+        want = list(itertools.product(*(range(d) for d in factors)))
+        assert list(ab.FiniteAbelianGroup(factors).elements()) == want
+
+
 def hermite_reference(a, gens):
     """HNF basis of the preimage of <gens> in Z^rank, and the order of <gens>."""
     n = a.rank

@@ -14,8 +14,6 @@ the reference projection, over every corpus group, module and named
 action, and over a few actions by non-symmetric matrices.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -278,7 +276,7 @@ def test_corrupted_perm_is_caught_by_re_embedding():
     bad = cm.perm.copy()
     bad[x, [0, 1]] = bad[x, [1, 0]]
     with pytest.raises(VerificationFailure, match="embedded coefficients"):
-        coh.connecting_map(dataclasses.replace(cm, perm=bad))
+        coh.connecting_map(coh.CoinducedModule(cm.base, cm.module, cm.embedding, cm.quotient, bad))
 
 
 def test_denominator_outside_the_numerator_raises():

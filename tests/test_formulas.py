@@ -71,7 +71,7 @@ def test_oracle_cardinality_bookkeeping(zoo, rng):
         )
         z1 = 1
         for m in _fiber_modules(trunc, module):
-            z1 *= len(_fiber_z1(m)[0])
+            z1 *= len(_fiber_z1(m).cocycles)
         fixed = len(common_fixed_elements(trunc, module))
         assert o.value.order * (coeff.order // fixed) == z1
 

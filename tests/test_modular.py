@@ -333,6 +333,30 @@ def test_packed_kernels_match_numpy_kernel_on_random_residues(monkeypatch):
         assert_same_transforms(modular.local_diagonalize(mat, p, k, *flags), want)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_a_matrix_zero_mod_q_gets_identities_without_a_kernel(q, monkeypatch):
+    p, k = prime_power(q)
+    rng = random.Random(q)
+    mats = [
+        np.zeros((0, 5), dtype=np.int64),
+        np.zeros((5, 0), dtype=np.int64),
+        np.zeros((0, 0), dtype=np.int64),
+        np.zeros((4, 6), dtype=np.int64),
+        q * random_residues(rng, 6, 4, 7, 0.8, -7),
+    ]
+    flags = list(itertools.product((True, False), repeat=2))
+    # a first nonzero entry that q divides does not make the matrix zero
+    for mat in (np.array([[0, q, 1]]), np.array([[0, -q], [0, 2 * q + 1]])):
+        for f in flags:
+            assert_same_transforms(modular.local_diagonalize(mat, p, k, *f), modular._zq_diagonalize(mat, p, k, *f))
+    wants = [[modular._zq_diagonalize(mat, p, k, *f) for f in flags] for mat in mats]
+    monkeypatch.setattr(modular, "_zq_diagonalize", None)
+    monkeypatch.setattr(modular, "_PACKED", {})
+    for mat, want in zip(mats, wants):
+        for f, w in zip(flags, want):
+            assert_same_transforms(modular.local_diagonalize(mat, p, k, *f), w)
+
+
 def corprod_caches():
     # found as the benchmark's tracer finds them: callables with cache_info
     # bound by a corprod module
