@@ -8,7 +8,6 @@ never floats.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -263,6 +262,8 @@ class DualPairing:
     right: FiniteAbelianGroup
 
     def value(self, x, chi) -> Fraction:
+        from fractions import Fraction  # at module level, it slows every start-up
+
         m = self.left.exponent
         total = 0
         for xi, ci, d in zip(x, chi, self.left.factors):

@@ -47,7 +47,7 @@ could wrap; ``act`` reads it with Python integers and is always exact.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, log
 
 import numpy as np
 
@@ -735,51 +735,61 @@ def _free_resolution(g: FiniteGroup, p: int, q: int, length: int):
     Z/q, q a power of p, and the Z/q generators of ker d_length.
 
     A differential d_i is an int64 array of shape (rank P_i, rank P_(i-1),
-    |G|), row l being the image of free generator l; the kernel is a stack
-    of shape (count, rank P_i, |G|).  d_1 sends e_s to s - 1 for the
-    generators s of G.  Each kernel is solved over Z/q from the matrix
-    whose columns are the translates x.d(e_l), and its cover by free
-    generators (``_cover``) is the next differential.
+    |G|), row l being the image of free generator l; a kernel is a stack
+    of shape (count, rank, |G|).  d_1 sends e_s to s - 1 for the
+    generators s of G, and each later d_(i+1) is the cover of ker d_i
+    (``_cover``).  The kernel step diagonalizes the matrix whose rows are
+    the translates x.d_i(e_l), which also gives |im d_i| = p^sum(k - a_j)
+    from its pivot valuations a_j.  Exactness at P_(i-1) is then
+    |im d_i| = |ker d_(i-1)|, which is q^(rank P_(i-1).|G|) / |im d_(i-1)|,
+    or q^(|G| - 1) for the augmentation ideal.  While the order falls
+    short, a representative of ker d_(i-1) / im d_i joins the cover and
+    the step is redone; a larger order, or any row of d_i that d_(i-1)
+    does not send to 0, raises ``VerificationFailure``.
     """
-    n = g.order
+    n, k = g.order, round(log(q, p))
     left = g.array[np.array(g.inv)]
     gens = list(g.generators)
-    d = np.zeros((len(gens), 1, n), dtype=np.int64)
-    d[np.arange(len(gens)), 0, gens] = 1
-    d[:, 0, g.identity] = q - 1
-    p_gens = gens if set(lattice.factorint(n)) == {p} else None
+    # ker d_0 is the augmentation ideal, spanned by the x - 1, and d_0 has
+    # the translate matrix of ones
+    kernel = np.eye(n, dtype=np.int64).reshape(n, 1, n)
+    kernel[:, 0, g.identity] -= 1
+    kernel = np.mod(kernel, q)
+    d, above = kernel[gens], np.ones((n, 1), dtype=np.int64)
+    want = k * (n - 1)  # |ker d_0|, as every order here, as an exponent of p
     for i in range(1, length + 1):
-        rank, below = d.shape[:2]
-        cols = _translates(d, left).reshape(rank * n, below * n)
-        kernel = np.array(
-            modular.congruence_kernel(cols.T, (q,) * (below * n), (q,) * (rank * n)),
-            dtype=np.int64,
-        ).reshape(-1, rank, n)
+        while True:
+            rank, below = d.shape[:2]
+            # the previous step's refusal covers this product of entries below q
+            if (d.reshape(rank, below * n) @ above % q).any():
+                raise VerificationFailure(f"d_{i - 1} o d_{i} is not 0 in the free resolution")
+            cols = _translates(d, left).reshape(rank * n, below * n)
+            found, a = modular._kernel_gens_mod(cols.T, p, k)
+            image = sum(k - x for x in a)
+            if image >= want:
+                break
+            span = modular.subquotient((q,) * (below * n), kernel.reshape(len(kernel), -1), cols)
+            d = np.concatenate([d, np.array(span.reps[-1:], dtype=np.int64).reshape(1, below, n)])
+        if image > want:
+            raise VerificationFailure(f"im d_{i} is larger than ker d_{i - 1}")
+        kernel = found[found.any(axis=1)].reshape(-1, rank, n)
         if i == length:
             return d, kernel
-        d = _cover(kernel, q, left, p_gens)
+        above, want = cols, k * rank * n - image
+        d = _cover(kernel, q, left, gens)
 
 
 def _cover(kernel: np.ndarray, q: int, left: np.ndarray, gens) -> np.ndarray:
-    """Free generators of the (Z/q)[G]-module K spanned by a kernel stack.
+    """Free generators of the radical quotient of the (Z/q)[G]-module K
+    spanned by a kernel stack, given the generators of G.
 
-    For a p-group, given its generators, the radical of K is pK + J.K, J
-    being the augmentation ideal, and J.K is spanned by (s - 1).K over the
-    generators s.  One representative per invariant factor of K/J.K makes
-    dim K/(pK + J.K) of them: they generate K by Nakayama's lemma, and no
-    fewer can.  Otherwise representatives of K/span are taken one at a
-    time, each adding its translates to the span, until nothing is left.
+    J.K, J being the augmentation ideal, is spanned by (s - 1).K over the
+    generators s, and the cover is one representative per invariant
+    factor of K/J.K.  For a p-group the radical of K is pK + J.K, so they
+    generate K by Nakayama's lemma, and no fewer can.  Otherwise they may
+    span less, and ``_free_resolution`` completes them.
     """
     count, rank, n = kernel.shape
-    moduli = (q,) * (rank * n)
-    flat = kernel.reshape(count, rank * n)
-    if gens is not None:
-        moved = _translates(kernel, left[gens]) - kernel[:, None]
-        chosen = modular.subquotient(moduli, flat, np.mod(moved.reshape(-1, rank * n), q)).reps
-    else:
-        chosen, span = [], np.zeros((0, rank * n), dtype=np.int64)
-        while reps := modular.subquotient(moduli, flat, span).reps:
-            chosen.append(reps[-1])
-            new = np.array(reps[-1], dtype=np.int64).reshape(1, rank, n)
-            span = np.concatenate([span, _translates(new, left).reshape(n, rank * n)])
-    return np.array(chosen, dtype=np.int64).reshape(-1, rank, n)
+    moved = np.mod(_translates(kernel, left[gens]) - kernel[:, None], q).reshape(-1, rank * n)
+    reps = modular.subquotient((q,) * (rank * n), kernel.reshape(count, rank * n), moved).reps
+    return np.array(reps, dtype=np.int64).reshape(-1, rank, n)

@@ -75,19 +75,13 @@ def _subgroup_choices(g: FiniteGroup):
     return choices
 
 
-def _order2_character(g: FiniteGroup):
+def _character(g: FiniteGroup, p: int):
+    """A character of G onto Z/p, from the first abelianization factor p
+    divides, or None."""
     ab, proj = g.abelianization
     for i, d in enumerate(ab.factors):
-        if d % 2 == 0:
-            return lambda x, i=i, d=d: (proj.apply(x)[i] * (d // 2)) % 2
-    return None
-
-
-def _order3_character(g: FiniteGroup):
-    ab, proj = g.abelianization
-    for i, d in enumerate(ab.factors):
-        if d % 3 == 0:
-            return lambda x, i=i, d=d: (proj.apply(x)[i] * (d // 3)) % 3
+        if d % p == 0:
+            return lambda x, i=i, d=d: (proj.apply(x)[i] * (d // p)) % p
     return None
 
 
@@ -95,14 +89,14 @@ def _action_options(g: FiniteGroup, a: FiniteAbelianGroup):
     """Named automorphism actions available for this fiber and module."""
     options = {"trivial": None}
     r = a.rank
-    chi2 = _order2_character(g)
+    chi2 = _character(g, 2)
     if chi2 is not None and a.exponent > 2:
         neg = tuple(tuple(-1 if i == j else 0 for j in range(r)) for i in range(r))
         options["negation"] = (chi2, 2, neg)
     if chi2 is not None and r == 2 and a.factors[0] == a.factors[1]:
         swap = ((0, 1), (1, 0))
         options["swap"] = (chi2, 2, swap)
-    chi3 = _order3_character(g)
+    chi3 = _character(g, 3)
     if chi3 is not None and r == 1:
         m = a.factors[0]
         for u in range(2, m):

@@ -788,7 +788,8 @@ def truncation_colimit(
 
     In degree 1 each level is the H^1 term of that truncation's four-term
     sequence: one oracle per level serves the level, both transitions at
-    it and the exactness check.
+    it and the exactness check.  In degree 2 a level is the sum of its
+    fibers' H^2, each checked against ``resolution_cohomology``.
     """
     if degree not in (1, 2):
         raise PreconditionError("colimits are computed in degrees 1 and 2")
@@ -837,16 +838,12 @@ def truncation_colimit(
             extended = [tuple(charts[n].rep(i)) + pad for i in range(levels[n].rank)]
             cols = charts[n + 1].classify_many(extended)
             transitions.append(AbHom.from_columns(levels[n], levels[n + 1], cols))
-        # formula instance: block factors match the per-fiber pair formula
-        level_ok = []
-        for t, hs in zip(truncs, fiber_h2):
-            expected = []
-            for f in t.fibers:
-                nr = unramified_subgroup(
-                    f.group, f.subgroup, module.gmodule(f), 2, cap
-                )
-                expected.append(nr.cohomology.value.factors)
-            level_ok.append([h.value.factors for h in hs] == expected)
+        # per level: each fiber's block against the resolution engine
+        level_ok = [
+            [h.value.factors for h in hs]
+            == [resolution_cohomology(m, 2, cap).factors for m in _fiber_modules(t, module)]
+            for t, hs in zip(truncs, fiber_h2)
+        ]
 
     contribution = 1
     if tail_module is not None:

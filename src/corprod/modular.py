@@ -485,19 +485,20 @@ def _z4_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
 _PACKED = {2: _gf2_diagonalize, 3: _gf3_diagonalize, 4: _z4_diagonalize}
 
 
-def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> np.ndarray:
+def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> tuple[np.ndarray, list[int]]:
     """Generators of {x in (Z/p^k)^n : mat.x = 0 mod p^k} (column kernel),
     one row each: column j of V scaled by p^(k - a_j), for a_j > 0.  Some
-    rows may be zero."""
+    rows may be zero.  Also returns the valuations a_j of the n diagonal
+    entries (k for a zero), so the image has order p^sum(k - a_j)."""
     m, n = mat.shape
     if m == 0:
-        return np.eye(n, dtype=np.int64)
+        return np.eye(n, dtype=np.int64), [k] * n
     exps, _, v, _ = local_diagonalize(mat, p, k, need_u=False, need_vinv=False)
     a = exps + [k] * (n - len(exps))
     keep = [j for j in range(n) if a[j] > 0]
     # entries below q times p^(k-1): within the kernel's own refusal bound
     scale = np.array([p ** (k - a[j]) for j in keep], dtype=np.int64)
-    return (v[:, keep] * scale % p**k).T
+    return (v[:, keep] * scale % p**k).T, a
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +786,7 @@ def congruence_kernel(rows, row_moduli, col_moduli) -> list[Vector]:
     for p, k, _, _, _, mat in systems:
         # keep the p-part of each component, zero at the other primes
         exps = [f.get(p, 0) for f in exp_of]
-        gens = _lift_p_parts(_kernel_gens_mod(mat, p, k), p, exps, col_moduli)
+        gens = _lift_p_parts(_kernel_gens_mod(mat, p, k)[0], p, exps, col_moduli)
         out.extend(tuple(g) for g in gens.tolist() if any(g))
     return out
 

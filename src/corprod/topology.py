@@ -8,6 +8,8 @@ exceptions this is decidable by inspecting the default tail part.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import InvariantViolation
 from .families import FamilyMorphism, FamilySpec, MorphismPredicates, STAR, morphism_predicates
 from .records import field, record
@@ -86,36 +88,28 @@ def is_open(v: OpenSetSpec) -> OpenCheck:
     return OpenCheck(False, f"tail{i}")
 
 
-def intersect_specs(a: OpenSetSpec, b: OpenSetSpec) -> OpenSetSpec:
+def _combine(a: OpenSetSpec, b: OpenSetSpec, op) -> OpenSetSpec:
     if a.family != b.family:
         raise InvariantViolation("open sets live over different families")
     names = set(a.exceptional_parts) | set(b.exceptional_parts)
-    parts = {n: a.part(n) & b.part(n) for n in names}
+    parts = {n: op(a.part(n), b.part(n)) for n in names}
     indices = set(a.tail_exceptions) | set(b.tail_exceptions)
-    exceptions = {i: a.tail_part(i) & b.tail_part(i) for i in indices}
+    exceptions = {i: op(a.tail_part(i), b.tail_part(i)) for i in indices}
     return OpenSetSpec(
         a.family,
         parts,
-        a.tail_default & b.tail_default,
+        op(a.tail_default, b.tail_default),
         exceptions,
-        a.contains_star and b.contains_star,
+        op(a.contains_star, b.contains_star),
     )
+
+
+def intersect_specs(a: OpenSetSpec, b: OpenSetSpec) -> OpenSetSpec:
+    return _combine(a, b, operator.and_)
 
 
 def union_specs(a: OpenSetSpec, b: OpenSetSpec) -> OpenSetSpec:
-    if a.family != b.family:
-        raise InvariantViolation("open sets live over different families")
-    names = set(a.exceptional_parts) | set(b.exceptional_parts)
-    parts = {n: a.part(n) | b.part(n) for n in names}
-    indices = set(a.tail_exceptions) | set(b.tail_exceptions)
-    exceptions = {i: a.tail_part(i) | b.tail_part(i) for i in indices}
-    return OpenSetSpec(
-        a.family,
-        parts,
-        a.tail_default | b.tail_default,
-        exceptions,
-        a.contains_star or b.contains_star,
-    )
+    return _combine(a, b, operator.or_)
 
 
 def preimage_spec(m: FamilyMorphism, v: OpenSetSpec) -> OpenSetSpec:

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from corprod import cli
+from corprod import formulas as fp
+from corprod.abelian import FiniteAbelianGroup
 
 
 FAMILY = {
@@ -227,6 +229,41 @@ def test_colimit_command(tmp_path):
         ["colimit", "--spec", str(spec), "--module", str(mod), "--degree", "1", "--truncate", "-1"]
     )
     assert status == 2
+
+
+def test_a_degree_2_colimit_level_fails_when_the_resolution_engine_disagrees(tmp_path, monkeypatch):
+    spec = tmp_path / "tail.json"
+    spec.write_text(json.dumps({
+        "prime_set": [2, 3],
+        "exceptional": {"a": {"group": {"kind": "cyclic", "n": 4}, "subgroup_generators": []}},
+        "tail": {"group": {"kind": "cyclic", "n": 2}, "subgroup_generators": [1]},
+    }))
+    mod = tmp_path / "m2.json"
+    mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [2]}, "actions": {}}))
+    args = ["colimit", "--spec", str(spec), "--module", str(mod), "--degree", "2", "--truncate", "2"]
+    status, text = run_cli(args)
+    assert status == 0 and "[FAIL]" not in text
+    # a planted disagreement on the C4 fiber, which every level holds
+    real = fp.resolution_cohomology
+    monkeypatch.setattr(fp, "resolution_cohomology", lambda m, degree, cap: (
+        FiniteAbelianGroup((4,)) if m.group.order == 4 else real(m, degree, cap)
+    ))
+    status, text = run_cli(args)
+    assert status == 1
+    for n in range(3):
+        assert f"[FAIL] colimit-level-{n:02d}" in text
+    assert "[PASS] colimit-growth" in text
+
+
+def test_the_cli_imports_neither_fractions_nor_decimal():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, corprod.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_tower_check_command(tmp_path):

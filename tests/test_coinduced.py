@@ -200,7 +200,7 @@ def unipotent_modules():
         ("A4", (3, 3), 3, ((1, 1), (0, 1))),
     ]:
         g, a = zoo[gname], FAG(factors)
-        chi = corpus._order2_character(g) if order == 2 else corpus._order3_character(g)
+        chi = corpus._character(g, order)
         acts = corpus._action_matrices(g, a, (chi, order, mat))
         yield f"{gname}-{factors}-unipotent", coh.GModule(g, a, acts)
 

@@ -7,11 +7,12 @@ from math import comb, gcd
 import numpy as np
 import pytest
 
-from corprod import cli, corpus
+from corprod import cli, corpus, modular
 from corprod import cohomology as coh
 from corprod import groups as gr
 from corprod.abelian import FiniteAbelianGroup as FAG
-from corprod.errors import PreconditionError, SizeCapExceeded
+from corprod.errors import PreconditionError, SizeCapExceeded, VerificationFailure
+from corprod.lattice import factorint
 
 BIG_CAP = 10**12
 
@@ -203,3 +204,60 @@ def test_h5_of_q8_is_refused_at_the_default_cap(tmp_path):
     args = ["cohomology", "--spec", str(spec), "--module", str(mod), "--degree"]
     assert cli.main(args + ["4"]) == 0
     assert cli.main(args + ["5"]) == 2
+
+
+P_GROUPS = [(name, g) for name, g in corpus._zoo().items() if len(factorint(g.order)) == 1]
+
+
+@pytest.mark.parametrize("name, g", P_GROUPS, ids=[name for name, _ in P_GROUPS])
+def test_p_group_covers_are_minimal_and_need_no_completion(name, g, monkeypatch):
+    # over F_p a minimal resolution has zero coboundaries, so dim H^n is
+    # rank P_n; one subquotient per cover means the completion never ran
+    (p,) = factorint(g.order)
+    m = coh.trivial_module(g, FAG((p,)))
+    calls = []
+    real = modular.subquotient
+    monkeypatch.setattr(modular, "subquotient", lambda *args: calls.append(1) or real(*args))
+    for n in range(1, 6):
+        calls.clear()
+        last, _ = coh._free_resolution(g, p, p, n)
+        assert len(calls) == n - 1, (name, n)
+        assert len(coh.resolution_cohomology(m, n, BIG_CAP).factors) == len(last), (name, n)
+
+
+def test_deep_answers_outside_p_groups():
+    zoo = corpus._zoo()
+    s3c3 = gr.direct_product(gr.symmetric_group(3), gr.cyclic_group(3))
+    for g, p, degree, want in (
+        (zoo["D6"], 2, 10, (2,) * 11),  # D12 = S3 x C2, by Kunneth
+        (s3c3, 3, 8, (3,) * 5),  # S3 contributes in degrees 0, 3 mod 4
+        (gr.symmetric_group(4), 3, 10, ()),  # through the Sylow normalizer S3
+    ):
+        m = coh.trivial_module(g, FAG((p,)))
+        assert coh.resolution_cohomology(m, degree, 10**15).factors == want
+
+
+@pytest.mark.parametrize("g", [gr.quaternion_group(), gr.symmetric_group(3)], ids=["Q8", "S3"])
+def test_a_cover_row_outside_the_kernel_is_refused(g, monkeypatch):
+    real = coh._cover
+
+    def planted(kernel, *args):
+        # e_0 itself: d sends it to a nonzero row, so it is not a cycle
+        extra = np.zeros((1,) + kernel.shape[1:], dtype=np.int64)
+        extra[0, 0, g.identity] = 1
+        return np.concatenate([real(kernel, *args), extra])
+
+    monkeypatch.setattr(coh, "_cover", planted)
+    coh.resolution_cohomology.cache_clear()
+    with pytest.raises(VerificationFailure, match="is not 0 in the free resolution"):
+        coh.resolution_cohomology(coh.trivial_module(g, FAG((2,))), 4, BIG_CAP)
+
+
+@pytest.mark.parametrize("g", [gr.quaternion_group(), gr.dihedral_group(4)], ids=["Q8", "D4"])
+def test_a_cover_that_spans_less_is_completed_by_the_count(g, monkeypatch):
+    m = coh.trivial_module(g, FAG((2,)))
+    want = [coh.resolution_cohomology(m, n, BIG_CAP).factors for n in (3, 4)]
+    real = coh._cover
+    monkeypatch.setattr(coh, "_cover", lambda kernel, *args: real(kernel, *args)[:-1])
+    coh.resolution_cohomology.cache_clear()
+    assert [coh.resolution_cohomology(m, n, BIG_CAP).factors for n in (3, 4)] == want
