@@ -76,7 +76,10 @@ class FamilySpec:
 
     def __post_init__(self):
         try:
-            primes = frozenset(operator.index(p) for p in self.prime_set)
+            given = tuple(self.prime_set)
+            if any(isinstance(p, bool) for p in given):  # operator.index reads True as 1
+                raise TypeError
+            primes = frozenset(map(operator.index, given))
         except TypeError:
             raise InvariantViolation("the prime set must be a list of integers") from None
         object.__setattr__(self, "prime_set", primes)

@@ -18,8 +18,10 @@ Both work prime by prime.  Modulo q = p^k every matrix is diagonalized
 exactly by ``local_diagonalize``, and the results are glued with the
 Chinese remainder theorem; the p-part of a residue is lifted to the
 other primes by one idempotent per component (``_lift_p_parts``).  The
-kernel has four paths with one pivot rule and the same transforms, all
-returning int64; ``_PACKED`` maps q to its packed path.  At q = 2 it
+kernel returns the column transform V and its inverse, never the row
+transform, since every caller reads columns: kernels, images and
+coordinates.  It has four paths with one pivot rule and the same V and
+Vinv, all int64; ``_PACKED`` maps q to its packed path.  At q = 2 it
 eliminates on packed bits, one Python int per column, so clearing a
 pivot's rows is one XOR per column.  At q = 3 and q = 4 each column is
 two such ints: over GF(3) the bit-planes of the 1s and of the 2s
@@ -33,9 +35,10 @@ arithmetically, so nothing is allocated in proportion to q.
 The longest dot product the kernel and its consumers form has
 max(m, n) terms below q, so an m x n system is refused with
 ``SizeCapExceeded`` before any allocation when max(m, n, 1).(q-1)^2
-reaches 2^63; every entry point refuses a modulus of 2^63 or more before
-factoring it.  A pure integer fallback (``subquotient_int``) built on the
-Smith normal form is kept as an independent oracle for the tests.
+reaches 2^63; every entry point refuses a modulus below 1, or of 2^63 or
+more, before factoring it.  A pure integer fallback
+(``subquotient_int``) built on the Smith normal form is kept as an
+independent oracle for the tests.
 
 ``subquotient`` is memoized: the same subgroups are presented many times
 over (rebuilt but equal ``AbSubgroup``s, the quotients of the oracle and
@@ -62,7 +65,7 @@ from typing import Callable
 import numpy as np
 
 from . import lattice
-from .errors import MEMO_SIZE, SizeCapExceeded, VerificationFailure
+from .errors import MEMO_SIZE, PreconditionError, SizeCapExceeded, VerificationFailure
 from .lattice import Vector, factorint
 from .records import field, record
 
@@ -85,25 +88,26 @@ def check_int64_products(bound: int, length: int, what: str, other: int | None =
 
 
 def check_moduli(moduli, what: str = "modulus") -> None:
-    """Refuse a modulus of 2^63 or more before it is factored or cast to int64."""
+    """Refuse a modulus below 1, and one of 2^63 or more before it is
+    factored or cast to int64."""
     for m in moduli:
+        if m < 1:
+            raise PreconditionError(f"{what} {m} is not positive")
         if m >= 2**63:
             raise SizeCapExceeded(f"{what} {m} >= 2^63, beyond exact int64 arithmetic")
 
 
-def local_diagonalize(
-    mat: np.ndarray, p: int, k: int, need_u: bool = True, need_vinv: bool = True
-):
-    """Diagonalize ``mat`` over Z/p^k: U.M.V = diag(p^a_i) with U, V
-    invertible mod p^k.
+def local_diagonalize(mat: np.ndarray, p: int, k: int, need_vinv: bool = True):
+    """Diagonalize ``mat`` over Z/p^k by its column transform.
 
-    Returns ``(exps, U, V, Vinv)`` where ``exps[i]`` is the valuation of
-    the i-th diagonal entry (k encodes a zero block).  With
-    ``need_u=False`` the (potentially large) U is not tracked and None
-    is returned in its place, and likewise Vinv with ``need_vinv=False``;
-    the other outputs do not depend on either flag.  The pivot at each
-    step is the first entry of least valuation, in row-major order, of
-    the remaining block.
+    Returns ``(exps, V, Vinv)``: V is invertible mod p^k, and column j of
+    M.V is p^exps[j] times column j of some invertible matrix, and zero
+    past ``len(exps)`` (k encodes a zero block), so M is equivalent to
+    diag(p^exps).  The row transform is never formed: every caller reads
+    columns.  With ``need_vinv=False`` Vinv is not tracked and None is
+    returned in its place; exps and V do not depend on the flag.  The pivot
+    at each step is the first entry of least valuation, in row-major order,
+    of the remaining block.
     """
     q = p**k
     m, n = mat.shape
@@ -112,25 +116,19 @@ def local_diagonalize(
     # cost.  The first nonzero entry, found without dividing, rules out most
     # other matrices: dividing every entry costs more than the kernels save
     if (mat.size == 0 or mat.item((mat != 0).argmax()) % q == 0) and not np.mod(mat, q).any():
-        return (
-            [],
-            np.eye(m, dtype=np.int64) if need_u else None,
-            np.eye(n, dtype=np.int64),
-            np.eye(n, dtype=np.int64) if need_vinv else None,
-        )
+        return [], np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64) if need_vinv else None
     packed = _PACKED.get(q)
     if packed is not None:
-        return packed(mat, need_u, need_vinv)
-    return _zq_diagonalize(mat, p, k, need_u, need_vinv)
+        return packed(mat, need_vinv)
+    return _zq_diagonalize(mat, p, k, need_vinv)
 
 
-def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool, need_vinv: bool = True):
+def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_vinv: bool = True):
     """The numpy kernel of :func:`local_diagonalize`, for any q = p^k."""
     q = p**k
     m, n = mat.shape
     dt = next((d for d, top in _STORAGE if (q - 1) ** 2 <= top), np.int64)
     a = np.mod(np.asarray(mat, dtype=np.int64), q).astype(dt, copy=False)
-    u = np.eye(m, dtype=dt) if need_u else None
     v = np.eye(n, dtype=dt)
     vinv = np.eye(n, dtype=dt) if need_vinv else None
     exps: list[int] = []
@@ -147,8 +145,6 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool, need_vinv: bo
         bi, bj = bi + t, bj + t
         if bi != t:
             a[[t, bi], t:] = a[[bi, t], t:]
-            if need_u:
-                u[[t, bi], :] = u[[bi, t], :]
         if bj != t:
             a[t:, [t, bj]] = a[t:, [bj, t]]
             v[:, [t, bj]] = v[:, [bj, t]]
@@ -158,8 +154,6 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool, need_vinv: bo
         inv = pow(int(a[t, t]) // pj, -1, q)
         if inv != 1:
             a[t, t:] = (a[t, t:] * inv) % q
-            if need_u:
-                u[t, :] = (u[t, :] * inv) % q
         # pivot is now exactly p^j; clear the rows with a nonzero entry in
         # column t, then the columns with a nonzero entry in row t.  Only
         # the block a[t+1:, t+1:] is read again, so clearing row t needs no
@@ -168,8 +162,6 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool, need_vinv: bo
         if rows.size:
             w = a[rows, t] // pj
             a[rows, t:] = (a[rows, t:] - w[:, None] * a[t, t:]) % q
-            if need_u:
-                u[rows, :] = (u[rows, :] - w[:, None] * u[t, :]) % q
         cols = np.flatnonzero(a[t, t + 1:]) + (t + 1)
         if cols.size:
             # col_j -= w_j * col_t;  inverse acts on Vinv as row_t += w . rows
@@ -178,9 +170,8 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_u: bool, need_vinv: bo
             if need_vinv:
                 vinv[t, :] = (vinv[t, :] + w.astype(np.int64) @ vinv[cols, :]) % q
         exps.append(j)
-    u = u.astype(np.int64, copy=False) if need_u else None
     vinv = vinv.astype(np.int64, copy=False) if need_vinv else None
-    return exps, u, v.astype(np.int64, copy=False), vinv
+    return exps, v.astype(np.int64, copy=False), vinv
 
 
 def _pack(bits: np.ndarray) -> list[int]:
@@ -198,9 +189,9 @@ def _unpack(words: list[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
-def _gf2_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
+def _gf2_diagonalize(mat: np.ndarray, need_vinv: bool = True):
     """:func:`local_diagonalize` at q = 2 on bit-packed Python ints: the
-    same pivot rule, so the same ``(exps, U, V, Vinv)`` as the numpy kernel.
+    same pivot rule, so the same ``(exps, V, Vinv)`` as the numpy kernel.
 
     Column c of the work matrix is one int, bit i being row i; V is kept
     by columns and Vinv by rows, with column swaps as list swaps.  Rows of
@@ -208,17 +199,12 @@ def _gf2_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
     block stays zero, and the kernel only ever swaps such a row with its
     pivot row, so the rows still nonzero on the block keep their order:
     the kernel's first nonzero row in row-major order is the lowest row,
-    not yet a pivot, that is nonzero on the block.  U is kept by physical
-    row, and the kernel's row order is tracked only to order U's rows.
+    not yet a pivot, that is nonzero on the block.
     """
     m, n = mat.shape
     cols = _pack(np.mod(np.asarray(mat, dtype=np.int64), 2).astype(np.uint8).T)
     v = [1 << c for c in range(n)]       # columns of V
     vinv = [1 << c for c in range(n)] if need_vinv else None  # rows of Vinv
-    if need_u:
-        u = [1 << r for r in range(m)]   # rows of U, by physical row
-        at = list(range(m))              # the kernel's row order
-        where = list(range(m))
     live = (1 << m) - 1                  # rows not yet a pivot
     rank = 0
     for t in range(min(m, n)):
@@ -245,20 +231,9 @@ def _gf2_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
                     row_t ^= vinv[c]
         if need_vinv:
             vinv[t] = row_t
-        if need_u:
-            r = low.bit_length() - 1
-            s, bi = at[t], where[r]
-            at[t], at[bi], where[r], where[s] = r, s, t, bi
-            ur = u[r]
-            while rows:
-                bit = rows & -rows
-                u[bit.bit_length() - 1] ^= ur
-                rows ^= bit
         rank += 1
-    u_out = _unpack([u[r] for r in at], m).astype(np.int64) if need_u else None
     return (
         [0] * rank,
-        u_out,
         _unpack(v, n).T.astype(np.int64, order="C"),
         _unpack(vinv, n).astype(np.int64) if need_vinv else None,
     )
@@ -283,45 +258,34 @@ def _swap(i: int, j: int, *lists: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-def _planes_result(exps, u, v, vinv, m: int, n: int):
-    # (exps, U, V, Vinv) from the (lo, hi) planes of U's rows, V's columns
-    # and Vinv's rows (U or Vinv None when not tracked); V and Vinv share
-    # one unpack
+def _planes_result(exps, v, vinv, n: int):
+    # (exps, V, Vinv) from the (lo, hi) planes of V's columns and Vinv's
+    # rows (Vinv None when not tracked), which share one unpack
     vl, vh = v
     if vinv is not None:
         vl, vh = vl + vinv[0], vh + vinv[1]
     both = _unpack_planes(vl, vh, n)
-    return (
-        exps,
-        _unpack_planes(*u, m) if u is not None else None,
-        np.ascontiguousarray(both[:n].T),
-        both[n:] if vinv is not None else None,
-    )
+    return exps, np.ascontiguousarray(both[:n].T), both[n:] if vinv is not None else None
 
 
-def _gf3_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
+def _gf3_diagonalize(mat: np.ndarray, need_vinv: bool = True):
     """:func:`local_diagonalize` at q = 3 on two bit-planes, the bitsliced
     form of Boothby and Bradshaw (arXiv:0901.1413): the same pivot rule,
-    so the same ``(exps, U, V, Vinv)`` as the numpy kernel.
+    so the same ``(exps, V, Vinv)`` as the numpy kernel.
 
-    Each column of the work matrix and of V, and each row of U and Vinv,
-    is a pair of ints: ``lo`` marks the entries equal to 1 and ``hi`` those
+    Each column of the work matrix and of V, and each row of Vinv, is a
+    pair of ints: ``lo`` marks the entries equal to 1 and ``hi`` those
     equal to 2.  Negation swaps the pair, and x + y is
     ``t = (x.lo | y.hi) ^ (x.hi | y.lo)``, ``((x.hi | y.hi) ^ t,
     (x.lo | y.lo) ^ t)``.  As over GF(2), rows of the work matrix are never
     swapped: the kernel's first nonzero row in row-major order is the lowest
-    row, not yet a pivot, that is nonzero on the block, and the kernel's row
-    order is tracked only to order U's rows.
+    row, not yet a pivot, that is nonzero on the block.
     """
     m, n = mat.shape
     lo, hi = _pack_planes(mat, 3)                   # columns of the work matrix
     vl, vh = [1 << c for c in range(n)], [0] * n    # columns of V
     if need_vinv:
         il, ih = [1 << c for c in range(n)], [0] * n   # rows of Vinv
-    if need_u:
-        ul, uh = [1 << r for r in range(m)], [0] * m   # rows of U, by physical row
-        at = list(range(m))                          # the kernel's row order
-        where = list(range(m))
     live = (1 << m) - 1                              # rows not yet a pivot
     rank = 0
     for t in range(min(m, n)):
@@ -362,53 +326,29 @@ def _gf3_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
                 al, ah = (ah | zh) ^ z, (al | zl) ^ z
         if need_vinv:
             il[t], ih[t] = al, ah
-        if need_u:
-            r = low.bit_length() - 1
-            s, bi = at[t], where[r]
-            at[t], at[bi], where[r], where[s] = r, s, t, bi
-            if neg:
-                ul[r], uh[r] = uh[r], ul[r]
-            # row -= w.u_r: add -u_r where w = 1 and u_r where w = 2
-            for rows, (zl, zh) in ((wl, (uh[r], ul[r])), (wh, (ul[r], uh[r]))):
-                while rows:
-                    b = rows & -rows
-                    rows ^= b
-                    i = b.bit_length() - 1
-                    x, y = ul[i], uh[i]
-                    z = (x | zh) ^ (y | zl)
-                    ul[i], uh[i] = (y | zh) ^ z, (x | zl) ^ z
         rank += 1
-    return _planes_result(
-        [0] * rank,
-        ([ul[r] for r in at], [uh[r] for r in at]) if need_u else None,
-        (vl, vh),
-        (il, ih) if need_vinv else None,
-        m,
-        n,
-    )
+    return _planes_result([0] * rank, (vl, vh), (il, ih) if need_vinv else None, n)
 
 
-def _z4_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
+def _z4_diagonalize(mat: np.ndarray, need_vinv: bool = True):
     """:func:`local_diagonalize` at q = 4 on two digit planes: the same
-    pivot rule, so the same ``(exps, U, V, Vinv)`` as the numpy kernel.
+    pivot rule, so the same ``(exps, V, Vinv)`` as the numpy kernel.
 
-    Each column of the work matrix and of V, and each row of U and Vinv,
-    is a pair of ints, the low and the high binary digit of its entries;
+    Each column of the work matrix and of V, and each row of Vinv, is a
+    pair of ints, the low and the high binary digit of its entries;
     x + y is ``(x.lo ^ y.lo, x.hi ^ y.hi ^ (x.lo & y.lo))`` and -x is
     ``(x.lo, x.hi ^ x.lo)``.  An entry is a unit exactly when its low digit
     is set, so the pivot search reads the low planes, and the high planes
     only once no unit is left.  Unlike over a field, rows are really
     swapped: rows above the first unit can still hold 2s, so the kernel's
     row swap moves a nonzero row, and bits t and bi change places in every
-    column still read, as rows t and bi of U do.
+    column still read.
     """
     m, n = mat.shape
     lo, hi = _pack_planes(mat, 4)                   # columns of the work matrix
     vl, vh = [1 << c for c in range(n)], [0] * n    # columns of V
     if need_vinv:
         il, ih = [1 << c for c in range(n)], [0] * n   # rows of Vinv
-    if need_u:
-        ul, uh = [1 << r for r in range(m)], [0] * m   # rows of U
     exps: list[int] = []
     for t in range(min(m, n)):
         bit = 1 << t
@@ -432,8 +372,6 @@ def _z4_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
                     lo[c] ^= both
                 if (not hi[c] & bit) != (not hi[c] & low):
                     hi[c] ^= both
-            if need_u:
-                _swap(t, low.bit_length() - 1, ul, uh)
         neg = not j and hi[t] & bit                  # a pivot of 3 scales its row by 3 = -1
         scale = (0, 3, 2, 1) if neg else (0, 1, 2, 3)
         below = -(bit << 1)                          # rows t+1 and down
@@ -462,23 +400,8 @@ def _z4_diagonalize(mat: np.ndarray, need_u: bool, need_vinv: bool = True):
                 al, ah = al ^ zl, ah ^ zh ^ (al & zl)
         if need_vinv:
             il[t], ih[t] = al, ah
-        if need_u:
-            if neg:
-                uh[t] ^= ul[t]
-            ult, uht = ul[t], uh[t]
-            minus_u = (None, (ult, uht ^ ult), (0, ult), (ult, uht))
-            rows = wl | wh
-            while rows:
-                b = rows & -rows
-                rows ^= b
-                i = b.bit_length() - 1
-                zl, zh = minus_u[(1 if wl & b else 0) | (2 if wh & b else 0)]
-                x = ul[i]
-                ul[i], uh[i] = x ^ zl, uh[i] ^ zh ^ (x & zl)
         exps.append(j)
-    return _planes_result(
-        exps, (ul, uh) if need_u else None, (vl, vh), (il, ih) if need_vinv else None, m, n
-    )
+    return _planes_result(exps, (vl, vh), (il, ih) if need_vinv else None, n)
 
 
 # the packed kernels of local_diagonalize, by q; every other q runs _zq_diagonalize
@@ -493,7 +416,7 @@ def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> tuple[np.ndarray, list[
     m, n = mat.shape
     if m == 0:
         return np.eye(n, dtype=np.int64), [k] * n
-    exps, _, v, _ = local_diagonalize(mat, p, k, need_u=False, need_vinv=False)
+    exps, v, _ = local_diagonalize(mat, p, k, need_vinv=False)
     a = exps + [k] * (n - len(exps))
     keep = [j for j in range(n) if a[j] > 0]
     # entries below q times p^(k-1): within the kernel's own refusal bound
@@ -644,13 +567,13 @@ def _present_prime(part: _PrimePart, num: np.ndarray, den: np.ndarray):
     n = len(part.comps)
     relation_rows = np.diag([p**e for e in part.exps]).astype(np.int64)
     num_mat = np.vstack([part.project(num), relation_rows])
-    exps, _, v_n, vinv_n = local_diagonalize(num_mat, p, k, need_u=False)
+    exps, v_n, vinv_n = local_diagonalize(num_mat, p, k)
     # pad the diagonal to full width; missing columns are zero mod q
     a = [exps[i] if i < len(exps) else k for i in range(n)]
     pa = np.array([p**ai for ai in a], dtype=np.int64)
     den_mat = np.vstack([part.project(den), relation_rows])
     c_mat = np.vstack([_coords_in_basis(den_mat, v_n, pa, q), np.diag(q // pa)])
-    b_exps, _, v_c, vinv_c = local_diagonalize(c_mat, p, k, need_u=False)
+    b_exps, v_c, vinv_c = local_diagonalize(c_mat, p, k)
     b = [b_exps[i] if i < len(b_exps) else k for i in range(n)]
     kept = [i for i in range(n) if b[i] > 0]
     engine = _PrimarySubquotient(part, v_n, pa, v_c[:, kept], tuple(p ** b[i] for i in kept))
@@ -667,8 +590,6 @@ def subquotient(moduli, num_gens, den_gens) -> Subquotient:
     """
     moduli = tuple(int(m) for m in moduli)
     check_moduli(moduli)
-    if any(m <= 0 for m in moduli):
-        raise ValueError("coordinate moduli must be positive")
     num, den = _as_stack(num_gens, moduli), _as_stack(den_gens, moduli)
     return _subquotient_cached(moduli, len(num), num.tobytes(), len(den), den.tobytes())
 
@@ -778,10 +699,9 @@ def congruence_kernel(rows, row_moduli, col_moduli) -> list[Vector]:
     moduli (rows[i][j] * col_moduli[j] = 0 mod row_moduli[i]), which
     holds for every system assembled from valid module matrices.
     """
-    n = len(col_moduli)
-    if n == 0:
-        return []
     exp_of, systems = _prime_systems(rows, row_moduli, col_moduli)
+    if not col_moduli:
+        return []  # checked moduli, and nothing to diagonalize
     out: list[Vector] = []
     for p, k, _, _, _, mat in systems:
         # keep the p-part of each component, zero at the other primes
@@ -840,11 +760,14 @@ def subquotient_int(moduli, num_gens, den_gens) -> Subquotient:
 
 
 class CongruenceSolver:
-    """Repeated-right-hand-side solver for rows . x = rhs (mod
-    row_moduli) with x in prod Z/col_moduli.
+    """Solver for rows . x = rhs (mod row_moduli) with x in prod
+    Z/col_moduli.
 
-    Diagonalizes the system once per prime; ``solve`` then costs one
-    matrix-vector product per prime.  Same compatibility requirement as
+    The system is split by prime once.  ``solve`` reads each prime's
+    solution off the kernel of [M | -b] mod p^k: x solves M.x = b exactly
+    when (x, 1) lies in that kernel, so a solution exists exactly when some
+    kernel generator has a last entry prime to p, and that generator,
+    scaled to make the entry 1, is one.  Same compatibility requirement as
     :func:`congruence_kernel`.
     """
 
@@ -852,40 +775,23 @@ class CongruenceSolver:
         self.rows = [tuple(int(x) for x in r) for r in rows]
         self.row_moduli = [int(m) for m in row_moduli]
         self.col_moduli = [int(m) for m in col_moduli]
-        n = len(self.col_moduli)
-        self.n = n
-        self.exp_of, systems = _prime_systems(
+        self.exp_of, self.systems = _prime_systems(
             self.rows, self.row_moduli, self.col_moduli
         )
-        self.systems = []
-        for p, k, q, keep, scales, mat in systems:
-            if mat.shape[0]:
-                exps, u, v, _ = local_diagonalize(mat, p, k, need_vinv=False)
-            else:
-                exps, u, v = [], np.zeros((0, 0), dtype=np.int64), np.eye(n, dtype=np.int64)
-            self.systems.append((p, k, q, keep, scales, exps, u, v, mat.shape[0]))
 
     def solve(self, rhs) -> Vector | None:
         rhs = [int(b) for b in rhs]
-        solution = [0] * self.n
-        for p, k, q, keep, scales, exps, u, v, nrows in self.systems:
-            if nrows:
-                vec = np.array(
-                    [(rhs[i] * s) % q for i, s in zip(keep, scales)], dtype=np.int64
-                )
-                ub = (u @ vec) % q
-                pa = np.array([p**a for a in exps] + [q] * (nrows - len(exps)), dtype=np.int64)
-                if np.any(ub % pa):
-                    return None
-                z = np.zeros(self.n, dtype=np.int64)
-                top = min(nrows, self.n)
-                z[:top] = ub[:top] // pa[:top]
-                xp = (v @ z) % q
-            else:
-                xp = np.zeros(self.n, dtype=np.int64)
+        solution = [0] * len(self.col_moduli)
+        for p, k, q, keep, scales, mat in self.systems:
+            minus_b = np.array([-rhs[i] * c % q for i, c in zip(keep, scales)], dtype=np.int64)
+            gens = _kernel_gens_mod(np.column_stack([mat, minus_b]), p, k)[0].tolist()
+            g = next((g for g in gens if g[-1] % p), None)
+            if g is None:
+                return None
+            inv = pow(g[-1], -1, q)
             col_exps = [f.get(p, 0) for f in self.exp_of]
-            lifted = _lift_p_parts(xp[None, :], p, col_exps, self.col_moduli)[0].tolist()
-            solution = [(s + x) % m for s, x, m in zip(solution, lifted, self.col_moduli)]
+            lifted = _lift_p_parts([[x * inv % q for x in g[:-1]]], p, col_exps, self.col_moduli)
+            solution = [(s + x) % m for s, x, m in zip(solution, lifted[0].tolist(), self.col_moduli)]
         solution = tuple(solution)
         # verify (cheap, and guards the p-free corner cases)
         for row, b, mm in zip(self.rows, rhs, self.row_moduli):

@@ -14,7 +14,9 @@ Module:    {"coeff": {"kind": "ab", ...},
 
 Element indices are zero-based everywhere.  Module actions list matrices
 on a generating set and extend multiplicatively; an empty or missing
-list is the trivial action.
+list is the trivial action.  Every integer is a JSON integer: a float, a
+string or a boolean in its place is malformed, and an integer object key
+(a tail exception index) is a string of digits.
 """
 
 from __future__ import annotations
@@ -63,11 +65,29 @@ def _refused_as(invalid: str, malformed: str):
         raise SpecFileError(f"{malformed}: {exc}") from exc
 
 
+def _int(x) -> int:
+    """An integer value of a document, neither truncated nor parsed."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _ints(xs) -> tuple[int, ...]:
+    return tuple(_int(x) for x in xs)
+
+
+def _index_key(key: str) -> int:
+    """An integer object key, which JSON writes as a string of digits."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise ValueError(f"expected a string of digits, got {key!r}")
+    return int(key)
+
+
 def parse_group(data, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     with _refused_as("invalid group", "malformed group spec"):
         kind = data["kind"]
         if kind == "cyclic":
-            n = int(data["n"])
+            n = _int(data["n"])
             if n < 1:
                 raise SpecFileError("cyclic order must be >= 1")
             if n > cap:
@@ -75,15 +95,15 @@ def parse_group(data, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             return cyclic_group(n)
         if kind == "perm":
             return group_from_generators(
-                int(data["degree"]),
-                [tuple(g) for g in data["generators"]],
+                _int(data["degree"]),
+                [_ints(g) for g in data["generators"]],
                 cap=cap,
             )
         if kind == "table":
             table = data["table"]
             if len(table) > cap:
                 raise SpecFileError(f"table order {len(table)} exceeds the cap {cap}")
-            return group_from_table(table, int(data.get("identity", 0)))
+            return group_from_table([_ints(row) for row in table], _int(data.get("identity", 0)))
         raise SpecFileError(f"unknown group kind {kind!r}")
 
 
@@ -91,19 +111,19 @@ def parse_abelian(data) -> FiniteAbelianGroup:
     with _refused_as("invalid abelian group", "malformed abelian spec"):
         if data.get("kind") != "ab":
             raise SpecFileError("abelian coefficient must have kind 'ab'")
-        return FiniteAbelianGroup(tuple(int(d) for d in data["factors"]))
+        return FiniteAbelianGroup(_ints(data["factors"]))
 
 
 def parse_subgroup(group: FiniteGroup, generators) -> Subgroup:
     with _refused_as("invalid subgroup", "malformed subgroup generators"):
-        return subgroup_from_generators(group, [int(x) for x in generators])
+        return subgroup_from_generators(group, _ints(generators))
 
 
 def _parse_fiber(data, cap: int) -> tuple[FiniteGroup, Subgroup]:
     """A fiber's group and subgroup, exceptional or tail alike."""
     g = parse_group(data["group"], cap)
     if "subgroup_elements" in data:
-        return g, Subgroup(g, tuple(int(x) for x in data["subgroup_elements"]))
+        return g, Subgroup(g, _ints(data["subgroup_elements"]))
     return g, parse_subgroup(g, data.get("subgroup_generators", []))
 
 
@@ -122,7 +142,7 @@ def _parse_action(group: FiniteGroup, coeff: FiniteAbelianGroup, entries):
         return None
     with _refused_as("invalid module action", "malformed module action"):
         mats = {
-            int(e["element"]): tuple(tuple(int(x) for x in row) for row in e["matrix"])
+            _int(e["element"]): tuple(_ints(row) for row in e["matrix"])
             for e in entries
         }
         module = module_from_generator_matrices(group, coeff, mats)
@@ -154,9 +174,9 @@ def parse_open_sets(data, spec: FamilySpec) -> list[OpenSetSpec]:
         return [
             OpenSetSpec(
                 spec,
-                {str(k): frozenset(int(x) for x in v) for k, v in entry.get("exceptional_parts", {}).items()},
-                frozenset(int(x) for x in entry.get("tail_default", [])),
-                {int(k): frozenset(int(x) for x in v) for k, v in entry.get("tail_exceptions", {}).items()},
+                {str(k): frozenset(_ints(v)) for k, v in entry.get("exceptional_parts", {}).items()},
+                frozenset(_ints(entry.get("tail_default", []))),
+                {_index_key(k): frozenset(_ints(v)) for k, v in entry.get("tail_exceptions", {}).items()},
                 bool(entry.get("contains_star", False)),
             )
             for entry in data["open_sets"]
@@ -182,11 +202,11 @@ def parse_morphism(data, source: FamilySpec, target: FamilySpec) -> FamilyMorphi
             if tgt_name == "*":
                 continue
             tgt = target.fiber(tgt_name).group
-            fiber_maps[str(name)] = GroupHom(src, tgt, tuple(int(x) for x in images))
+            fiber_maps[str(name)] = GroupHom(src, tgt, _ints(images))
         tail_map = None
         if data.get("tail_map") is not None:
             tail_map = GroupHom(
-                source.tail.group, target.tail.group, tuple(int(x) for x in data["tail_map"])
+                source.tail.group, target.tail.group, _ints(data["tail_map"])
             )
         return FamilyMorphism(source, target, index_map, fiber_maps, tail_map)
 

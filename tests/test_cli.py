@@ -495,7 +495,7 @@ def test_an_unbacked_perm_degree_is_refused(tmp_path):
     assert "degree 1000000000 is not the length of every generator" in text
 
 
-@pytest.mark.parametrize("prime_set", ["family", "23", [2, 2.5], 5])
+@pytest.mark.parametrize("prime_set", ["family", "23", [2, 2.5], 5, [True, 2]])
 def test_a_non_integer_prime_set_is_refused_alike_under_any_hash_seed(tmp_path, prime_set):
     # a string was once read as a set of characters, named in an order set by the hash seed
     spec = tmp_path / "primes.json"
@@ -526,3 +526,75 @@ def test_non_object_json_is_refused(tmp_path, family_file, module_file, command,
     if command in MODULE_COMMANDS:
         args = [command, "--spec", family_file, "--module", str(path), "--format", "structured"]
         assert_one_error(*run_cli(args))
+
+
+def set_order(value):
+    return lambda family, module: family["exceptional"]["a"]["group"].update(n=value)
+
+
+def set_action(element, entry):
+    return lambda family, module: module.update(
+        actions={"a": [{"element": element, "matrix": [[entry]]}]}
+    )
+
+
+def set_group(group):
+    return lambda family, module: family["exceptional"]["a"].update(group=group)
+
+
+STRICT_INTEGER_CASES = {
+    "float-order": set_order(2.7),
+    "string-order": set_order("2"),
+    "boolean-order": set_order(True),
+    "float-generator": lambda family, module: family["exceptional"]["a"].update(subgroup_generators=[1.9]),
+    "string-element": lambda family, module: family["exceptional"]["a"].update(subgroup_elements=[0, "1"]),
+    "float-factor": lambda family, module: module["coeff"].update(factors=[2.9]),
+    "boolean-factor": lambda family, module: module["coeff"].update(factors=[2, True]),
+    "float-action-element": set_action(1.0, 1),
+    "float-matrix-entry": set_action(1, -1.0),
+    "float-perm-degree": set_group({"kind": "perm", "degree": 2.0, "generators": [[1, 0]]}),
+    "boolean-perm-image": set_group({"kind": "perm", "degree": 2, "generators": [[True, False]]}),
+    "float-table-entry": set_group({"kind": "table", "table": [[0, 1], [1, 0.0]]}),
+    "string-identity": set_group({"kind": "table", "table": [[0, 1], [1, 0]], "identity": "0"}),
+    # int() would read this one as H^1(C2, Z/2) and exit 0
+    "truncated-together": lambda family, module: (
+        set_order(2.7)(family, module),
+        family["exceptional"]["a"].update(subgroup_generators=[1.9]),
+        module["coeff"].update(factors=[2.9]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_INTEGER_CASES))
+def test_spec_integers_are_read_strictly(tmp_path, case):
+    family, module = json.loads(json.dumps(C2_FAMILY)), {"coeff": {"kind": "ab", "factors": [2]}, "actions": {}}
+    spec, mod = tmp_path / "family.json", tmp_path / "module.json"
+    args = ["cohomology", "--spec", str(spec), "--module", str(mod), "--degree", "1", "--format", "structured"]
+    spec.write_text(json.dumps(family))
+    mod.write_text(json.dumps(module))
+    assert run_cli(args)[0] == 0
+    STRICT_INTEGER_CASES[case](family, module)
+    spec.write_text(json.dumps(family))
+    mod.write_text(json.dumps(module))
+    status, text = run_cli(args)
+    assert_one_error(status, text)
+    assert "expected an integer" in text
+
+
+@pytest.mark.parametrize("key", ["1.0", " 1", "-1", "+1", "١", "1e0", ""])
+def test_tail_exception_indices_are_digit_strings(tmp_path, key):
+    family = {
+        "prime_set": [3],
+        "exceptional": {},
+        "tail": {"group": {"kind": "cyclic", "n": 3}, "subgroup_generators": []},
+    }
+    open_set = {"tail_default": [0, 1, 2], "tail_exceptions": {"1": [0]}, "contains_star": True}
+    path = tmp_path / "topo.json"
+    args = ["topo-check", "--spec", str(path), "--format", "structured"]
+    path.write_text(json.dumps({"family": family, "open_sets": [open_set]}))
+    assert run_cli(args)[0] != 2
+    open_set["tail_exceptions"] = {key: [0]}
+    path.write_text(json.dumps({"family": family, "open_sets": [open_set]}))
+    status, text = run_cli(args)
+    assert_one_error(status, text)
+    assert "expected a string of digits" in text

@@ -1,5 +1,9 @@
 """The formula engine: oracle, four-term sequence, duality, colimits."""
 
+import itertools
+import math
+import random
+
 import pytest
 
 import corprod.cohomology as coh
@@ -7,6 +11,7 @@ from conftest import negation_action
 from corprod import families as fam
 from corprod import formulas as fp
 from corprod import groups as gr
+from corprod.abelian import AbHom, identity_hom
 from corprod.abelian import FiniteAbelianGroup as FAG
 from corprod.errors import PreconditionError
 
@@ -527,3 +532,38 @@ def test_tail_fiber_gets_the_tail_action(zoo):
         assert module.gmodule(fam.truncate(spec, 1).fiber("tail1")) is old
         assert module.gmodule(spec.exceptional[0]).is_trivial_action()
     assert not fp.FamilyModule.build(FAG((3,)), tail_action=neg).gmodule(spec.fibers[-1]).is_trivial_action()
+
+
+def test_section_for_agrees_with_brute_force():
+    # seeded random surjections between small groups; a right inverse
+    # exists exactly when every basis vector e_j of the target has a
+    # preimage x with f_j.x = 0, f_j its factor: Hom(target, source)
+    # searched column by column
+    rng = random.Random(19)
+    shapes = [(2,), (4,), (2, 4), (6,), (3, 9), (4, 4)]
+    seen, outcomes = set(), []
+    for src_f, tgt_f in itertools.product(shapes, repeat=2):
+        src, tgt = FAG(src_f), FAG(tgt_f)
+        for _ in range(12):
+            mat = tuple(
+                tuple(e // math.gcd(d, e) * rng.randrange(math.gcd(d, e)) for d in src_f)
+                for e in tgt_f
+            )
+            hom = AbHom(src, tgt, mat)
+            if (src_f, tgt_f, hom.matrix) in seen or not hom.is_surjective():
+                continue
+            seen.add((src_f, tgt_f, hom.matrix))
+            identity = identity_hom(tgt).matrix
+            splits = all(
+                any(hom.apply(x) == identity[j] and not any(src.scale(f, x)) for x in src.elements())
+                for j, f in enumerate(tgt_f)
+            )
+            section = fp.section_for(hom)
+            if splits:
+                assert section is not None and hom.compose(section).matrix == identity
+            else:
+                assert section is None
+            outcomes.append(splits)
+    assert len(outcomes) >= 30 and True in outcomes and False in outcomes
+    # Z/4 -> Z/2 does not split
+    assert fp.section_for(AbHom(FAG((4,)), FAG((2,)), ((1,),))) is None

@@ -19,7 +19,7 @@ import corprod
 from corprod import cohomology, corpus, lattice, modular
 from corprod.abelian import FiniteAbelianGroup
 from corprod.cohomology import DEFAULT_COH_CAP
-from corprod.errors import SizeCapExceeded, VerificationFailure
+from corprod.errors import PreconditionError, SizeCapExceeded, VerificationFailure
 from corprod.formulas import DEFAULT_ENUM_CAP
 from corprod.presentation import free_presentation
 
@@ -45,13 +45,12 @@ def random_system(rng, max_n=4, max_m=4):
     return rows, row, col
 
 
-def seed_local_diagonalize(mat, p, k, need_u=True):
+def seed_local_diagonalize(mat, p, k):
     """The original table-driven kernel, kept as the reference for the
     pivot order and the transforms of :func:`modular.local_diagonalize`."""
     q = p**k
     m, n = mat.shape
     a = np.mod(mat.astype(np.int64), q)
-    u = np.eye(m, dtype=np.int64) if need_u else None
     v = np.eye(n, dtype=np.int64)
     vinv = np.eye(n, dtype=np.int64)
     val = np.full(q, k, dtype=np.int64)
@@ -71,8 +70,6 @@ def seed_local_diagonalize(mat, p, k, need_u=True):
         bi, bj = bi + t, bj + t
         if bi != t:
             a[[t, bi], :] = a[[bi, t], :]
-            if need_u:
-                u[[t, bi], :] = u[[bi, t], :]
         if bj != t:
             a[:, [t, bj]] = a[:, [bj, t]]
             v[:, [t, bj]] = v[:, [bj, t]]
@@ -80,17 +77,12 @@ def seed_local_diagonalize(mat, p, k, need_u=True):
         piv = p ** int(vmin)
         inv = pow(int(a[t, t]) // piv % q, -1, q)
         a[t, t:] = (a[t, t:] * inv) % q
-        if need_u:
-            u[t, :] = (u[t, :] * inv) % q
         col = a[t:, t].copy()
         col[0] = 0
         w = col // piv
         if np.any(w):
             a[t:, t:] -= np.outer(w, a[t, t:])
             np.mod(a[t:, t:], q, out=a[t:, t:])
-            if need_u:
-                u[t:, :] -= np.outer(w, u[t, :])
-                np.mod(u[t:, :], q, out=u[t:, :])
         row = a[t, t:].copy()
         row[0] = 0
         w = row // piv
@@ -102,7 +94,7 @@ def seed_local_diagonalize(mat, p, k, need_u=True):
             vinv[t, :] = (vinv[t, :] + w @ vinv[t:, :]) % q
         exps.append(int(vmin))
         t += 1
-    return exps, (u % q) if need_u else None, v % q, vinv % q
+    return exps, v % q, vinv % q
 
 
 def int64_limit(q):
@@ -112,7 +104,7 @@ def int64_limit(q):
 
 def test_local_diagonalize_matches_seed_kernel():
     rng = random.Random(7)
-    for case in range(240):
+    for _ in range(240):
         p, k = rng.choice([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3)])
         q = p**k
         m, n = rng.randint(0, 40), rng.randint(0, 30)
@@ -127,21 +119,51 @@ def test_local_diagonalize_matches_seed_kernel():
             ],
             dtype=np.int64,
         ).reshape(m, n)
-        need_u = case % 2 == 0
-        got = modular.local_diagonalize(mat, p, k, need_u)
-        want = seed_local_diagonalize(mat, p, k, need_u)
+        got = modular.local_diagonalize(mat, p, k)
+        want = seed_local_diagonalize(mat, p, k)
         assert got[0] == want[0]
-        assert (got[1] is None) == (not need_u)
         for x, y in zip(got[1:], want[1:]):
-            if y is not None:
-                assert x.dtype == np.int64 and np.array_equal(x, y)
+            assert x.dtype == np.int64 and np.array_equal(x, y)
         # skipping Vinv changes nothing else
-        skip = modular.local_diagonalize(mat, p, k, need_u, False)
-        assert skip[0] == want[0] and skip[3] is None
-        for x, y in zip(skip[1:3], want[1:3]):
-            assert (x is None) == (y is None)
-            if y is not None:
-                assert x.dtype == np.int64 and np.array_equal(x, y)
+        exps, v, vinv = modular.local_diagonalize(mat, p, k, False)
+        assert exps == want[0] and vinv is None
+        assert v.dtype == np.int64 and np.array_equal(v, want[1])
+
+
+def rank_mod_p(rows, p):
+    """The rank over F_p of a list of integer rows, by Gaussian elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def assert_diagonalizes(mat, p, k, exps, v, vinv):
+    """mat.V = W.diag(p^exps) for some W invertible mod p^k: V.Vinv = I,
+    column j of mat.V is p^a_j times a column c_j and zero past the rank,
+    and the c_j are independent mod p, so they extend to a basis, whose
+    matrix is W.  Checked on Python ints."""
+    q = p**k
+    m, n = mat.shape
+    v, vinv = v.astype(object), vinv.astype(object)
+    assert np.array_equal((v @ vinv) % q, np.eye(n, dtype=np.int64) % q)
+    assert exps == sorted(exps) and len(exps) <= min(m, n) and all(0 <= a < k for a in exps)
+    cols = ((mat.astype(object) @ v) % q).T.tolist()
+    assert all(x == 0 for col in cols[len(exps):] for x in col)
+    scaled = []
+    for a, col in zip(exps, cols):
+        assert all(x % p**a == 0 for x in col)
+        scaled.append([x // p**a for x in col])
+    assert rank_mod_p(scaled, p) == len(exps)
 
 
 def test_local_diagonalize_properties():
@@ -155,16 +177,7 @@ def test_local_diagonalize_properties():
         mat = np.array(
             [[rng.randrange(q) for _ in range(n)] for _ in range(m)], dtype=np.int64
         ).reshape(m, n)
-        exps, u, v, vinv = modular.local_diagonalize(mat, p, k)
-        # exact products with Python integers
-        u, v, vinv = (x.astype(object) for x in (u, v, vinv))
-        d = (u @ mat.astype(object) @ v) % q
-        for i in range(m):
-            for j in range(n):
-                want = (p ** exps[i]) % q if (i == j and i < len(exps)) else 0
-                assert d[i][j] == want
-        assert np.array_equal((v @ vinv) % q, np.eye(n, dtype=np.int64) % q)
-        assert exps == sorted(exps)
+        assert_diagonalizes(mat, p, k, *modular.local_diagonalize(mat, p, k))
 
 
 def assert_same_transforms(got, want):
@@ -218,27 +231,26 @@ def gf2_cases():
 @pytest.mark.parametrize("name", sorted(gf2_cases()))
 def test_gf2_kernel_matches_numpy_kernel(name):
     mat = gf2_cases()[name]
-    for need_u in (True, False):
-        want = modular._zq_diagonalize(mat, 2, 1, need_u)
-        assert_same_transforms(modular._gf2_diagonalize(mat, need_u), want)
-        assert_same_transforms(modular.local_diagonalize(mat, 2, 1, need_u), want)
-        # without Vinv both kernels return the same exps, U and V
-        skip = want[:3] + (None,)
-        assert_same_transforms(modular._zq_diagonalize(mat, 2, 1, need_u, False), skip)
-        assert_same_transforms(modular._gf2_diagonalize(mat, need_u, False), skip)
-        assert_same_transforms(modular.local_diagonalize(mat, 2, 1, need_u, False), skip)
+    want = modular._zq_diagonalize(mat, 2, 1)
+    assert_same_transforms(modular._gf2_diagonalize(mat), want)
+    assert_same_transforms(modular.local_diagonalize(mat, 2, 1), want)
+    # without Vinv both kernels return the same exps and V
+    skip = want[:2] + (None,)
+    assert_same_transforms(modular._zq_diagonalize(mat, 2, 1, False), skip)
+    assert_same_transforms(modular._gf2_diagonalize(mat, False), skip)
+    assert_same_transforms(modular.local_diagonalize(mat, 2, 1, False), skip)
 
 
 def test_gf2_kernel_matches_numpy_kernel_on_random_bits(monkeypatch):
     rng = random.Random(12)
     cases = [random_bits(rng, rng.randint(0, 40), rng.randint(0, 40), rng.random()) for _ in range(300)]
-    want = [modular._zq_diagonalize(mat, 2, 1, i % 2 == 0) for i, mat in enumerate(cases)]
+    want = [modular._zq_diagonalize(mat, 2, 1) for mat in cases]
     # q = 2 never reaches the numpy kernel
     monkeypatch.setattr(modular, "_zq_diagonalize", None)
     for i, mat in enumerate(cases):
-        assert_same_transforms(modular.local_diagonalize(mat, 2, 1, i % 2 == 0), want[i])
-        skip = want[i][:3] + (None,)
-        assert_same_transforms(modular.local_diagonalize(mat, 2, 1, i % 2 == 0, False), skip)
+        assert_same_transforms(modular.local_diagonalize(mat, 2, 1), want[i])
+        skip = want[i][:2] + (None,)
+        assert_same_transforms(modular.local_diagonalize(mat, 2, 1, False), skip)
 
 
 def prime_power(q):
@@ -300,10 +312,10 @@ def packed_cases(q):
 def test_packed_kernels_match_numpy_kernel(q, name):
     mat = packed_cases(q)[name]
     p, k = prime_power(q)
-    for need_u, need_vinv in itertools.product((True, False), repeat=2):
-        want = modular._zq_diagonalize(mat, p, k, need_u, need_vinv)
-        assert_same_transforms(modular._PACKED[q](mat, need_u, need_vinv), want)
-        assert_same_transforms(modular.local_diagonalize(mat, p, k, need_u, need_vinv), want)
+    for need_vinv in (True, False):
+        want = modular._zq_diagonalize(mat, p, k, need_vinv)
+        assert_same_transforms(modular._PACKED[q](mat, need_vinv), want)
+        assert_same_transforms(modular.local_diagonalize(mat, p, k, need_vinv), want)
     if name == "all-even":
         assert set(want[0]) == {1}
     if name.startswith("twos-above"):
@@ -325,12 +337,12 @@ def test_packed_kernels_match_numpy_kernel_on_random_residues(monkeypatch):
                   for _ in range(n)] for _ in range(m)],
                 dtype=np.int64,
             ).reshape(m, n)
-            flags = (i % 2 == 0, i % 4 < 2)
-            cases.append((mat, p, k, flags, modular._zq_diagonalize(mat, p, k, *flags)))
+            need_vinv = i % 2 == 0
+            cases.append((mat, p, k, need_vinv, modular._zq_diagonalize(mat, p, k, need_vinv)))
     # no packed q reaches the numpy kernel
     monkeypatch.setattr(modular, "_zq_diagonalize", None)
-    for mat, p, k, flags, want in cases:
-        assert_same_transforms(modular.local_diagonalize(mat, p, k, *flags), want)
+    for mat, p, k, need_vinv, want in cases:
+        assert_same_transforms(modular.local_diagonalize(mat, p, k, need_vinv), want)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
@@ -344,17 +356,17 @@ def test_a_matrix_zero_mod_q_gets_identities_without_a_kernel(q, monkeypatch):
         np.zeros((4, 6), dtype=np.int64),
         q * random_residues(rng, 6, 4, 7, 0.8, -7),
     ]
-    flags = list(itertools.product((True, False), repeat=2))
+    flags = (True, False)
     # a first nonzero entry that q divides does not make the matrix zero
     for mat in (np.array([[0, q, 1]]), np.array([[0, -q], [0, 2 * q + 1]])):
         for f in flags:
-            assert_same_transforms(modular.local_diagonalize(mat, p, k, *f), modular._zq_diagonalize(mat, p, k, *f))
-    wants = [[modular._zq_diagonalize(mat, p, k, *f) for f in flags] for mat in mats]
+            assert_same_transforms(modular.local_diagonalize(mat, p, k, f), modular._zq_diagonalize(mat, p, k, f))
+    wants = [[modular._zq_diagonalize(mat, p, k, f) for f in flags] for mat in mats]
     monkeypatch.setattr(modular, "_zq_diagonalize", None)
     monkeypatch.setattr(modular, "_PACKED", {})
     for mat, want in zip(mats, wants):
         for f, w in zip(flags, want):
-            assert_same_transforms(modular.local_diagonalize(mat, p, k, *f), w)
+            assert_same_transforms(modular.local_diagonalize(mat, p, k, f), w)
 
 
 def corprod_caches():
@@ -380,10 +392,10 @@ def test_packed_kernels_match_numpy_kernel_on_corpus_traffic(monkeypatch):
     recorded = []
     numpy_kernel = modular._zq_diagonalize
 
-    def record(mat, p, k, need_u, need_vinv=True):
-        out = numpy_kernel(mat, p, k, need_u, need_vinv)
+    def record(mat, p, k, need_vinv=True):
+        out = numpy_kernel(mat, p, k, need_vinv)
         if p**k in packed:
-            recorded.append((np.array(mat), p**k, need_u, need_vinv, out))
+            recorded.append((np.array(mat), p**k, need_vinv, out))
         return out
 
     monkeypatch.setattr(modular, "_PACKED", {})
@@ -395,8 +407,8 @@ def test_packed_kernels_match_numpy_kernel_on_corpus_traffic(monkeypatch):
         corpus.corpus_summary_records(seed, 30, DEFAULT_COH_CAP, DEFAULT_ENUM_CAP)
     monkeypatch.undo()
     assert {q for _, q, *_ in recorded} == set(packed)
-    for mat, q, need_u, need_vinv, want in recorded:
-        assert_same_transforms(packed[q](mat, need_u, need_vinv), want)
+    for mat, q, need_vinv, want in recorded:
+        assert_same_transforms(packed[q](mat, need_vinv), want)
 
 
 # moduli below 2^63 with their factorizations; the first three have
@@ -694,9 +706,9 @@ def test_int64_refusal_at_and_past_the_bound():
     q = 2**31 - 1
     assert int64_limit(q) == 2
     mat = np.array([[q - 1, q - 2], [q - 3, 5]], dtype=np.int64)
-    exps, u, v, _ = modular.local_diagonalize(mat, q, 1)
-    d = (u.astype(object) @ mat.astype(object) @ v.astype(object)) % q
-    assert d.tolist() == [[1, 0], [0, 1]] and exps == [0, 0]
+    exps, v, vinv = modular.local_diagonalize(mat, q, 1)
+    assert exps == [0, 0]
+    assert_diagonalizes(mat, q, 1, exps, v, vinv)
     for shape in ((3, 3), (3, 1), (1, 3)):
         with pytest.raises(SizeCapExceeded, match=r"q=2147483647.*length 3.*2\^63"):
             modular.local_diagonalize(np.ones(shape, dtype=np.int64), q, 1)
@@ -726,6 +738,25 @@ def test_solver_refuses_systems_beyond_int64():
             modular.solve_congruence(rows, [q] * 4, [q] * 5, rhs)
     with pytest.raises(SizeCapExceeded):
         modular.congruence_kernel(rows, [q] * 4, [q] * 5)
+
+
+# each once answered [(1,)], [(3, 0)] or [], or raised ZeroDivisionError or ValueError
+NON_POSITIVE_MODULI = {
+    "zero-row-modulus": (lambda: modular.congruence_kernel([[1]], [0], [2]), 0),
+    "negative-row-modulus": (lambda: modular.congruence_kernel([[1]], [-2], [2]), -2),
+    "negative-column-modulus": (lambda: modular.congruence_kernel([[1, 1]], [4], [4, -4]), -4),
+    "zero-column-modulus": (lambda: modular.congruence_kernel([[1]], [2], [0]), 0),
+    "no-columns-zero-row-modulus": (lambda: modular.congruence_kernel([[]], [0], []), 0),
+    "solver-zero-row-modulus": (lambda: modular.solve_congruence([[1]], [0], [2], [1]), 0),
+    "subquotient-zero-modulus": (lambda: modular.subquotient((0,), [(1,)], []), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_POSITIVE_MODULI))
+def test_non_positive_moduli_are_refused(name):
+    call, modulus = NON_POSITIVE_MODULI[name]
+    with pytest.raises(PreconditionError, match=rf"modulus {modulus} is not positive"):
+        call()
 
 
 def test_moduli_from_2_63_are_refused():
