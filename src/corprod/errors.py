@@ -17,7 +17,7 @@ class SizeCapExceeded(CorprodError):
 # beside the size caps, because every layer imports this module and it
 # imports none of them: a cache in ``groups`` or ``presentation`` need
 # not import the Z/p^k layer for a constant.  A full corpus run keeps
-# about 300 entries in the largest cache, so nothing is evicted.
+# at most about 410 entries in the largest cache, so nothing is evicted.
 MEMO_SIZE = 1024
 
 

@@ -30,7 +30,7 @@ from .groups import (
     quotient_group,
     subgroup_from_generators,
 )
-from .lattice import factorint
+from .lattice import factorint, is_prime
 from .records import field, record
 
 STAR = "*"
@@ -82,6 +82,9 @@ class FamilySpec:
             primes = frozenset(map(operator.index, given))
         except TypeError:
             raise InvariantViolation("the prime set must be a list of integers") from None
+        for p in sorted(primes):
+            if p >= 2**63 or not is_prime(p):
+                raise InvariantViolation(f"prime set entry {p} is not a prime below 2^63")
         object.__setattr__(self, "prime_set", primes)
         names = [f.name for f in self.exceptional]
         if len(set(names)) != len(names):

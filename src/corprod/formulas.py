@@ -12,6 +12,14 @@ an independent oracle: crossed homomorphisms of a free product are
 exactly tuples of crossed homomorphisms of the factors, each factor
 space enumerated by brute force.  Checking exactness therefore
 cross-validates the oracle against the per-fiber engine.
+
+Four builders are memoized by ``lru_cache`` of ``MEMO_SIZE`` entries:
+the fiber modules (``_gmodule``), each fiber's crossed-hom enumeration
+(``_fiber_z1``), the oracle (``oracle_h1``) and the sequence
+(``four_term_sequence``).  The last two key on the truncation, the
+module and the caps, with defaults filled in, so the degree-1 colimit,
+the corpus checks and the CLI share one frozen object per input.
+Refusals are not cached and raise again on every call.
 """
 
 from __future__ import annotations
@@ -242,7 +250,7 @@ def _edges_hold(m: GModule, tables: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return ok
 
 
-@record()
+@record(frozen=True)
 class OracleH1:
     """H^1 of a finite free product from the independent oracle.
 
@@ -256,7 +264,6 @@ class OracleH1:
 
     value: FiniteAbelianGroup
     representatives: tuple
-    fibers: tuple[FiberSpec, ...]
     fixed_elements: tuple          # A^G as enumerated element vectors
     _fiber_data: tuple = field(repr=False)
     _quotient: modular.Subquotient = field(repr=False)
@@ -317,12 +324,18 @@ def common_fixed_elements(trunc: TruncatedFamily, module: FamilyModule):
 def oracle_h1(
     trunc: TruncatedFamily, module: FamilyModule, cap: int = DEFAULT_ENUM_CAP
 ) -> OracleH1:
-    """H^1 of the free product of the truncation fibers.
+    """H^1 of the free product of the truncation fibers, built once per
+    (truncation, module, cap); a refusal is raised again on every call.
 
     Z^1 of a free product is the product of the fiber Z^1 spaces (a
     crossed homomorphism is freely determined by its restrictions);
     principal cocycles are divided out with |B^1| = |A|/|A^G|.
     """
+    return _oracle_h1(trunc, module, cap)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _oracle_h1(trunc: TruncatedFamily, module: FamilyModule, cap: int) -> OracleH1:
     _require_plain(trunc)
     a = module.coeff
     mods = _fiber_modules(trunc, module)
@@ -353,7 +366,7 @@ def oracle_h1(
     z1_order = math.prod(len(z1.cocycles) for z1 in fiber_data)
     if z1_order * len(fixed) != value.order * a.order:
         raise VerificationFailure("oracle cardinality bookkeeping failed")
-    return OracleH1(value, reps, trunc.fibers, fixed, fiber_data, quotient)
+    return OracleH1(value, reps, fixed, fiber_data, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +374,7 @@ def oracle_h1(
 # ---------------------------------------------------------------------------
 
 
-@record()
+@record(frozen=True)
 class FourTermSequence:
     """0 -> A/A^G -> sum A/A^{G_t} -> H^1(G, A) -> sum H^1(G_t, A) -> 0.
 
@@ -381,14 +394,19 @@ def four_term_sequence(
     cap: int = DEFAULT_COH_CAP,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> FourTermSequence:
-    return _sequence_from_oracle(oracle_h1(trunc, module, enum_cap), module, cap)
+    """The sequence of one truncation, built once per (truncation, module,
+    cap, enum_cap); its oracle is built first, so the enumeration cap
+    refuses before the cohomology cap."""
+    return _four_term_sequence(trunc, module, cap, enum_cap)
 
 
-def _sequence_from_oracle(oracle: OracleH1, module: FamilyModule, cap: int) -> FourTermSequence:
-    """The sequence of the truncation ``oracle`` was built on; callers build
-    the oracle first, so the enumeration cap refuses before the cohomology cap."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _four_term_sequence(
+    trunc: TruncatedFamily, module: FamilyModule, cap: int, enum_cap: int
+) -> FourTermSequence:
+    oracle = oracle_h1(trunc, module, enum_cap)
     a = module.coeff
-    mods = tuple(module.gmodule(f) for f in oracle.fibers)
+    mods = _fiber_modules(trunc, module)
 
     # term 1: A / A^G
     t1_pres = modular.quotient_presentation(a.factors, list(oracle.fixed_elements))
@@ -810,9 +828,11 @@ def truncation_colimit(
 
     truncs = [truncate(spec, n) for n in range(n_max + 1)]
     if degree == 1:
-        # every oracle before any sequence, so the enumeration cap refuses first
-        oracles = [oracle_h1(t, module, enum_cap) for t in truncs]
-        seqs = [_sequence_from_oracle(o, module, cap) for o in oracles]
+        # every oracle before any sequence, so the enumeration cap refuses
+        # first; each sequence then finds its level's oracle in the memo
+        for t in truncs:
+            oracle_h1(t, module, enum_cap)
+        seqs = [four_term_sequence(t, module, cap, enum_cap) for t in truncs]
         levels = tuple(seq.oracle.value for seq in seqs)
         # a level's cocycle tuple extends by the zero table on the new tail factor
         pad = () if spec.tail is None else ((module.coeff.zero,) * spec.tail.group.order,)

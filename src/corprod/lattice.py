@@ -281,6 +281,37 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
+# Miller-Rabin on the first 13 primes decides primality exactly below
+# 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Whether ``n`` is prime, exactly, for n below 3.3 * 10^24."""
+    if n >= _MR_LIMIT:
+        raise ValueError("is_prime is exact only below 3.3 * 10^24")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def invariant_factors_of_diagonal(moduli) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of a direct sum of Z/m factors.
 

@@ -50,8 +50,10 @@ what a miss would compute, and the shared ``Subquotient`` is frozen with
 read-only arrays.  A refusal or a failed membership check raises again
 on every call, as ``lru_cache`` keeps no exception.  The oracles
 ``subquotient_int`` and ``congruence_kernel_int`` are not memoized, nor
-is ``congruence_kernel``: its callers rarely repeat a system, and keys
-holding whole cocycle systems would keep them alive for nothing.
+is ``congruence_kernel``.  Its systems do repeat (61 of the 135 in a cold
+call of the first 4 seed-0 corpus instances, 5.6 ms of solves on a
+2-vCPU host), but a memo would keep every distinct system alive as a key
+for the life of the process (74 systems, 121 KiB of rows, there).
 ``MEMO_SIZE`` comes from ``errors`` and bounds every other input-keyed
 cache of the package too.
 """

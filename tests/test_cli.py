@@ -514,6 +514,17 @@ def test_a_non_integer_prime_set_is_refused_alike_under_any_hash_seed(tmp_path, 
     assert "the prime set must be a list of integers" in text
 
 
+@pytest.mark.parametrize("command", ["validate", "cross-check"])
+@pytest.mark.parametrize("prime_set,entry", [([4, 1, 2], 1), ([2, 9], 9), ([2, 2**63 + 29], 2**63 + 29)])
+def test_a_prime_set_entry_that_is_not_a_prime_is_refused(tmp_path, command, prime_set, entry):
+    # [4, 1, 2] once passed validation and failed cross-check on the factor 1
+    spec = tmp_path / "primes.json"
+    spec.write_text(json.dumps({**C2_FAMILY, "prime_set": prime_set}))
+    status, text = run_cli([command, "--spec", str(spec), "--format", "structured"])
+    assert_one_error(status, text)
+    assert f"prime set entry {entry} is not a prime below 2^63" in text
+
+
 @pytest.mark.parametrize("junk", ["5", "null", '"family"', "[1]"])
 @pytest.mark.parametrize("command", SPEC_COMMANDS)
 def test_non_object_json_is_refused(tmp_path, family_file, module_file, command, junk):

@@ -13,7 +13,7 @@ from corprod import formulas as fp
 from corprod import groups as gr
 from corprod.abelian import AbHom, identity_hom
 from corprod.abelian import FiniteAbelianGroup as FAG
-from corprod.errors import PreconditionError
+from corprod.errors import PreconditionError, SizeCapExceeded
 
 
 def neg_module(spec, coeff, names):
@@ -90,26 +90,91 @@ def test_four_term_worked_instance(worked_instance):
     assert fp.corrupt_map_entry(seq, 1, 0, 0, 1).oracle is seq.oracle
 
 
-def count_oracles(monkeypatch):
-    calls = []
-    original = fp.oracle_h1
-    monkeypatch.setattr(fp, "oracle_h1", lambda *a: calls.append(a) or original(*a))
-    return calls
+def builds():
+    """Oracles and sequences built since the memos were last cleared."""
+    return fp._oracle_h1.cache_info().misses, fp._four_term_sequence.cache_info().misses
 
 
-def test_each_truncation_builds_one_oracle(zoo, monkeypatch):
+def clear_builds():
+    fp._oracle_h1.cache_clear()
+    fp._four_term_sequence.cache_clear()
+
+
+def non_normal_instance(zoo):
+    """A corpus instance on D4 with a reflection subgroup, which is not
+    normal, so its spec and its normal closure truncate differently."""
+    from corprod import corpus
+
+    d4, c2 = zoo["D4"], zoo["C2"]
+    sub = next(
+        u for x in range(d4.order)
+        if (u := gr.subgroup_from_generators(d4, [x])).order == 2
+        and fam.normal_closure(d4, u).order != 2
+    )
+    spec = fam.family([("a", d4, sub), ("b", c2, gr.trivial_subgroup(c2))])
+    return corpus.CorpusInstance(0, spec, fp.FamilyModule.build(FAG((2,))), ())
+
+
+def test_each_truncation_builds_one_oracle(zoo):
     from corprod import corpus
 
     c2, c3 = zoo["C2"], zoo["C3"]
     spec = fam.family([("a", c2, gr.trivial_subgroup(c2))], tail=(c3, gr.full_subgroup(c3)))
     module = neg_module(spec, FAG((3,)), ["a"])
-    calls = count_oracles(monkeypatch)
+    clear_builds()
     assert fp.truncation_colimit(spec, module, 1, 3).passed
-    assert len(calls) == 4
-    calls.clear()
-    inst = corpus.generate_corpus(0, 1)[0]
-    assert corpus.closure_invariance_record(inst, coh.DEFAULT_COH_CAP, fp.DEFAULT_ENUM_CAP).passed
-    assert len(calls) == 2
+    assert builds() == (4, 4)
+    # the record builds one of each per distinct truncation of the spec and its closure
+    for inst in (corpus.generate_corpus(0, 1)[0], non_normal_instance(zoo)):
+        truncs = {fam.truncate(s, 0) for s in (inst.spec, fam.normal_closure_family(inst.spec))}
+        clear_builds()
+        assert corpus.closure_invariance_record(inst, coh.DEFAULT_COH_CAP, fp.DEFAULT_ENUM_CAP).passed
+        assert builds() == (len(truncs), len(truncs))
+    assert len(truncs) == 2
+
+
+def test_equal_inputs_share_one_oracle_and_one_sequence():
+    from dataclasses import FrozenInstanceError
+
+    from corprod import corpus
+
+    (a,), (b,) = corpus.generate_corpus(0, 1), corpus.generate_corpus(0, 1)
+    ta, tb = fam.truncate(a.spec, 0), fam.truncate(b.spec, 0)
+    assert ta == tb and ta is not tb and a.module == b.module and a.module is not b.module
+    # the defaults and the same caps passed explicitly share one entry
+    oracle = fp.oracle_h1(ta, a.module)
+    assert fp.oracle_h1(tb, b.module, fp.DEFAULT_ENUM_CAP) is oracle
+    seq = fp.four_term_sequence(ta, a.module)
+    assert fp.four_term_sequence(tb, b.module, coh.DEFAULT_COH_CAP, fp.DEFAULT_ENUM_CAP) is seq
+    assert seq.oracle is oracle
+    # one object is shared by every caller, so neither can be changed
+    with pytest.raises(FrozenInstanceError):
+        seq.maps = ()
+    with pytest.raises(FrozenInstanceError):
+        oracle.representatives = ()
+
+
+def test_a_refusal_is_raised_on_every_call_and_never_cached(zoo):
+    c2 = zoo["C2"]
+    spec = fam.family([("a", c2, gr.full_subgroup(c2))], prime_set=[2])
+    trunc, module = fam.truncate(spec, 0), fp.FamilyModule.build(FAG((4,)))
+    for build, cache, kwargs, budget in (
+        (fp.oracle_h1, fp._oracle_h1, {"cap": 3}, "the enumeration cap"),
+        (fp.four_term_sequence, fp._four_term_sequence, {"cap": 1}, "the cohomology cap 1"),
+    ):
+        size = cache.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(SizeCapExceeded, match=budget):
+                build(trunc, module, **kwargs)
+        assert cache.cache_info().currsize == size
+
+
+def test_the_colimit_names_the_enumeration_cap_before_the_cohomology_cap(zoo):
+    c2, c3 = zoo["C2"], zoo["C3"]
+    spec = fam.family([("a", c2, gr.trivial_subgroup(c2))], tail=(c3, gr.full_subgroup(c3)))
+    module = neg_module(spec, FAG((3,)), ["a"])
+    with pytest.raises(SizeCapExceeded, match="enumeration cap"):
+        fp.truncation_colimit(spec, module, 1, 2, cap=1, enum_cap=2)
 
 
 def test_four_term_trivial_action(zoo):
@@ -469,6 +534,8 @@ def test_each_distinct_fiber_module_is_presented_once(zoo, monkeypatch):
         return original(coeff, calls[-1])
 
     monkeypatch.setattr(fp, "fixed_elements", counted)
+    # a sequence or oracle an earlier test built would make no call
+    clear_builds()
     seq = fp.four_term_sequence(trunc, module)
     # one call for the oracle's A^G over all five fibers, then one per module
     assert [len(mods) for mods in calls] == [5, 1, 1, 1]

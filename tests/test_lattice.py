@@ -100,6 +100,15 @@ def test_factorint():
     assert lattice.factorint(27) == {3: 3}
 
 
+def test_is_prime_agrees_with_factorint_and_rejects_strong_pseudoprimes():
+    for n in range(3000):
+        assert lattice.is_prime(n) == (n > 1 and lattice.factorint(n) == {n: 1}), n
+    assert lattice.is_prime(2**61 - 1) and lattice.is_prime(2**63 - 25)
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not lattice.is_prime(n)
+
+
 def reference_hnf(rows, ncols=None):
     """The Hermite form as first written, re-filtering every remaining row
     for zeros after each pivot; the reference for :func:`lattice.hnf`."""

@@ -43,23 +43,40 @@ import tracing, workloads
 
 tracer = tracing.Tracer()
 problems = tracer.install()
-call = workloads.prepare("shift-h3", 0, sys.argv[2])
-with contextlib.redirect_stdout(io.StringIO()):
+call = workloads.prepare(sys.argv[3], 0, sys.argv[2])
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
     status = corprod.cli.main(call["cli"])
 summary = tracer.summary(1.0)
-print(json.dumps({"problems": problems, "status": status, "summary": summary}))
+wrong = workloads.check_known_answer(sys.argv[3], status, report.getvalue())
+print(json.dumps({"problems": problems, "status": status, "wrong": wrong, "summary": summary}))
 """
 
 
-def test_a_traced_degree_3_call_summarizes(tmp_path):
-    # every span a degree-3 call opens must be one the summary knows
+def traced_call(workload, tmp_path):
+    """The tracer's summary of one CLI workload, run in a fresh process."""
     src = str(Path(corprod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_CALL, str(TRACING.parent), str(tmp_path)],
+        [sys.executable, "-c", TRACED_CALL, str(TRACING.parent), str(tmp_path), workload],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["problems"] == [] and out["status"] == 0
-    assert out["summary"]["formulas.high_degree_formula.calls"] == 1
+    assert out["problems"] == [] and out["status"] == 0 and out["wrong"] is None
+    return out["summary"]
+
+
+def test_a_traced_degree_3_call_summarizes(tmp_path):
+    # every span a degree-3 call opens must be one the summary knows
+    assert traced_call("shift-h3", tmp_path)["formulas.high_degree_formula.calls"] == 1
+
+
+def test_a_traced_colimit_call_summarizes(tmp_path):
+    # the memoized oracle and sequence are wrapped like any other target:
+    # each level asks for its oracle twice, and for its sequence once
+    summary = traced_call("colimit-tail", tmp_path)
+    levels = 9  # the workload's --truncate 8
+    assert summary["formulas.truncation_colimit.calls"] == 1
+    assert summary["formulas.oracle_h1.calls"] == 2 * levels
+    assert summary["formulas.four_term_sequence.calls"] == levels
