@@ -140,7 +140,9 @@ class GModule:
         return bool((self.action == np.eye(self.coeff.rank, dtype=np.int64)).all())
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def trivial_module(group: FiniteGroup, coeff: FiniteAbelianGroup) -> GModule:
+    """The trivial action of ``group`` on ``coeff``, built once per pair."""
     r = coeff.rank
     return GModule(group, coeff, np.broadcast_to(np.eye(r, dtype=np.int64), (group.order, r, r)))
 
@@ -547,15 +549,9 @@ class CoinducedModule:
     perm: np.ndarray = field(repr=False, compare=False)
 
 
-def coinduced_module(group: FiniteGroup, coeff) -> CoinducedModule:
-    """Coinduced module of a GModule (or of a plain abelian group with
-    the trivial action)."""
-    if isinstance(coeff, GModule):
-        m = coeff
-        if m.group != group:
-            raise PreconditionError("module is over a different group")
-    else:
-        m = trivial_module(group, coeff)
+def coinduced_module(m: GModule) -> CoinducedModule:
+    """The coinduced module Maps(G, A) of ``m``; plain coefficients are
+    passed as ``trivial_module(G, A)``."""
     g, a = m.group, m.coeff
     n, r = g.order, a.rank
     # component (i, x) at position i*n + x keeps the invariant chain valid
@@ -633,7 +629,7 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
 def dimension_shift_check(m: GModule, cap: int = DEFAULT_COH_CAP) -> DimensionShiftReport:
     """Verify H^1(G, A') = H^2(G, A) and the acyclicity of Maps(G, A),
     once per module and cap."""
-    coind = coinduced_module(m.group, m)
+    coind = coinduced_module(m)
     h2 = cohomology(m, 2, cap)
     h1q = cohomology(coind.quotient, 1, cap)
     h1c = cohomology(coind.module, 1, cap)
@@ -656,7 +652,7 @@ def shifted_cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> C
     current = m
     for _ in range(degree - 2):
         _check_cap(current, 2, cap)
-        current = coinduced_module(current.group, current).quotient
+        current = coinduced_module(current).quotient
     return cohomology(current, 2, cap)
 
 

@@ -13,12 +13,12 @@ exactly tuples of crossed homomorphisms of the factors, each factor
 space enumerated by brute force.  Checking exactness therefore
 cross-validates the oracle against the per-fiber engine.
 
-Four builders are memoized by ``lru_cache`` of ``MEMO_SIZE`` entries:
-the fiber modules (``_gmodule``), each fiber's crossed-hom enumeration
-(``_fiber_z1``), the oracle (``oracle_h1``) and the sequence
-(``four_term_sequence``).  The last two key on the truncation, the
-module and the caps, with defaults filled in, so the degree-1 colimit,
-the corpus checks and the CLI share one frozen object per input.
+Three builders are memoized by ``lru_cache`` of ``MEMO_SIZE`` entries:
+each fiber's crossed-hom enumeration (``_fiber_z1``), the oracle
+(``oracle_h1``) and the sequence (``four_term_sequence``).  The last two
+key on the truncation, the module and the caps, with defaults filled
+in, so the degree-1 colimit, the corpus checks and the CLI share one
+frozen object per input.
 Refusals are not cached and raise again on every call.
 """
 
@@ -30,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import lattice, modular
+from . import modular
 from .abelian import (
     AbHom,
     AbSubgroup,
@@ -55,6 +55,7 @@ from .errors import (
     VerificationFailure,
 )
 from .families import (
+    TAIL,
     FamilySpec,
     FiberSpec,
     RestrictedAbFamily,
@@ -64,8 +65,8 @@ from .families import (
     normal_closure,
     truncate,
 )
-from .groups import EnumeratedAbelianStructure, FiniteGroup, abelian_structure_from_elements
-from .lattice import Matrix, Vector, identity_matrix
+from .groups import EnumeratedAbelianStructure, abelian_structure_from_elements
+from .lattice import Vector, identity_matrix
 from .records import field, record
 
 DEFAULT_ENUM_CAP = 200_000
@@ -80,24 +81,24 @@ DEFAULT_ENUM_CAP = 200_000
 class FamilyModule:
     """Coefficients for a whole family: one abelian group acted on
     fiberwise, with at most finitely many nontrivial actions plus a
-    uniform tail action."""
+    uniform tail action.  Each action is a ``GModule`` over ``coeff``,
+    validated once where it was made and handed to the engines as is;
+    a fiber without one acts trivially."""
 
     coeff: FiniteAbelianGroup
-    exceptional_actions: tuple[tuple[str, tuple[Matrix, ...]], ...] = ()
-    tail_action: tuple[Matrix, ...] | None = None
+    exceptional_actions: tuple[tuple[str, GModule], ...] = ()
+    tail_action: GModule | None = None
 
     @staticmethod
     def build(coeff, actions: dict | None = None, tail_action=None) -> "FamilyModule":
-        """Actions may be given as any nested integer sequences or arrays;
-        they are kept as hashable tuples, one matrix per group element."""
+        """``actions`` maps fiber names to modules over ``coeff``."""
+        acts = tuple(sorted((actions or {}).items()))
+        for name, m in acts + (() if tail_action is None else ((TAIL, tail_action),)):
+            if not isinstance(m, GModule) or m.coeff != coeff:
+                raise InvariantViolation(f"the action for {name!r} is not a GModule over {coeff.factors}")
+        return FamilyModule(coeff, acts, tail_action)
 
-        def freeze(action):
-            return tuple(lattice.freeze(m) for m in action)
-
-        acts = tuple(sorted((name, freeze(a)) for name, a in (actions or {}).items()))
-        return FamilyModule(coeff, acts, None if tail_action is None else freeze(tail_action))
-
-    def action_for(self, name: str):
+    def action_for(self, name: str) -> GModule | None:
         for n, a in self.exceptional_actions:
             if n == name:
                 return a
@@ -106,14 +107,12 @@ class FamilyModule:
         return None
 
     def gmodule(self, fiber: FiberSpec) -> GModule:
-        return _gmodule(fiber.group, self.coeff, self.action_for(fiber.name))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _gmodule(group: FiniteGroup, coeff: FiniteAbelianGroup, action) -> GModule:
-    """The module, built once per argument triple; ``action=None`` is the
-    trivial action."""
-    return trivial_module(group, coeff) if action is None else GModule(group, coeff, action)
+        m = self.action_for(fiber.name)
+        if m is None:
+            return trivial_module(fiber.group, self.coeff)
+        if m.group != fiber.group:
+            raise PreconditionError(f"the action for fiber {fiber.name!r} is over another group")
+        return m
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +716,7 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
     checks = []
     for f in spec.fibers:
         group = f.group
-        m = _gmodule(group, zp, None)
+        m = trivial_module(group, zp)
         h1 = cohomology(m, 1, cap)
         nr = unramified_subgroup(group, f.subgroup, m, 1, cap)
         ab, proj = group.abelianization

@@ -23,6 +23,9 @@ two small callers only:
 
 from __future__ import annotations
 
+from itertools import count
+from math import gcd
+
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
@@ -265,20 +268,65 @@ def row_kernel(mat) -> Matrix:
     return freeze(out)
 
 
+_TRIAL_BOUND = 1000
+
+
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at desk scale."""
+    """Prime factorization, in ascending prime order.
+
+    Primes below ``_TRIAL_BOUND`` are divided out; each composite
+    cofactor is split by Pollard's rho (Pollard, BIT 15 (1975)) with
+    Brent's cycle finding (Brent, BIT 20 (1980)), primality decided by
+    ``is_prime``.  A cofactor beyond ``is_prime``'s exact limit is
+    factored by trial division.
+    """
     if n <= 0:
         raise ValueError("factorint expects a positive integer")
     out: dict[int, int] = {}
     p = 2
-    while p * p <= n:
+    while p * p <= n and (p < _TRIAL_BOUND or n >= _MR_LIMIT):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < p * p or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of an odd composite ``n`` with no prime factor
+    below ``_TRIAL_BOUND``: Brent's variant of Pollard's rho on
+    x -> x^2 + c from x = 2, batching 128 differences per gcd, with
+    c = 1, 2, ... until one splits ``n``."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 # Miller-Rabin on the first 13 primes decides primality exactly below

@@ -146,9 +146,7 @@ def _parse_action(group: FiniteGroup, coeff: FiniteAbelianGroup, entries):
             for e in entries
         }
         module = module_from_generator_matrices(group, coeff, mats)
-    if module.is_trivial_action():
-        return None
-    return module.action
+    return None if module.is_trivial_action() else module
 
 
 def parse_module(data, spec: FamilySpec) -> FamilyModule:

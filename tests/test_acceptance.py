@@ -49,7 +49,7 @@ def test_criterion_2_worked_instance(zoo):
     spec = fam.family(
         [("a", c2, gr.trivial_subgroup(c2)), ("b", c2, gr.trivial_subgroup(c2))]
     )
-    neg = negation_action(c2, FAG((3,)), 1).action
+    neg = negation_action(c2, FAG((3,)), 1)
     module = fp.FamilyModule.build(FAG((3,)), {"a": neg, "b": neg})
     seq = fp.four_term_sequence(fam.truncate(spec, 0), module)
     assert [t.factors for t in seq.terms] == [(3,), (3, 3), (3,), ()]
@@ -119,7 +119,7 @@ def test_criterion_6_colimit_structure(zoo):
         [("a", c2, gr.trivial_subgroup(c2))], tail=(c3, gr.full_subgroup(c3))
     )
     module2 = fp.FamilyModule.build(
-        FAG((3,)), {"a": negation_action(c2, FAG((3,)), 1).action}
+        FAG((3,)), {"a": negation_action(c2, FAG((3,)), 1)}
     )
     system2 = fp.truncation_colimit(spec2, module2, 1, 6)
     assert system2.passed and system2.tail_contribution == 3
@@ -142,8 +142,8 @@ def test_criterion_7_dimension_shifting(instances):
 
 def _mutation_instances(zoo):
     c2 = zoo["C2"]
-    neg3 = negation_action(c2, FAG((3,)), 1).action
-    neg9 = negation_action(c2, FAG((9,)), 1).action
+    neg3 = negation_action(c2, FAG((3,)), 1)
+    neg9 = negation_action(c2, FAG((9,)), 1)
     out = []
     spec = fam.family(
         [("a", c2, gr.trivial_subgroup(c2)), ("b", c2, gr.trivial_subgroup(c2))]

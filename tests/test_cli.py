@@ -388,6 +388,19 @@ def test_cohomology_refuses_factors_from_2_63(tmp_path, factor):
         assert str(factor) in text and "2^63" in text
 
 
+def test_a_large_prime_coefficient_factor_is_refused_without_hanging(tmp_path):
+    # 2^61 - 1 is prime: factoring it once took trial division to 2^30.5
+    spec = tmp_path / "c2.json"
+    spec.write_text(json.dumps(C2_FAMILY))
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [2**61 - 1]}, "actions": {}}))
+    status, text = run_cli(
+        ["cohomology", "--spec", str(spec), "--module", str(mod), "--degree", "1", "--format", "structured"]
+    )
+    assert_one_error(status, text)
+    assert f"modulus q={2**61 - 1}: " in text and ">= 2^63" in text
+
+
 TRIVIAL_FIBER_FAMILY = {
     "prime_set": [2, 3],
     "exceptional": {"a": {"group": {"kind": "table", "table": [[0]]}, "subgroup_generators": []}},

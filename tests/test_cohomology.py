@@ -265,7 +265,7 @@ def test_classify_many_reads_representatives_and_ignores_coboundaries(zoo):
 def named_module(gname, factors, action):
     """A corpus group acting on a corpus module by a named action."""
     g, a = corpus._zoo()[gname], FAG(factors)
-    return coh.GModule(g, a, corpus._action_matrices(g, a, corpus._action_options(g, a)[action]))
+    return corpus._action_module(g, a, corpus._action_options(g, a)[action])
 
 
 def test_is_cocycle_matches_the_loop_reference(zoo):
@@ -382,7 +382,7 @@ def _bar_sized_zoo_modules():
             if (g.order - 1) ** 2 * a.rank > 300:
                 continue
             for option in corpus._action_options(g, a).values():
-                out.append(coh.GModule(g, a, corpus._action_matrices(g, a, option)))
+                out.append(corpus._action_module(g, a, option))
     return out
 
 
@@ -501,16 +501,20 @@ def test_unramified_closure_invariance(zoo):
         assert a.subgroup.same_subgroup(b.subgroup)
 
 
+def test_trivial_modules_are_built_once_per_pair(zoo):
+    assert coh.trivial_module(zoo["S3"], FAG((6,))) is coh.trivial_module(zoo["S3"], FAG((6,)))
+
+
 def test_coinduced_examples(zoo):
     c2 = zoo["C2"]
-    cm = coh.coinduced_module(c2, FAG((2,)))
+    cm = coh.coinduced_module(coh.trivial_module(c2, FAG((2,))))
     assert cm.module.coeff.factors == (2, 2)
     assert cm.quotient.coeff.factors == (2,)
     assert cm.quotient.is_trivial_action()
-    cm = coh.coinduced_module(gr.trivial_group(), FAG((4,)))
+    cm = coh.coinduced_module(coh.trivial_module(gr.trivial_group(), FAG((4,))))
     assert cm.module.coeff.factors == (4,)
     assert cm.quotient.coeff.factors == ()
-    cm = coh.coinduced_module(c2, FAG((3,)))
+    cm = coh.coinduced_module(coh.trivial_module(c2, FAG((3,))))
     assert cm.module.coeff.factors == (3, 3)
     assert cm.quotient.coeff.factors == (3,)
 
@@ -518,7 +522,7 @@ def test_coinduced_examples(zoo):
 def test_coinduced_embedding_is_equivariant(zoo):
     for g, a in [(zoo["C4"], FAG((2,))), (zoo["S3"], FAG((6,)))]:
         m = coh.trivial_module(g, a)
-        cm = coh.coinduced_module(g, m)
+        cm = coh.coinduced_module(m)
         for x in range(g.order):
             for vec in a.elements():
                 lhs = cm.module.act(x, cm.embedding.apply(vec))
@@ -533,7 +537,7 @@ def test_coinduced_acyclic(zoo):
         (zoo["S3"], FAG((6,))),
         (zoo["V4"], FAG((2,))),
     ]:
-        cm = coh.coinduced_module(g, a)
+        cm = coh.coinduced_module(coh.trivial_module(g, a))
         assert coh.cohomology(cm.module, 1).value.factors == ()
 
 

@@ -185,8 +185,7 @@ def corpus_modules():
         for factors in corpus._MODULES:
             a = FAG(factors)
             for aname, option in corpus._action_options(g, a).items():
-                acts = corpus._action_matrices(g, a, option)
-                yield f"{gname}-{factors}-{aname}", coh.GModule(g, a, acts)
+                yield f"{gname}-{factors}-{aname}", corpus._action_module(g, a, option)
 
 
 def unipotent_modules():
@@ -201,8 +200,7 @@ def unipotent_modules():
     ]:
         g, a = zoo[gname], FAG(factors)
         chi = corpus._character(g, order)
-        acts = corpus._action_matrices(g, a, (chi, order, mat))
-        yield f"{gname}-{factors}-unipotent", coh.GModule(g, a, acts)
+        yield f"{gname}-{factors}-unipotent", corpus._action_module(g, a, (chi, order, mat))
 
 
 CASES = list(corpus_modules()) + list(unipotent_modules())
@@ -220,7 +218,7 @@ def test_the_cases_cover_the_corpus():
 
 @pytest.mark.parametrize("name,m", CASES, ids=[name for name, _ in CASES])
 def test_coinduced_module_matches_dense_reference(name, m):
-    cm = coh.coinduced_module(m.group, m)
+    cm = coh.coinduced_module(m)
     module, embedding, projection, lift, quotient = ref_coinduced(m)
     assert cm.module == module
     assert cm.embedding == embedding
@@ -270,7 +268,7 @@ def test_corrupted_perm_is_caught_by_re_embedding():
     # so that the coboundaries of scattered cocycles leave the embedded
     # coefficients
     m = coh.trivial_module(corpus._zoo()["C3"], FAG((3,)))
-    cm = coh.coinduced_module(m.group, m)
+    cm = coh.coinduced_module(m)
     assert coh.connecting_map(cm).is_surjective()
     x = next(x for x in range(3) if x != m.group.identity)
     bad = cm.perm.copy()
@@ -295,8 +293,8 @@ def test_coinduced_products_beyond_int64_are_refused():
     f = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29
     assert (f - 1) ** 2 >= 2**63
     with pytest.raises(SizeCapExceeded, match=r"module action matrices.*2\^63"):
-        coh.coinduced_module(c2, FAG((f,)))
+        coh.coinduced_module(coh.trivial_module(c2, FAG((f,))))
     # one prime fewer keeps the products exact
     small = f // 29
-    cm = coh.coinduced_module(c2, FAG((small,)))
+    cm = coh.coinduced_module(coh.trivial_module(c2, FAG((small,))))
     assert cm.quotient.coeff.factors == (small,)

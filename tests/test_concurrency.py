@@ -17,8 +17,7 @@ def test_parallel_instances_agree(zoo):
     neg = (((1,),), ((-1,),))
     module = fp.FamilyModule.build(
         FAG((3,)),
-        {"a": tuple(coh.GModule(c2, FAG((3,)), neg).action),
-         "b": tuple(coh.GModule(c2, FAG((3,)), neg).action)},
+        {"a": coh.GModule(c2, FAG((3,)), neg), "b": coh.GModule(c2, FAG((3,)), neg)},
     )
 
     def work(_):

@@ -13,14 +13,14 @@ from corprod import formulas as fp
 from corprod import groups as gr
 from corprod.abelian import AbHom, identity_hom
 from corprod.abelian import FiniteAbelianGroup as FAG
-from corprod.errors import PreconditionError, SizeCapExceeded
+from corprod.errors import InvariantViolation, PreconditionError, SizeCapExceeded
 
 
 def neg_module(spec, coeff, names):
     actions = {}
     for name in names:
         g = spec.fiber(name).group
-        actions[name] = negation_action(g, coeff, 1).action
+        actions[name] = negation_action(g, coeff, 1)
     return fp.FamilyModule.build(coeff, actions)
 
 
@@ -375,7 +375,7 @@ def test_truncation_colimit_preconditions(zoo):
         fp.truncation_colimit(bad_tail, fp.FamilyModule.build(FAG((2,))), 1, 2)
     spec = fam.family([], tail=(c2, gr.full_subgroup(c2)))
     acting = fp.FamilyModule.build(
-        FAG((3,)), tail_action=negation_action(c2, FAG((3,)), 1).action
+        FAG((3,)), tail_action=negation_action(c2, FAG((3,)), 1)
     )
     with pytest.raises(PreconditionError):
         fp.truncation_colimit(spec, acting, 1, 2)
@@ -483,9 +483,7 @@ def test_oracle_agreement_cardinality_identity(zoo, rng):
         for i, g in enumerate(picks):
             if coeff.exponent > 2 and rng.random() < 0.4:
                 try:
-                    actions[f"f{i}"] = negation_action(
-                        g, coeff, gr.generating_set(g)[0]
-                    ).action
+                    actions[f"f{i}"] = negation_action(g, coeff, gr.generating_set(g)[0])
                 except Exception:
                     pass
         module = fp.FamilyModule.build(coeff, actions)
@@ -503,7 +501,7 @@ def test_exactness_with_nontrivial_tail_action(zoo):
         [("a", c3, gr.full_subgroup(c3))], tail=(c2, gr.full_subgroup(c2))
     )
     module = fp.FamilyModule.build(
-        FAG((3,)), tail_action=negation_action(c2, FAG((3,)), 1).action
+        FAG((3,)), tail_action=negation_action(c2, FAG((3,)), 1)
     )
     for level in (1, 2, 3):
         trunc = fam.truncate(spec, level)
@@ -548,10 +546,24 @@ def test_family_module_prefers_exceptional_actions(zoo):
     # still gets its own action
     c2 = zoo["C2"]
     spec = fam.family([("tail1", c2, gr.trivial_subgroup(c2))])
-    neg = negation_action(c2, FAG((3,)), 1).action
+    neg = negation_action(c2, FAG((3,)), 1)
     module = fp.FamilyModule.build(FAG((3,)), {"tail1": neg})
     m = module.gmodule(spec.exceptional[0])
     assert not m.is_trivial_action()
+
+
+def test_family_module_takes_modules_over_its_coefficients(zoo):
+    c2, c3 = zoo["C2"], zoo["C3"]
+    neg = negation_action(c2, FAG((3,)), 1)
+    with pytest.raises(InvariantViolation, match="'a' is not a GModule over"):
+        fp.FamilyModule.build(FAG((3,)), {"a": (((1,),), ((2,),))})
+    with pytest.raises(InvariantViolation, match="'tail' is not a GModule over"):
+        fp.FamilyModule.build(FAG((9,)), tail_action=neg)
+    # a module over C2 stored for a C3 fiber is refused when it is read
+    spec = fam.family([("a", c3, gr.trivial_subgroup(c3))])
+    module = fp.FamilyModule.build(FAG((3,)), {"a": neg})
+    with pytest.raises(PreconditionError, match="fiber 'a'"):
+        module.gmodule(spec.exceptional[0])
 
 
 def test_trivial_coefficients_everywhere(zoo):
@@ -584,21 +596,23 @@ def test_abelianization_formula_plain_finite_sum(zoo):
 
 
 def test_tail_fiber_gets_the_tail_action(zoo):
-    # the tail pattern, its truncation copies and the old tail-only
-    # accessor (the memoized module of the tail group and action) agree
+    # the tail pattern and its truncation copies get the stored tail
+    # module itself, or the one trivial module when none is stored
     c2, c3 = zoo["C2"], zoo["C3"]
     spec = fam.family(
         [("a", c3, gr.full_subgroup(c3))], tail=(c2, gr.full_subgroup(c2))
     )
-    neg = negation_action(c2, FAG((3,)), 1).action
-    for module in (fp.FamilyModule.build(FAG((3,)), tail_action=neg), fp.FamilyModule.build(FAG((3,)))):
-        old = fp._gmodule(spec.tail.group, module.coeff, module.tail_action)
-        tail = spec.fibers[-1]
+    neg = negation_action(c2, FAG((3,)), 1)
+    for module, want in (
+        (fp.FamilyModule.build(FAG((3,)), tail_action=neg), neg),
+        (fp.FamilyModule.build(FAG((3,))), coh.trivial_module(c2, FAG((3,)))),
+    ):
+        tail, trunc = spec.fibers[-1], fam.truncate(spec, 2)
         assert tail.name == "tail"
-        assert module.gmodule(tail) is old
-        assert module.gmodule(fam.truncate(spec, 1).fiber("tail1")) is old
+        for fiber in (tail, trunc.fiber("tail1"), trunc.fiber("tail2")):
+            assert module.gmodule(fiber) is want
         assert module.gmodule(spec.exceptional[0]).is_trivial_action()
-    assert not fp.FamilyModule.build(FAG((3,)), tail_action=neg).gmodule(spec.fibers[-1]).is_trivial_action()
+    assert not neg.is_trivial_action()
 
 
 def test_section_for_agrees_with_brute_force():

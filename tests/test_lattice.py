@@ -1,6 +1,9 @@
 """Smith/Hermite normal form properties, with exhaustive transform checks."""
 
 import itertools
+import math
+import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +101,30 @@ def test_factorint():
     assert lattice.factorint(1) == {}
     assert lattice.factorint(12) == {2: 2, 3: 1}
     assert lattice.factorint(27) == {3: 3}
+
+
+def test_factorint_splits_large_factors_quickly():
+    # a few Pollard-rho splits at most; trial division alone takes up to
+    # 2^30 steps on these
+    cases = {
+        2**61 - 1: {2**61 - 1: 1},
+        (2**31 - 1) * (2**31 + 11): {2**31 - 1: 1, 2**31 + 11: 1},
+        (2**31 - 1) ** 2: {2**31 - 1: 2},
+        2**63 - 1: {7: 2, 73: 1, 127: 1, 337: 1, 92737: 1, 649657: 1},
+    }
+    for n, want in cases.items():
+        start = time.perf_counter()
+        got = lattice.factorint(n)
+        assert time.perf_counter() - start < 1.0, n
+        assert got == want and list(got) == sorted(got), n
+
+
+def test_factorint_below_2_63_is_a_prime_factorization():
+    rng = random.Random(61)
+    for n in [rng.randrange(1, 2**bits) for bits in range(2, 64) for _ in range(4)]:
+        got = lattice.factorint(n)
+        assert list(got) == sorted(got) and all(lattice.is_prime(p) for p in got), n
+        assert math.prod(p**e for p, e in got.items()) == n
 
 
 def test_is_prime_agrees_with_factorint_and_rejects_strong_pseudoprimes():

@@ -471,7 +471,7 @@ def corpus_module_systems(draw):
     a = FiniteAbelianGroup(draw(st.sampled_from(corpus._MODULES)))
     options = corpus._action_options(g, a)
     option = options[draw(st.sampled_from(sorted(options)))]
-    m = cohomology.GModule(g, a, corpus._action_matrices(g, a, option))
+    m = corpus._action_module(g, a, option)
     r = a.rank
     if draw(st.booleans()):
         elems = draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=4))
@@ -638,6 +638,7 @@ def test_a_shared_subquotient_is_immutable():
 def test_every_corprod_cache_is_bounded():
     caches = corprod_caches()
     assert modular._subquotient_cached in caches
+    assert cohomology.trivial_module in caches
     for cache in caches:
         # a cache of a function without arguments holds one entry at most
         if inspect.signature(cache.__wrapped__).parameters:

@@ -93,7 +93,7 @@ def zoo_modules(zoo):
         for factors in corpus._MODULES:
             a = FAG(factors)
             for aname, option in corpus._action_options(g, a).items():
-                yield f"{name}-{factors}-{aname}", coh.GModule(g, a, corpus._action_matrices(g, a, option))
+                yield f"{name}-{factors}-{aname}", corpus._action_module(g, a, option)
     yield from unipotent_modules()
 
 
@@ -127,8 +127,8 @@ def test_modules_spanning_several_chunks(zoo, monkeypatch, rows):
         coh.trivial_module(zoo["S3"], FAG((6,))),
         coh.trivial_module(zoo["C2xC4"], FAG((2, 4))),
         coh.trivial_module(zoo["C2"], FAG((2, 4))),
-        coh.GModule(zoo["D4"], FAG((3, 3)), corpus._action_matrices(
-            zoo["D4"], FAG((3, 3)), corpus._action_options(zoo["D4"], FAG((3, 3)))["swap"])),
+        corpus._action_module(
+            zoo["D4"], FAG((3, 3)), corpus._action_options(zoo["D4"], FAG((3, 3)))["swap"]),
     ]
     for m in cases:
         chunk = rows * 8 * m.group.order * m.coeff.rank

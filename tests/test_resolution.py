@@ -24,7 +24,7 @@ def zoo_modules():
         for factors in corpus._MODULES:
             a = FAG(factors)
             for action, option in corpus._action_options(g, a).items():
-                m = coh.GModule(g, a, corpus._action_matrices(g, a, option))
+                m = corpus._action_module(g, a, option)
                 out.append((f"{gname}-{factors}-{action}", m))
     return out
 

@@ -159,7 +159,28 @@ def test_large_action_representatives_are_reduced():
     }
     big = serialize.parse_module(doc, spec)
     assert big == serialize.parse_module(VALID_MODULE, spec)
-    assert big.action_for("a") == (((1,),), ((5,),), ((1,),), ((5,),))
+    assert big.action_for("a").action.tolist() == [[[1]], [[5]], [[1]], [[5]]]
+
+
+def test_a_parsed_action_is_validated_once(monkeypatch):
+    # the engines read the module the parser validated, not a copy
+    from corprod.cohomology import GModule
+
+    spec = serialize.parse_family(VALID_FAMILY)
+    # C4 on Z/13 by 5, an element of order 4 mod 13
+    doc = {"coeff": {"kind": "ab", "factors": [13]}, "actions": {"a": [{"element": 1, "matrix": [[5]]}]}}
+    validated = []
+    original = GModule.__post_init__
+
+    def counted(self):
+        validated.append(self.coeff.factors)
+        original(self)
+
+    monkeypatch.setattr(GModule, "__post_init__", counted)
+    module = serialize.parse_module(doc, spec)
+    m = module.gmodule(spec.fiber("a"))
+    assert validated == [(13,)]
+    assert m is module.action_for("a") and m.action[:, 0, 0].tolist() == [1, 5, 12, 8]
 
 
 def test_table_groups_obey_the_order_cap():

@@ -1,6 +1,7 @@
 """The benchmark's tracer names library functions by module and attribute;
 each must still exist, or a traced run would fail on a renamed or deleted
-function.  A traced call must also open only spans the tracer summarizes."""
+function.  A traced call must also open only spans the tracer summarizes,
+whatever the signature of the function it wraps."""
 
 import importlib
 import importlib.util
@@ -80,3 +81,35 @@ def test_a_traced_colimit_call_summarizes(tmp_path):
     assert summary["formulas.truncation_colimit.calls"] == 1
     assert summary["formulas.oracle_h1.calls"] == 2 * levels
     assert summary["formulas.four_term_sequence.calls"] == levels
+
+
+TRACED_CORPUS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import corprod.cli
+import tracing
+from corprod import corpus
+from corprod.cohomology import DEFAULT_COH_CAP
+from corprod.formulas import DEFAULT_ENUM_CAP
+
+tracer = tracing.Tracer()
+problems = tracer.install()
+recs = corpus.corpus_summary_records(0, 4, DEFAULT_COH_CAP, DEFAULT_ENUM_CAP)
+print(json.dumps({"problems": problems, "passed": [r.passed for r in recs], "summary": tracer.summary(1.0)}))
+"""
+
+
+def test_a_traced_corpus_call_summarizes():
+    # the corpus workload's call, the one that reaches the dimension shift:
+    # one coinduced module, connecting map and shift check per fiber
+    src = str(Path(corprod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_CORPUS, str(TRACING.parent)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["problems"] == [] and out["passed"] == [True] * 4
+    for span in ("coinduced_module", "connecting_map", "dimension_shift_check"):
+        assert out["summary"][f"cohomology.{span}.calls"] == 10, span
