@@ -61,12 +61,13 @@ def _family_and_digest(cfg: RunConfig):
     return parse_family(data), canonical_digest(data)
 
 
-def _module_for(cfg: RunConfig, spec, digest_parts):
+def _family_module_and_digest(cfg: RunConfig):
+    """The family, its module, and the digest of both files."""
+    spec, digest = _family_and_digest(cfg)
     if not cfg.module_path:
         raise SpecFileError("this command requires --module")
     data = _load_json(cfg.module_path)
-    digest_parts.append(data)
-    return parse_module(data, spec)
+    return spec, parse_module(data, spec), canonical_digest([digest, data])
 
 
 def cmd_validate(cfg: RunConfig) -> Report:
@@ -108,10 +109,7 @@ def cmd_abelianize(cfg: RunConfig) -> Report:
 
 
 def cmd_cohomology(cfg: RunConfig) -> Report:
-    spec, digest = _family_and_digest(cfg)
-    parts = [digest]
-    module = _module_for(cfg, spec, parts)
-    digest = canonical_digest(parts)
+    spec, module, digest = _family_module_and_digest(cfg)
     rep = Report()
     if cfg.degree >= 3:
         formula = fp.high_degree_formula(spec, module, cfg.degree, cfg.cap)
@@ -151,10 +149,7 @@ def cmd_cohomology(cfg: RunConfig) -> Report:
 
 
 def cmd_exact_check(cfg: RunConfig) -> Report:
-    spec, digest = _family_and_digest(cfg)
-    parts = [digest]
-    module = _module_for(cfg, spec, parts)
-    digest = canonical_digest(parts)
+    spec, module, digest = _family_module_and_digest(cfg)
     trunc = truncate(spec, cfg.truncate)
     seq = fp.four_term_sequence(trunc, module, cfg.cap)
     result = fp.check_exactness(seq)
@@ -234,10 +229,7 @@ def cmd_cross_check(cfg: RunConfig) -> Report:
 
 
 def cmd_colimit(cfg: RunConfig) -> Report:
-    spec, digest = _family_and_digest(cfg)
-    parts = [digest]
-    module = _module_for(cfg, spec, parts)
-    digest = canonical_digest(parts)
+    spec, module, digest = _family_module_and_digest(cfg)
     system = fp.truncation_colimit(spec, module, cfg.degree, cfg.truncate, cfg.cap)
     rep = Report()
     for n, level in enumerate(system.levels):
@@ -372,18 +364,7 @@ def run(cfg: RunConfig) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        spec_path=args.spec_path,
-        module_path=args.module_path,
-        degree=args.degree,
-        truncate=args.truncate,
-        seed=args.seed,
-        cap=args.cap,
-        out=args.out,
-        fmt=args.fmt,
-    )
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     status, rendered = run(cfg)
     if cfg.out:
         with open(cfg.out, "a") as fh:

@@ -628,7 +628,10 @@ def connecting_map(coind: CoinducedModule, cap: int = DEFAULT_COH_CAP) -> AbHom:
 @lru_cache(maxsize=MEMO_SIZE)
 def dimension_shift_check(m: GModule, cap: int = DEFAULT_COH_CAP) -> DimensionShiftReport:
     """Verify H^1(G, A') = H^2(G, A) and the acyclicity of Maps(G, A),
-    once per module and cap."""
+    once per module and cap.  H^2(G, A) weighs at least as much as H^1 of
+    Maps(G, A) and of A', so its cap check refuses before Maps(G, A) is
+    built."""
+    _check_cap(m, 2, cap)
     coind = coinduced_module(m)
     h2 = cohomology(m, 2, cap)
     h1q = cohomology(coind.quotient, 1, cap)

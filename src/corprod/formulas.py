@@ -13,6 +13,10 @@ exactly tuples of crossed homomorphisms of the factors, each factor
 space enumerated by brute force.  Checking exactness therefore
 cross-validates the oracle against the per-fiber engine.
 
+A direct sum over the fibers is a plain ``modular.Subquotient`` of the
+concatenated block moduli (``direct_sum``), and ``split_blocks`` cuts its
+vectors back into fiber blocks.
+
 Three builders are memoized by ``lru_cache`` of ``MEMO_SIZE`` entries:
 each fiber's crossed-hom enumeration (``_fiber_z1``), the oracle
 (``oracle_h1``) and the sequence (``four_term_sequence``).  The last two
@@ -36,6 +40,7 @@ from .abelian import (
     AbSubgroup,
     FiniteAbelianGroup,
     annihilator,
+    group_from_moduli,
     sub_and_quotient,
 )
 from .cohomology import (
@@ -66,7 +71,7 @@ from .families import (
     truncate,
 )
 from .groups import EnumeratedAbelianStructure, abelian_structure_from_elements
-from .lattice import Vector, identity_matrix
+from .lattice import Vector, identity_matrix, vec_mat, vec_mod
 from .records import field, record
 
 DEFAULT_ENUM_CAP = 200_000
@@ -116,48 +121,21 @@ class FamilyModule:
 
 
 # ---------------------------------------------------------------------------
-# direct sum bookkeeping
+# direct sums over the fibers
 # ---------------------------------------------------------------------------
 
 
-@record()
-class DirectSumChart:
-    """Canonical invariant-factor form of a concatenated block group."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    value: FiniteAbelianGroup
-    _pres: modular.Subquotient = field(repr=False)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for b in self.blocks:
-            out.append(acc)
-            acc += len(b)
-        return tuple(out)
-
-    def classify_many(self, concat_vecs) -> tuple[Vector, ...]:
-        return self._pres.classify_many(concat_vecs)
-
-    def classify(self, concat_vec) -> Vector:
-        return self._pres.classify(concat_vec)
-
-    def rep(self, i: int) -> Vector:
-        return self._pres.reps[i]
-
-    def split(self, concat_vec):
-        out, pos = [], 0
-        for b in self.blocks:
-            out.append(tuple(concat_vec[pos : pos + len(b)]))
-            pos += len(b)
-        return out
+def direct_sum(blocks) -> modular.Subquotient:
+    """The direct sum of the groups prod Z/b, one per block b of moduli, on
+    the concatenated coordinates: its invariant ``factors``, one
+    representative per factor in ``reps``, and ``classify_many``."""
+    return modular.quotient_presentation(tuple(x for b in blocks for x in b), [])
 
 
-def direct_sum_chart(blocks) -> DirectSumChart:
-    blocks = tuple(tuple(b) for b in blocks)
-    moduli = tuple(x for b in blocks for x in b)
-    pres = modular.quotient_presentation(moduli, [])
-    return DirectSumChart(blocks, FiniteAbelianGroup(pres.factors), pres)
+def split_blocks(vec, lengths) -> list[tuple]:
+    """``vec`` cut into consecutive blocks of the given lengths."""
+    ends = list(accumulate(lengths, initial=0))
+    return [tuple(vec[i:j]) for i, j in zip(ends, ends[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +331,11 @@ def _oracle_h1(trunc: TruncatedFamily, module: FamilyModule, cap: int) -> Oracle
     ]
     quotient = modular.quotient_presentation(moduli, b1)
     value = FiniteAbelianGroup(quotient.factors)
-
-    ends = list(accumulate((len(z1.structure.factors) for z1 in fiber_data), initial=0))
-
-    def lift(coords) -> tuple:
-        return tuple(z1.table(coords[i:j]) for z1, i, j in zip(fiber_data, ends, ends[1:]))
-
-    reps = tuple(lift(quotient.reps[i]) for i in range(len(value.factors)))
+    lengths = [len(z1.structure.factors) for z1 in fiber_data]
+    reps = tuple(
+        tuple(z1.table(c) for z1, c in zip(fiber_data, split_blocks(rep, lengths)))
+        for rep in quotient.reps
+    )
     fixed = common_fixed_elements(trunc, module)
     # cardinality bookkeeping: |Z1| = |B1| * |H1| with |B1| = |A| / |A^G|
     z1_order = math.prod(len(z1.cocycles) for z1 in fiber_data)
@@ -417,36 +393,32 @@ def _four_term_sequence(
         for m in dict.fromkeys(mods)
     }
     fiber_quotients = [by_module[m] for m in mods]
-    chart2 = direct_sum_chart([q.factors for q in fiber_quotients])
-    t2 = chart2.value
+    sum2 = direct_sum(q.factors for q in fiber_quotients)
+    t2 = FiniteAbelianGroup(sum2.factors)
 
     # term 4: sum over fibers of H^1(G_t, A) from the engine
     fiber_h1 = [cohomology(m, 1, cap) for m in mods]
-    chart4 = direct_sum_chart([h.value.factors for h in fiber_h1])
-    t4 = chart4.value
+    sum4 = direct_sum(h.value.factors for h in fiber_h1)
+    t4 = FiniteAbelianGroup(sum4.factors)
 
     # map 1: a |-> (a mod A^{G_t})_t
     per_fiber = [q.classify_many(t1_pres.reps) for q in fiber_quotients]
-    m1 = AbHom.from_columns(t1, t2, chart2.classify_many(_concat_rows(per_fiber, t1.rank)))
+    m1 = AbHom.from_columns(t1, t2, sum2.classify_many(_concat_rows(per_fiber, t1.rank)))
 
     # map 2: (a_t)_t |-> class of the cocycle that is principal-from-a_t on G_t
-    splits = [chart2.split(chart2.rep(i)) for i in range(t2.rank)]
-    per_fiber = []
-    for f, (m, q) in enumerate(zip(mods, fiber_quotients)):
-        lifts = []
-        for chunks in splits:
-            lifted = a.zero
-            for c, rep in zip(chunks[f], q.reps):
-                lifted = a.add(lifted, a.scale(int(c), rep))
-            lifts.append(lifted)
-        per_fiber.append(_principal_tables(m, lifts))
-    family_cocycles = [tuple(tables[i] for tables in per_fiber) for i in range(t2.rank)]
-    m2 = AbHom.from_columns(t2, oracle.value, oracle.classify_many(family_cocycles))
+    lengths = [len(q.factors) for q in fiber_quotients]
+    splits = [split_blocks(rep, lengths) for rep in sum2.reps]
+    # a fiber with A/A^{G_t} = 0 has no reps, over which vec_mat gives ()
+    per_fiber = [
+        _principal_tables(m, [vec_mod(vec_mat(b[f], q.reps), a.factors) or a.zero for b in splits])
+        for f, (m, q) in enumerate(zip(mods, fiber_quotients))
+    ]
+    m2 = AbHom.from_columns(t2, oracle.value, oracle.classify_many(list(zip(*per_fiber))))
 
     # map 3: restriction to the factors
     reps = oracle.representatives
     per_fiber = [h.classify_many([rep[f] for rep in reps]) for f, h in enumerate(fiber_h1)]
-    m3 = AbHom.from_columns(oracle.value, t4, chart4.classify_many(_concat_rows(per_fiber, len(reps))))
+    m3 = AbHom.from_columns(oracle.value, t4, sum4.classify_many(_concat_rows(per_fiber, len(reps))))
 
     return FourTermSequence((t1, t2, oracle.value, t4), (m1, m2, m3), oracle)
 
@@ -844,18 +816,14 @@ def truncation_colimit(
         # per level: exactness of the four-term sequence is the formula
         level_ok = [check_exactness(seq).passed for seq in seqs]
     else:
-        charts = []
-        fiber_h2 = []
-        for t in truncs:
-            hs = [cohomology(m, 2, cap) for m in _fiber_modules(t, module)]
-            fiber_h2.append(hs)
-            charts.append(direct_sum_chart([h.value.factors for h in hs]))
-        levels = tuple(c.value for c in charts)
+        fiber_h2 = [[cohomology(m, 2, cap) for m in _fiber_modules(t, module)] for t in truncs]
+        sums = [direct_sum(h.value.factors for h in hs) for hs in fiber_h2]
+        levels = tuple(FiniteAbelianGroup(s.factors) for s in sums)
         transitions = []
         for n in range(n_max):
-            pad = (0,) * (len(fiber_h2[n + 1][-1].value.factors) if spec.tail is not None else 0)
-            extended = [tuple(charts[n].rep(i)) + pad for i in range(levels[n].rank)]
-            cols = charts[n + 1].classify_many(extended)
+            # zero on the block of the new tail fiber, if there is one
+            pad = (0,) * (len(sums[n + 1].ambient) - len(sums[n].ambient))
+            cols = sums[n + 1].classify_many([rep + pad for rep in sums[n].reps])
             transitions.append(AbHom.from_columns(levels[n], levels[n + 1], cols))
         # per level: each fiber's block against the resolution engine
         level_ok = [
@@ -956,42 +924,39 @@ def splitting_check(
     section = section_for(retraction) if surj else None
 
     ab_blocks = [f.group.abelianization[0].factors for f in trunc.fibers]
-    ab_full = direct_sum_chart(ab_blocks)
-    ab_sub = direct_sum_chart([ab_blocks[i] for i in keep_idx])
+    sub_blocks = [ab_blocks[i] for i in keep_idx]
     return SplittingReport(
         subset,
         full.value.factors,
         sub.value.factors,
         surj,
         section is not None,
-        ab_full.value.factors,
-        ab_sub.value.factors,
-        blocks_split(ab_full, ab_sub, keep_idx, keep_idx),
+        group_from_moduli(d for b in ab_blocks for d in b).factors,
+        group_from_moduli(d for b in sub_blocks for d in b).factors,
+        blocks_split(ab_blocks, sub_blocks, keep_idx, keep_idx),
     )
 
 
-def blocks_split(full: DirectSumChart, sub: DirectSumChart, inclusion, projection) -> bool:
-    """Whether projecting ``full`` onto its blocks ``projection`` undoes
-    including ``sub`` as its blocks ``inclusion``, on every generator of
-    ``sub.value``.  Block j of ``sub`` goes to block ``inclusion[j]``,
-    which must have the same moduli."""
-    if len(inclusion) != len(sub.blocks) or any(
-        full.blocks[i] != b for i, b in zip(inclusion, sub.blocks)
+def blocks_split(full_blocks, sub_blocks, inclusion, projection) -> bool:
+    """Whether projecting the direct sum of ``full_blocks`` onto its blocks
+    ``projection`` undoes including the direct sum of ``sub_blocks`` as its
+    blocks ``inclusion``, on every generator.  A block is a tuple of
+    moduli; block j of ``sub_blocks`` goes to block ``inclusion[j]``, which
+    must have the same moduli."""
+    if len(inclusion) != len(sub_blocks) or any(
+        full_blocks[i] != b for i, b in zip(inclusion, sub_blocks)
     ):
         return False
-    moduli = [d for b in full.blocks for d in b]
-    for i in range(sub.value.rank):
-        included = [0] * len(moduli)
-        for j, part in zip(inclusion, sub.split(sub.rep(i))):
-            included[full.offsets[j] : full.offsets[j] + len(part)] = part
-        coords = full.classify(included)
-        back = [
-            sum(c * full.rep(k)[t] for k, c in enumerate(coords)) % d
-            for t, d in enumerate(moduli)
-        ]
-        blocks = full.split(back)
-        projected = [x for j in projection for x in blocks[j]]
-        if sub.classify(projected) != tuple(int(k == i) for k in range(sub.value.rank)):
+    full, sub = direct_sum(full_blocks), direct_sum(sub_blocks)
+    lengths = [len(b) for b in full_blocks]
+    for i, rep in enumerate(sub.reps):
+        included = [(0,) * n for n in lengths]
+        for j, part in zip(inclusion, split_blocks(rep, map(len, sub_blocks))):
+            included[j] = part
+        coords = full.classify([x for b in included for x in b])
+        back = split_blocks(vec_mod(vec_mat(coords, full.reps), full.ambient), lengths)
+        projected = [x for j in projection for x in back[j]]
+        if sub.classify(projected) != tuple(int(k == i) for k in range(len(sub.factors))):
             return False
     return True
 

@@ -302,7 +302,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         gens.append(tuple([1, 0] + list(range(2, n))))
     if n >= 3:
         gens.append(tuple(list(range(1, n)) + [0]))
-    g = group_from_generators(n, gens, cap=max(DEFAULT_ORDER_CAP, 2 * 720))
+    g = group_from_generators(n, gens)
     return FiniteGroup(g.table, 0, f"S{n}")
 
 

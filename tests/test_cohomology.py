@@ -550,6 +550,21 @@ def test_dimension_shift_examples(zoo):
     assert rep.passed
 
 
+def test_dimension_shift_refuses_before_building_maps(monkeypatch):
+    # Maps(C128, (Z/2)^2) would be 128 * 256^2 int64 entries; H^2's cap
+    # check refuses first, with its own message, and caches nothing
+    def build(m):
+        raise AssertionError("Maps(G, A) was built")
+
+    monkeypatch.setattr(coh, "coinduced_module", build)
+    m = coh.trivial_module(gr.cyclic_group(128), FAG((2, 2)))
+    size = coh.dimension_shift_check.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(SizeCapExceeded, match=r"\|G\|\^2 \* rank = 32768 exceeds the cohomology cap 20000"):
+            coh.dimension_shift_check(m)
+    assert coh.dimension_shift_check.cache_info().currsize == size
+
+
 def test_shifted_cohomology(zoo):
     m = coh.trivial_module(zoo["C2"], FAG((2,)))
     assert coh.shifted_cohomology(m, 3).value.factors == (2,)

@@ -413,8 +413,7 @@ def test_splitting(zoo):
 
 
 def test_blocks_split_rejects_a_wrong_inclusion():
-    full = fp.direct_sum_chart([(2,), (2,), (4,)])
-    sub = fp.direct_sum_chart([(2,), (4,)])
+    full, sub = [(2,), (2,), (4,)], [(2,), (4,)]
     assert fp.blocks_split(full, sub, [0, 2], [0, 2])
     assert fp.blocks_split(full, sub, [1, 2], [1, 2])
     # included as block 1 but projected from block 0: the composite kills Z/2
@@ -422,6 +421,29 @@ def test_blocks_split_rejects_a_wrong_inclusion():
     # Z/2 cannot go onto the Z/4 block
     assert not fp.blocks_split(full, sub, [2, 0], [2, 0])
     assert not fp.blocks_split(full, sub, [0], [0])
+
+
+def test_direct_sums_keep_zero_length_blocks(zoo):
+    s = fp.direct_sum([(), (2,), (), (4,), ()])
+    assert s.factors == (2, 4) and s.ambient == (2, 4)
+    assert [fp.split_blocks(rep, [0, 1, 0, 1, 0]) for rep in s.reps] == [
+        [(), (1,), (), (0,), ()],
+        [(), (0,), (), (1,), ()],
+    ]
+    assert fp.direct_sum([(), ()]).reps == () and fp.split_blocks((), [0, 0]) == [(), ()]
+    # the wrong-inclusion cases, with empty blocks around and between them
+    full, sub = [(), (2,), (2,), (), (4,)], [(2,), (), (4,)]
+    assert fp.blocks_split(full, sub, [1, 3, 4], [1, 3, 4])
+    assert fp.blocks_split(full, sub, [2, 0, 4], [2, 0, 4])
+    assert not fp.blocks_split(full, sub, [2, 0, 4], [1, 0, 4])
+    assert not fp.blocks_split(full, sub, [4, 0, 1], [4, 0, 1])
+    assert not fp.blocks_split(full, sub, [1, 3], [1, 3])
+    # a fiber whose A/A^{G_t} is 0 lifts each element of the sum to 0 there
+    c2 = zoo["C2"]
+    spec = fam.family([("a", c2, gr.trivial_subgroup(c2)), ("b", c2, gr.trivial_subgroup(c2))])
+    seq = fp.four_term_sequence(fam.truncate(spec, 0), neg_module(spec, FAG((3,)), ["a"]))
+    assert [t.factors for t in seq.terms] == [(3,), (3,), (), ()]
+    assert seq.maps[0].matrix == ((1,),) and fp.check_exactness(seq).passed
 
 
 def test_corestriction_compare(zoo):
@@ -591,8 +613,8 @@ def test_abelianization_formula_plain_finite_sum(zoo):
     pairs = dict(abf.exceptional)
     assert pairs["a"].ambient.factors == (4,) and pairs["a"].structure.factors == ()
     assert pairs["b"].ambient.factors == (2,) and pairs["b"].structure.factors == ()
-    total = fp.direct_sum_chart([p.ambient.factors for _, p in abf.exceptional])
-    assert total.value.factors == (2, 4)
+    total = fp.direct_sum([p.ambient.factors for _, p in abf.exceptional])
+    assert total.factors == (2, 4)
 
 
 def test_tail_fiber_gets_the_tail_action(zoo):
