@@ -46,9 +46,7 @@ from .families import (
     FamilySpec,
     FiberSpec,
     RestrictedAbFamily,
-    TailSpec,
     Tower,
-    TruncatedFamily,
     abelianize_family,
     check_tower,
     family,

@@ -77,8 +77,10 @@ def _subgroup_choices(g: FiniteGroup):
 
 
 def _character(g: FiniteGroup, p: int):
-    """A character of G onto Z/p, from the first abelianization factor p
-    divides, or None."""
+    """A character of G into Z/p, from the first abelianization factor d
+    that p divides, or None: x |-> (d/p) * x_d mod p, the coordinate x_d
+    of x in Z/d.  It is onto Z/p when p^2 does not divide d, and the zero
+    character when it does."""
     ab, proj = g.abelianization
     for i, d in enumerate(ab.factors):
         if d % p == 0:

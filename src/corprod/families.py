@@ -6,19 +6,19 @@ tau_1, tau_2, ...; the point at infinity always carries the trivial
 group.  Morphisms map exceptional names to exceptional names or to the
 star, and tail to tail; towers are chains of such morphisms.
 
-``FamilySpec.fibers`` lists the exceptional fibers and then the tail
-pattern as one more fiber, named ``tail``; a per-fiber computation is
+The tail pattern is one more fiber, named ``tail``: ``FamilySpec.fibers``
+lists the exceptional fibers and then it, a per-fiber computation is
 one loop over that list, and ``FamilySpec.split_tail`` turns values
-listed in that order back into (exceptional values, tail value).  The
-name ``tail`` is reserved for the tail pattern, and a truncation names
-its copies of it ``tail1``, ``tail2``, ...; ``summary`` is reserved for
-the summary record that reports add after the per-fiber ones.
+listed in that order back into (exceptional values, tail value).  A
+truncation is an ordinary finite ``FamilySpec``: the exceptional fibers
+and copies of the tail fiber named ``tail1``, ``tail2``, ...  The name
+``tail`` is reserved for the tail pattern, and ``summary`` for the
+summary record that reports add after the per-fiber ones.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 
 from .abelian import AbSubgroup
 from .errors import InvariantViolation, PreconditionError
@@ -59,19 +59,9 @@ def _is_tail_name(name: str) -> bool:
 
 
 @record(frozen=True)
-class TailSpec:
-    group: FiniteGroup
-    subgroup: Subgroup
-
-    def __post_init__(self):
-        if self.subgroup.parent != self.group:
-            raise InvariantViolation("tail subgroup has wrong parent")
-
-
-@record(frozen=True)
 class FamilySpec:
     exceptional: tuple[FiberSpec, ...]
-    tail: TailSpec | None = None
+    tail: FiberSpec | None = None
     prime_set: frozenset[int] = frozenset()
 
     def __post_init__(self):
@@ -86,6 +76,8 @@ class FamilySpec:
             if p >= 2**63 or not is_prime(p):
                 raise InvariantViolation(f"prime set entry {p} is not a prime below 2^63")
         object.__setattr__(self, "prime_set", primes)
+        if self.tail is not None and self.tail.name != TAIL:
+            raise InvariantViolation(f"the tail fiber must be named {TAIL!r}, not {self.tail.name!r}")
         names = [f.name for f in self.exceptional]
         if len(set(names)) != len(names):
             raise InvariantViolation("duplicate fiber names")
@@ -98,25 +90,22 @@ class FamilySpec:
                 raise InvariantViolation(
                     f"fiber name {f.name!r} collides with the tail copy names"
                 )
+        # each distinct group once, named by its first fiber: a truncation
+        # repeats the tail group
+        first = {}
         for f in self.fibers:
-            self._check_primes(f.group, f.name)
+            first.setdefault(f.group, f.name)
+        for g, name in first.items():
+            for p in factorint(g.order):
+                if p not in primes:
+                    raise InvariantViolation(
+                        f"fiber {name} has order divisible by {p}, outside the prime set"
+                    )
 
-    def _check_primes(self, g: FiniteGroup, where: str) -> None:
-        for p in factorint(g.order):
-            if p not in self.prime_set:
-                raise InvariantViolation(
-                    f"fiber {where} has order divisible by {p}, outside the prime set"
-                )
-
-    def __hash__(self):
-        return hash((self.exceptional, self.tail, self.prime_set))
-
-    @cached_property
+    @property
     def fibers(self) -> tuple[FiberSpec, ...]:
-        """The exceptional fibers, then the tail pattern named ``tail``."""
-        if self.tail is None:
-            return self.exceptional
-        return self.exceptional + (FiberSpec(TAIL, self.tail.group, self.tail.subgroup),)
+        """The exceptional fibers, then the tail fiber."""
+        return self.exceptional if self.tail is None else self.exceptional + (self.tail,)
 
     def split_tail(self, values) -> tuple[tuple, object]:
         """Values listed in ``fibers`` order as (the exceptional values, the
@@ -127,9 +116,7 @@ class FamilySpec:
 
     def with_fibers(self, fibers) -> "FamilySpec":
         """The family on new fibers listed in ``fibers`` order."""
-        exceptional, tail = self.split_tail(fibers)
-        tl = None if tail is None else TailSpec(tail.group, tail.subgroup)
-        return FamilySpec(exceptional, tl, self.prime_set)
+        return FamilySpec(*self.split_tail(fibers), self.prime_set)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -148,13 +135,11 @@ def family(exceptional, tail=None, prime_set=None) -> FamilySpec:
         FiberSpec(name, g, u) if not isinstance(name, FiberSpec) else name
         for (name, g, u) in exceptional
     )
-    tl = TailSpec(*tail) if isinstance(tail, tuple) else tail
+    tl = FiberSpec(TAIL, *tail) if isinstance(tail, tuple) else tail
     if prime_set is None:
         primes: set[int] = set()
-        for f in fibers:
+        for f in fibers if tl is None else fibers + (tl,):
             primes.update(factorint(f.group.order))
-        if tl is not None:
-            primes.update(factorint(tl.group.order))
         prime_set = primes or {2}
     return FamilySpec(fibers, tl, prime_set)
 
@@ -470,58 +455,21 @@ def check_tower(t: Tower) -> TowerCertificate:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
-class BeyondPattern:
-    """What the family looks like past the truncation: the quotient of
-    the tail group by the closure of the tail subgroup."""
-
-    group: FiniteGroup
-    projection: GroupHom
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.group.order == 1
-
-
-@record(frozen=True)
-class TruncatedFamily:
-    base: FamilySpec
-    level: int
-    fibers: tuple[FiberSpec, ...]
-    beyond: BeyondPattern | None
-
-    @property
-    def is_plain(self) -> bool:
-        """True when nothing lives past the truncation, so the family is
-        an honest finite free product."""
-        return self.beyond is None or self.beyond.is_trivial
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fibers)
-
-    def fiber(self, name: str) -> FiberSpec:
-        for f in self.fibers:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
-
-def tail_name(i: int) -> str:
-    return f"tail{i}"
-
-
-def truncate(spec: FamilySpec, level: int) -> TruncatedFamily:
-    """Finite family on the exceptional fibers plus ``level`` tail
-    copies; beyond the truncation only the quotient pattern remains."""
+def truncate(spec: FamilySpec, level: int) -> FamilySpec:
+    """The finite family on the exceptional fibers and ``level`` copies of
+    the tail fiber, named ``tail1``, ..., ``tail<level>``; a family without
+    a tail is its own truncation.  A tail whose quotient G/closure(U) is
+    nontrivial is refused: past the cut such a family is not a plain
+    finite free product."""
     if level < 0:
         raise PreconditionError("truncation level must be >= 0")
-    fibers = list(spec.exceptional)
-    beyond = None
-    if spec.tail is not None:
-        for i in range(1, level + 1):
-            fibers.append(FiberSpec(tail_name(i), spec.tail.group, spec.tail.subgroup))
-        closure = normal_closure(spec.tail.group, spec.tail.subgroup)
-        q, proj = quotient_group(spec.tail.group, closure)
-        beyond = BeyondPattern(q, proj)
-    return TruncatedFamily(spec, level, tuple(fibers), beyond)
+    tail = spec.tail
+    if tail is None:
+        return spec
+    if normal_closure(tail.group, tail.subgroup).order != tail.group.order:
+        raise PreconditionError(
+            "the truncation has a nontrivial pattern beyond the cut; "
+            "formulas require a plain finite free product"
+        )
+    copies = tuple(FiberSpec(f"{TAIL}{i}", tail.group, tail.subgroup) for i in range(1, level + 1))
+    return FamilySpec(spec.exceptional + copies, None, spec.prime_set)

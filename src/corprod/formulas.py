@@ -11,7 +11,9 @@ for finite families, where H^1(G, A) of the free product is supplied by
 an independent oracle: crossed homomorphisms of a free product are
 exactly tuples of crossed homomorphisms of the factors, each factor
 space enumerated by brute force.  Checking exactness therefore
-cross-validates the oracle against the per-fiber engine.
+cross-validates the oracle against the per-fiber engine.  A truncation
+(``families.truncate``) is such a family: a ``FamilySpec`` without a
+tail, whose copies of the tail fiber act by the module's ``tail`` action.
 
 A direct sum over the fibers is a plain ``modular.Subquotient`` of the
 concatenated block moduli (``direct_sum``), and ``split_blocks`` cuts its
@@ -64,7 +66,6 @@ from .families import (
     FamilySpec,
     FiberSpec,
     RestrictedAbFamily,
-    TruncatedFamily,
     _is_tail_name,
     abelianize_family,
     normal_closure,
@@ -85,31 +86,28 @@ DEFAULT_ENUM_CAP = 200_000
 @record(frozen=True)
 class FamilyModule:
     """Coefficients for a whole family: one abelian group acted on
-    fiberwise, with at most finitely many nontrivial actions plus a
-    uniform tail action.  Each action is a ``GModule`` over ``coeff``,
-    validated once where it was made and handed to the engines as is;
-    a fiber without one acts trivially."""
+    fiberwise, with finitely many nontrivial actions, keyed by fiber
+    name, the tail's under ``tail``.  Each action is a ``GModule`` over
+    ``coeff``, validated once where it was made and handed to the engines
+    as is; a fiber without one acts trivially."""
 
     coeff: FiniteAbelianGroup
-    exceptional_actions: tuple[tuple[str, GModule], ...] = ()
-    tail_action: GModule | None = None
+    actions: tuple[tuple[str, GModule], ...] = ()
 
     @staticmethod
-    def build(coeff, actions: dict | None = None, tail_action=None) -> "FamilyModule":
+    def build(coeff, actions: dict | None = None) -> "FamilyModule":
         """``actions`` maps fiber names to modules over ``coeff``."""
         acts = tuple(sorted((actions or {}).items()))
-        for name, m in acts + (() if tail_action is None else ((TAIL, tail_action),)):
+        for name, m in acts:
             if not isinstance(m, GModule) or m.coeff != coeff:
                 raise InvariantViolation(f"the action for {name!r} is not a GModule over {coeff.factors}")
-        return FamilyModule(coeff, acts, tail_action)
+        return FamilyModule(coeff, acts)
 
     def action_for(self, name: str) -> GModule | None:
-        for n, a in self.exceptional_actions:
-            if n == name:
-                return a
-        if _is_tail_name(name):
-            return self.tail_action
-        return None
+        """The action stored for ``name``; a truncation's tail copy
+        without one of its own acts by the ``tail`` action."""
+        acts = dict(self.actions)
+        return acts.get(name, acts.get(TAIL) if _is_tail_name(name) else None)
 
     def gmodule(self, fiber: FiberSpec) -> GModule:
         m = self.action_for(fiber.name)
@@ -260,7 +258,7 @@ class OracleH1:
         return self.value.order
 
 
-def _fiber_modules(trunc: TruncatedFamily, module: FamilyModule):
+def _fiber_modules(trunc: FamilySpec, module: FamilyModule):
     return tuple(module.gmodule(f) for f in trunc.fibers)
 
 
@@ -274,12 +272,9 @@ def _principal_tables(m: GModule, vecs) -> tuple:
     return tuple(tuple(map(tuple, t)) for t in tables.tolist())
 
 
-def _require_plain(trunc: TruncatedFamily) -> None:
-    if not trunc.is_plain:
-        raise PreconditionError(
-            "the truncation has a nontrivial pattern beyond the cut; "
-            "formulas require a plain finite free product"
-        )
+def _require_finite(trunc: FamilySpec) -> None:
+    if trunc.tail is not None:
+        raise PreconditionError("formulas need a finite family: truncate the tail first")
 
 
 def fixed_elements(coeff: FiniteAbelianGroup, mods) -> tuple:
@@ -293,13 +288,13 @@ def fixed_elements(coeff: FiniteAbelianGroup, mods) -> tuple:
     return tuple(map(tuple, elems.tolist()))
 
 
-def common_fixed_elements(trunc: TruncatedFamily, module: FamilyModule):
+def common_fixed_elements(trunc: FamilySpec, module: FamilyModule):
     """A^G = intersection of the fiber fixed sets."""
     return fixed_elements(module.coeff, _fiber_modules(trunc, module))
 
 
 def oracle_h1(
-    trunc: TruncatedFamily, module: FamilyModule, cap: int = DEFAULT_ENUM_CAP
+    trunc: FamilySpec, module: FamilyModule, cap: int = DEFAULT_ENUM_CAP
 ) -> OracleH1:
     """H^1 of the free product of the truncation fibers, built once per
     (truncation, module, cap); a refusal is raised again on every call.
@@ -312,8 +307,8 @@ def oracle_h1(
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _oracle_h1(trunc: TruncatedFamily, module: FamilyModule, cap: int) -> OracleH1:
-    _require_plain(trunc)
+def _oracle_h1(trunc: FamilySpec, module: FamilyModule, cap: int) -> OracleH1:
+    _require_finite(trunc)
     a = module.coeff
     mods = _fiber_modules(trunc, module)
     fiber_data = tuple(_fiber_z1(m, cap) for m in mods)
@@ -364,7 +359,7 @@ class FourTermSequence:
 
 
 def four_term_sequence(
-    trunc: TruncatedFamily,
+    trunc: FamilySpec,
     module: FamilyModule,
     cap: int = DEFAULT_COH_CAP,
     enum_cap: int = DEFAULT_ENUM_CAP,
@@ -377,7 +372,7 @@ def four_term_sequence(
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _four_term_sequence(
-    trunc: TruncatedFamily, module: FamilyModule, cap: int, enum_cap: int
+    trunc: FamilySpec, module: FamilyModule, cap: int, enum_cap: int
 ) -> FourTermSequence:
     oracle = oracle_h1(trunc, module, enum_cap)
     a = module.coeff
@@ -791,7 +786,7 @@ def truncation_colimit(
                 "tail quotient must be trivial (closure(U) = G) for truncations "
                 "to be plain finite free products"
             )
-        tail_module = module.gmodule(spec.fibers[-1])
+        tail_module = module.gmodule(spec.tail)
         if not tail_module.is_trivial_action():
             raise PreconditionError(
                 "extend-by-zero transitions require a trivial tail action"
@@ -868,10 +863,9 @@ class SplittingReport:
         return self.retraction_surjective and self.section_found and self.ab_split
 
 
-def restrict_truncation(trunc: TruncatedFamily, names) -> TruncatedFamily:
+def restrict_truncation(trunc: FamilySpec, names) -> FamilySpec:
     keep = set(names)
-    fibers = tuple(f for f in trunc.fibers if f.name in keep)
-    return TruncatedFamily(trunc.base, trunc.level, fibers, trunc.beyond)
+    return FamilySpec(tuple(f for f in trunc.fibers if f.name in keep), None, trunc.prime_set)
 
 
 def section_for(retraction: AbHom) -> AbHom | None:
@@ -899,7 +893,7 @@ def section_for(retraction: AbHom) -> AbHom | None:
 
 
 def splitting_check(
-    trunc: TruncatedFamily,
+    trunc: FamilySpec,
     subset,
     module: FamilyModule,
     cap: int = DEFAULT_COH_CAP,
@@ -912,7 +906,7 @@ def splitting_check(
     abelianization level the block projection must undo the block
     inclusion (:func:`blocks_split`).
     """
-    _require_plain(trunc)
+    _require_finite(trunc)
     subset = tuple(n for n in trunc.names if n in set(subset))
     sub_trunc = restrict_truncation(trunc, subset)
     full = oracle_h1(trunc, module, enum_cap)

@@ -358,9 +358,6 @@ class Subgroup:
                 if g.mul(a, b) not in eset:
                     raise NotASubgroup(f"subgroup not closed under product {a},{b}")
 
-    def __hash__(self):
-        return hash((self.parent, self.elements))
-
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -487,9 +484,6 @@ class GroupHom:
             bad = np.argwhere(f[s.array] != t.array[f[:, None], f])
             a, b = bad[0].tolist()  # the first pair in row-major order
             raise InvariantViolation(f"not a homomorphism at pair ({a},{b})")
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.images))
 
     def apply(self, g: int) -> int:
         return self.images[g]

@@ -42,7 +42,7 @@ independent oracle for the tests.
 
 ``subquotient`` is memoized: the same subgroups are presented many times
 over (rebuilt but equal ``AbSubgroup``s, the quotients of the oracle and
-of the direct-sum charts), so once the moduli are checked and the
+the direct sums over the fibers), so once the moduli are checked and the
 generators stacked, the presentation is looked up in an
 ``lru_cache`` of ``MEMO_SIZE`` entries keyed by the moduli and the
 int64 stacks exactly as given, not reduced.  A hit is therefore exactly

@@ -8,9 +8,12 @@ Family:    {"prime_set": [...],
             "exceptional": {name: {"group": ..., "subgroup_generators": [...]}},
             "tail": {"group": ..., "subgroup_generators": [...]} | null}
            a fiber may give "subgroup_elements" in place of its generators;
-           the name "tail" is reserved for the tail pattern
+           the name "tail" is reserved for the tail pattern, which the
+           family holds as one more fiber of that name
 Module:    {"coeff": {"kind": "ab", ...},
             "actions": {name | "tail": [{"element": g, "matrix": [[...]]}]}}
+           an action is kept under its fiber's name, the tail's under
+           "tail", which also acts on a truncation's copies tail1, tail2, ...
 
 Element indices are zero-based everywhere.  Module actions list matrices
 on a generating set and extend multiplicatively; an empty or missing
@@ -163,8 +166,7 @@ def parse_module(data, spec: FamilySpec) -> FamilyModule:
             act = _parse_action(fiber.group, coeff, entries)
             if act is not None:
                 actions[fiber.name] = act
-        tail_action = actions.pop(TAIL, None)
-        return FamilyModule.build(coeff, actions, tail_action)
+        return FamilyModule.build(coeff, actions)
 
 
 def parse_open_sets(data, spec: FamilySpec) -> list[OpenSetSpec]:

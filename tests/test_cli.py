@@ -231,6 +231,41 @@ def test_colimit_command(tmp_path):
     assert status == 2
 
 
+@pytest.mark.parametrize("command, message", [
+    (
+        ["exact-check", "--truncate", "2"],
+        "the truncation has a nontrivial pattern beyond the cut; "
+        "formulas require a plain finite free product",
+    ),
+    (
+        ["colimit", "--degree", "1", "--truncate", "2"],
+        "tail quotient must be trivial (closure(U) = G) for truncations "
+        "to be plain finite free products",
+    ),
+])
+def test_a_tail_with_a_nontrivial_quotient_is_refused(tmp_path, command, message):
+    # C4 with U = <2>: the tail quotient G/closure(U) is C2
+    spec = tmp_path / "tail.json"
+    spec.write_text(json.dumps({
+        "prime_set": [2],
+        "exceptional": {},
+        "tail": {"group": {"kind": "cyclic", "n": 4}, "subgroup_generators": [2]},
+    }))
+    mod = tmp_path / "m2.json"
+    mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [2]}, "actions": {}}))
+    args = command + ["--spec", str(spec), "--module", str(mod), "--format", "structured"]
+    status, text = run_cli(args)
+    assert status == 2
+    assert json.loads(text) == {
+        "check": command[0],
+        "detail": "",
+        "input_digest": "-",
+        "invariant_factors": {},
+        "result": "error",
+        "witnesses": [message],
+    }
+
+
 def test_a_degree_2_colimit_level_fails_when_the_resolution_engine_disagrees(tmp_path, monkeypatch):
     spec = tmp_path / "tail.json"
     spec.write_text(json.dumps({

@@ -42,6 +42,14 @@ def test_prime_set_enforced(zoo):
             None,
             frozenset({2}),
         )
+    # a group is checked once for all its fibers; the error names the
+    # first fiber that fails
+    c2, c6 = zoo["C2"], zoo["C6"]
+    fibers = [(n, g, gr.trivial_subgroup(g)) for n, g in (("a", c2), ("b", c6), ("c", c6))]
+    with pytest.raises(InvariantViolation, match="fiber b has order divisible by 3"):
+        fam.family(fibers, prime_set={2})
+    with pytest.raises(InvariantViolation, match="fiber tail has order divisible by 3"):
+        fam.family(fibers[:1], tail=(c6, gr.full_subgroup(c6)), prime_set={2})
 
 
 def test_normal_closure_family(zoo):
@@ -192,21 +200,23 @@ def test_truncate(zoo):
     c4, c3 = zoo["C4"], zoo["C3"]
     u2 = gr.subgroup_from_generators(c4, [2])
 
+    # a family without a tail is its own truncation at every level
     spec = fam.family([("a", c4, u2)])
-    t = fam.truncate(spec, 5)
-    assert t.names == ("a",) and t.is_plain
+    assert fam.truncate(spec, 0) == spec
+    assert fam.truncate(spec, 5) is spec
 
     spec = fam.family([("a", c4, u2)], tail=(c3, gr.full_subgroup(c3)))
     t = fam.truncate(spec, 2)
+    assert t.tail is None and t.prime_set == spec.prime_set
     assert t.names == ("a", "tail1", "tail2")
-    assert t.is_plain and t.beyond.is_trivial
+    assert t.fiber("tail2") == fam.FiberSpec("tail2", c3, gr.full_subgroup(c3))
 
+    # C4 / closure(<2>) = C2 lives past every cut
     spec = fam.family([], tail=(c4, u2))
-    t = fam.truncate(spec, 1)
-    assert not t.is_plain
-    assert t.beyond.group.order == 2
+    with pytest.raises(PreconditionError, match="nontrivial pattern beyond the cut"):
+        fam.truncate(spec, 1)
 
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="level"):
         fam.truncate(spec, -1)
 
 
@@ -233,11 +243,9 @@ def test_truncation_embedding_morphism(zoo):
     for n in range(3):
         lo = fam.truncate(spec, n)
         hi = fam.truncate(spec, n + 1)
-        src = fam.FamilySpec(lo.fibers, None, spec.prime_set)
-        tgt = fam.FamilySpec(hi.fibers, None, spec.prime_set)
         mor = fam.FamilyMorphism(
-            src,
-            tgt,
+            lo,
+            hi,
             {f.name: f.name for f in lo.fibers},
             {f.name: gr.identity_hom(f.group) for f in lo.fibers},
         )
@@ -285,6 +293,9 @@ def test_tail_name_is_reserved(zoo):
             fam.family([("tail", c2, gr.full_subgroup(c2))], tail=tail)
     with pytest.raises(InvariantViolation, match="reserved"):
         fam.FamilySpec((fam.FiberSpec("tail", c2, gr.full_subgroup(c2)),), None, frozenset({2}))
+    # and the tail fiber carries it
+    with pytest.raises(InvariantViolation, match="the tail fiber must be named 'tail', not 't'"):
+        fam.FamilySpec((), fam.FiberSpec("t", c3, gr.full_subgroup(c3)), frozenset({3}))
 
 
 def test_fibers_list_the_tail_last_and_split_tail_inverts(zoo):
@@ -313,7 +324,7 @@ def _old_normal_closure_family(spec):
     )
     tl = None
     if spec.tail is not None:
-        tl = fam.TailSpec(spec.tail.group, gr.normal_closure(spec.tail.group, spec.tail.subgroup))
+        tl = fam.FiberSpec("tail", spec.tail.group, gr.normal_closure(spec.tail.group, spec.tail.subgroup))
     return fam.FamilySpec(fibers, tl, spec.prime_set)
 
 
@@ -333,7 +344,7 @@ def _old_quotient_family_morphism(spec, choices, tail_choice=None):
         t = spec.tail
         v = tail_choice if tail_choice is not None else gr.Subgroup(t.group, (t.group.identity,))
         q, proj = gr.quotient_group(t.group, v)
-        tl = fam.TailSpec(q, gr.subgroup_from_generators(q, [proj.apply(x) for x in t.subgroup.elements]))
+        tl = fam.FiberSpec("tail", q, gr.subgroup_from_generators(q, [proj.apply(x) for x in t.subgroup.elements]))
         tail_map = proj
     target = fam.FamilySpec(tuple(fibers), tl, spec.prime_set)
     return target, fiber_maps, tail_map

@@ -154,6 +154,27 @@ def test_equal_inputs_share_one_oracle_and_one_sequence():
         oracle.representatives = ()
 
 
+def test_a_family_without_a_tail_is_its_own_truncation(zoo):
+    c2 = zoo["C2"]
+    spec = fam.family([("a", c2, gr.trivial_subgroup(c2))])
+    module = fp.FamilyModule.build(FAG((2,)))
+    assert fp.oracle_h1(fam.truncate(spec, 0), module) is fp.oracle_h1(spec, module)
+
+
+def test_a_family_with_a_tail_is_refused_until_truncated(zoo):
+    c2, c3 = zoo["C2"], zoo["C3"]
+    spec = fam.family([("a", c2, gr.trivial_subgroup(c2))], tail=(c3, gr.full_subgroup(c3)))
+    module = fp.FamilyModule.build(FAG((3,)))
+    for call in (
+        lambda: fp.oracle_h1(spec, module),
+        lambda: fp.four_term_sequence(spec, module),
+        lambda: fp.splitting_check(spec, ["a"], module),
+    ):
+        with pytest.raises(PreconditionError, match="truncate the tail first"):
+            call()
+    assert fp.check_exactness(fp.four_term_sequence(fam.truncate(spec, 1), module)).passed
+
+
 def test_a_refusal_is_raised_on_every_call_and_never_cached(zoo):
     c2 = zoo["C2"]
     spec = fam.family([("a", c2, gr.full_subgroup(c2))], prime_set=[2])
@@ -375,7 +396,7 @@ def test_truncation_colimit_preconditions(zoo):
         fp.truncation_colimit(bad_tail, fp.FamilyModule.build(FAG((2,))), 1, 2)
     spec = fam.family([], tail=(c2, gr.full_subgroup(c2)))
     acting = fp.FamilyModule.build(
-        FAG((3,)), tail_action=negation_action(c2, FAG((3,)), 1)
+        FAG((3,)), {"tail": negation_action(c2, FAG((3,)), 1)}
     )
     with pytest.raises(PreconditionError):
         fp.truncation_colimit(spec, acting, 1, 2)
@@ -523,7 +544,7 @@ def test_exactness_with_nontrivial_tail_action(zoo):
         [("a", c3, gr.full_subgroup(c3))], tail=(c2, gr.full_subgroup(c2))
     )
     module = fp.FamilyModule.build(
-        FAG((3,)), tail_action=negation_action(c2, FAG((3,)), 1)
+        FAG((3,)), {"tail": negation_action(c2, FAG((3,)), 1)}
     )
     for level in (1, 2, 3):
         trunc = fam.truncate(spec, level)
@@ -580,7 +601,7 @@ def test_family_module_takes_modules_over_its_coefficients(zoo):
     with pytest.raises(InvariantViolation, match="'a' is not a GModule over"):
         fp.FamilyModule.build(FAG((3,)), {"a": (((1,),), ((2,),))})
     with pytest.raises(InvariantViolation, match="'tail' is not a GModule over"):
-        fp.FamilyModule.build(FAG((9,)), tail_action=neg)
+        fp.FamilyModule.build(FAG((9,)), {"tail": neg})
     # a module over C2 stored for a C3 fiber is refused when it is read
     spec = fam.family([("a", c3, gr.trivial_subgroup(c3))])
     module = fp.FamilyModule.build(FAG((3,)), {"a": neg})
@@ -626,7 +647,7 @@ def test_tail_fiber_gets_the_tail_action(zoo):
     )
     neg = negation_action(c2, FAG((3,)), 1)
     for module, want in (
-        (fp.FamilyModule.build(FAG((3,)), tail_action=neg), neg),
+        (fp.FamilyModule.build(FAG((3,)), {"tail": neg}), neg),
         (fp.FamilyModule.build(FAG((3,))), coh.trivial_module(c2, FAG((3,)))),
     ):
         tail, trunc = spec.fibers[-1], fam.truncate(spec, 2)

@@ -226,7 +226,7 @@ def test_module_action_keys_name_fibers_and_tail_names_the_pattern():
     # the tail group is C3; its generator acts on Z/7 as multiplication by 2
     doc = {"coeff": {"kind": "ab", "factors": [7]}, "actions": {"tail": [{"element": 1, "matrix": [[2]]}]}}
     module = serialize.parse_module(doc, spec)
-    assert module.exceptional_actions == () and module.tail_action is not None
+    assert [name for name, _ in module.actions] == ["tail"]
     assert module.gmodule(spec.fibers[-1]).action.tolist() == [[[1]], [[2]], [[4]]]
     no_tail = serialize.parse_family(dict(VALID_FAMILY, tail=None))
     with pytest.raises(SpecFileError, match="tail action given for a family without tail"):
