@@ -18,7 +18,7 @@ from . import formulas as fp
 from . import records
 from .cohomology import DEFAULT_COH_CAP
 from .errors import CorprodError, SpecFileError
-from .families import check_tower, truncate, validate_family
+from .families import TAIL, check_tower, truncate, validate_family
 from .formulas import DEFAULT_ENUM_CAP
 from .reports import CheckRecord, Report, record
 from .serialize import (
@@ -72,10 +72,8 @@ def _family_module_and_digest(cfg: RunConfig):
 
 def cmd_validate(cfg: RunConfig) -> Report:
     spec, digest = _family_and_digest(cfg)
-    validation = validate_family(spec)
     rep = Report()
-    infos = list(validation.fibers) + ([validation.tail] if validation.tail else [])
-    for info in infos:
+    for info in validate_family(spec):
         rep.add(
             record(
                 f"validate-{info.name}",
@@ -92,7 +90,7 @@ def cmd_abelianize(cfg: RunConfig) -> Report:
     spec, digest = _family_and_digest(cfg)
     fam = fp.abelianization_formula(spec)
     rep = Report()
-    for name, pair in fam.pairs():
+    for name, pair in fam.pairs:
         rep.add(
             record(
                 f"abelianize-{name}",
@@ -112,26 +110,19 @@ def cmd_cohomology(cfg: RunConfig) -> Report:
     spec, module, digest = _family_module_and_digest(cfg)
     rep = Report()
     if cfg.degree >= 3:
-        formula = fp.high_degree_formula(spec, module, cfg.degree, cfg.cap)
-        for name, g in formula.summands:
+        for name, g in fp.high_degree_formula(spec, module, cfg.degree, cfg.cap):
             rep.add(
                 record(
-                    f"h{cfg.degree}-{name}", digest, True, factors=[("value", g.factors)]
-                )
-            )
-        if formula.tail_summand is not None:
-            rep.add(
-                record(
-                    f"h{cfg.degree}-tail",
+                    f"h{cfg.degree}-{name}",
                     digest,
                     True,
-                    factors=[("value", formula.tail_summand.factors)],
-                    detail="one summand per tail index",
+                    factors=[("value", g.factors)],
+                    detail="one summand per tail index" if name == TAIL else "",
                 )
             )
         return rep
     fam = fp.h_formula(spec, module, cfg.degree, cfg.cap)
-    for name, pair in fam.pairs():
+    for name, pair in fam.pairs:
         rep.add(
             record(
                 f"h{cfg.degree}-{name}",
@@ -189,8 +180,7 @@ def cmd_duality_check(cfg: RunConfig) -> Report:
             detail=f"flavors {fam.flavor} -> {dual.flavor} -> {double.flavor}",
         )
     )
-    for name, pair in fam.pairs():
-        dpair = dict(dual.pairs())[name]
+    for (name, pair), (_, dpair) in zip(fam.pairs, dual.pairs):
         rep.add(
             record(
                 f"duality-annihilator-{name}",

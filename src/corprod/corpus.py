@@ -249,14 +249,14 @@ def duality_record(inst: CorpusInstance) -> CheckRecord:
     double = fp.dualize_family(dual)
     ok = double.same_as(abf) and dual.flavor == "discretized"
     law = all(
-        pair.order * dict(dual.pairs())[name].order == pair.ambient.order
-        for name, pair in abf.pairs()
+        pair.order * dpair.order == pair.ambient.order
+        for (_, pair), (_, dpair) in zip(abf.pairs, dual.pairs)
     )
     return record(
         "duality-involution",
         inst.digest,
         ok and law,
-        factors=[(name, p.ambient.factors) for name, p in abf.pairs()],
+        factors=[(name, p.ambient.factors) for name, p in abf.pairs],
     )
 
 

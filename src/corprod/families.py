@@ -8,8 +8,9 @@ star, and tail to tail; towers are chains of such morphisms.
 
 The tail pattern is one more fiber, named ``tail``: ``FamilySpec.fibers``
 lists the exceptional fibers and then it, a per-fiber computation is
-one loop over that list, and ``FamilySpec.split_tail`` turns values
-listed in that order back into (exceptional values, tail value).  A
+one loop over that list, and every per-fiber result is one name-keyed
+tuple in that order, the tail's entry under ``tail``.  A morphism keys
+the tail's map by ``tail`` too, and the tail maps to the tail.  A
 truncation is an ordinary finite ``FamilySpec``: the exceptional fibers
 and copies of the tail fiber named ``tail1``, ``tail2``, ...  The name
 ``tail`` is reserved for the tail pattern, and ``summary`` for the
@@ -107,16 +108,10 @@ class FamilySpec:
         """The exceptional fibers, then the tail fiber."""
         return self.exceptional if self.tail is None else self.exceptional + (self.tail,)
 
-    def split_tail(self, values) -> tuple[tuple, object]:
-        """Values listed in ``fibers`` order as (the exceptional values, the
-        tail value or None)."""
-        values = tuple(values)
-        n = len(self.exceptional)
-        return values[:n], values[n] if self.tail is not None else None
-
     def with_fibers(self, fibers) -> "FamilySpec":
         """The family on new fibers listed in ``fibers`` order."""
-        return FamilySpec(*self.split_tail(fibers), self.prime_set)
+        fibers, n = tuple(fibers), len(self.exceptional)
+        return FamilySpec(fibers[:n], fibers[n] if self.tail is not None else None, self.prime_set)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -157,14 +152,9 @@ class FiberClosureInfo:
     closure_elements: tuple[int, ...]
 
 
-@record(frozen=True)
-class FamilyValidation:
-    fibers: tuple[FiberClosureInfo, ...]
-    tail: FiberClosureInfo | None
-
-
-def validate_family(spec: FamilySpec) -> FamilyValidation:
-    """Check the family invariants and report the normal closures.
+def validate_family(spec: FamilySpec) -> tuple[FiberClosureInfo, ...]:
+    """Check the family invariants and report the normal closures, one
+    entry per fiber in ``fibers`` order.
 
     Structural violations raise at construction time; this reports the
     derived data (which U_t are already normal, their closures).
@@ -175,7 +165,7 @@ def validate_family(spec: FamilySpec) -> FamilyValidation:
         infos.append(
             FiberClosureInfo(f.name, f.subgroup.is_normal(), cl.order, cl.elements)
         )
-    return FamilyValidation(*spec.split_tail(infos))
+    return tuple(infos)
 
 
 def normal_closure_family(spec: FamilySpec) -> FamilySpec:
@@ -197,10 +187,11 @@ FLAVORS = ("plain", "discretized", "compactified")
 
 @record(frozen=True)
 class RestrictedAbFamily:
-    """Family (A_t, B_t) of subgroups B_t <= A_t with a topological flavor tag."""
+    """Family (A_t, B_t) of subgroups B_t <= A_t with a topological flavor
+    tag: one (name, B_t) pair per fiber in ``fibers`` order, the tail's
+    under ``tail``."""
 
-    exceptional: tuple[tuple[str, AbSubgroup], ...]
-    tail: AbSubgroup | None
+    pairs: tuple[tuple[str, AbSubgroup], ...]
     flavor: str
 
     def __post_init__(self):
@@ -208,20 +199,13 @@ class RestrictedAbFamily:
             raise InvariantViolation(f"unknown flavor {self.flavor}")
 
     def same_as(self, other: "RestrictedAbFamily") -> bool:
-        """Same flavor, names and tail presence, and fiber by fiber the
-        same subgroup of the same group."""
+        """Same flavor and fiber names, the tail's included, and fiber by
+        fiber the same subgroup of the same group."""
         return (
             self.flavor == other.flavor
-            and [n for n, _ in self.exceptional] == [n for n, _ in other.exceptional]
-            and (self.tail is None) == (other.tail is None)
-            and all(a.same_subgroup(b) for (_, a), (_, b) in zip(self.pairs(), other.pairs()))
+            and [n for n, _ in self.pairs] == [n for n, _ in other.pairs]
+            and all(a.same_subgroup(b) for (_, a), (_, b) in zip(self.pairs, other.pairs))
         )
-
-    def pairs(self):
-        out = list(self.exceptional)
-        if self.tail is not None:
-            out.append(("tail", self.tail))
-        return out
 
 
 def abelianize_family(spec: FamilySpec) -> RestrictedAbFamily:
@@ -232,8 +216,7 @@ def abelianize_family(spec: FamilySpec) -> RestrictedAbFamily:
         a, proj = f.group.abelianization
         return AbSubgroup(a, tuple(sorted(set(proj.apply(x) for x in f.subgroup.elements))))
 
-    exc, tl = spec.split_tail(pair(f) for f in spec.fibers)
-    return RestrictedAbFamily(tuple(zip(spec.names, exc)), tl, "compactified")
+    return RestrictedAbFamily(tuple((f.name, pair(f)) for f in spec.fibers), "compactified")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +237,7 @@ def quotient_family_morphism(
 ) -> tuple[FamilySpec, "FamilyMorphism"]:
     picks = {**choices, TAIL: tail_choice}
     fibers = []
-    maps = []
+    maps = {}
     for f in spec.fibers:
         v = picks.get(f.name)
         if v is None:
@@ -264,17 +247,9 @@ def quotient_family_morphism(
             q, [proj.apply(x) for x in f.subgroup.elements]
         )
         fibers.append(FiberSpec(f.name, q, u_image))
-        maps.append(proj)
+        maps[f.name] = proj
     target = spec.with_fibers(fibers)
-    fiber_maps, tail_map = spec.split_tail(maps)
-    morphism = FamilyMorphism(
-        spec,
-        target,
-        {n: n for n in spec.names},
-        dict(zip(spec.names, fiber_maps)),
-        tail_map,
-    )
-    return target, morphism
+    return target, FamilyMorphism(spec, target, {n: n for n in spec.names}, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -285,46 +260,45 @@ def quotient_family_morphism(
 @record(frozen=True)
 class FamilyMorphism:
     """Morphism of families: exceptional names map to names or to the
-    star; tails map to tails uniformly; the star maps to the star."""
+    star; the tail maps to the tail uniformly; the star maps to the star.
+    ``fiber_maps`` is keyed by source fiber name, the tail's by ``tail``."""
 
     source: FamilySpec
     target: FamilySpec
     index_map: dict[str, str] = field(hash=False)
     fiber_maps: dict[str, GroupHom] = field(hash=False)
-    tail_map: GroupHom | None = None
 
     def __post_init__(self):
-        src_names = set(self.source.names)
-        tgt_names = set(self.target.names)
-        if set(self.index_map) != src_names:
+        if set(self.index_map) != set(self.source.names):
             raise InvariantViolation("index map must cover the exceptional names")
-        for name, tgt in self.index_map.items():
-            f = self.source.fiber(name)
-            if tgt == STAR:
-                if name in self.fiber_maps:
-                    hom = self.fiber_maps[name]
-                    if hom.target.order != 1:
-                        raise InvariantViolation(
-                            f"{name} maps to the star but its fiber map is not trivial"
-                        )
-                continue
-            if tgt not in tgt_names:
-                raise InvariantViolation(f"unknown target fiber {tgt}")
+        sources = _by_name(self.source)
+        targets = _by_name(self.target)
+        for name, tgt in self.target_of.items():
             hom = self.fiber_maps.get(name)
+            if tgt == STAR:
+                if hom is not None and hom.target.order != 1:
+                    raise InvariantViolation(
+                        f"{name} maps to the star but its fiber map is not trivial"
+                    )
+                continue
+            # exceptional fibers map to exceptional fibers, the tail to the tail
+            if tgt not in targets or (tgt == TAIL) != (name == TAIL):
+                raise InvariantViolation(f"unknown target fiber {tgt}")
             if hom is None:
                 raise InvariantViolation(f"missing fiber map for {name}")
-            if hom.source != f.group or hom.target != self.target.fiber(tgt).group:
+            if hom.source != sources[name].group or hom.target != targets[tgt].group:
                 raise InvariantViolation(f"fiber map for {name} has wrong type")
-        if self.source.tail is not None:
-            if self.target.tail is None:
-                raise InvariantViolation("tail cannot map into a finite family")
-            if self.tail_map is None:
-                raise InvariantViolation("missing tail map")
-            if (
-                self.tail_map.source != self.source.tail.group
-                or self.tail_map.target != self.target.tail.group
-            ):
-                raise InvariantViolation("tail map has wrong type")
+
+    @property
+    def target_of(self) -> dict[str, str]:
+        """The target of every source fiber, in index-map order and then
+        the tail, which maps to the tail."""
+        tail = {TAIL: TAIL} if self.source.tail is not None else {}
+        return {**self.index_map, **tail}
+
+
+def _by_name(spec: FamilySpec) -> dict[str, FiberSpec]:
+    return {f.name: f for f in spec.fibers}
 
 
 def identity_morphism(spec: FamilySpec) -> FamilyMorphism:
@@ -334,8 +308,7 @@ def identity_morphism(spec: FamilySpec) -> FamilyMorphism:
         spec,
         spec,
         {n: n for n in spec.names},
-        {n: identity_hom(spec.fiber(n).group) for n in spec.names},
-        identity_hom(spec.tail.group) if spec.tail else None,
+        {f.name: identity_hom(f.group) for f in spec.fibers},
     )
 
 
@@ -361,30 +334,24 @@ def morphism_predicates(m: FamilyMorphism) -> MorphismPredicates:
     and openness of the index map for one-point-compactified shapes."""
     strict = True
     surjective = True
-    for name, tgt in m.index_map.items():
-        f = m.source.fiber(name)
+    sources = _by_name(m.source)
+    targets = _by_name(m.target)
+    for name, tgt in m.target_of.items():
+        f = sources[name]
         if tgt == STAR:
             # the star fiber is trivial with U_* = {*}
             if set(f.subgroup.elements) != set(range(f.group.order)):
                 strict = False
             continue
         hom = m.fiber_maps[name]
-        pre = hom.preimage(m.target.fiber(tgt).subgroup.elements)
+        pre = hom.preimage(targets[tgt].subgroup.elements)
         if set(pre) != set(f.subgroup.elements):
             strict = False
         if not hom.is_surjective():
             surjective = False
-    if m.source.tail is not None:
-        pre = m.tail_map.preimage(m.target.tail.subgroup.elements)
-        if set(pre) != set(m.source.tail.subgroup.elements):
-            strict = False
-        if not m.tail_map.is_surjective():
-            surjective = False
-    # total-space surjectivity: every target fiber must be reached
-    covered = {t for t in m.index_map.values() if t != STAR}
-    if set(m.target.names) - covered:
-        surjective = False
-    if m.target.tail is not None and m.source.tail is None:
+    # total-space surjectivity: every target fiber, the tail's included,
+    # must be reached
+    if set(targets) - set(m.target_of.values()):
         surjective = False
 
     star_unique = all(t != STAR for t in m.index_map.values())

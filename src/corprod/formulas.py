@@ -543,51 +543,38 @@ class RestrictedSummary:
 
 
 def summarize_family(fam: RestrictedAbFamily) -> RestrictedSummary:
-    exc_order = 1
-    for _, pair in fam.exceptional:
-        exc_order *= pair.ambient.order
-    if fam.tail is None:
+    pairs = dict(fam.pairs)
+    tail = pairs.pop(TAIL, None)
+    exc_order = math.prod(pair.ambient.order for pair in pairs.values())
+    if tail is None:
         return RestrictedSummary(False, exc_order, None, True, exc_order)
-    tail_pair = (fam.tail.ambient.factors, fam.tail.structure.factors)
-    direct = fam.tail.order == 1
-    finite = exc_order if fam.tail.ambient.order == 1 else None
-    return RestrictedSummary(True, exc_order, tail_pair, direct, finite)
+    tail_pair = (tail.ambient.factors, tail.structure.factors)
+    finite = exc_order if tail.ambient.order == 1 else None
+    return RestrictedSummary(True, exc_order, tail_pair, tail.order == 1, finite)
 
 
 def h_formula(
     spec: FamilySpec, module: FamilyModule, degree: int, cap: int = DEFAULT_COH_CAP
 ) -> RestrictedAbFamily:
-    """Per-fiber pairs (H^deg(G_t, A), H^deg_nr(G_t, A)): the right-hand
-    side of the structure theorem, flavored as a discretized product."""
+    """Per-fiber pairs (H^deg(G_t, A), H^deg_nr(G_t, A)) in ``fibers``
+    order, the tail's under ``tail``: the right-hand side of the structure
+    theorem, flavored as a discretized product."""
     if degree not in (1, 2):
         raise PreconditionError("the pair formula is stated for degrees 1 and 2")
-
-    exc, tail = spec.split_tail(
-        unramified_subgroup(f.group, f.subgroup, module.gmodule(f), degree, cap).subgroup
+    pairs = tuple(
+        (f.name, unramified_subgroup(f.group, f.subgroup, module.gmodule(f), degree, cap).subgroup)
         for f in spec.fibers
     )
-    return RestrictedAbFamily(tuple(zip(spec.names, exc)), tail, "discretized")
-
-
-@record(frozen=True)
-class HighDegreeFormula:
-    degree: int
-    summands: tuple[tuple[str, FiniteAbelianGroup], ...]
-    tail_summand: FiniteAbelianGroup | None
-
-    @property
-    def description(self) -> str:
-        parts = [f"{name}: {g.describe()}" for name, g in self.summands]
-        if self.tail_summand is not None:
-            parts.append(f"each tail index: {self.tail_summand.describe()}")
-        return "direct sum over T of [" + "; ".join(parts) + "]"
+    return RestrictedAbFamily(pairs, "discretized")
 
 
 def high_degree_formula(
     spec: FamilySpec, module: FamilyModule, degree: int, cap: int = DEFAULT_COH_CAP
-) -> HighDegreeFormula:
+) -> tuple[tuple[str, FiniteAbelianGroup], ...]:
     """H^i for i >= 3 decomposes as the direct sum of the fiber groups,
-    provided every tail quotient G_t/closure(U_t) is trivial.
+    provided every tail quotient G_t/closure(U_t) is trivial: one (name,
+    H^i(G_t, A)) summand per fiber in ``fibers`` order, the tail's under
+    ``tail`` standing for one summand per tail index.
 
     A nontrivial finite quotient has cohomology in arbitrarily high
     degrees, so requiring cohomological dimension <= 1 of the quotients
@@ -608,10 +595,7 @@ def high_degree_formula(
             "finite quotient cannot have cohomological dimension <= 1, so "
             "the direct-sum formula does not apply"
         )
-    summands, tail = spec.split_tail(
-        resolution_cohomology(module.gmodule(f), degree, cap) for f in spec.fibers
-    )
-    return HighDegreeFormula(degree, tuple(zip(spec.names, summands)), tail)
+    return tuple((f.name, resolution_cohomology(module.gmodule(f), degree, cap)) for f in spec.fibers)
 
 
 def abelianization_formula(spec: FamilySpec) -> RestrictedAbFamily:
@@ -625,10 +609,8 @@ def dualize_family(fam: RestrictedAbFamily) -> RestrictedAbFamily:
     """Fiberwise Pontryagin duality: (A, B) becomes (A^, ann B), and the
     compactified/discretized flavors swap."""
     flip = {"plain": "plain", "compactified": "discretized", "discretized": "compactified"}
-
-    exc = tuple((name, annihilator(b.ambient, b.gens)) for name, b in fam.exceptional)
-    tail = annihilator(fam.tail.ambient, fam.tail.gens) if fam.tail is not None else None
-    return RestrictedAbFamily(exc, tail, flip[fam.flavor])
+    pairs = tuple((name, annihilator(b.ambient, b.gens)) for name, b in fam.pairs)
+    return RestrictedAbFamily(pairs, flip[fam.flavor])
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +774,11 @@ def truncation_colimit(
                 "extend-by-zero transitions require a trivial tail action"
             )
 
-    truncs = [truncate(spec, n) for n in range(n_max + 1)]
+    # every level is a prefix of the deepest truncation, so truncate checks the tail once
+    deepest, base = truncate(spec, n_max), len(spec.exceptional)
+    truncs = [
+        FamilySpec(deepest.exceptional[: base + n], None, spec.prime_set) for n in range(n_max + 1)
+    ]
     if degree == 1:
         # every oracle before any sequence, so the enumeration cap refuses
         # first; each sequence then finds its level's oracle in the memo
@@ -985,8 +971,8 @@ def corestriction_compare(spec: FamilySpec, smaller: FamilySpec) -> Corestrictio
     if (spec.tail is None) != (smaller.tail is None):
         raise PreconditionError("tail presence differs")
     out = []
-    big_pairs = dict(abelianize_family(spec).pairs())
-    small_pairs = dict(abelianize_family(smaller).pairs())
+    big_pairs = dict(abelianize_family(spec).pairs)
+    small_pairs = dict(abelianize_family(smaller).pairs)
     for f_big, f_small in zip(spec.fibers, smaller.fibers):
         name = f_big.name
         if f_big.group != f_small.group:

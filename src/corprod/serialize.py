@@ -203,12 +203,12 @@ def parse_morphism(data, source: FamilySpec, target: FamilySpec) -> FamilyMorphi
                 continue
             tgt = target.fiber(tgt_name).group
             fiber_maps[str(name)] = GroupHom(src, tgt, _ints(images))
-        tail_map = None
         if data.get("tail_map") is not None:
-            tail_map = GroupHom(
-                source.tail.group, target.tail.group, _ints(data["tail_map"])
-            )
-        return FamilyMorphism(source, target, index_map, fiber_maps, tail_map)
+            for side, level in (("source", source), ("target", target)):
+                if level.tail is None:
+                    raise SpecFileError(f"tail map given, but the {side} family has no tail")
+            fiber_maps[TAIL] = GroupHom(source.tail.group, target.tail.group, _ints(data["tail_map"]))
+        return FamilyMorphism(source, target, index_map, fiber_maps)
 
 
 def parse_tower(data, cap: int = DEFAULT_ORDER_CAP) -> Tower:

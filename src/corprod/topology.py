@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 
 from .errors import InvariantViolation
-from .families import FamilyMorphism, FamilySpec, MorphismPredicates, STAR, morphism_predicates
+from .families import TAIL, FamilyMorphism, FamilySpec, MorphismPredicates, STAR, morphism_predicates
 from .records import field, record
 
 
@@ -125,14 +125,14 @@ def preimage_spec(m: FamilyMorphism, v: OpenSetSpec) -> OpenSetSpec:
             )
         else:
             parts[name] = frozenset(m.fiber_maps[name].preimage(v.part(tgt)))
-    tail_default: frozenset = frozenset()
-    tail_exceptions: dict[int, frozenset] = {}
-    if m.source.tail is not None:
-        tail_default = frozenset(m.tail_map.preimage(v.tail_default))
-        tail_exceptions = {
-            i: frozenset(m.tail_map.preimage(p)) for i, p in v.tail_exceptions.items()
-        }
-    return OpenSetSpec(m.source, parts, tail_default, tail_exceptions, v.contains_star)
+    if m.source.tail is None:
+        # a finite source has no tail slices, whatever the target's are
+        return OpenSetSpec(m.source, parts, contains_star=v.contains_star)
+    tail = m.fiber_maps[TAIL]
+    tail_exceptions = {i: frozenset(tail.preimage(p)) for i, p in v.tail_exceptions.items()}
+    return OpenSetSpec(
+        m.source, parts, frozenset(tail.preimage(v.tail_default)), tail_exceptions, v.contains_star
+    )
 
 
 @record(frozen=True)

@@ -72,13 +72,13 @@ def test_criterion_3_duality():
                 for _ in range(rng.randint(0, 3))
             )
             named.append((f"f{i}", AbSubgroup(a, gens)))
-        family_obj = fam.RestrictedAbFamily(tuple(named), None, "compactified")
+        family_obj = fam.RestrictedAbFamily(tuple(named), "compactified")
         dual = fp.dualize_family(family_obj)
         double = fp.dualize_family(dual)
         assert dual.flavor == "discretized" and double.flavor == "compactified"
         assert double.same_as(family_obj)
-        for name, pair in family_obj.pairs():
-            dpair = dict(dual.pairs())[name]
+        for name, pair in family_obj.pairs:
+            dpair = dict(dual.pairs)[name]
             assert pair.order * dpair.order == pair.ambient.order
             pairs_checked += 1
     report(3, "duality involution and annihilator law", time.time() - start, 5)
@@ -241,7 +241,7 @@ def test_criterion_9_topology_predicates(zoo):
     tgt = fam.family(
         [("b", c2, gr.full_subgroup(c2))], tail=(c3, gr.full_subgroup(c3))
     )
-    bad = fam.FamilyMorphism(spec, tgt, {"a": "*"}, {}, gr.identity_hom(c3))
+    bad = fam.FamilyMorphism(spec, tgt, {"a": "*"}, {"tail": gr.identity_hom(c3)})
     cert = topo.open_map_certificate(bad)
     assert not cert.certified_open
     assert set(cert.failures) >= {"not strict", "star preimage is not unique"}
@@ -253,8 +253,7 @@ def test_criterion_9_topology_predicates(zoo):
         [("b", c4, gr.full_subgroup(c4))], tail=(c3, gr.full_subgroup(c3))
     )
     inc = fam.FamilyMorphism(
-        inc_src, inc_tgt, {"b": "b"}, {"b": gr.GroupHom(c2, c4, (0, 2))},
-        gr.identity_hom(c3),
+        inc_src, inc_tgt, {"b": "b"}, {"b": gr.GroupHom(c2, c4, (0, 2)), "tail": gr.identity_hom(c3)},
     )
     cert = topo.open_map_certificate(inc)
     assert not cert.certified_open and "not fibrewise surjective" in cert.failures

@@ -46,20 +46,8 @@ def module_file(tmp_path):
 
 
 def run_cli(args):
-    cfg_parser = cli.build_parser()
-    parsed = cfg_parser.parse_args(args)
-    cfg = cli.RunConfig(
-        command=parsed.command,
-        spec_path=parsed.spec_path,
-        module_path=parsed.module_path,
-        degree=parsed.degree,
-        truncate=parsed.truncate,
-        seed=parsed.seed,
-        cap=parsed.cap,
-        out=parsed.out,
-        fmt=parsed.fmt,
-    )
-    return cli.run(cfg)
+    """Status and report of one CLI call, configured as ``cli.main`` does."""
+    return cli.run(cli.RunConfig(**vars(cli.build_parser().parse_args(args))))
 
 
 def test_exact_check_worked_instance(family_file, module_file):
@@ -316,6 +304,48 @@ def test_tower_check_command(tmp_path):
     path.write_text(json.dumps(tower))
     status, text = run_cli(["tower-check", "--spec", str(path)])
     assert status == 0 and "tower-certificate" in text
+
+
+C2_TAIL = {"group": {"kind": "cyclic", "n": 2}, "subgroup_generators": [1]}
+
+
+def _c2_tower_check(tmp_path, upper_tail, lower_tail, transition):
+    """tower-check on a 2-level C2 tower, the upper level mapping to the lower."""
+    def level(tail):
+        return {
+            "prime_set": [2],
+            "exceptional": {"a": {"group": {"kind": "cyclic", "n": 2}, "subgroup_generators": [1]}},
+            "tail": tail,
+        }
+    path = tmp_path / "tower.json"
+    tower = {"levels": [level(lower_tail), level(upper_tail)], "transitions": [transition]}
+    path.write_text(json.dumps(tower))
+    return run_cli(["tower-check", "--spec", str(path), "--format", "structured"])
+
+
+IDENTITY_A = {"index_map": {"a": "a"}, "fiber_maps": {"a": [0, 1]}}
+
+
+@pytest.mark.parametrize("upper_tail, lower_tail, message", [
+    (None, None, "tail map given, but the source family has no tail"),
+    (C2_TAIL, None, "tail map given, but the target family has no tail"),
+    (None, C2_TAIL, "tail map given, but the source family has no tail"),
+])
+def test_a_tail_map_for_a_family_without_tail_is_refused(tmp_path, upper_tail, lower_tail, message):
+    status, text = _c2_tower_check(tmp_path, upper_tail, lower_tail, {**IDENTITY_A, "tail_map": [0, 1]})
+    assert status == 2
+    assert json.loads(text)["witnesses"] == [message]
+
+
+@pytest.mark.parametrize("upper_tail, lower_tail, message", [
+    # the tail's map is checked in the loop over the fibers, under the name tail
+    (C2_TAIL, None, "invalid morphism: unknown target fiber tail"),
+    (C2_TAIL, C2_TAIL, "invalid morphism: missing fiber map for tail"),
+])
+def test_a_tail_without_its_map_is_refused(tmp_path, upper_tail, lower_tail, message):
+    status, text = _c2_tower_check(tmp_path, upper_tail, lower_tail, IDENTITY_A)
+    assert status == 2
+    assert json.loads(text)["witnesses"] == [message]
 
 
 def test_topo_check_command(tmp_path):

@@ -20,13 +20,13 @@ def test_validate_examples(zoo):
     c4 = zoo["C4"]
     spec = fam.family([("a", c4, gr.subgroup_from_generators(c4, [2]))])
     v = fam.validate_family(spec)
-    assert v.fibers[0].already_normal
+    assert v[0].already_normal
 
     d4 = zoo["D4"]
     sub = gr.subgroup_from_generators(d4, [d4_reflection(d4)])
     v = fam.validate_family(fam.family([("a", d4, sub)]))
-    assert not v.fibers[0].already_normal
-    assert v.fibers[0].closure_order == 4
+    assert not v[0].already_normal
+    assert v[0].closure_order == 4
 
 
 def test_invalid_subgroup_rejected(zoo):
@@ -75,7 +75,7 @@ def test_abelianize_family_examples(zoo):
     )
     raf = fam.abelianize_family(spec)
     assert raf.flavor == "compactified"
-    pairs = dict(raf.exceptional)
+    pairs = dict(raf.pairs)
     assert pairs["a"].ambient.factors == (4,)
     assert pairs["a"].structure.factors == (2,)
     assert pairs["b"].ambient.factors == (2,)
@@ -86,7 +86,7 @@ def test_abelianize_family_examples(zoo):
         x for x in range(27) if all(h27.mul(x, y) == h27.mul(y, x) for y in range(27))
     )
     raf = fam.abelianize_family(fam.family([("h", h27, gr.Subgroup(h27, center))]))
-    pair = dict(raf.exceptional)["h"]
+    pair = dict(raf.pairs)["h"]
     assert pair.ambient.factors == (3, 3)
     assert pair.structure.factors == ()  # the center dies in G^ab
 
@@ -129,7 +129,7 @@ def test_morphism_predicates(zoo):
 
     # collapsing a non-star fiber onto the star
     tgt = fam.family([("b", c2, gr.full_subgroup(c2))], tail=(c3, gr.full_subgroup(c3)))
-    mor = fam.FamilyMorphism(spec, tgt, {"a": "*"}, {}, gr.identity_hom(c3))
+    mor = fam.FamilyMorphism(spec, tgt, {"a": "*"}, {"tail": gr.identity_hom(c3)})
     preds = fam.morphism_predicates(mor)
     assert not preds.star_unique_preimage
     assert not preds.index_map_open  # image of the singleton {a} is {*}
@@ -149,6 +149,26 @@ def test_morphism_predicates(zoo):
     mor2 = fam.FamilyMorphism(dspec, dtgt2, {"a": "a"}, {"a": hom})
     preds2 = fam.morphism_predicates(mor2)
     assert preds2.fibrewise_surjective and preds2.strict
+
+
+def test_the_tail_map_is_checked_as_the_fiber_named_tail(zoo):
+    c2, c3 = zoo["C2"], zoo["C3"]
+    full = gr.full_subgroup(c3)
+    spec = fam.family([("a", c3, full)], tail=(c3, full))
+    ident = fam.identity_morphism(spec)
+    assert ident.target_of == {"a": "a", "tail": "tail"}
+    assert ident.fiber_maps == {"a": gr.identity_hom(c3), "tail": gr.identity_hom(c3)}
+    finite = fam.family([("a", c3, full)])
+    with pytest.raises(InvariantViolation, match="^unknown target fiber tail$"):
+        fam.FamilyMorphism(spec, finite, {"a": "a"}, {"a": gr.identity_hom(c3)})
+    with pytest.raises(InvariantViolation, match="^missing fiber map for tail$"):
+        fam.FamilyMorphism(spec, spec, {"a": "a"}, {"a": gr.identity_hom(c3)})
+    wrong = {"a": gr.identity_hom(c3), "tail": gr.identity_hom(c2)}
+    with pytest.raises(InvariantViolation, match="^fiber map for tail has wrong type$"):
+        fam.FamilyMorphism(spec, spec, {"a": "a"}, wrong)
+    # an exceptional fiber does not map to the tail pattern
+    with pytest.raises(InvariantViolation, match="^unknown target fiber tail$"):
+        fam.FamilyMorphism(spec, spec, {"a": "tail"}, ident.fiber_maps)
 
 
 def test_index_map_open_finite_into_infinite(zoo):
@@ -179,7 +199,7 @@ def test_towers(zoo):
         tail=(c3, gr.full_subgroup(c3)),
     )
     hom = gr.GroupHom(c4, zoo["C2"], (0, 1, 0, 1))
-    mor = fam.FamilyMorphism(upper, lower, {"a": "a"}, {"a": hom}, gr.identity_hom(c3))
+    mor = fam.FamilyMorphism(upper, lower, {"a": "a"}, {"a": hom, "tail": gr.identity_hom(c3)})
     cert = fam.check_tower(fam.Tower((lower, upper), (mor,)))
     assert cert.passed
 
@@ -189,7 +209,7 @@ def test_towers(zoo):
         [("a", zoo["C2"], gr.trivial_subgroup(zoo["C2"]))],
         tail=(c3, gr.full_subgroup(c3)),
     )
-    bad = fam.FamilyMorphism(bad_src, spec, {"a": "a"}, {"a": inc}, gr.identity_hom(c3))
+    bad = fam.FamilyMorphism(bad_src, spec, {"a": "a"}, {"a": inc, "tail": gr.identity_hom(c3)})
     cert = fam.check_tower(fam.Tower((spec, bad_src), (bad,)))
     assert not cert.passed
     assert any("surjective" in f for f in cert.failures)
@@ -272,7 +292,7 @@ def test_abelianize_trivial_family():
     t = gr.trivial_group()
     spec = fam.family([("a", t, gr.trivial_subgroup(t))], prime_set={2})
     raf = fam.abelianize_family(spec)
-    pair = dict(raf.exceptional)["a"]
+    pair = dict(raf.pairs)["a"]
     assert pair.ambient.factors == () and pair.structure.factors == ()
 
 
@@ -298,7 +318,7 @@ def test_tail_name_is_reserved(zoo):
         fam.FamilySpec((), fam.FiberSpec("t", c3, gr.full_subgroup(c3)), frozenset({3}))
 
 
-def test_fibers_list_the_tail_last_and_split_tail_inverts(zoo):
+def test_fibers_list_the_tail_last_and_with_fibers_inverts(zoo):
     c2, c4, v4 = zoo["C2"], zoo["C4"], zoo["V4"]
     exc = [("b", c4, gr.trivial_subgroup(c4)), ("a", c2, gr.full_subgroup(c2))]
     tail_u = gr.subgroup_from_generators(v4, [1])
@@ -310,9 +330,11 @@ def test_fibers_list_the_tail_last_and_split_tail_inverts(zoo):
     assert with_tail.fibers[:2] == with_tail.exceptional
     assert with_tail.fibers[-1] == fam.FiberSpec("tail", v4, tail_u)
 
-    assert with_tail.split_tail(f.name for f in with_tail.fibers) == (("b", "a"), "tail")
-    assert without.split_tail(f.name for f in without.fibers) == (("b", "a"), None)
     assert with_tail.with_fibers(with_tail.fibers) == with_tail
+    # the last of the new fibers is the new tail
+    full_u = fam.FiberSpec("tail", v4, gr.full_subgroup(v4))
+    swapped = with_tail.with_fibers(with_tail.exceptional + (full_u,))
+    assert swapped.exceptional == with_tail.exceptional and swapped.tail == full_u
     assert without.with_fibers(without.fibers) == without
 
 
@@ -369,5 +391,5 @@ def test_closure_and_quotient_with_a_tail_match_the_old_loops(zoo):
             target, fiber_maps, tail_map = _old_quotient_family_morphism(spec, choices, tc)
             new_target, mor = fam.quotient_family_morphism(spec, choices, tc)
             assert new_target == target
-            assert mor.fiber_maps == fiber_maps and mor.tail_map == tail_map
+            assert mor.fiber_maps == ({**fiber_maps, "tail": tail_map} if tail_map else fiber_maps)
             assert mor.index_map == {n: n for n in spec.names}

@@ -250,27 +250,27 @@ def test_h_formula(zoo):
     spec = fam.family([], tail=(c3, gr.full_subgroup(c3)))
     out = fp.h_formula(spec, fp.FamilyModule.build(FAG((3,))), 1)
     assert out.flavor == "discretized"
-    assert out.tail.ambient.factors == (3,)
-    assert out.tail.structure.factors == ()
+    assert dict(out.pairs)["tail"].ambient.factors == (3,)
+    assert dict(out.pairs)["tail"].structure.factors == ()
     assert fp.summarize_family(out).is_direct_sum
 
     v4 = zoo["V4"]
     spec = fam.family([], tail=(v4, gr.subgroup_from_generators(v4, [2])))
     out = fp.h_formula(spec, fp.FamilyModule.build(FAG((2,))), 1)
-    assert out.tail.ambient.factors == (2, 2)
-    assert out.tail.structure.factors == (2,)
+    assert dict(out.pairs)["tail"].ambient.factors == (2, 2)
+    assert dict(out.pairs)["tail"].structure.factors == (2,)
     assert not fp.summarize_family(out).is_direct_sum
 
     empty = fam.family([], prime_set={2})
     out = fp.h_formula(empty, fp.FamilyModule.build(FAG((2,))), 1)
-    assert out.exceptional == () and out.tail is None
+    assert out.pairs == ()
 
 
 def test_h_formula_degree2(zoo):
     c4 = zoo["C4"]
     spec = fam.family([("a", c4, gr.subgroup_from_generators(c4, [2]))])
     out = fp.h_formula(spec, fp.FamilyModule.build(FAG((2,))), 2)
-    pair = dict(out.exceptional)["a"]
+    pair = dict(out.pairs)["a"]
     assert pair.ambient.factors == (2,)
     # the degree-2 inflation H^2(C4/<2>, Z/2) -> H^2(C4, Z/2) is zero:
     # in the five-term sequence the restriction H^1(C4) -> H^1(<2>) is
@@ -279,11 +279,11 @@ def test_h_formula_degree2(zoo):
     # sanity: with the full subgroup the quotient is trivial, nr = 0,
     # and with the trivial subgroup nr is everything
     full = fam.family([("a", c4, gr.full_subgroup(c4))])
-    assert dict(fp.h_formula(full, fp.FamilyModule.build(FAG((2,))), 2).exceptional)[
+    assert dict(fp.h_formula(full, fp.FamilyModule.build(FAG((2,))), 2).pairs)[
         "a"
     ].structure.factors == ()
     triv = fam.family([("a", c4, gr.trivial_subgroup(c4))])
-    assert dict(fp.h_formula(triv, fp.FamilyModule.build(FAG((2,))), 2).exceptional)[
+    assert dict(fp.h_formula(triv, fp.FamilyModule.build(FAG((2,))), 2).pairs)[
         "a"
     ].structure.factors == (2,)
 
@@ -292,9 +292,9 @@ def test_high_degree_formula(zoo):
     c2 = zoo["C2"]
     spec = fam.family([], tail=(c2, gr.full_subgroup(c2)))
     out = fp.high_degree_formula(spec, fp.FamilyModule.build(FAG((2,))), 3)
-    assert out.tail_summand.factors == (2,)
+    assert [(name, g.factors) for name, g in out] == [("tail", (2,))]
     out = fp.high_degree_formula(spec, fp.FamilyModule.build(FAG((3,))), 3)
-    assert out.tail_summand.factors == ()
+    assert [(name, g.factors) for name, g in out] == [("tail", ())]
 
     c4 = zoo["C4"]
     bad = fam.family([("a", c4, gr.subgroup_from_generators(c4, [2]))])
@@ -310,7 +310,7 @@ def test_abelianization_formula_and_duality(zoo):
     )
     abf = fp.abelianization_formula(spec)
     assert abf.flavor == "compactified"
-    pairs = dict(abf.pairs())
+    pairs = dict(abf.pairs)
     assert pairs["a"].ambient.factors == (4,)
     assert pairs["a"].structure.factors == (2,)
     assert pairs["tail"].ambient.factors == (2,)
@@ -318,11 +318,11 @@ def test_abelianization_formula_and_duality(zoo):
     dual = fp.dualize_family(abf)
     assert dual.flavor == "discretized"
     assert fp.dualize_family(dual).same_as(abf)
-    for name, pair in abf.pairs():
-        dpair = dict(dual.pairs())[name]
+    for name, pair in abf.pairs:
+        dpair = dict(dual.pairs)[name]
         assert pair.order * dpair.order == pair.ambient.order
     # plain stays plain
-    plain = fp.RestrictedAbFamily(abf.exceptional, abf.tail, "plain")
+    plain = fp.RestrictedAbFamily(abf.pairs, "plain")
     assert fp.dualize_family(plain).flavor == "plain"
 
 
@@ -631,10 +631,10 @@ def test_abelianization_formula_plain_finite_sum(zoo):
         [("a", c4, gr.trivial_subgroup(c4)), ("b", c2, gr.trivial_subgroup(c2))]
     )
     abf = fp.abelianization_formula(spec)
-    pairs = dict(abf.exceptional)
+    pairs = dict(abf.pairs)
     assert pairs["a"].ambient.factors == (4,) and pairs["a"].structure.factors == ()
     assert pairs["b"].ambient.factors == (2,) and pairs["b"].structure.factors == ()
-    total = fp.direct_sum([p.ambient.factors for _, p in abf.exceptional])
+    total = fp.direct_sum([p.ambient.factors for _, p in abf.pairs])
     assert total.factors == (2, 4)
 
 

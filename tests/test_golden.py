@@ -12,6 +12,7 @@ group shows up here even when every check still passes.
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -122,3 +123,108 @@ def test_colimit_transitions_match_their_digests(degree):
     system = fp.truncation_colimit(spec, module, degree, 3)
     assert system.passed
     assert _hom_digest(system.transitions) == TRANSITION_DIGESTS[degree]
+
+
+# A family with a tail: S3 with the non-normal U = <(0 1)> acting on Z/6 by
+# the sign, a trivially acted C3 with U = C3, and a C2 tail with U = C2.
+# Every per-fiber report lists the tail last, as the fiber named tail.
+S3 = {"kind": "perm", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+TAIL_FAMILY = {
+    "prime_set": [2, 3],
+    "exceptional": {
+        "a": {"group": S3, "subgroup_generators": [1]},
+        "b": {"group": {"kind": "cyclic", "n": 3}, "subgroup_generators": [1]},
+    },
+    "tail": {"group": {"kind": "cyclic", "n": 2}, "subgroup_generators": [1]},
+}
+TAIL_MODULE = {
+    "coeff": {"kind": "ab", "factors": [6]},
+    "actions": {"a": [{"element": 1, "matrix": [[-1]]}, {"element": 2, "matrix": [[1]]}]},
+}
+# the same fibers with U_b = 1 and U_tail = 1: nontrivial unramified parts,
+# a tail pair that is not a direct sum, and a degree-3 refusal
+SMALL_U_FAMILY = {
+    **TAIL_FAMILY,
+    "exceptional": {
+        "a": TAIL_FAMILY["exceptional"]["a"],
+        "b": {"group": {"kind": "cyclic", "n": 3}, "subgroup_generators": []},
+    },
+    "tail": {"group": {"kind": "cyclic", "n": 2}, "subgroup_generators": []},
+}
+# level 0 holds U_tail = 1, so the tail breaks strictness of transition 0
+TAIL_TOWER = {
+    "levels": [
+        {**TAIL_FAMILY, "tail": SMALL_U_FAMILY["tail"]},
+        TAIL_FAMILY,
+        TAIL_FAMILY,
+    ],
+    "transitions": [
+        {
+            "index_map": {"a": "a", "b": "b"},
+            "fiber_maps": {"a": list(range(6)), "b": [0, 1, 2]},
+            "tail_map": [0, 1],
+        }
+    ] * 2,
+}
+TAIL_TOPOLOGY = {
+    "family": TAIL_FAMILY,
+    "open_sets": [
+        {"exceptional_parts": {"a": [0, 1]}, "tail_default": [0, 1], "contains_star": True},
+        {"exceptional_parts": {"b": [2]}, "tail_default": [1], "tail_exceptions": {"1": [0, 1]}},
+        {"tail_default": [0], "tail_exceptions": {"2": [0, 1]}, "contains_star": True},
+    ],
+}
+
+# sha256 of the text and the structured report of each command on the
+# families above: (command arguments, exit status, text digest, structured digest)
+TAIL_REPORT_DIGESTS = [
+    (["validate", "--spec", "@family"], 0, "b531ec27ffcc8676dded533f34ff3e5482a36c7be2cd1462d7bfaecc8edcc76c", "c62a18ef7eb2fbea8d9276d83c208cea9f158e00615fe171f989f5d7e33c1165"),
+    (["abelianize", "--spec", "@family"], 0, "13eacf3271ef803933a0e0ca1f65268b3991cbcf1bd431682e4df71d5102c743", "681f47b7718b9f3553cd25a9499e09a94c2262df34e6c3599dc641157774c9ae"),
+    (["duality-check", "--spec", "@family"], 0, "d2c696cff5402dbe298a6cea7df854e3c402095564d1253f6390c803f22fb0cd", "78b0b445975d822d0d7c29e695925246cf4d4c82397196fd70332b4cfda4e297"),
+    (["cross-check", "--spec", "@family"], 0, "9c194afd4bef0e9cd982b6b8dda6d7da8c33c8716e3c3ee449444650e7c347a1", "21f55c0572d7872f779923f61d2ee3fac33932ec72480bb1ae3ac2b90d45282a"),
+    (["cohomology", "--spec", "@family", "--module", "@module", "--degree", "1"], 0, "754fed235d0123dd6b54e9a997e1bb0fa2137e809695b0593d7165c78147db17", "4e97d0c82f8739d00fc0e0e0b76441683527aadf289bcbda407269aae284f788"),
+    (["cohomology", "--spec", "@family", "--module", "@module", "--degree", "2"], 0, "782d5a1fc4bbea4c770daf7c2a5b51a730a201a388d433c0521ab44deacfad46", "598154b248d1f9b7c9cc80f5dce4ea99c1dc3945c94b6a962b7c0e857cf5e1d5"),
+    (["cohomology", "--spec", "@family", "--module", "@module", "--degree", "3"], 0, "055a94df9a43ec305aeafe76d05dc9f0b6a948c9e8996a50190770628b75bfd0", "8f7d9afbfd71f0e97353801b27088b5c0e0074637611a7e849d98438731f5bf5"),
+    (["tower-check", "--spec", "@tower"], 1, "de4f5466817c2157a39be2ad47f67f11233b93fbe20f0ea87bfc0ba34ee40cda", "317836c1fe3ed46e96be503a3cf31ac8c9475d28e53da1f9b6ad332da6174ab0"),
+    (["topo-check", "--spec", "@topo"], 1, "964bcd157d7670a1fadcc99903e0d02c17587a85ac2f1034fa2a70cf95efc432", "e2126aa8784a3b3433fe3ae3ab96428934ebab5f5c9879dbceedb12b4ead7230"),
+    (["validate", "--spec", "@small"], 0, "1d263a60f99cc521082885d2c1612d4b5dd3278aaa91c299f1d609ee6f3ca0c4", "0a5ae9accce9f9f453d99cddb91a08866876b097030febabe2ce166284a5cda2"),
+    (["abelianize", "--spec", "@small"], 0, "831b7b677d79b1a58a20f73e859913e6dafd6bdf6c0dccfd732be03f338c6c1a", "3b0f691d0ba1e518440210016dc70bc78707e7dac5355711bf2c60baea0fc87a"),
+    (["duality-check", "--spec", "@small"], 0, "c96f6e085610ccd9cf4e2d34250e9618b9a0f81545d811d0f366d2d02a312399", "91074a68fc2f30f90f381fb3429e02338bab660c9b974adc47bf76560be0118a"),
+    (["cross-check", "--spec", "@small"], 0, "a49905bf2bd0c53fef0063cd647e566bfe30cc59ba8df051737350c4b253b8af", "57c06dd82674ae09d8b91953d2056f9a7525ef335f1bbf4502af0317795cfe31"),
+    (["cohomology", "--spec", "@small", "--module", "@module", "--degree", "1"], 0, "1645db003a9c99f19573107e1a2df18522a9cceb572fc437fd2b48ade05ec3e0", "1055ff5bf0e237bc22813667233b0699e609e101e9ecfc551aed7ef762ce8722"),
+    (["cohomology", "--spec", "@small", "--module", "@module", "--degree", "2"], 0, "483ec2bd9322e89470869cfa0e601e4e2e922542560aa3a2a01b0ff8c20c2537", "67ecbd2976679190fb099af91e6ef05578133bf52878efce998e1985332c8e79"),
+    (["cohomology", "--spec", "@small", "--module", "@module", "--degree", "3"], 2, "635deca9b41d2e91bea2eff6b9dbe0370bc77e7c9ebab3e1b3d1ed2a84dec1cf", "0ac1193f34c345355b89d54f9d6595ad4cfb935b7c1ca8371a6e0f482c1284c7"),
+]
+
+
+TAIL_INPUTS = {
+    "family": TAIL_FAMILY, "small": SMALL_U_FAMILY, "module": TAIL_MODULE,
+    "tower": TAIL_TOWER, "topo": TAIL_TOPOLOGY,
+}
+
+
+def _tail_argv(args, tmp_path):
+    """``args`` with each ``@name`` replaced by a file holding ``TAIL_INPUTS[name]``."""
+    argv = []
+    for arg in args:
+        if arg.startswith("@"):
+            path = tmp_path / f"{arg[1:]}.json"
+            path.write_text(json.dumps(TAIL_INPUTS[arg[1:]]))
+            arg = str(path)
+        argv.append(arg)
+    return argv
+
+
+@pytest.mark.parametrize(
+    "args, status, text_digest, structured_digest",
+    TAIL_REPORT_DIGESTS,
+    ids=["-".join(a.lstrip("@") for a in row[0] if not a.startswith("--")) for row in TAIL_REPORT_DIGESTS],
+)
+def test_family_with_a_tail_reports_match_their_digests(args, status, text_digest, structured_digest, tmp_path):
+    argv = _tail_argv(args, tmp_path)
+    digests = []
+    for fmt in ("text", "structured"):
+        got_status, rendered = cli.run(cli.RunConfig(**vars(cli.build_parser().parse_args(argv + ["--format", fmt]))))
+        assert got_status == status
+        digests.append(hashlib.sha256(rendered.encode()).hexdigest())
+    assert digests == [text_digest, structured_digest]

@@ -122,7 +122,7 @@ def test_open_map_certificates(tail_family, zoo):
         [("b", zoo["C2"], gr.full_subgroup(zoo["C2"]))],
         tail=(c3, gr.full_subgroup(c3)),
     )
-    mor = fam.FamilyMorphism(tail_family, tgt, {"a": "*"}, {}, gr.identity_hom(c3))
+    mor = fam.FamilyMorphism(tail_family, tgt, {"a": "*"}, {"tail": gr.identity_hom(c3)})
     cert = topo.open_map_certificate(mor)
     assert not cert.certified_open
     assert "not strict" in cert.failures
@@ -187,7 +187,7 @@ def test_preimage_through_star_collapse(tail_family, zoo):
     tgt = fam.family(
         [("b", c2, gr.full_subgroup(c2))], tail=(c3, gr.full_subgroup(c3))
     )
-    mor = fam.FamilyMorphism(tail_family, tgt, {"a": "*"}, {}, gr.identity_hom(c3))
+    mor = fam.FamilyMorphism(tail_family, tgt, {"a": "*"}, {"tail": gr.identity_hom(c3)})
     with_star = topo.OpenSetSpec(tgt, {"b": {0}}, frozenset(range(3)), {}, True)
     pre = topo.preimage_spec(mor, with_star)
     assert pre.part("a") == frozenset(range(4))  # everything lands on the star
