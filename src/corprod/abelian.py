@@ -89,11 +89,6 @@ class FiniteAbelianGroup:
             n = n * (d // gcd(x, d)) // gcd(n, d // gcd(x, d))
         return n
 
-    def describe(self) -> str:
-        if not self.factors:
-            return "0"
-        return " + ".join(f"Z/{d}" for d in self.factors)
-
 
 TRIVIAL = FiniteAbelianGroup(())
 

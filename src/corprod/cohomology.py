@@ -60,7 +60,7 @@ from .errors import (
     SizeCapExceeded,
     VerificationFailure,
 )
-from .groups import FiniteGroup, Subgroup, normal_closure, quotient_group
+from .groups import FiniteGroup, Subgroup, normal_closure, quotient_group, spanning_tree
 from .lattice import Matrix, Vector
 from .presentation import FreePresentation, free_presentation
 from .records import field, record
@@ -172,19 +172,11 @@ def module_from_generator_matrices(
         gens[g] = np.array(reduced, dtype=np.int64).reshape(r, r)
     acts = np.zeros((n, r, r), dtype=np.int64)
     acts[group.identity] = np.eye(r, dtype=np.int64)
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, mg in gens.items():
-                y = group.mul(x, g)
-                if y not in seen:
-                    acts[y] = np.mod(acts[x] @ mg, fac)
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(seen) < n:
+    mats = list(gens.values())
+    tree = spanning_tree(group, list(gens))
+    for x, s, y in tree:
+        acts[y] = np.mod(acts[x] @ mats[s], fac)
+    if len(tree) + 1 < n:
         raise PreconditionError(
             "the provided action elements do not generate the group"
         )
@@ -278,10 +270,6 @@ def _check_weight(order: int, rank: int, degree: int, cap: int) -> None:
         )
 
 
-def _coprime_shortcut(m: GModule) -> bool:
-    return gcd(m.group.order, m.coeff.exponent) == 1
-
-
 def _cochains(m: GModule, degree: int, stack) -> np.ndarray:
     """Any integer array-like of shape (count,) + (|G|,)*degree + (r,) as
     a stack of reduced int64 cochains."""
@@ -335,6 +323,11 @@ def cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> Cohomolog
 @lru_cache(maxsize=MEMO_SIZE)
 def _cohomology_cached(m: GModule, degree: int, cap: int) -> CohomologyGroup:
     _check_cap(m, degree, cap)
+    # |G| kills H^d and so does exp(A): the group is 0 when they are
+    # coprime, which A = 0 (exponent 1) and G = 1 are too
+    if gcd(m.group.order, m.coeff.exponent) == 1:
+        zero = FiniteAbelianGroup(())
+        return CohomologyGroup(degree, zero, (), m, lambda cocycles: ((),) * len(cocycles))
     if degree == 1:
         return _h1(m)
     return _h2(m)
@@ -346,10 +339,6 @@ def _h1(m: GModule) -> CohomologyGroup:
     r = a.rank
     k = len(pres.gens)
     col_moduli = a.factors * k
-
-    if _coprime_shortcut(m) or r == 0 or g.order == 1:
-        value = FiniteAbelianGroup(())
-        return CohomologyGroup(1, value, (), m, lambda cocycles: ((),) * len(cocycles))
 
     # row (e, i), column (s, j): the cocycle condition on the edge n_e
     rows = _derivation_sums(m, pres).transpose(0, 2, 1, 3).reshape(pres.rank * r, k * r)
@@ -384,10 +373,6 @@ def _h2(m: GModule) -> CohomologyGroup:
     r = a.rank
     rho = pres.rank
     col_moduli = a.factors * rho
-
-    if _coprime_shortcut(m) or r == 0 or g.order == 1:
-        value = FiniteAbelianGroup(())
-        return CohomologyGroup(2, value, (), m, lambda cocycles: ((),) * len(cocycles))
 
     # solution space: G-equivariant homs from the relation module to A
     # row (s, e, i), column (e2, j): conj_s[e][e2] [i == j] - [e == e2] action[s][i][j]

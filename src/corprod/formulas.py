@@ -71,7 +71,7 @@ from .families import (
     normal_closure,
     truncate,
 )
-from .groups import EnumeratedAbelianStructure, abelian_structure_from_elements
+from .groups import EnumeratedAbelianStructure, abelian_structure_from_elements, spanning_tree
 from .lattice import Vector, identity_matrix, vec_mat, vec_mod
 from .records import field, record
 
@@ -173,9 +173,14 @@ def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP) -> FiberZ1:
     """All crossed homomorphisms f: G -> A by exhaustive search on
     generator values, independent of the engines.  The assignments are
     taken in ``itertools.product`` order, in chunks of ``_Z1_CHUNK_BYTES``
-    of tables; a chunk fills its tables along one BFS spanning tree of the
-    Cayley graph by f(xs) = f(x) + x.f(s) and keeps the rows where every
-    edge satisfies that identity."""
+    of tables; a chunk fills its tables along ``spanning_tree(G,
+    G.generators)`` by f(xs) = f(x) + x.f(s) and keeps the rows where every
+    edge of the Cayley graph satisfies that identity.
+
+    The tree is group data, like ``G.generators``, which the engines'
+    Schreier presentation reads too; the search shares nothing else with
+    them.  A wrong tree could not yield a false cocycle, since the kept
+    rows are checked on every edge, tree or not."""
     g, a, gens = m.group, m.coeff, m.group.generators
     k, n, r = len(gens), g.order, a.rank
     # with no generators the search is one assignment, but A is still listed
@@ -184,15 +189,7 @@ def _fiber_z1(m: GModule, cap: int = DEFAULT_ENUM_CAP) -> FiberZ1:
         raise SizeCapExceeded(
             f"{n_candidates} generator assignments exceed the enumeration cap"
         )
-    # the tree edges (x, s, xs) in BFS order; the list grows while it is read
-    reached, seen, tree = [g.identity], {g.identity}, []
-    for x in reached:
-        for s, gelt in enumerate(gens):
-            y = g.mul(x, gelt)
-            if y not in seen:
-                reached.append(y)
-                seen.add(y)
-                tree.append((x, s, y))
+    tree = spanning_tree(g, gens)
     radix, mods = a.factors * k, np.array(a.factors, dtype=np.int64)
     total, step = a.order**k, max(1, _Z1_CHUNK_BYTES // (8 * n * max(r, 1)))
     cocycles, values = [], []

@@ -11,6 +11,11 @@ bulk readers gather from; ``mul`` and scalar loops read the tuples, whose
 Python ints reach witnesses.  Homomorphisms are checked on generators, as
 module actions are, and G/N is built once per (G, N).  Plain
 ``np.unique(x)`` is avoided: its first call imports ``numpy.ma``.
+
+Every breadth-first walk of a Cayley graph is :func:`spanning_tree`: the
+closure of a list of elements, the Schreier transversal of
+``presentation``, the extension of a module action from generators and
+the crossed-hom oracle's table fill all read its edges.
 """
 
 from __future__ import annotations
@@ -112,13 +117,6 @@ class FiniteGroup:
             x = self.mul(x, g)
             n += 1
         return n
-
-    def power(self, g: int, k: int) -> int:
-        k %= self.element_order(g)
-        x = self.identity
-        for _ in range(k):
-            x = self.mul(x, g)
-        return x
 
 
 def validate_cayley_table(table, identity: int = 0) -> None:
@@ -370,9 +368,6 @@ class Subgroup:
         member[list(self.elements)] = True
         return bool(member[_conjugates(self.parent, self.elements)].all())
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
 
 def _conjugates(g: FiniteGroup, elements) -> np.ndarray:
     """x a x^-1 at [x, i] for every x of g and the i-th of ``elements``."""
@@ -380,20 +375,27 @@ def _conjugates(g: FiniteGroup, elements) -> np.ndarray:
     return g.array[g.array[:, list(elements)], inv[:, None]]
 
 
+def spanning_tree(g: FiniteGroup, elems) -> list[tuple[int, int, int]]:
+    """The edges (x, s, x*elems[s]) of the breadth-first spanning tree
+    from the identity of the Cayley graph of <elems>, in the order they
+    are found: each reached x tries the in-range indices ``elems`` in the
+    order given, and each element of <elems> but the identity ends
+    exactly one edge."""
+    reached, seen, tree = [g.identity], {g.identity}, []
+    for x in reached:  # grows while it is read
+        row = g.table[x]
+        for s, e in enumerate(elems):
+            y = row[e]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+                tree.append((x, s, y))
+    return tree
+
+
 def _closure(g: FiniteGroup, gens: list[int]) -> set[int]:
-    # the elements generated by in-range indices, by breadth-first search
-    closure = {g.identity}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = g.mul(x, s)
-                if y not in closure:
-                    closure.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return closure
+    # the elements generated by in-range indices
+    return {g.identity, *(y for _, _, y in spanning_tree(g, gens))}
 
 
 def subgroup_from_generators(g: FiniteGroup, gens) -> Subgroup:

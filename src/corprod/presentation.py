@@ -1,19 +1,21 @@
 """Free presentations of finite groups via Schreier transversals.
 
 For a finite group G with generating set S, take the free group F on S
-and the kernel N of F -> G.  A breadth-first spanning tree of the Cayley
-graph yields a Schreier transversal {w_g}; the non-tree edges (g, s)
-give a free basis n_{g,s} = w_g s w_{gs}^{-1} of N.  The abelianized
-kernel is then a free Z-module on the non-tree edges, with G acting by
-conjugation, and every word of N rewrites to an integer vector over the
-edge basis (Reidemeister rewriting).
+and the kernel N of F -> G.  The breadth-first spanning tree of the
+Cayley graph (``groups.spanning_tree``) yields a Schreier transversal
+{w_g}; the non-tree edges (g, s), in row-major order, give a free basis
+n_{g,s} = w_g s w_{gs}^{-1} of N.  The abelianized kernel is then a free
+Z-module on the non-tree edges, with G acting by conjugation, and every
+word of N rewrites to an integer vector over the edge basis
+(Reidemeister rewriting).
 
 Degree-1 and degree-2 cohomology both reduce to small linear systems
 over this data, which is how the package stays fast at desk scale.  The
 bulk consumers read it as cached int64 arrays: the derivation terms of
 every edge word, the walk along every transversal word, the edges that
 every pair of transversal words crosses and the conjugation action of the
-generators on the edges.
+generators on the edges.  One array indexes the edges: ``_edge_of[x, s]``
+is the index of edge (x, s), or -1 on the tree.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import MEMO_SIZE, VerificationFailure
-from .groups import FiniteGroup
+from .groups import FiniteGroup, spanning_tree
 from .records import record
 
 Word = tuple[int, ...]  # +(i+1) = generator i, -(i+1) = its inverse
@@ -37,10 +39,8 @@ def _invert_word(w: Word) -> Word:
 class FreePresentation:
     group: FiniteGroup
     gens: tuple[int, ...]
-    coset_word: tuple[Word, ...]          # element -> tree word
-    edges: tuple[tuple[int, int], ...]    # non-tree (element, gen index)
-    edge_index: dict
-    tree_edges: frozenset
+    coset_word: tuple[Word, ...]          # element -> its word along the tree
+    edges: tuple[tuple[int, int], ...]    # the non-tree (element, gen index), row-major
 
     @property
     def rank(self) -> int:
@@ -54,22 +54,20 @@ class FreePresentation:
 
         The word must evaluate to the identity in the group.
         """
-        g = self.group
+        g, edge_of = self.group, self._edge_of
         vec = [0] * len(self.edges)
         cur = g.identity
         for letter in word:
             if letter > 0:
                 s = letter - 1
-                key = (cur, s)
-                if key not in self.tree_edges:
-                    vec[self.edge_index[key]] += 1
+                if (e := edge_of[cur, s]) >= 0:
+                    vec[e] += 1
                 cur = g.mul(cur, self.gens[s])
             else:
                 s = -letter - 1
                 prev = g.mul(cur, g.inv[self.gens[s]])
-                key = (prev, s)
-                if key not in self.tree_edges:
-                    vec[self.edge_index[key]] -= 1
+                if (e := edge_of[prev, s]) >= 0:
+                    vec[e] -= 1
                 cur = prev
         if cur != g.identity:
             raise ValueError("word does not lie in the kernel")
@@ -200,32 +198,15 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=MEMO_SIZE)
 def free_presentation(group: FiniteGroup) -> FreePresentation:
     gens = group.generators
-    n = group.order
-    coset_word: list[Word | None] = [None] * n
-    coset_word[group.identity] = ()
+    coset_word: list[Word] = [()] * group.order
     tree = set()
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s, gelt in enumerate(gens):
-                y = group.mul(x, gelt)
-                if coset_word[y] is None:
-                    coset_word[y] = coset_word[x] + (s + 1,)
-                    tree.add((x, s))
-                    nxt.append(y)
-        frontier = nxt
+    for x, s, y in spanning_tree(group, gens):
+        coset_word[y] = coset_word[x] + (s + 1,)
+        tree.add((x, s))
     edges = tuple(
         (x, s)
-        for x in range(n)
+        for x in range(group.order)
         for s in range(len(gens))
         if (x, s) not in tree
     )
-    return FreePresentation(
-        group,
-        gens,
-        tuple(coset_word),  # type: ignore[arg-type]
-        edges,
-        {e: i for i, e in enumerate(edges)},
-        frozenset(tree),
-    )
+    return FreePresentation(group, gens, tuple(coset_word), edges)

@@ -144,10 +144,12 @@ def _parse_action(group: FiniteGroup, coeff: FiniteAbelianGroup, entries):
     if not entries:
         return None
     with _refused_as("invalid module action", "malformed module action"):
-        mats = {
-            _int(e["element"]): tuple(_ints(row) for row in e["matrix"])
-            for e in entries
-        }
+        mats = {}
+        for e in entries:
+            g = _int(e["element"])
+            if g in mats:
+                raise ValueError(f"element {g} is listed twice")
+            mats[g] = tuple(_ints(row) for row in e["matrix"])
         module = module_from_generator_matrices(group, coeff, mats)
     return None if module.is_trivial_action() else module
 
@@ -200,6 +202,7 @@ def parse_morphism(data, source: FamilySpec, target: FamilySpec) -> FamilyMorphi
             src = source.fiber(str(name)).group
             tgt_name = index_map[str(name)]
             if tgt_name == "*":
+                _ints(images)  # a fiber sent to * keeps no map, but its entry is read
                 continue
             tgt = target.fiber(tgt_name).group
             fiber_maps[str(name)] = GroupHom(src, tgt, _ints(images))

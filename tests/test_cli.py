@@ -348,6 +348,26 @@ def test_a_tail_without_its_map_is_refused(tmp_path, upper_tail, lower_tail, mes
     assert json.loads(text)["witnesses"] == [message]
 
 
+def test_a_star_mapped_fiber_map_is_read_before_it_is_skipped(tmp_path):
+    # a fiber sent to * has no map in the morphism, but its entry must still be integers
+    transition = {"index_map": {"a": "*"}, "fiber_maps": {"a": ["x", 7.5, True]}}
+    status, text = _c2_tower_check(tmp_path, None, None, transition)
+    assert status == 2
+    assert json.loads(text)["witnesses"] == ["malformed morphism: expected an integer, got 'x'"]
+
+
+@pytest.mark.parametrize("first, second", [([[1]], [[-1]]), ([[-1]], [[1]]), ([[-1]], [[-1]])])
+def test_an_action_listing_an_element_twice_is_refused(tmp_path, family_file, first, second):
+    mod = tmp_path / "twice.json"
+    entries = [{"element": 1, "matrix": first}, {"element": 1, "matrix": second}]
+    mod.write_text(json.dumps({**MODULE, "actions": {**MODULE["actions"], "a": entries}}))
+    status, text = run_cli(
+        ["exact-check", "--spec", family_file, "--module", str(mod), "--format", "structured"]
+    )
+    assert status == 2
+    assert json.loads(text)["witnesses"] == ["malformed module action: element 1 is listed twice"]
+
+
 def test_topo_check_command(tmp_path):
     data = {
         "family": {

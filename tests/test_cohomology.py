@@ -594,6 +594,26 @@ def test_size_cap(zoo):
         coh.cohomology(m, 0)
 
 
+def test_the_zero_answer_follows_the_cap_and_builds_no_presentation(zoo, monkeypatch):
+    # |G| coprime to exp(A), A = 0 and G = 1 all give 0 with no presentation,
+    # but only after the cap has been checked
+    for coeff in (FAG((2,)), FAG(())):
+        with pytest.raises(SizeCapExceeded):
+            coh.cohomology(coh.trivial_module(zoo["Heis27"], coeff), 2, cap=10)
+
+    def refuse(g):
+        raise AssertionError("built a presentation")
+
+    monkeypatch.setattr(coh, "free_presentation", refuse)
+    c7 = gr.cyclic_group(7)
+    for g, coeff in ((c7, FAG((4,))), (c7, FAG(())), (gr.trivial_group(), FAG((5,)))):
+        m = coh.trivial_module(g, coeff)
+        for degree in (1, 2):
+            h = coh.cohomology(m, degree)
+            assert (h.value.factors, h.representatives) == ((), ())
+            assert h.classify(np.zeros((g.order,) * degree + (coeff.rank,), dtype=np.int64)) == ()
+
+
 def test_module_from_generator_matrices_requires_generation(zoo):
     with pytest.raises(PreconditionError):
         coh.module_from_generator_matrices(zoo["C4"], FAG((3,)), {2: ((-1,),)})

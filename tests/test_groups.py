@@ -357,6 +357,48 @@ def test_generating_set_matches_the_reference_loop(zoo):
         assert gr.generating_set(g) == reference_generating_set(g), name
 
 
+def check_spanning_tree(g, elems):
+    """The tree against the level sets of the Cayley graph of <elems>."""
+    depth, level, d = {g.identity: 0}, {g.identity}, 0
+    while level:
+        level, d = {g.mul(x, e) for x in level for e in elems} - depth.keys(), d + 1
+        depth.update((y, d) for y in level)
+    tree = gr.spanning_tree(g, elems)
+    ends = [y for _, _, y in tree]
+    assert all(y == g.mul(x, elems[s]) for x, s, y in tree)
+    assert sorted(ends) == sorted(depth.keys() - {g.identity})
+    reached = [g.identity, *ends]
+    # breadth-first: ends by depth, and each end from the earliest reached
+    # element, by the first index, that leads to it
+    assert [depth[y] for y in ends] == sorted(depth[y] for y in ends)
+    assert all(depth[y] == depth[x] + 1 for x, _, y in tree)
+    assert [(reached.index(x), s) for x, s, _ in tree] == sorted(
+        (reached.index(x), s) for x, s, _ in tree
+    )
+    for x, s, y in tree:
+        firsts = [
+            (i, t) for i, z in enumerate(reached[: reached.index(y)])
+            for t, e in enumerate(elems) if g.mul(z, e) == y
+        ]
+        assert firsts[0] == (reached.index(x), s)
+    return tree
+
+
+def test_spanning_tree(zoo):
+    for g in zoo.values():
+        assert len(check_spanning_tree(g, list(g.generators))) == g.order - 1
+        every = check_spanning_tree(g, list(range(g.order)))
+        assert every == [(g.identity, x, x) for x in range(1, g.order)]
+    d4, heis = zoo["D4"], zoo["Heis27"]
+    # non-generating lists, lists with repeats, the empty list
+    for x in range(1, d4.order):
+        assert len(check_spanning_tree(d4, [x])) == d4.element_order(x) - 1
+    assert len(check_spanning_tree(heis, [heis.generators[0]] * 3)) == 2
+    gens = list(heis.generators)
+    assert check_spanning_tree(heis, gens + gens + [gens[0]]) == gr.spanning_tree(heis, gens)
+    assert check_spanning_tree(d4, []) == []
+
+
 def test_generators_and_abelianization_are_computed_once(monkeypatch):
     from corprod.cohomology import trivial_module
     from corprod.abelian import FiniteAbelianGroup as FAG

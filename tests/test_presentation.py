@@ -81,3 +81,34 @@ def test_cached_tables_match_the_rewriting(zoo):
             for e in range(pres.rank):
                 word = (s + 1,) + pres.edge_word(e) + (-(s + 1),)
                 assert conj[s, e].tolist() == list(pres.rewrite(word))
+
+
+def frontier_bfs_presentation(g):
+    """Independent reference: the level-by-level breadth-first walk of the
+    Cayley graph on ``g.generators``, giving every element's tree word and
+    the non-tree (element, generator index) pairs in row-major order."""
+    gens = g.generators
+    coset_word = [None] * g.order
+    coset_word[g.identity] = ()
+    tree = set()
+    frontier = [g.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, gelt in enumerate(gens):
+                y = g.mul(x, gelt)
+                if coset_word[y] is None:
+                    coset_word[y] = coset_word[x] + (s + 1,)
+                    tree.add((x, s))
+                    nxt.append(y)
+        frontier = nxt
+    edges = tuple((x, s) for x in range(g.order) for s in range(len(gens)) if (x, s) not in tree)
+    return tuple(coset_word), edges
+
+
+def test_transversal_and_edges_match_a_frontier_walk():
+    from corprod.corpus import _zoo
+
+    for g in [*_zoo().values(), gr.trivial_group()]:
+        pres = free_presentation(g)
+        assert (pres.coset_word, pres.edges) == frontier_bfs_presentation(g), g.label
