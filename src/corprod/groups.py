@@ -12,10 +12,13 @@ Python ints reach witnesses.  Homomorphisms are checked on generators, as
 module actions are, and G/N is built once per (G, N).  Plain
 ``np.unique(x)`` is avoided: its first call imports ``numpy.ma``.
 
-Every breadth-first walk of a Cayley graph is :func:`spanning_tree`: the
+Every breadth-first walk of a Cayley table is :func:`spanning_tree`: the
 closure of a list of elements, the Schreier transversal of
 ``presentation``, the extension of a module action from generators and
 the crossed-hom oracle's table fill all read its edges.
+:func:`group_from_generators` has no table yet: it walks permutations
+once and fills the table along that walk's tree by array gathers, and
+:func:`generating_set` builds one closure per coset of the closure so far.
 """
 
 from __future__ import annotations
@@ -206,7 +209,10 @@ def group_from_generators(
     Element 0 is the identity; the remaining elements are enumerated by
     breadth-first search, which makes the numbering reproducible.  A
     degree that is not every generator's length (at most 1 with none) is
-    refused before anything of its size is built.
+    refused before anything of its size is built.  The walk records
+    ``right[s][x]``, the index of elems[x]∘gens[s], and the table is filled
+    along its tree: row y of the transpose is ``right[s]`` gathered at row
+    x, where elems[y] = elems[x]∘gens[s].
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     if any(len(g) != degree for g in gens) or (not gens and degree > 1):
@@ -215,28 +221,23 @@ def group_from_generators(
     for g in gens:
         if sorted(g) != list(idp):
             raise InvariantViolation(f"not a permutation of 0..{degree-1}: {g}")
-    elems = [idp]
-    seen = {idp: 0}
-    frontier = [idp]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _compose(x, g)
-                if y not in seen:
-                    if len(elems) >= cap:
-                        raise SizeCapExceeded(
-                            f"closure exceeds the order cap {cap}"
-                        )
-                    seen[y] = len(elems)
-                    elems.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    n = len(elems)
-    table = tuple(
-        tuple(seen[_compose(elems[i], elems[j])] for j in range(n)) for i in range(n)
-    )
-    return FiniteGroup(table, 0, label)
+    elems, seen, right, tree = [idp], {idp: 0}, [[] for _ in gens], []
+    for x, p in enumerate(elems):  # grows while it is read
+        for s, g in enumerate(gens):
+            y = _compose(p, g)
+            if y not in seen:
+                if len(elems) >= cap:
+                    raise SizeCapExceeded(f"closure exceeds the order cap {cap}")
+                seen[y] = len(elems)
+                elems.append(y)
+                tree.append((x, s, seen[y]))
+            right[s].append(seen[y])
+    n, right = len(elems), np.array(right, dtype=np.int64).reshape(len(gens), len(elems))
+    columns = np.empty((n, n), dtype=np.int64)  # [j, i]: elems[i]∘elems[j]
+    columns[0] = np.arange(n)
+    for x, s, y in tree:
+        columns[y] = right[s, columns[x]]
+    return FiniteGroup(columns.T.tolist(), 0, label)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,10 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
 
     For small groups each step picks the element whose addition grows the
     closure the most; larger groups fall back to a cheaper greedy pass
-    preferring high-order elements.
+    preferring high-order elements.  With H the closure so far, every
+    element of a coset xH gives the same closure <H, x>, so each step
+    builds one closure per coset, for the member with the least
+    centralizer (then the least index).
     """
     if g.order == 1:
         return ()
@@ -437,16 +441,14 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
         # growth; central picks tend to force an extra generator
         cent = (g.array == g.array.T).sum(axis=1).tolist()
         while len(closure) < g.order:
-            best, best_key = None, None
-            for x in range(g.order):
-                if x in closure:
-                    continue
-                size = len(_closure(g, gens + [x]))
-                key = (-size, cent[x], x)
-                if best_key is None or key < best_key:
-                    best, best_key = x, key
+            least = g.array[:, list(closure)].min(axis=1).tolist()  # x -> min xH
+            pick: dict[int, int] = {}  # a coset's least element -> its pick
+            for x in sorted(set(range(g.order)) - closure, key=lambda x: (cent[x], x)):
+                pick.setdefault(least[x], x)
+            grown = {x: _closure(g, gens + [x]) for x in pick.values()}
+            best = min(grown, key=lambda x: (-len(grown[x]), cent[x], x))
             gens.append(best)
-            closure = set(subgroup_from_generators(g, gens).elements)
+            closure = grown[best]
         return tuple(gens)
     order = {x: g.element_order(x) for x in range(g.order)}
     candidates = sorted(range(g.order), key=lambda x: (-order[x], x))
@@ -454,7 +456,7 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
         if x in closure:
             continue
         gens.append(x)
-        closure = set(subgroup_from_generators(g, gens).elements)
+        closure = _closure(g, gens)
         if len(closure) == g.order:
             break
     return tuple(gens)

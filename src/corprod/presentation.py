@@ -14,8 +14,11 @@ over this data, which is how the package stays fast at desk scale.  The
 bulk consumers read it as cached int64 arrays: the derivation terms of
 every edge word, the walk along every transversal word, the edges that
 every pair of transversal words crosses and the conjugation action of the
-generators on the edges.  One array indexes the edges: ``_edge_of[x, s]``
-is the index of edge (x, s), or -1 on the tree.
+generators on the edges.  Each is gathered from the walks and from one
+array that indexes the edges, ``_edge_of[x, s]``: the index of edge
+(x, s), or -1 on the tree.  The word-level methods (``rewrite``,
+``edge_word``, ``derivation_terms``, ``pair_vector``) compute the same
+data one word at a time; only the tests call them.
 """
 
 from __future__ import annotations
@@ -52,7 +55,10 @@ class FreePresentation:
     def rewrite(self, word: Word) -> tuple[int, ...]:
         """Reidemeister rewriting of a kernel word to edge coordinates.
 
-        The word must evaluate to the identity in the group.
+        The word must evaluate to the identity in the group.  Like
+        ``edge_word``, ``derivation_terms`` and ``pair_vector``, it has no
+        library caller: it is the word-level reference that the tests hold
+        the cached arrays to.
         """
         g, edge_of = self.group, self._edge_of
         vec = [0] * len(self.edges)
@@ -74,6 +80,7 @@ class FreePresentation:
         return tuple(vec)
 
     def edge_word(self, e: int) -> Word:
+        """n_e = w_x s w_{xs}^{-1} for e = (x, s), as a word (a test reference)."""
         elem, s = self.edges[e]
         g = self.group
         target = g.mul(elem, self.gens[s])
@@ -95,14 +102,15 @@ class FreePresentation:
         a, b = np.divmod(pair, n)
         slot = np.full(n, -1, dtype=np.int64)  # [g]: s with gens[s] = g, or -1
         slot[gens] = np.arange(len(gens))
-        by_gen = np.zeros((len(gens), n, rho), dtype=np.int64)  # [s, y]: pair_vector(gens[s], y)
+        # entries are 0, 1 (and -1, 2 in ``out``), so the gathers move int8
+        by_gen = np.zeros((len(gens), n, rho), dtype=np.int8)  # [s, y]: pair_vector(gens[s], y)
         hit = slot[a] >= 0
         by_gen[slot[a[hit]], b[hit], pair_edge[hit]] = 1
         out = by_gen[:, x] - by_gen[:, table[x, gens[t]]]
         target = self._edge_of[table[gens[:, None], x], t]  # n_{(gx, t)}, or -1 on the tree
         s, e = np.nonzero(target >= 0)
         out[s, e, target[s, e]] += 1
-        return _frozen(out)[0]
+        return _frozen(out.astype(np.int64))[0]
 
     # -- derivations ---------------------------------------------------------
 
@@ -110,7 +118,8 @@ class FreePresentation:
         """d(n_e) as a list of (sign, prefix element, generator index).
 
         A derivation d on the free group restricts on the edge word to
-        sum sign * prefix . d(s).
+        sum sign * prefix . d(s).  The word-level reference for
+        ``derivation_table``.
         """
         g = self.group
         out = []
@@ -132,9 +141,19 @@ class FreePresentation:
     @cached_property
     def derivation_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``derivation_terms`` of every edge as read-only int64 arrays
-        (edge, sign, prefix element, generator index)."""
-        flat = [(e, *t) for e in range(self.rank) for t in self.derivation_terms(e)]
-        return _frozen(*np.array(flat, dtype=np.int64).reshape(len(flat), 4).T.copy())
+        (edge, sign, prefix element, generator index), read off
+        ``coset_walks``: the word of edge (x, s) is w_x with sign +1, the
+        letter s read at x, then w_{xs} reversed with sign -1."""
+        prefix, letter = self.coset_walks
+        x, s = np.array(self.edges, dtype=np.int64).reshape(self.rank, 2).T
+        y = self.group.array[x, np.array(self.gens, dtype=np.int64)[s]]
+        depth = prefix.shape[1]
+        rows = np.broadcast_to(np.arange(self.rank)[:, None], (self.rank, 2 * depth + 1))
+        sign = np.broadcast_to(np.repeat(np.array([1, 1, -1]), [depth, 1, depth]), rows.shape)
+        at = np.hstack([prefix[x], x[:, None], prefix[y, ::-1]])
+        gen = np.hstack([letter[x], s[:, None], letter[y, ::-1]])
+        keep = gen >= 0  # letter -1 pads a word past its end
+        return _frozen(rows[keep], sign[keep], at[keep], gen[keep])
 
     @cached_property
     def coset_walks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +175,8 @@ class FreePresentation:
     # -- factor sets ---------------------------------------------------------
 
     def pair_vector(self, a: int, b: int) -> tuple[int, ...]:
-        """Edge coordinates of w_a w_b w_{ab}^{-1}."""
+        """Edge coordinates of w_a w_b w_{ab}^{-1}, by rewriting: the
+        word-level reference for ``pair_edges``."""
         g = self.group
         w = (
             self.coset_word[a]

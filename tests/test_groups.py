@@ -118,6 +118,46 @@ def test_an_unbacked_degree_is_refused_before_allocation():
 def test_closure_cap():
     with pytest.raises(SizeCapExceeded):
         gr.group_from_generators(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], cap=100)
+    # S10's 3628800^2 table would take 100 TB; the walk stops at the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="order cap 2000"):
+            gr.group_from_generators(10, [(1, 0, *range(2, 10)), (*range(1, 10), 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def reference_permutation_table(degree, generators):
+    """The level-by-level closure and the n^2 composition table that
+    :func:`gr.group_from_generators` fills by gathers along its tree."""
+    idp = tuple(range(degree))
+    elems, seen, frontier = [idp], {idp: 0}, [idp]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = tuple(x[g[i]] for i in range(degree))
+                if y not in seen:
+                    seen[y] = len(elems)
+                    elems.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(tuple(seen[tuple(a[b[i]] for i in range(degree))] for b in elems) for a in elems)
+
+
+def test_permutation_tables_match_the_composition_loop():
+    cases = {
+        "S5": (5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+        # seven disjoint transpositions of 14 points
+        "C2^7": (14, [tuple(j ^ 1 if j // 2 == i else j for j in range(14)) for i in range(7)]),
+        "repeats": (4, [(1, 2, 3, 0), (1, 2, 3, 0), (0, 1, 2, 3), (3, 2, 1, 0), (1, 2, 3, 0)]),
+        "degree 1": (1, []),
+    }
+    for name, (degree, gens) in cases.items():
+        g = gr.group_from_generators(degree, gens)
+        assert g.table == reference_permutation_table(degree, gens), name
 
 
 def test_normal_closure_examples(zoo):
@@ -349,6 +389,11 @@ def test_generating_set_matches_the_reference_loop(zoo):
         "D16": gr.dihedral_group(16),
         "Q8": gr.quaternion_group(),
         "C2^5": gr.abelian_group_from_factors((2,) * 5),
+        "C2^6": gr.abelian_group_from_factors((2,) * 6),
+        "C2^7": gr.abelian_group_from_factors((2,) * 7),
+        "D64": gr.dihedral_group(64),  # order 128, the last the greedy search takes
+        "C3^4": gr.abelian_group_from_factors((3,) * 4),
+        "C4^3": gr.abelian_group_from_factors((4,) * 3),
         "C2^8": gr.abelian_group_from_factors((2,) * 8),  # past the greedy search
         **{f"corpus-{k}": g for k, g in _zoo().items()},
         **zoo,
@@ -406,10 +451,10 @@ def test_generators_and_abelianization_are_computed_once(monkeypatch):
     g = gr.dihedral_group(4)  # a fresh group: nothing cached on it yet
     trivial_module(g, FAG((2,)))
     calls = []
-    original = gr.subgroup_from_generators
-    monkeypatch.setattr(gr, "subgroup_from_generators", lambda *a: calls.append(a) or original(*a))
+    original = gr.generating_set
+    monkeypatch.setattr(gr, "generating_set", lambda *a: calls.append(a) or original(*a))
     trivial_module(g, FAG((3,)))
-    assert calls == [] and g.generators == gr.generating_set(g)
+    assert calls == [] and g.generators == original(g)
     first = gr.abelianization(g)
     assert gr.abelianization(g) is first and g.abelianization is first
 

@@ -57,7 +57,9 @@ def test_cached_tables_match_the_rewriting(zoo):
     # derivation_table against derivation_terms and conjugation_table
     # against the rewriting of s n_e s^-1
     c2_cubed = gr.abelian_group_from_factors((2, 2, 2))
-    for g in [zoo["C6"], zoo["D4"], zoo["Q8"], zoo["S3"], zoo["Heis27"], c2_cubed, gr.trivial_group()]:
+    c2_fifth = gr.abelian_group_from_factors((2,) * 5)  # rank 129
+    s4 = gr.symmetric_group(4)
+    for g in [zoo["C6"], zoo["D4"], zoo["Q8"], zoo["S3"], zoo["Heis27"], c2_cubed, c2_fifth, s4, gr.trivial_group()]:
         pres = free_presentation(g)
         n = g.order
         pair, edge = pres.pair_edges
@@ -76,7 +78,9 @@ def test_cached_tables_match_the_rewriting(zoo):
         flat = [(e, *t) for e in range(pres.rank) for t in pres.derivation_terms(e)]
         assert np.array(pres.derivation_table).T.tolist() == [list(t) for t in flat]
         conj = pres.conjugation_table
-        assert conj.shape == (len(pres.gens), pres.rank, pres.rank) and not conj.flags.writeable
+        assert conj.shape == (len(pres.gens), pres.rank, pres.rank)
+        for arr in (pair, edge, prefix, letter, *pres.derivation_table, conj):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
         for s in range(len(pres.gens)):
             for e in range(pres.rank):
                 word = (s + 1,) + pres.edge_word(e) + (-(s + 1),)
