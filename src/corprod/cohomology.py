@@ -15,7 +15,8 @@ f(g, h) = phi(w_g w_h w_{gh}^{-1}), so all returned representatives
 satisfy the inhomogeneous cocycle identities exactly.
 
 A cochain is an int64 array reduced mod the coefficient factors, of
-shape (|G|, r) in degree 1 and (|G|, |G|, r) in degree 2.  The H^2
+shape (|G|, r) in degree 1 and (|G|, |G|, r) in degree 2, and the
+representatives of a class group are one read-only stack of them.  The H^2
 representatives are one scatter-add of phi over the edges each pair of
 transversal words crosses; ``classify_many`` reads phi back by a gather
 along the edge words.  Coordinates are batched: ``classify_many`` takes a
@@ -23,7 +24,8 @@ stack of cochains, any integer array-like with a leading axis, such as
 the crossed-hom oracle's nested tuples, and answers it with one
 subquotient call; ``classify`` is ``classify_many`` of one cochain.
 Inflation, restriction and the connecting map classify all their columns
-in one call.
+in one call.  The unramified part H^i_nr(G, A) is the image of inflation
+from G/closure(U), an ``AbSubgroup`` of H^i(G, A).
 
 Degrees >= 3 come from a free (Z/p^k)[G]-resolution, one prime at a time
 (``resolution_cohomology``), as groups without cochains.  Iterated
@@ -60,7 +62,14 @@ from .errors import (
     SizeCapExceeded,
     VerificationFailure,
 )
-from .groups import FiniteGroup, Subgroup, normal_closure, quotient_group, spanning_tree
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    check_subgroup_of,
+    normal_closure,
+    quotient_group,
+    spanning_tree,
+)
 from .lattice import Matrix, Vector
 from .presentation import FreePresentation, free_presentation
 from .records import field, record
@@ -197,6 +206,7 @@ def module_from_generator_matrices(
 
 def fixed_submodule(m: GModule, h: Subgroup) -> AbSubgroup:
     """{a : x.a = a for all x in h} as a subgroup of the coefficients."""
+    check_subgroup_of(m.group, h)
     a = m.coeff
     r = a.rank
     gens = [x for x in h.elements if x != m.group.identity]
@@ -228,24 +238,25 @@ def induced_quotient_action(m: GModule, n: Subgroup) -> tuple[GModule, "object",
 # ---------------------------------------------------------------------------
 
 
-@record()
+@record(frozen=True, eq=False)
 class CohomologyGroup:
     """H^degree with explicit representatives.
 
-    Each representative is a read-only int64 array reduced mod the
-    coefficient factors: shape (|G|, r) in degree 1, a value per group
-    element, and (|G|, |G|, r) in degree 2, a normalized factor set.
-    ``classify_many`` sends a stack of cocycles, an integer array-like of
-    that shape with a leading axis, nested tuples included, to a tuple of
-    coordinate vectors in ``value``; ``classify`` is ``classify_many`` of
-    one cocycle.
+    ``representatives`` is one read-only int64 stack of shape (count,) +
+    (|G|,)*degree + (r,), one cocycle per generator of ``value``, reduced
+    mod the coefficient factors: a value per group element in degree 1,
+    a normalized factor set in degree 2.  ``classify_many`` sends a stack
+    of cocycles, an integer array-like of that shape with a leading axis,
+    nested tuples included, to a tuple of coordinate vectors in
+    ``value``; ``classify`` is ``classify_many`` of one cocycle.  One
+    instance is shared by every caller, so it is frozen, and equal only
+    to itself.
     """
 
     degree: int
     value: FiniteAbelianGroup
-    representatives: tuple
-    module: GModule = field(repr=False, compare=False)
-    _classify_many: object = field(repr=False, compare=False)
+    representatives: np.ndarray
+    _classify_many: object = field(repr=False)
 
     def classify_many(self, cocycles) -> tuple[Vector, ...]:
         return self._classify_many(cocycles)
@@ -286,18 +297,6 @@ def _act(m: GModule, xs, vecs: np.ndarray) -> np.ndarray:
     return np.mod((m.action[xs] @ vecs[..., None])[..., 0], a.factors)
 
 
-def _frozen_reps(tables: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One read-only cochain per class from a stack of them."""
-    tables.flags.writeable = False
-    return tuple(tables)
-
-
-def _rep_stack(h: CohomologyGroup) -> np.ndarray:
-    """The representatives of ``h`` as one stack, empty when there are none."""
-    shape = (h.module.group.order,) * h.degree + (h.module.coeff.rank,)
-    return np.array(h.representatives, dtype=np.int64).reshape((len(h.representatives),) + shape)
-
-
 def _derivation_sums(m: GModule, pres: FreePresentation) -> np.ndarray:
     """D[e, s] = sum of sign * action[prefix] over the terms of d(n_e) in
     generator s, shape (edges, generators, r, r), row i reduced mod factor
@@ -326,8 +325,10 @@ def _cohomology_cached(m: GModule, degree: int, cap: int) -> CohomologyGroup:
     # |G| kills H^d and so does exp(A): the group is 0 when they are
     # coprime, which A = 0 (exponent 1) and G = 1 are too
     if gcd(m.group.order, m.coeff.exponent) == 1:
+        reps = np.zeros((0,) + (m.group.order,) * degree + (m.coeff.rank,), dtype=np.int64)
+        reps.flags.writeable = False
         zero = FiniteAbelianGroup(())
-        return CohomologyGroup(degree, zero, (), m, lambda cocycles: ((),) * len(cocycles))
+        return CohomologyGroup(degree, zero, reps, lambda cocycles: ((),) * len(cocycles))
     if degree == 1:
         return _h1(m)
     return _h2(m)
@@ -356,7 +357,8 @@ def _h1(m: GModule) -> CohomologyGroup:
     for t in range(prefix.shape[1]):
         ys = np.flatnonzero(letter[:, t] >= 0)
         tables[:, ys] += _act(m, prefix[ys, t], gen_vals[:, letter[ys, t]])
-    reps = _frozen_reps(np.mod(tables, a.factors))
+    np.mod(tables, a.factors, out=tables)
+    tables.flags.writeable = False
 
     gen_rows = list(pres.gens)
 
@@ -364,7 +366,7 @@ def _h1(m: GModule) -> CohomologyGroup:
         c = _cochains(m, 1, cocycles)
         return sq.classify_many(c[:, gen_rows].reshape(len(c), k * r))
 
-    return CohomologyGroup(1, value, reps, m, classify_many)
+    return CohomologyGroup(1, value, tables, classify_many)
 
 
 def _h2(m: GModule) -> CohomologyGroup:
@@ -397,9 +399,10 @@ def _h2(m: GModule) -> CohomologyGroup:
 
     # f(x, y) = phi(w_x w_y w_xy^-1): the sum of phi over the edges the pair crosses
     phis = np.array(sq.reps, dtype=np.int64).reshape(len(sq.reps), rho, r)
-    tables = np.zeros((len(sq.reps), n * n, r), dtype=np.int64)
-    np.add.at(tables, (slice(None), pair), phis[:, pair_edge])
-    reps = _frozen_reps(np.mod(tables, a.factors, out=tables).reshape(len(sq.reps), n, n, r))
+    tables = np.zeros((len(sq.reps), n, n, r), dtype=np.int64)
+    np.add.at(tables.reshape(len(sq.reps), n * n, r), (slice(None), pair), phis[:, pair_edge])
+    np.mod(tables, a.factors, out=tables)
+    tables.flags.writeable = False
 
     # phi(n_e) read off a factor set along the edge word: a letter s read at
     # x adds f(x, s); an inverse letter read at x = p.s adds f(x, s^-1) - p.f(s, s^-1)
@@ -416,7 +419,7 @@ def _h2(m: GModule) -> CohomologyGroup:
         np.add.at(phi, (slice(None), edge), terms)
         return sq.classify_many(np.mod(phi, a.factors).reshape(len(c), rho * r))
 
-    return CohomologyGroup(2, value, reps, m, classify_many)
+    return CohomologyGroup(2, value, tables, classify_many)
 
 
 def is_cocycle(m: GModule, degree: int, cocycle) -> bool:
@@ -452,28 +455,24 @@ def inflation(m: GModule, n: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP) 
     h_q = cohomology(mq, degree, cap)
     h_g = cohomology(m, degree, cap)
     a, an = m.coeff, fixed.structure
-    if h_q.representatives:
+    if len(h_q.representatives):
         modular.check_int64_products(an.exponent - 1, an.rank, "inflation", other=a.exponent - 1)
     inc = np.array(fixed.inclusion.matrix, dtype=np.int64).reshape(a.rank, an.rank)
     idx = (slice(None),) + np.ix_(*(np.array(proj.images, dtype=np.int64),) * degree)
-    cols = h_g.classify_many(np.mod(_rep_stack(h_q)[idx] @ inc.T, a.factors))
+    cols = h_g.classify_many(np.mod(h_q.representatives[idx] @ inc.T, a.factors))
     return AbHom.from_columns(h_q.value, h_g.value, cols)
 
 
-def subgroup_as_group(h: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """The subgroup as a standalone group plus the element translation."""
-    parent = h.parent
-    # keep ambient ordering but identity first
-    ordered = [parent.identity] + [x for x in h.elements if x != parent.identity]
-    index = np.zeros(parent.order, dtype=np.int64)
-    index[ordered] = np.arange(len(ordered))
-    table = index[parent.array[np.ix_(ordered, ordered)]]
-    return FiniteGroup(table.tolist(), 0, f"{parent.label}|sub"), tuple(ordered)
-
-
 def restricted_module(m: GModule, h: Subgroup) -> tuple[GModule, tuple[int, ...]]:
-    sub, ordered = subgroup_as_group(h)
-    return GModule(sub, m.coeff, m.action[list(ordered)]), ordered
+    """``m`` restricted to ``h`` as a group of its own, and the elements of
+    ``h`` in the new group's order: the identity first, then increasing."""
+    g = m.group
+    check_subgroup_of(g, h)
+    ordered = [g.identity] + [x for x in h.elements if x != g.identity]
+    index = np.zeros(g.order, dtype=np.int64)
+    index[ordered] = np.arange(len(ordered))
+    sub = FiniteGroup(index[g.array[np.ix_(ordered, ordered)]].tolist(), 0, f"{g.label}|sub")
+    return GModule(sub, m.coeff, m.action[ordered]), tuple(ordered)
 
 
 def restriction(m: GModule, h: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP) -> AbHom:
@@ -482,31 +481,17 @@ def restriction(m: GModule, h: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP
     h_g = cohomology(m, degree, cap)
     h_h = cohomology(mh, degree, cap)
     idx = (slice(None),) + np.ix_(*(np.array(ordered, dtype=np.int64),) * degree)
-    cols = h_h.classify_many(_rep_stack(h_g)[idx])
+    cols = h_h.classify_many(h_g.representatives[idx])
     return AbHom.from_columns(h_g.value, h_h.value, cols)
 
 
-@record(frozen=True)
-class UnramifiedPart:
-    """Image of inflation from G/closure(U): the 'nr' subgroup of H^i."""
-
-    cohomology: CohomologyGroup
-    subgroup: AbSubgroup
-    structure: FiniteAbelianGroup
-    inflation_map: AbHom
-    closure: Subgroup
-
-
 def unramified_subgroup(
-    g: FiniteGroup, u: Subgroup, m: GModule, degree: int, cap: int = DEFAULT_COH_CAP
-) -> UnramifiedPart:
-    """H^i_nr(G, A): the inflation image from the quotient by the normal
-    closure of ``u``.  Replacing u by its closure changes nothing."""
-    closure = normal_closure(g, u)
-    infl = inflation(m, closure, degree, cap)
-    h_g = cohomology(m, degree, cap)
-    sub = infl.image()
-    return UnramifiedPart(h_g, sub, sub.structure, infl, closure)
+    m: GModule, u: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP
+) -> AbSubgroup:
+    """H^i_nr(G, A) in H^i(G, A): the inflation image from the quotient by
+    the normal closure of ``u``.  Replacing u by its closure changes
+    nothing."""
+    return inflation(m, normal_closure(m.group, u), degree, cap).image()
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,6 @@ class FiberClosureInfo:
     name: str
     already_normal: bool
     closure_order: int
-    closure_elements: tuple[int, ...]
 
 
 def validate_family(spec: FamilySpec) -> tuple[FiberClosureInfo, ...]:
@@ -162,9 +161,7 @@ def validate_family(spec: FamilySpec) -> tuple[FiberClosureInfo, ...]:
     infos = []
     for f in spec.fibers:
         cl = normal_closure(f.group, f.subgroup)
-        infos.append(
-            FiberClosureInfo(f.name, f.subgroup.is_normal(), cl.order, cl.elements)
-        )
+        infos.append(FiberClosureInfo(f.name, f.subgroup.is_normal(), cl.order))
     return tuple(infos)
 
 

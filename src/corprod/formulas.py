@@ -42,7 +42,6 @@ from .abelian import (
     AbSubgroup,
     FiniteAbelianGroup,
     annihilator,
-    group_from_moduli,
     sub_and_quotient,
 )
 from .cohomology import (
@@ -559,7 +558,7 @@ def h_formula(
     if degree not in (1, 2):
         raise PreconditionError("the pair formula is stated for degrees 1 and 2")
     pairs = tuple(
-        (f.name, unramified_subgroup(f.group, f.subgroup, module.gmodule(f), degree, cap).subgroup)
+        (f.name, unramified_subgroup(module.gmodule(f), f.subgroup, degree, cap))
         for f in spec.fibers
     )
     return RestrictedAbFamily(pairs, "discretized")
@@ -664,7 +663,7 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
         group = f.group
         m = trivial_module(group, zp)
         h1 = cohomology(m, 1, cap)
-        nr = unramified_subgroup(group, f.subgroup, m, 1, cap)
+        nr = unramified_subgroup(m, f.subgroup, 1, cap)
         ab, proj = group.abelianization
         expected_h1 = _mod_p_dual_factors(ab, p)
 
@@ -694,7 +693,7 @@ def cross_check_h1_vs_ab(spec: FamilySpec, p: int, cap: int = DEFAULT_COH_CAP) -
         nr_match = nr.structure.factors == expected_nr
         if nr_match:
             generated = AbSubgroup(h1.value, tuple(nr_cols))
-            nr_match = generated.same_subgroup(nr.subgroup)
+            nr_match = generated.same_subgroup(nr)
         checks.append(
             FiberCrossCheck(
                 f.name,
@@ -837,8 +836,6 @@ class SplittingReport:
     h1_sub: tuple[int, ...]
     retraction_surjective: bool
     section_found: bool
-    ab_full: tuple[int, ...]
-    ab_sub: tuple[int, ...]
     ab_split: bool
 
     @property
@@ -908,8 +905,6 @@ def splitting_check(
         sub.value.factors,
         surj,
         section is not None,
-        group_from_moduli(d for b in ab_blocks for d in b).factors,
-        group_from_moduli(d for b in sub_blocks for d in b).factors,
         blocks_split(ab_blocks, sub_blocks, keep_idx, keep_idx),
     )
 

@@ -415,10 +415,16 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, tuple(range(g.order)))
 
 
-def normal_closure(g: FiniteGroup, s: Subgroup) -> Subgroup:
-    """Smallest normal subgroup of g containing s."""
+def check_subgroup_of(g: FiniteGroup, s: Subgroup) -> None:
+    """Refuse ``s`` unless it is a subgroup of ``g``, the same object or an
+    equal group."""
     if s.parent is not g and s.parent != g:
         raise NotASubgroup("subgroup belongs to a different group")
+
+
+def normal_closure(g: FiniteGroup, s: Subgroup) -> Subgroup:
+    """Smallest normal subgroup of g containing s."""
+    check_subgroup_of(g, s)
     return subgroup_from_generators(g, set(_conjugates(g, s.elements).ravel().tolist()))
 
 
@@ -523,6 +529,7 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     built once per (G, N).  Coset i is the one whose least element is the
     i-th smallest.  Labels are not part of group equality, so a memo hit
     may carry an equal group's label."""
+    check_subgroup_of(g, n)
     if not n.is_normal():
         raise NotNormal("quotient requires a normal subgroup")
     least = g.array[list(n.elements)].min(axis=0)  # x -> the least element of Nx

@@ -22,7 +22,7 @@ from corprod import corpus, modular
 from corprod import groups as gr
 from corprod.abelian import AbHom
 from corprod.abelian import FiniteAbelianGroup as FAG
-from corprod.errors import InvariantViolation, PreconditionError, SizeCapExceeded
+from corprod.errors import InvariantViolation, NotASubgroup, PreconditionError, SizeCapExceeded
 
 
 def brute_z1(m):
@@ -478,10 +478,10 @@ def test_unramified_examples(zoo):
     v4 = zoo["V4"]
     m = coh.trivial_module(v4, FAG((2,)))
     u = gr.subgroup_from_generators(v4, [2])
-    nr = coh.unramified_subgroup(v4, u, m, 1)
+    nr = coh.unramified_subgroup(m, u, 1)
     assert nr.structure.factors == (2,)
-    assert coh.unramified_subgroup(v4, gr.full_subgroup(v4), m, 1).structure.factors == ()
-    assert coh.unramified_subgroup(v4, gr.trivial_subgroup(v4), m, 1).structure.factors == (2, 2)
+    assert coh.unramified_subgroup(m, gr.full_subgroup(v4), 1).structure.factors == ()
+    assert coh.unramified_subgroup(m, gr.trivial_subgroup(v4), 1).structure.factors == (2, 2)
 
 
 def test_unramified_closure_invariance(zoo):
@@ -496,9 +496,42 @@ def test_unramified_closure_invariance(zoo):
     closure = gr.normal_closure(d4, u)
     m = coh.trivial_module(d4, FAG((2,)))
     for degree in (1, 2):
-        a = coh.unramified_subgroup(d4, u, m, degree)
-        b = coh.unramified_subgroup(d4, closure, m, degree)
-        assert a.subgroup.same_subgroup(b.subgroup)
+        a = coh.unramified_subgroup(m, u, degree)
+        b = coh.unramified_subgroup(m, closure, degree)
+        assert a.same_subgroup(b)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, u: coh.inflation(m, u, 1),
+        lambda m, u: coh.restriction(m, u, 1),
+        lambda m, u: coh.fixed_submodule(m, u),
+        lambda m, u: gr.quotient_group(m.group, u),
+        lambda m, u: coh.unramified_subgroup(m, u, 1),
+    ],
+    ids=["inflation", "restriction", "fixed_submodule", "quotient_group", "unramified_subgroup"],
+)
+def test_a_subgroup_of_another_group_is_refused(call):
+    # {0, 2} is a normal subgroup of C4, and its elements are closed under
+    # the product of V4 too, so only the parent check can tell them apart
+    c4, v4 = gr.cyclic_group(4), gr.abelian_group_from_factors((2, 2))
+    u = gr.subgroup_from_generators(c4, [2])
+    m = coh.trivial_module(v4, FAG((2,)))
+    with pytest.raises(NotASubgroup, match="different group"):
+        call(m, u)
+
+
+def test_a_cohomology_group_is_frozen_and_its_representatives_one_stack(zoo):
+    m = coh.trivial_module(zoo["V4"], FAG((2,)))
+    for degree, count in ((1, 2), (2, 3)):
+        h = coh.cohomology(m, degree)
+        reps = h.representatives
+        assert reps.shape == (count,) + (4,) * degree + (1,) and reps.dtype == np.int64
+        with pytest.raises(ValueError):
+            reps[(0,) * reps.ndim] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.value = FAG(())
 
 
 def test_trivial_modules_are_built_once_per_pair(zoo):
@@ -610,7 +643,10 @@ def test_the_zero_answer_follows_the_cap_and_builds_no_presentation(zoo, monkeyp
         m = coh.trivial_module(g, coeff)
         for degree in (1, 2):
             h = coh.cohomology(m, degree)
-            assert (h.value.factors, h.representatives) == ((), ())
+            assert h.value.factors == ()
+            reps = h.representatives
+            assert reps.shape == (0,) + (g.order,) * degree + (coeff.rank,)
+            assert reps.dtype == np.int64 and not reps.flags.writeable
             assert h.classify(np.zeros((g.order,) * degree + (coeff.rank,), dtype=np.int64)) == ()
 
 
