@@ -32,6 +32,13 @@ as the numpy kernel swaps them.  For every other q a numpy kernel stores
 its matrices in the narrowest signed dtype that holds (q-1)^2 (int8 for
 q <= 12, then int16, int32, int64); it finds pivot valuations
 arithmetically, so nothing is allocated in proportion to q.
+A whole array is reduced mod one q by ``_mod``: ``x & (q - 1)`` when q
+is a power of two, exact in two's complement for negative entries too,
+and ``np.mod`` otherwise; reductions by per-column factors stay ``%``.
+A congruence system whose rows all hold mod q is reduced once, not
+scaled and reduced again.  The relation rows p^e_i.e_i of a prime part
+of ``subquotient`` are never multiplied by the numerator's V: their
+images are the rows of V scaled by p^e_i, read off V.
 The longest dot product the kernel and its consumers form has
 max(m, n) terms below q, so an m x n system is refused with
 ``SizeCapExceeded`` before any allocation when max(m, n, 1).(q-1)^2
@@ -99,6 +106,13 @@ def check_moduli(moduli, what: str = "modulus") -> None:
             raise SizeCapExceeded(f"{what} {m} >= 2^63, beyond exact int64 arithmetic")
 
 
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """``np.mod(x, q)`` for an integer array and one modulus q >= 1, with
+    the same values and dtype: ``x & (q - 1)`` when q is a power of two,
+    which is exact in two's complement, negative entries included."""
+    return x & (q - 1) if q & (q - 1) == 0 else np.mod(x, q)
+
+
 def local_diagonalize(mat: np.ndarray, p: int, k: int, need_vinv: bool = True):
     """Diagonalize ``mat`` over Z/p^k by its column transform.
 
@@ -117,7 +131,7 @@ def local_diagonalize(mat: np.ndarray, p: int, k: int, need_vinv: bool = True):
     # no pivot: the identities every kernel returns, without a kernel's fixed
     # cost.  The first nonzero entry, found without dividing, rules out most
     # other matrices: dividing every entry costs more than the kernels save
-    if (mat.size == 0 or mat.item((mat != 0).argmax()) % q == 0) and not np.mod(mat, q).any():
+    if (mat.size == 0 or mat.item((mat != 0).argmax()) % q == 0) and not _mod(mat, q).any():
         return [], np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64) if need_vinv else None
     packed = _PACKED.get(q)
     if packed is not None:
@@ -130,7 +144,7 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_vinv: bool = True):
     q = p**k
     m, n = mat.shape
     dt = next((d for d, top in _STORAGE if (q - 1) ** 2 <= top), np.int64)
-    a = np.mod(np.asarray(mat, dtype=np.int64), q).astype(dt, copy=False)
+    a = _mod(np.asarray(mat, dtype=np.int64), q).astype(dt, copy=False)
     v = np.eye(n, dtype=dt)
     vinv = np.eye(n, dtype=dt) if need_vinv else None
     exps: list[int] = []
@@ -204,7 +218,7 @@ def _gf2_diagonalize(mat: np.ndarray, need_vinv: bool = True):
     not yet a pivot, that is nonzero on the block.
     """
     m, n = mat.shape
-    cols = _pack(np.mod(np.asarray(mat, dtype=np.int64), 2).astype(np.uint8).T)
+    cols = _pack(_mod(np.asarray(mat, dtype=np.int64), 2).astype(np.uint8).T)
     v = [1 << c for c in range(n)]       # columns of V
     vinv = [1 << c for c in range(n)] if need_vinv else None  # rows of Vinv
     live = (1 << m) - 1                  # rows not yet a pivot
@@ -244,7 +258,7 @@ def _gf2_diagonalize(mat: np.ndarray, need_vinv: bool = True):
 def _pack_planes(mat: np.ndarray, q: int) -> tuple[list[int], list[int]]:
     # the columns of mat mod q (3 or 4) as two planes of ints, bit i = row i:
     # the low digit (set on 1 and 3) and the high digit (set on 2 and 3)
-    a = np.mod(np.asarray(mat, dtype=np.int64), q).astype(np.uint8).T
+    a = _mod(np.asarray(mat, dtype=np.int64), q).astype(np.uint8).T
     words = _pack(np.concatenate((a & 1, a >> 1)))
     return words[: len(a)], words[len(a):]
 
@@ -423,7 +437,7 @@ def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> tuple[np.ndarray, list[
     keep = [j for j in range(n) if a[j] > 0]
     # entries below q times p^(k-1): within the kernel's own refusal bound
     scale = np.array([p ** (k - a[j]) for j in keep], dtype=np.int64)
-    return (v[:, keep] * scale % p**k).T, a
+    return _mod(v[:, keep] * scale, p**k).T, a
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +454,16 @@ class _PrimePart:
 
     def project(self, stack: np.ndarray) -> np.ndarray:
         # rows of an int64 stack, restricted to this prime's components mod p^k
-        return np.mod(stack[:, list(self.comps)], self.prime**self.k)
+        return _mod(stack[:, list(self.comps)], self.prime**self.k)
 
 
 def _prime_parts(moduli) -> list[_PrimePart]:
-    # the moduli have been checked by ``subquotient``
+    # the moduli have been checked by ``subquotient``; each distinct one is
+    # factored once
+    fac = {m: factorint(m) for m in set(moduli)}
     primes: dict[int, dict[int, int]] = {}
     for j, m in enumerate(moduli):
-        for p, e in factorint(m).items():
+        for p, e in fac[m].items():
             primes.setdefault(p, {})[j] = e
     out = []
     for p in sorted(primes):
@@ -545,16 +561,18 @@ class _PrimarySubquotient:
 
     def classify(self, stack: np.ndarray) -> np.ndarray:
         # coordinates of every row of an ambient int64 stack, one row each
-        y = _coords_in_basis(self.part.project(stack), self.v_n, self.pa, self.q)
-        z = (y @ self.v_kept) % self.q
+        y = _coords_in_basis(self.part.project(stack) @ self.v_n, self.pa, self.q)
+        z = _mod(y @ self.v_kept, self.q)
         return z % np.array(self.factors, dtype=np.int64)
 
 
-def _coords_in_basis(d: np.ndarray, v_n: np.ndarray, pa: np.ndarray, q: int) -> np.ndarray:
-    # coordinates of the rows of d in the basis p^{a_i} * Vinv_n[i]; the
-    # kernel's refusal of the numerator covers these length-n products of
-    # entries below q
-    y = (d @ v_n) % q
+def _coords_in_basis(dv: np.ndarray, pa: np.ndarray, q: int) -> np.ndarray:
+    # coordinates in the basis p^{a_i} * Vinv_n[i] of the rows of d, given
+    # as dv = d @ V_n, or for a relation row p^e * e_i as p^e * V_n[i].
+    # The kernel's refusal of the numerator covers both: d @ V_n has
+    # length-n dot products of entries below q, and p^e * V_n[i] single
+    # products of entries up to q
+    y = _mod(dv, q)
     if np.any(y % pa):
         raise VerificationFailure("vector is not in the numerator subgroup")
     return y // pa
@@ -567,20 +585,22 @@ def _present_prime(part: _PrimePart, num: np.ndarray, den: np.ndarray):
     p, k = part.prime, part.k
     q = p**k
     n = len(part.comps)
-    relation_rows = np.diag([p**e for e in part.exps]).astype(np.int64)
-    num_mat = np.vstack([part.project(num), relation_rows])
+    pe = np.array([p**e for e in part.exps], dtype=np.int64)
+    num_mat = np.vstack([part.project(num), np.diag(pe)])
     exps, v_n, vinv_n = local_diagonalize(num_mat, p, k)
     # pad the diagonal to full width; missing columns are zero mod q
     a = [exps[i] if i < len(exps) else k for i in range(n)]
     pa = np.array([p**ai for ai in a], dtype=np.int64)
-    den_mat = np.vstack([part.project(den), relation_rows])
-    c_mat = np.vstack([_coords_in_basis(den_mat, v_n, pa, q), np.diag(q // pa)])
+    # the denominator's rows, then the relation rows p^e_i * e_i, whose
+    # product with V_n is row i of V_n scaled by p^e_i
+    dv = np.vstack([part.project(den) @ v_n, v_n * pe[:, None]])
+    c_mat = np.vstack([_coords_in_basis(dv, pa, q), np.diag(q // pa)])
     b_exps, v_c, vinv_c = local_diagonalize(c_mat, p, k)
     b = [b_exps[i] if i < len(b_exps) else k for i in range(n)]
     kept = [i for i in range(n) if b[i] > 0]
     engine = _PrimarySubquotient(part, v_n, pa, v_c[:, kept], tuple(p ** b[i] for i in kept))
-    y = (vinv_c[kept, :] * pa) % q
-    return engine, (y @ vinv_n) % q
+    y = _mod(vinv_c[kept, :] * pa, q)
+    return engine, _mod(y @ vinv_n, q)
 
 
 def subquotient(moduli, num_gens, den_gens) -> Subquotient:
@@ -669,8 +689,8 @@ def quotient_presentation(moduli, den_gens) -> Subquotient:
 def _prime_systems(rows, row_moduli, col_moduli):
     """Split rows . x = b (mod row_moduli) into one system mod q = p^k per
     prime p: the rows whose modulus p divides, each scaled by p^(k-e) so
-    that it holds mod q.  Returns the column factorizations and a list of
-    ``(p, k, q, keep, scales, mat)``."""
+    that it holds mod q (no scaling when every such e is k).  Returns the
+    column factorizations and a list of ``(p, k, q, keep, scales, mat)``."""
     n = len(col_moduli)
     check_moduli((*col_moduli, *row_moduli))
     fac = {m: factorint(m) if m > 1 else {} for m in {*col_moduli, *row_moduli}}
@@ -678,17 +698,18 @@ def _prime_systems(rows, row_moduli, col_moduli):
     row_exp = [fac[m] for m in row_moduli]
     full = np.asarray(rows, dtype=np.int64).reshape(len(rows), n)
     systems = []
-    for p in sorted(set().union(*col_exp, *row_exp)):
-        k = max(f.get(p, 0) for f in col_exp + row_exp)
+    for p in sorted(set().union(*fac.values())):
+        k = max(f.get(p, 0) for f in fac.values())
         q = p**k
         keep = [i for i, f in enumerate(row_exp) if p in f]
         scales = [p ** (k - row_exp[i][p]) for i in keep]
         if keep:
             # the kernel's own refusal, made before the scaling below can wrap
             check_int64_products(q - 1, max(len(keep), n), f"modulus q={q}")
-        mat = np.mod(full[keep], q)
-        mat *= np.array(scales, dtype=np.int64).reshape(-1, 1)
-        mat %= q
+        mat = _mod(full[keep], q)
+        if any(s != 1 for s in scales):
+            mat *= np.array(scales, dtype=np.int64).reshape(-1, 1)
+            mat = _mod(mat, q)
         systems.append((p, k, q, keep, scales, mat))
     return col_exp, systems
 

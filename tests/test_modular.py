@@ -2,9 +2,11 @@
 
 import dataclasses
 import functools
+import hashlib
 import importlib
 import inspect
 import itertools
+import json
 import math
 import pkgutil
 import random
@@ -776,3 +778,139 @@ def test_moduli_from_2_63_are_refused():
             call()
     # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657: every prime power is small
     assert modular.quotient_presentation((2**63 - 1,), []).factors == (2**63 - 1,)
+
+
+def test_prime_parts_factor_each_distinct_modulus_once(monkeypatch):
+    moduli = (12, 4, 12, 1, 9, 4, 25, 12)
+    calls = []
+    monkeypatch.setattr(modular, "factorint", lambda m: calls.append(m) or lattice.factorint(m))
+    parts = modular._prime_parts(moduli)
+    assert sorted(calls) == [1, 4, 9, 12, 25]
+    assert parts == [
+        modular._PrimePart(2, 2, (0, 1, 2, 5, 7), (2, 2, 2, 2, 2)),
+        modular._PrimePart(3, 2, (0, 2, 4, 7), (1, 1, 2, 1)),
+        modular._PrimePart(5, 2, (6,), (2,)),
+    ]
+
+
+def test_reduction_by_one_modulus_matches_np_mod():
+    rng = np.random.default_rng(28)
+    wide = [
+        np.array([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 1], dtype=np.int64),
+        rng.integers(-(2**63), 2**63 - 1, size=(40, 30), dtype=np.int64, endpoint=True),
+        rng.integers(-300, 300, size=(7, 5)),
+        np.zeros((0, 4), dtype=np.int64),
+    ]
+    narrow = np.concatenate([[-128, -1, 0, 127], rng.integers(-128, 128, size=60)]).astype(np.int8)
+    for q in (1, 2, 4, 2**62, 3, 9, 2**31 - 1):
+        for x in wide:
+            got, want = modular._mod(x, q), np.mod(x, q)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if q - 1 <= 127:
+            got, want = modular._mod(narrow, q), np.mod(narrow, q)
+            assert got.dtype == want.dtype == np.int8 and np.array_equal(got, want)
+        else:
+            # a modulus the dtype cannot hold is refused alike
+            for reduce_ in (modular._mod, np.mod):
+                with pytest.raises(OverflowError):
+                    reduce_(narrow, q)
+
+
+# ---------------------------------------------------------------------------
+# the layer's outputs on a seeded panel, pinned by digest
+# ---------------------------------------------------------------------------
+
+
+def panel_matrix(rng, m, n, q, p):
+    # signed entries beyond q, with rows and entries of higher valuation so
+    # that every pivot level of Z/p^k occurs
+    mat = rng.integers(-2 * q, 2 * q, size=(m, n))
+    mat *= p ** rng.integers(0, 3, size=(m, 1))
+    mat[rng.random((m, n)) < 0.3] *= p
+    return mat.astype(np.int64)
+
+
+def panel_system(rng, col, row):
+    # a system compatible with the column moduli, as a module's would be
+    return [
+        [row[i] // math.gcd(row[i], c) * int(rng.integers(-3, 4)) for c in col]
+        for i in range(len(row))
+    ]
+
+
+def panel_combos(rng, count, gens, moduli):
+    # signed integer combinations of gens and of the relations of prod Z/moduli
+    n = len(moduli)
+    spanning = np.array(list(gens) + [[m if j == i else 0 for j in range(n)] for i, m in enumerate(moduli)])
+    return (rng.integers(-9, 10, size=(count, len(spanning))) @ spanning.reshape(-1, n)).tolist()
+
+
+def layer_panel(name):
+    """What ``local_diagonalize``, ``congruence_kernel``, the solver and
+    ``subquotient`` answer on one seeded panel, as nested lists of ints."""
+    kind, _, arg = name.partition(":")
+    rng = np.random.default_rng([2028, sum(map(ord, name))])
+    out = []
+    if kind == "local_diagonalize":
+        q = int(arg)
+        p, k = prime_power(q)
+        for m, n in ((0, 3), (4, 0), (6, 9), (9, 6), (17, 11), (40, 40), (70, 65)):
+            mat = panel_matrix(rng, m, n, q, p)
+            exps, v, vinv = modular.local_diagonalize(mat, p, k)
+            _, v_only, none = modular.local_diagonalize(mat, p, k, need_vinv=False)
+            assert none is None
+            out.append([exps, v.tolist(), vinv.tolist(), v_only.tolist()])
+        return out
+    moduli = tuple(int(m) for m in arg.split(","))
+    n = len(moduli)
+    if kind == "congruence_kernel":
+        for m in (0, 1, 3, 2 * n + 1):
+            row = [int(x) for x in rng.choice(moduli, size=m)]
+            rows = panel_system(rng, moduli, row)
+            solver = modular.CongruenceSolver(rows, row, moduli)
+            xs = rng.integers(-20, 20, size=(3, n)).tolist()
+            rhs = [[sum(a * b for a, b in zip(r, x)) for r in rows] for x in xs]
+            rhs.append([int(x) for x in rng.integers(0, 50, size=m)])
+            out.append([modular.congruence_kernel(rows, row, moduli), [solver.solve(b) for b in rhs]])
+        return out
+    for n_num, n_den in ((0, 0), (1, 0), (3, 1), (5, 3), (2 * n, 2 * n)):
+        num = (rng.integers(-40, 40, size=(n_num, n)) * rng.choice([1, 2, 3], size=(n_num, 1))).tolist()
+        den = panel_combos(rng, n_den, num, moduli)
+        stack = panel_combos(rng, 7, num, moduli)
+        for sq in (modular.subquotient(moduli, num, den), modular.quotient_presentation(moduli, den)):
+            out.append([sq.factors, sq.reps, sq.classify_many(stack)])
+    return out
+
+
+# sha256 of the JSON of layer_panel(name), recorded while every reduction
+# was np.mod and the relation rows were multiplied by V: masks and rows
+# read off V must change no integer of it
+LAYER_DIGESTS = {
+    "local_diagonalize:2": "dc7a80f1d983440857d39024c391371a81807da698b324f181d270a33dd67b69",
+    "local_diagonalize:3": "7e7428e96293479b16626ec8a6202e77e2d04d3d03e2337bb28570b20f7bb707",
+    "local_diagonalize:4": "e79d4108509ed221ab08dda0a5652e0649242f3bd5cbcf8584c02a0325407334",
+    "local_diagonalize:8": "2b798970974dd51b55b754e1c217a74b20fc9ee823591acee272b07a92c05b89",
+    "local_diagonalize:9": "ac41741a4fe5a5c20346729aa4f96e898c7a3e4c30c9550e22a1df8277071423",
+    "local_diagonalize:25": "5d722d58abf1e60d86ba213ac6f24904aa70cb38a650f72cc9c382b8fb009afc",
+    "congruence_kernel:2,4,8": "3e52601afc66eb7093ae818f5940f597d85b90239e74661470716d511ae05133",
+    "congruence_kernel:3,9": "72c923a4cf94542e9502b6f322b43d3774e4ecc64669c2c83ed6713351d652c2",
+    "congruence_kernel:4,12": "24fa044272a124a1a8be9e2e056292c9cccc6c5fdcb24ba975c71423243683a0",
+    "congruence_kernel:8,2,4,8": "0b588ecb6bbb18c880cf9bc58f79a7aec2482568577c50561d342139cd7e4c5a",
+    "congruence_kernel:25,5,10": "f10f14fc03372879256f994470e7c783bc3bfd2f7503e715eaf8934678113129",
+    "congruence_kernel:6,4,9,8": "acaf286860bfb7bec463a240ad980952d556304dc2de20cd03e7c678c2a51e15",
+    "congruence_kernel:9,27,3": "c13e30da1942c74481c1e3059c08e707babefcd704591e9dbcf76ec3e0e6bf1f",
+    "subquotient:2,4,8": "4c8a6876a36f2703ce358d9ddcf489c9b471e528a3ebcedbb20ae8e1b25f90c6",
+    "subquotient:3,9": "613ea97b790d7b60fc890e8cca3ea4cab8855e4937dc4f0616450ba586ee9c77",
+    "subquotient:4,12": "0c14be7506389933c81ae3ce8134c4e13b94a019218999fb01c6e233432326d5",
+    "subquotient:8,2,4,8": "8565abdaf94a7f2da47b7d4d26efecc8437c462659415e2c4169d76078f74d9b",
+    "subquotient:25,5,10": "6050abffe555805d79d8d6c0266f8591f5f788598595c749ea7f2582c9f8b7e2",
+    "subquotient:6,4,9,8": "0d1475a1f9e80c68d3cf1c28b72a450beb43fad12df44396ba87d775b51bf3ea",
+    "subquotient:9,27,3": "6b39b2fa45cb9a3db20b97b9535b53231be44897e9d7a015573a9086a3cb77db",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_DIGESTS))
+def test_layer_outputs_match_their_digests(name):
+    modular._subquotient_cached.cache_clear()
+    got = json.dumps(layer_panel(name), separators=(",", ":"))
+    assert hashlib.sha256(got.encode()).hexdigest() == LAYER_DIGESTS[name]
