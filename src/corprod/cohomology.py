@@ -25,7 +25,9 @@ the crossed-hom oracle's nested tuples, and answers it with one
 subquotient call; ``classify`` is ``classify_many`` of one cochain.
 Inflation, restriction and the connecting map classify all their columns
 in one call.  The unramified part H^i_nr(G, A) is the image of inflation
-from G/closure(U), an ``AbSubgroup`` of H^i(G, A).
+from G/closure(U), an ``AbSubgroup`` of H^i(G, A): 0 when the closure is G,
+all of H^i when it is 1, and inflation runs only for a proper, nontrivial
+closure.
 
 Degrees >= 3 come from a free (Z/p^k)[G]-resolution, one prime at a time
 (``resolution_cohomology``), as groups without cochains.  Iterated
@@ -54,7 +56,7 @@ from math import gcd, log
 import numpy as np
 
 from . import lattice, modular
-from .abelian import AbHom, AbSubgroup, FiniteAbelianGroup
+from .abelian import AbHom, AbSubgroup, FiniteAbelianGroup, full_subgroup
 from .errors import (
     MEMO_SIZE,
     InvariantViolation,
@@ -489,9 +491,15 @@ def unramified_subgroup(
     m: GModule, u: Subgroup, degree: int, cap: int = DEFAULT_COH_CAP
 ) -> AbSubgroup:
     """H^i_nr(G, A) in H^i(G, A): the inflation image from the quotient by
-    the normal closure of ``u``.  Replacing u by its closure changes
-    nothing."""
-    return inflation(m, normal_closure(m.group, u), degree, cap).image()
+    the normal closure N of ``u``.  Replacing u by its closure changes
+    nothing.  The quotient is trivial when N = G, so H^i_nr is 0, and
+    inflation along G -> G/1 is the identity, so N = 1 gives all of H^i;
+    inflation runs only for a proper, nontrivial N."""
+    n = normal_closure(m.group, u)
+    if n.order in (1, m.group.order):
+        value = cohomology(m, degree, cap).value
+        return full_subgroup(value) if n.order == 1 else AbSubgroup(value, ())
+    return inflation(m, n, degree, cap).image()
 
 
 # ---------------------------------------------------------------------------

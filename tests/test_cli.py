@@ -478,12 +478,49 @@ def test_a_large_prime_coefficient_factor_is_refused_without_hanging(tmp_path):
     spec = tmp_path / "c2.json"
     spec.write_text(json.dumps(C2_FAMILY))
     mod = tmp_path / "m.json"
-    mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [2**61 - 1]}, "actions": {}}))
-    status, text = run_cli(
-        ["cohomology", "--spec", str(spec), "--module", str(mod), "--degree", "1", "--format", "structured"]
-    )
-    assert_one_error(status, text)
-    assert f"modulus q={2**61 - 1}: " in text and ">= 2^63" in text
+
+    def run(factor, degree):
+        mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [factor]}, "actions": {}}))
+        return run_cli(["cohomology", "--spec", str(spec), "--module", str(mod), "--degree", str(degree),
+                        "--format", "structured"])
+
+    for degree in (1, 2):
+        # odd, so coprime to |C2|: H^i and H^i_nr are 0
+        status, text = run(2**61 - 1, degree)
+        assert status == 0
+        first = json.loads(text.splitlines()[0])
+        assert first["check"] == f"h{degree}-a" and first["invariant_factors"] == {"nr": [], "value": []}
+        # the factor 2 makes H^i nonzero, and the engine works mod 2^61 - 1
+        status, text = run(2 * (2**61 - 1), degree)
+        assert_one_error(status, text)
+        assert f"modulus q={2**61 - 1}: " in text and ">= 2^63" in text
+
+
+S3 = {"kind": "perm", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_the_unramified_part_of_a_nonabelian_fiber_at_closure_g_and_1(tmp_path, degree):
+    # element 1 of S3 is the transposition, element 2 the 3-cycle; the
+    # transposition normally generates S3, and S3 acts on Z/3 by the sign
+    spec = tmp_path / "s3.json"
+    spec.write_text(json.dumps({
+        "prime_set": [2, 3],
+        "exceptional": {
+            "closed": {"group": S3, "subgroup_generators": [1]},
+            "open": {"group": S3, "subgroup_generators": []},
+        },
+        "tail": None,
+    }))
+    sign = [{"element": 1, "matrix": [[-1]]}, {"element": 2, "matrix": [[1]]}]
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [3]}, "actions": {"closed": sign, "open": sign}}))
+    status, text = run_cli(["cohomology", "--spec", str(spec), "--module", str(mod), "--degree", str(degree),
+                            "--format", "structured"])
+    assert status == 0, text
+    found = {r["check"]: r["invariant_factors"] for r in map(json.loads, text.splitlines())}
+    assert found[f"h{degree}-closed"] == {"nr": [], "value": [3]}
+    assert found[f"h{degree}-open"] == {"nr": [3], "value": [3]}
 
 
 TRIVIAL_FIBER_FAMILY = {

@@ -501,6 +501,62 @@ def test_unramified_closure_invariance(zoo):
         assert a.same_subgroup(b)
 
 
+def closed_form_modules(zoo):
+    """Every conftest-zoo group with the corpus's coefficient groups and
+    named actions, and the corpus zoo's groups with its nontrivial ones."""
+    for groups, skip in ((zoo, ()), (corpus._zoo(), ("trivial",))):
+        for g in groups.values():
+            for factors in corpus._MODULES:
+                a = FAG(factors)
+                for aname, option in corpus._action_options(g, a).items():
+                    if aname not in skip:
+                        yield corpus._action_module(g, a, option)
+
+
+def test_the_closed_forms_match_inflation_at_closure_g_and_1(zoo):
+    # closure G: inflation from the trivial quotient, image 0; closure 1:
+    # inflation along G -> G/1, image all of H^i, with the same generators
+    count = 0
+    for m in closed_form_modules(zoo):
+        g = m.group
+        for u in (gr.full_subgroup(g), gr.trivial_subgroup(g)):
+            for degree in (1, 2):
+                general = coh.inflation(m, gr.normal_closure(g, u), degree).image()
+                nr = coh.unramified_subgroup(m, u, degree)
+                assert nr.ambient == general.ambient and nr.gens == general.gens
+                count += 1
+    assert count > 1000
+
+
+def test_the_closed_forms_build_no_quotient(zoo, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a quotient")
+
+    monkeypatch.setattr(coh, "quotient_group", refuse)
+    monkeypatch.setattr(coh, "induced_quotient_action", refuse)
+    # a transposition normally generates S3, and so does the full group
+    s3 = zoo["S3"]
+    transposition = min(x for x in range(s3.order) if s3.element_order(x) == 2)
+    sign = corpus._action_options(s3, FAG((3,)))["negation"]
+    cases = [
+        (coh.trivial_module(zoo["V4"], FAG((2,))), [], (2, 2), (2, 2, 2)),
+        (negation_action(zoo["C4"], FAG((4,)), 1), [], (2,), (2,)),
+        (corpus._action_module(s3, FAG((3,)), sign), [transposition], (3,), (3,)),
+    ]
+    for m, closing, h1, h2 in cases:
+        g = m.group
+        closing = [gr.full_subgroup(g)] + [gr.subgroup_from_generators(g, [x]) for x in closing]
+        for degree, factors in ((1, h1), (2, h2)):
+            for u in closing:
+                nr = coh.unramified_subgroup(m, u, degree)
+                assert nr.ambient.factors == factors and nr.gens == ()
+            nr = coh.unramified_subgroup(m, gr.trivial_subgroup(g), degree)
+            assert nr.ambient.factors == factors and nr.order == nr.ambient.order
+    v4 = zoo["V4"]
+    with pytest.raises(AssertionError, match="built a quotient"):
+        coh.unramified_subgroup(coh.trivial_module(v4, FAG((2,))), gr.subgroup_from_generators(v4, [1]), 1)
+
+
 @pytest.mark.parametrize(
     "call",
     [
