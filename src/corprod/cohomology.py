@@ -125,9 +125,24 @@ class GModule:
         object.__setattr__(self, "action", arr)
         if not np.array_equal(arr[g.identity], np.eye(r, dtype=np.int64)):
             raise InvariantViolation("identity must act as the identity matrix")
-        # multiplicativity against a generating set implies it everywhere
+        # multiplicativity against a generating set implies it everywhere.
+        # When every row has at most one nonzero entry (a monomial action,
+        # such as the permutation of a coinduced module), row i of arr[x]
+        # is val[x, i] at column col[x, i], and so is each product's row
+        monomial = r > 0 and bool((np.count_nonzero(arr, axis=2) <= 1).all())
+        if monomial:
+            col, val = arr.argmax(axis=2), arr.max(axis=2)  # entries are >= 0
         for s in g.generators:
-            if not np.array_equal(np.mod(arr @ arr[s], fac), arr[g.array[:, s]]):
+            xs = g.array[:, s]
+            if monomial:
+                # row i of arr[x] @ arr[s] is row col[x, i] of arr[s] times val[x, i]
+                prod_val = val * val[s][col] % fac[:, 0]
+                ok = np.array_equal(prod_val, val[xs]) and bool(
+                    ((prod_val == 0) | (col[s][col] == col[xs])).all()
+                )
+            else:
+                ok = np.array_equal(np.mod(arr @ arr[s], fac), arr[xs])
+            if not ok:
                 raise InvariantViolation(f"action is not a homomorphism against generator {s}")
         object.__setattr__(self, "_hash", hash((g, a, arr.tobytes())))
 

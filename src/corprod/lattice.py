@@ -26,6 +26,8 @@ from __future__ import annotations
 from itertools import count
 from math import gcd
 
+from .errors import SizeCapExceeded
+
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
@@ -269,6 +271,9 @@ def row_kernel(mat) -> Matrix:
 
 
 _TRIAL_BOUND = 1000
+# a cofactor at or beyond is_prime's exact limit is trial-divided on up to
+# here, and refused if it is still that large
+_TRIAL_BUDGET = 100_000
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -277,18 +282,25 @@ def factorint(n: int) -> dict[int, int]:
     Primes below ``_TRIAL_BOUND`` are divided out; each composite
     cofactor is split by Pollard's rho (Pollard, BIT 15 (1975)) with
     Brent's cycle finding (Brent, BIT 20 (1980)), primality decided by
-    ``is_prime``.  A cofactor beyond ``is_prime``'s exact limit is
-    factored by trial division.
+    ``is_prime``.  While the cofactor is at or beyond ``is_prime``'s exact
+    limit, trial division goes on up to ``_TRIAL_BUDGET``; a cofactor still
+    that large is refused with ``SizeCapExceeded``, as trial division up to
+    its square root would not finish in useful time.
     """
     if n <= 0:
         raise ValueError("factorint expects a positive integer")
     out: dict[int, int] = {}
-    p = 2
-    while p * p <= n and (p < _TRIAL_BOUND or n >= _MR_LIMIT):
+    given, p = n, 2
+    while p * p <= n and (p < _TRIAL_BOUND or (n >= _MR_LIMIT and p < _TRIAL_BUDGET)):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1 if p == 2 else 2
+    if n >= _MR_LIMIT:
+        raise SizeCapExceeded(
+            f"cannot factor {given}: its cofactor {n} has no prime factor below "
+            f"{_TRIAL_BUDGET} and is at least {_MR_LIMIT}, beyond exact primality testing"
+        )
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()

@@ -32,6 +32,17 @@ as the numpy kernel swaps them.  For every other q a numpy kernel stores
 its matrices in the narrowest signed dtype that holds (q-1)^2 (int8 for
 q <= 12, then int16, int32, int64); it finds pivot valuations
 arithmetically, so nothing is allocated in proportion to q.
+A system of at most ``_SMALL`` = 4 coordinates never reaches these
+kernels: ``congruence_kernel`` with at most four columns, and each prime
+part of ``subquotient`` with at most four components, eliminate on lists
+of Python ints (``_diagonalize_small``) with the same pivot rule, and
+return the same integers with the same refusals in the same order.  At
+that size numpy's fixed cost per call is the time, not the arithmetic:
+on a 2-vCPU host a 2 x 2 system mod 9 takes 58 us in
+``local_diagonalize`` and 9 us on lists, an 8 x 4 one 110 us and 38 us,
+but a 16 x 8 one 262 us and 173 us and a 32 x 16 one 569 us and 805 us.
+Choosing the representation by problem size follows Dumas, Giorgi and
+Pernet (ACM TOMS 35, 2008).
 A whole array is reduced mod one q by ``_mod``: ``x & (q - 1)`` when q
 is a power of two, exact in two's complement for negative entries too,
 and ``np.mod`` otherwise; reductions by per-column factors stay ``%``.
@@ -57,10 +68,10 @@ what a miss would compute, and the shared ``Subquotient`` is frozen with
 read-only arrays.  A refusal or a failed membership check raises again
 on every call, as ``lru_cache`` keeps no exception.  The oracles
 ``subquotient_int`` and ``congruence_kernel_int`` are not memoized, nor
-is ``congruence_kernel``.  Its systems do repeat (61 of the 135 in a cold
-call of the first 4 seed-0 corpus instances, 5.6 ms of solves on a
+is ``congruence_kernel``.  Its systems do repeat (55 of the 118 in a cold
+call of the first 4 seed-0 corpus instances, 0.8 ms of solves on a
 2-vCPU host), but a memo would keep every distinct system alive as a key
-for the life of the process (74 systems, 121 KiB of rows, there).
+for the life of the process (63 systems, 120 KiB of rows, there).
 ``MEMO_SIZE`` comes from ``errors`` and bounds every other input-keyed
 cache of the package too.
 """
@@ -424,6 +435,75 @@ def _z4_diagonalize(mat: np.ndarray, need_vinv: bool = True):
 _PACKED = {2: _gf2_diagonalize, 3: _gf3_diagonalize, 4: _z4_diagonalize}
 
 
+# a system of at most this many coordinates is solved on Python ints by
+# _diagonalize_small, where numpy's fixed cost per call outweighs the arithmetic
+_SMALL = 4
+
+
+def _diagonalize_small(a: list[list[int]], n: int, p: int, k: int, need_vinv: bool = True):
+    """:func:`local_diagonalize` on Python ints, for the few columns of a
+    small system: the same pivot rule, so the same ``(exps, V, Vinv)``, with
+    V and Vinv as lists of rows.  ``a`` is a list of rows of ``n`` entries
+    reduced mod p^k, eliminated in place.  Nothing here can wrap, so the
+    caller makes the refusal ``local_diagonalize`` would make.
+    """
+    q = p**k
+    m = len(a)
+    v = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of V
+    vinv = [[int(i == j) for i in range(n)] for j in range(n)] if need_vinv else None
+    exps: list[int] = []
+    for t in range(min(m, n)):
+        j, bi, bj = _small_pivot(a, t, n, p, k)
+        if j == k:
+            break
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a[t:]:
+                row[t], row[bj] = row[bj], row[t]
+            _swap(t, bj, v, *((vinv,) if need_vinv else ()))
+        pj = p**j
+        top = a[t]
+        inv = pow(top[t] // pj, -1, q)
+        if inv != 1:
+            top[t:] = [x * inv % q for x in top[t:]]
+        # pivot is now exactly p^j; as in the numpy kernel, clear the rows
+        # below it, then the columns right of it in V and Vinv only
+        for row in a[t + 1:]:
+            if row[t]:
+                w = row[t] // pj
+                row[t:] = [(x - w * y) % q for x, y in zip(row[t:], top[t:])]
+        vt = v[t]
+        for c in range(t + 1, n):
+            if top[c]:
+                w = top[c] // pj
+                v[c] = [(x - w * y) % q for x, y in zip(v[c], vt)]
+                if need_vinv:
+                    vinv[t] = [(x + w * y) % q for x, y in zip(vinv[t], vinv[c])]
+        exps.append(j)
+    return exps, [list(row) for row in zip(*v)], vinv
+
+
+def _small_pivot(a: list[list[int]], t: int, n: int, p: int, k: int) -> tuple[int, int, int]:
+    # (valuation, row, column) of the first entry of least valuation, in
+    # row-major order, of the block a[t:, t:]; valuation k when it is zero
+    best = (k, t, t)
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, n):
+            x = row[j]
+            if x:
+                e = 0
+                while x % p == 0:
+                    x //= p
+                    e += 1
+                if e < best[0]:
+                    best = (e, i, j)
+                    if not e:
+                        return best
+    return best
+
+
 def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> tuple[np.ndarray, list[int]]:
     """Generators of {x in (Z/p^k)^n : mat.x = 0 mod p^k} (column kernel),
     one row each: column j of V scaled by p^(k - a_j), for a_j > 0.  Some
@@ -502,7 +582,8 @@ def _lift_p_parts(stack, p: int, exps, moduli) -> np.ndarray:
     the stack is multiplied on Python ints.
     """
     pe = [p**e for e in exps]
-    r = np.asarray(stack, dtype=np.int64) % np.array(pe, dtype=np.int64)
+    r = np.asarray(stack, dtype=np.int64).reshape(len(stack), len(pe))
+    r = r % np.array(pe, dtype=np.int64)
     if pe == list(moduli):
         return r  # every idempotent is 1
     idem = [(m // q) * pow(m // q, -1, q) % m for m, q in zip(moduli, pe)]
@@ -603,6 +684,47 @@ def _present_prime(part: _PrimePart, num: np.ndarray, den: np.ndarray):
     return engine, _mod(y @ vinv_n, q)
 
 
+def _present_prime_small(part: _PrimePart, num: list[list[int]], den: list[list[int]]):
+    """:func:`_present_prime` on Python ints, for a part of at most
+    ``_SMALL`` components: the same engine and the same generators, and the
+    same refusals in the same order.  ``num`` and ``den`` are the ambient
+    rows as lists."""
+    p, k = part.prime, part.k
+    q = p**k
+    n = len(part.comps)
+    pe = [p**e for e in part.exps]
+    num_mat = [[row[c] % q for c in part.comps] for row in num]
+    num_mat += [[pe[i] % q if j == i else 0 for j in range(n)] for i in range(n)]
+    check_int64_products(q - 1, max(len(num_mat), n), f"modulus q={q}")
+    exps, v_n, vinv_n = _diagonalize_small(num_mat, n, p, k)
+    pa = [p**ai for ai in exps + [k] * (n - len(exps))]
+    # the denominator's rows times V_n, then the relation rows read off V_n
+    dv = [[sum(row[c] * v[j] for c, v in zip(part.comps, v_n)) for j in range(n)] for row in den]
+    dv += [[x * e for x in v] for v, e in zip(v_n, pe)]
+    c_mat = []
+    for row in dv:
+        y = [x % q for x in row]
+        if any(x % a for x, a in zip(y, pa)):
+            raise VerificationFailure("vector is not in the numerator subgroup")
+        c_mat.append([x // a for x, a in zip(y, pa)])
+    c_mat += [[q // pa[i] % q if j == i else 0 for j in range(n)] for i in range(n)]
+    check_int64_products(q - 1, max(len(c_mat), n), f"modulus q={q}")
+    b_exps, v_c, vinv_c = _diagonalize_small(c_mat, n, p, k)
+    b = b_exps + [k] * (n - len(b_exps))
+    kept = [i for i in range(n) if b[i] > 0]
+    engine = _PrimarySubquotient(
+        part,
+        np.array(v_n, dtype=np.int64).reshape(n, n),
+        np.array(pa, dtype=np.int64),
+        np.array([[row[i] for i in kept] for row in v_c], dtype=np.int64).reshape(n, len(kept)),
+        tuple(p ** b[i] for i in kept),
+    )
+    # row i of Vinv_c scaled by pa, then taken back through Vinv_n
+    ys = [[x * a % q for x, a in zip(vinv_c[i], pa)] for i in kept]
+    reps = [[sum(y * w[c] for y, w in zip(row, vinv_n)) % q for c in range(n)] for row in ys]
+    return engine, reps
+
+
 def subquotient(moduli, num_gens, den_gens) -> Subquotient:
     """Present the quotient of subgroups <num_gens> / <den_gens> of
     prod Z/moduli.  The denominator must be contained in the numerator.
@@ -621,7 +743,14 @@ def _subquotient_cached(moduli, n_num: int, num_bytes: bytes, n_den: int, den_by
     n = len(moduli)
     num = np.frombuffer(num_bytes, dtype=np.int64).reshape(n_num, n)
     den = np.frombuffer(den_bytes, dtype=np.int64).reshape(n_den, n)
-    presented = [_present_prime(part, num, den) for part in _prime_parts(moduli)]
+    lists = None  # the stacks as lists of rows, made for the first small part
+    presented = []
+    for part in _prime_parts(moduli):
+        if len(part.comps) > _SMALL:
+            presented.append(_present_prime(part, num, den))
+            continue
+        lists = lists or (num.tolist(), den.tolist())
+        presented.append(_present_prime_small(part, *lists))
     engines = [e for e, _ in presented]
 
     # align the per-prime factor lists so that the largest factors pair up
@@ -686,32 +815,38 @@ def quotient_presentation(moduli, den_gens) -> Subquotient:
 # ---------------------------------------------------------------------------
 
 
-def _prime_systems(rows, row_moduli, col_moduli):
+def _split_by_prime(rows, row_moduli, col_moduli):
     """Split rows . x = b (mod row_moduli) into one system mod q = p^k per
-    prime p: the rows whose modulus p divides, each scaled by p^(k-e) so
-    that it holds mod q (no scaling when every such e is k).  Returns the
-    column factorizations and a list of ``(p, k, q, keep, scales, mat)``."""
+    prime p: the rows whose modulus p divides, each to be scaled by p^(k-e)
+    so that it holds mod q.  Returns the column factorizations, the rows as
+    an int64 array, and a list of ``(p, k, q, keep, scales)``; every
+    refusal is made here, the kernel's own included."""
     n = len(col_moduli)
     check_moduli((*col_moduli, *row_moduli))
     fac = {m: factorint(m) if m > 1 else {} for m in {*col_moduli, *row_moduli}}
     col_exp = [fac[m] for m in col_moduli]
     row_exp = [fac[m] for m in row_moduli]
     full = np.asarray(rows, dtype=np.int64).reshape(len(rows), n)
-    systems = []
+    split = []
     for p in sorted(set().union(*fac.values())):
         k = max(f.get(p, 0) for f in fac.values())
         q = p**k
         keep = [i for i, f in enumerate(row_exp) if p in f]
-        scales = [p ** (k - row_exp[i][p]) for i in keep]
         if keep:
-            # the kernel's own refusal, made before the scaling below can wrap
+            # made before any scaling can wrap
             check_int64_products(q - 1, max(len(keep), n), f"modulus q={q}")
-        mat = _mod(full[keep], q)
-        if any(s != 1 for s in scales):
-            mat *= np.array(scales, dtype=np.int64).reshape(-1, 1)
-            mat = _mod(mat, q)
-        systems.append((p, k, q, keep, scales, mat))
-    return col_exp, systems
+        split.append((p, k, q, keep, [p ** (k - row_exp[i][p]) for i in keep]))
+    return col_exp, full, split
+
+
+def _system_matrix(full: np.ndarray, keep, scales, q: int) -> np.ndarray:
+    # one prime's system: the rows ``keep``, scaled and reduced mod q (no
+    # scaling when every row's exponent is k)
+    mat = _mod(full[keep], q)
+    if any(s != 1 for s in scales):
+        mat *= np.array(scales, dtype=np.int64).reshape(-1, 1)
+        mat = _mod(mat, q)
+    return mat
 
 
 def congruence_kernel(rows, row_moduli, col_moduli) -> list[Vector]:
@@ -722,15 +857,26 @@ def congruence_kernel(rows, row_moduli, col_moduli) -> list[Vector]:
     moduli (rows[i][j] * col_moduli[j] = 0 mod row_moduli[i]), which
     holds for every system assembled from valid module matrices.
     """
-    exp_of, systems = _prime_systems(rows, row_moduli, col_moduli)
-    if not col_moduli:
+    exp_of, full, split = _split_by_prime(rows, row_moduli, col_moduli)
+    n = len(col_moduli)
+    if not n:
         return []  # checked moduli, and nothing to diagonalize
+    small = n <= _SMALL
+    if small:
+        full = full.tolist()
     out: list[Vector] = []
-    for p, k, _, _, _, mat in systems:
+    for p, k, q, keep, scales in split:
         # keep the p-part of each component, zero at the other primes
         exps = [f.get(p, 0) for f in exp_of]
-        gens = _lift_p_parts(_kernel_gens_mod(mat, p, k)[0], p, exps, col_moduli)
-        out.extend(tuple(g) for g in gens.tolist() if any(g))
+        if small:
+            # the generators of _kernel_gens_mod, on Python ints
+            mat = [[x * s % q for x in full[i]] for i, s in zip(keep, scales)]
+            d, v, _ = _diagonalize_small(mat, n, p, k, need_vinv=False)
+            a = d + [k] * (n - len(d))
+            gens = [[row[j] * p ** (k - a[j]) % q for row in v] for j in range(n) if a[j] > 0]
+        else:
+            gens = _kernel_gens_mod(_system_matrix(full, keep, scales, q), p, k)[0]
+        out.extend(tuple(g) for g in _lift_p_parts(gens, p, exps, col_moduli).tolist() if any(g))
     return out
 
 
@@ -798,9 +944,11 @@ class CongruenceSolver:
         self.rows = [tuple(int(x) for x in r) for r in rows]
         self.row_moduli = [int(m) for m in row_moduli]
         self.col_moduli = [int(m) for m in col_moduli]
-        self.exp_of, self.systems = _prime_systems(
-            self.rows, self.row_moduli, self.col_moduli
-        )
+        self.exp_of, full, split = _split_by_prime(self.rows, self.row_moduli, self.col_moduli)
+        self.systems = [
+            (p, k, q, keep, scales, _system_matrix(full, keep, scales, q))
+            for p, k, q, keep, scales in split
+        ]
 
     def solve(self, rhs) -> Vector | None:
         rhs = [int(b) for b in rhs]

@@ -21,7 +21,7 @@ import corprod.cohomology as coh
 from corprod import corpus, lattice, modular
 from corprod.abelian import AbHom
 from corprod.abelian import FiniteAbelianGroup as FAG
-from corprod.errors import SizeCapExceeded, VerificationFailure
+from corprod.errors import InvariantViolation, SizeCapExceeded, VerificationFailure
 from corprod.presentation import free_presentation
 
 
@@ -298,3 +298,27 @@ def test_coinduced_products_beyond_int64_are_refused():
     small = f // 29
     cm = coh.coinduced_module(coh.trivial_module(c2, FAG((small,))))
     assert cm.quotient.coeff.factors == (small,)
+
+
+def test_corruptions_of_a_coinduced_action_are_refused():
+    # the permutation action of Maps(G, A), of rank 12, is validated on
+    # each row's one nonzero column and value; a corruption that keeps every
+    # row monomial is refused there, and a second nonzero in a row by the
+    # dense product.  Moving a row's 1 to another column changes two entries
+    g = corpus._zoo()["S3"]
+    coind = coh.coinduced_module(coh.trivial_module(g, FAG((2, 4)))).module
+    act, fac = coind.action, coind.coeff.factors
+    coh.GModule(g, coind.coeff, act.copy())
+    for x in range(g.order):
+        for i in range(len(fac)):
+            j = int(act[x, i].argmax())  # the row's one nonzero entry, a 1
+            other = (j + 1 + x) % len(fac)
+            changes = [[(j, 0)], [(other, 1)], [(j, 0), (other, 1)]]
+            changes += [[(j, v)] for v in range(2, fac[i])]
+            for change in changes:
+                bad = act.copy()
+                for col, value in change:
+                    bad[x, i, col] = value
+                want = "identity" if x == g.identity else "homomorphism"
+                with pytest.raises(InvariantViolation, match=want):
+                    coh.GModule(g, coind.coeff, bad)

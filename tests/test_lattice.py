@@ -5,14 +5,16 @@ import math
 import random
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corprod import corpus, lattice
+from corprod import abelian, corpus, lattice
 from corprod import formulas as fp
 from corprod import groups as gr
 from corprod.abelian import FiniteAbelianGroup
 from corprod.cohomology import DEFAULT_COH_CAP
+from corprod.errors import SizeCapExceeded
 from corprod.families import family
 
 matrices = st.integers(1, 4).flatmap(
@@ -117,6 +119,35 @@ def test_factorint_splits_large_factors_quickly():
         got = lattice.factorint(n)
         assert time.perf_counter() - start < 1.0, n
         assert got == want and list(got) == sorted(got), n
+
+
+def test_a_cofactor_beyond_exact_primality_is_refused_quickly():
+    # each once trial-divided its cofactor up to its square root, some 10^13 steps
+    for n in (2**89 - 1, (2**61 - 1) * (2**31 - 1)):
+        for call in (
+            lambda: abelian.group_from_moduli([n, 6]),
+            lambda: abelian.hom_group(FiniteAbelianGroup((n,)), FiniteAbelianGroup((n,))),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(SizeCapExceeded, match=rf"cannot factor {n}: its cofactor {n} "):
+                call()
+            assert time.perf_counter() - start < 1.0, n
+    # small primes are divided out first, and what they leave is named
+    n = 2**89 - 1
+    with pytest.raises(SizeCapExceeded, match=rf"cannot factor {6 * n}: its cofactor {n} "):
+        lattice.factorint(6 * n)
+    # a large power of small primes factors as before, and so does a
+    # cofactor that trial division past 1000 brings below the limit
+    for n, want in (
+        (2**64, {2: 64}),
+        (2**100, {2: 100}),
+        (2**82 * 3, {2: 82, 3: 1}),
+        (1009**9, {1009: 9}),
+        (1009**4 * (2**61 - 1), {1009: 4, 2**61 - 1: 1}),
+    ):
+        start = time.perf_counter()
+        assert lattice.factorint(n) == want
+        assert time.perf_counter() - start < 0.1, n
 
 
 def test_factorint_below_2_63_is_a_prime_factorization():

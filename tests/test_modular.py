@@ -413,6 +413,26 @@ def test_packed_kernels_match_numpy_kernel_on_corpus_traffic(monkeypatch):
         assert_same_transforms(packed[q](mat, need_vinv), want)
 
 
+def test_small_systems_leave_the_kernel_on_the_corpus(monkeypatch):
+    # the subquotients and congruence kernels of at most four coordinates
+    # run on Python ints: the first 4 seed-0 instances, caches emptied,
+    # make 92 local_diagonalize calls, where routing every system to the
+    # kernel makes 350
+    calls = []
+    kernel = modular.local_diagonalize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(modular, "local_diagonalize", counted)
+    for cache in corprod_caches():
+        if inspect.signature(cache.__wrapped__).parameters:
+            cache.cache_clear()
+    corpus.corpus_summary_records(0, 4, DEFAULT_COH_CAP, DEFAULT_ENUM_CAP)
+    assert 0 < len(calls) < 150
+
+
 # moduli below 2^63 with their factorizations; the first three have
 # p-parts whose lifts pass 2^63 when multiplied out in int64
 LIFT_MODULI = {
@@ -914,3 +934,125 @@ def test_layer_outputs_match_their_digests(name):
     modular._subquotient_cached.cache_clear()
     got = json.dumps(layer_panel(name), separators=(",", ":"))
     assert hashlib.sha256(got.encode()).hexdigest() == LAYER_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# systems of at most four coordinates, refusals included, pinned by digest
+# ---------------------------------------------------------------------------
+
+
+def outcome(call, *args):
+    # what a call returns, or the type and message of the refusal it raises
+    try:
+        return call(*args)
+    except corprod.errors.CorprodError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def small_subquotient(moduli, num, den, stack):
+    sq = modular.subquotient(moduli, num, den)
+    return [sq.factors, sq.reps, outcome(sq.classify_many, stack)]
+
+
+def small_panel(name):
+    """``congruence_kernel``, or ``subquotient`` with ``classify_many``, on
+    seeded systems of 0-4 coordinates and 0-12 rows whose moduli are drawn
+    from one mix, as nested lists of ints and of refusals."""
+    kind, _, arg = name.partition(":")
+    mix = tuple(int(m) for m in arg.split(","))
+    rng = np.random.default_rng([2030, sum(map(ord, name))])
+    out = []
+    for n, m in itertools.product(range(5), range(13)):
+        col = [int(x) for x in rng.choice(mix, size=n)]
+        if kind == "congruence_kernel":
+            row = [int(x) for x in rng.choice(mix, size=m)]
+            out.append(outcome(modular.congruence_kernel, panel_system(rng, col, row), row, col))
+            continue
+        num = (rng.integers(-40, 40, size=(m, n)) * rng.choice([1, 2, 3], size=(m, 1))).tolist()
+        if n == 0:
+            out.append(outcome(small_subquotient, col, num, [], [[]] * 3))
+            continue
+        den = panel_combos(rng, int(rng.integers(0, 4)), num, col)
+        stack = panel_combos(rng, 3, num, col)
+        # now and then a vector that may lie outside the numerator
+        if rng.random() < 0.25:
+            den.append(rng.integers(-40, 40, size=n).tolist())
+        if rng.random() < 0.25:
+            stack.append(rng.integers(-40, 40, size=n).tolist())
+        out.append(outcome(small_subquotient, col, num, den, stack))
+    return out
+
+
+def small_refusals():
+    # each entry point at the boundaries it checks: a modulus of 0 and of
+    # 2^63, and the int64 product bound, met at three rows mod 2^31 - 1
+    q = 2**31 - 1
+    calls = []
+    for bad in (0, 2**63):
+        calls += [
+            (modular.congruence_kernel, [[1, 1]], [2], [2, bad]),
+            (modular.congruence_kernel, [[1]], [bad], [2]),
+            (small_subquotient, (3, bad), [[1, 1]], [], [[1, 1]]),
+        ]
+    calls += [
+        (modular.congruence_kernel, [[1, 2]] * 3, [q] * 3, [q, q]),
+        (modular.congruence_kernel, [[1, 2, 3]], [q], [q] * 3),
+        (modular.congruence_kernel, [[1, 2]] * 2, [q] * 2, [q, q]),
+        (small_subquotient, (q, q), [[1, 2]], [], [[2, 4]]),
+        (small_subquotient, (q,), [[1]], [[2]], [[3]]),
+        (small_subquotient, (q,), [[3]], [], [[6]]),
+        (small_subquotient, (q,), [], [[1]], [[0]]),
+    ]
+    return [outcome(*call) for call in calls]
+
+
+def test_the_small_path_builds_the_array_path_engines(monkeypatch):
+    rng = np.random.default_rng(30)
+    for moduli in ((2, 4, 8), (3, 9), (4, 12), (6,), (5, 25), (8, 2, 4, 8), (6, 10, 15)):
+        n = len(moduli)
+        for m in range(8):
+            num = rng.integers(-40, 40, size=(m, n)) * rng.choice([1, 2, 3], size=(m, 1))
+            den = np.array(panel_combos(rng, m % 3, num.tolist(), moduli), dtype=np.int64)
+            den = den.reshape(len(den), n)
+            for part in modular._prime_parts(moduli):
+                small, small_reps = modular._present_prime_small(part, num.tolist(), den.tolist())
+                array, array_reps = modular._present_prime(part, num, den)
+                assert small.factors == array.factors
+                for name in ("v_n", "pa", "v_kept"):
+                    got, want = getattr(small, name), getattr(array, name)
+                    assert got.dtype == want.dtype == np.int64 and not got.flags.writeable
+                    assert got.shape == want.shape and np.array_equal(got, want)
+                assert small_reps == array_reps.tolist()
+            row = [int(x) for x in rng.choice(moduli, size=m)]
+            rows = panel_system(rng, moduli, row)
+            small = modular.congruence_kernel(rows, row, moduli)
+            monkeypatch.setattr(modular, "_SMALL", 0)
+            assert modular.congruence_kernel(rows, row, moduli) == small
+            monkeypatch.undo()
+
+
+# sha256 of the JSON of small_panel(name), and of small_refusals() under
+# "refusals", recorded while every system ran the array path
+SMALL_DIGESTS = {
+    "congruence_kernel:2,4,8": "73fc7223f2a295bea9ac1e6cfe2d457e5103c2cccdcdbdcb0937f40d895ca444",
+    "congruence_kernel:3,9": "1f6818ce6467b10316e43f788ccc6aad91add4503c5b9c91b290d65ab92bc303",
+    "congruence_kernel:4,12": "76c1441c7949e0e45b177554193dfac3ae8a52c901b77b0b804f9d1bbc72739f",
+    "congruence_kernel:6": "1404015055d45d5e4f0599fe308024be1eb73b0397ccff0f724114dd936341a1",
+    "congruence_kernel:5,25": "50df187e691ec28771fc69c15d3b354da278698c9c98fe3c7dd189d761aa8f5a",
+    "congruence_kernel:2147483647": "93fbd585c94cf87cf15129e74de6518761e0fe78f59a89e4e7d09e57bea7682d",
+    "subquotient:2,4,8": "f0d78c383022492d70c1faa048421b4d175a593f0689ed8287a095edc4be889b",
+    "subquotient:3,9": "bc6431a36a78a62e3c843e7822116d1e87cf723912ffa4609222c0e08b94c1c9",
+    "subquotient:4,12": "d52ad7caa53a76d9c0c134e0b959412e9c2fd8305c5194fcc786c70494c4b6c4",
+    "subquotient:6": "48af9986e0525a45bdb0381beed4dc4fca0ca0c2683075b5d40856f1651f3877",
+    "subquotient:5,25": "57acde8809f6ffed7dc544386ab3557c6f5bb9744f0bf368586f5ca912a5e602",
+    "subquotient:2147483647": "50413d69b394470f2c749d6a034b88c1c2bd2dda8accdb91e04eeb0a53cff8c6",
+    "refusals": "2ed5e733f8107ef83baec9d30fc85416cc9461391a24f796bea187b22e723fe3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_DIGESTS))
+def test_small_systems_match_their_digests(name):
+    modular._subquotient_cached.cache_clear()
+    panel = small_refusals() if name == "refusals" else small_panel(name)
+    got = json.dumps(panel, separators=(",", ":"))
+    assert hashlib.sha256(got.encode()).hexdigest() == SMALL_DIGESTS[name]
