@@ -166,9 +166,6 @@ class AbHom:
     def is_surjective(self) -> bool:
         return self.image().order == self.target.order
 
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.matrix)
-
 
 def identity_hom(a: FiniteAbelianGroup) -> AbHom:
     return AbHom(a, a, lattice.identity_matrix(a.rank))
@@ -264,19 +261,6 @@ class DualPairing:
         for xi, ci, d in zip(x, chi, self.left.factors):
             total += xi * ci * (m // d)
         return Fraction(total % m, m)
-
-    def is_nondegenerate(self) -> bool:
-        left_ok = all(
-            any(self.value(x, chi) != 0 for chi in self.right.elements())
-            for x in self.left.elements()
-            if any(x)
-        )
-        right_ok = all(
-            any(self.value(x, chi) != 0 for x in self.left.elements())
-            for chi in self.right.elements()
-            if any(chi)
-        )
-        return left_ok and right_ok
 
 
 def dual_group(a: FiniteAbelianGroup) -> tuple[FiniteAbelianGroup, DualPairing]:

@@ -496,21 +496,6 @@ def check_exactness(seq: FourTermSequence) -> ExactnessReport:
     return ExactnessReport(tuple(reports))
 
 
-def corrupt_map_entry(seq: FourTermSequence, which: int, i: int, j: int, delta: int) -> FourTermSequence:
-    """Copy of the sequence with maps[which].matrix[i][j] += delta.
-
-    May raise InvariantViolation when the corrupted matrix no longer
-    respects the source relations; that also counts as detection.
-    """
-    hom = seq.maps[which]
-    mat = [list(row) for row in hom.matrix]
-    mat[i][j] += delta
-    new = AbHom(hom.source, hom.target, tuple(tuple(r) for r in mat))
-    maps = list(seq.maps)
-    maps[which] = new
-    return FourTermSequence(seq.terms, tuple(maps), seq.oracle)
-
-
 # ---------------------------------------------------------------------------
 # formula families (right-hand sides of the structure theorems)
 # ---------------------------------------------------------------------------

@@ -106,14 +106,6 @@ class FiniteGroup:
         images = tuple(structure.coordinates(proj.apply(x)) for x in range(self.order))
         return target, AbelianizationMap(self, target, images)
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv[g])
-
-    def commutator(self, g: int, h: int) -> int:
-        """g h g^-1 h^-1."""
-        return self.mul(self.conj(g, h), self.inv[h])
-
     def element_order(self, g: int) -> int:
         n, x = 1, g
         while x != self.identity:
@@ -201,9 +193,7 @@ def _compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def group_from_generators(
-    degree: int, generators, cap: int = DEFAULT_ORDER_CAP, label: str = "G"
-) -> FiniteGroup:
+def group_from_generators(degree: int, generators, label: str = "G") -> FiniteGroup:
     """Closure of permutations of 0..degree-1 under composition.
 
     Element 0 is the identity; the remaining elements are enumerated by
@@ -212,7 +202,8 @@ def group_from_generators(
     refused before anything of its size is built.  The walk records
     ``right[s][x]``, the index of elems[x]∘gens[s], and the table is filled
     along its tree: row y of the transpose is ``right[s]`` gathered at row
-    x, where elems[y] = elems[x]∘gens[s].
+    x, where elems[y] = elems[x]∘gens[s].  A closure past
+    ``DEFAULT_ORDER_CAP`` elements is refused.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     if any(len(g) != degree for g in gens) or (not gens and degree > 1):
@@ -226,8 +217,8 @@ def group_from_generators(
         for s, g in enumerate(gens):
             y = _compose(p, g)
             if y not in seen:
-                if len(elems) >= cap:
-                    raise SizeCapExceeded(f"closure exceeds the order cap {cap}")
+                if len(elems) >= DEFAULT_ORDER_CAP:
+                    raise SizeCapExceeded(f"closure exceeds the order cap {DEFAULT_ORDER_CAP}")
                 seen[y] = len(elems)
                 elems.append(y)
                 tree.append((x, s, seen[y]))
@@ -301,8 +292,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         gens.append(tuple([1, 0] + list(range(2, n))))
     if n >= 3:
         gens.append(tuple(list(range(1, n)) + [0]))
-    g = group_from_generators(n, gens)
-    return FiniteGroup(g.table, 0, f"S{n}")
+    return group_from_generators(n, gens, f"S{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> FiniteGroup:
@@ -559,10 +549,6 @@ class AbelianizationMap:
 
     def apply(self, g: int) -> tuple[int, ...]:
         return self.images[g]
-
-    def kernel_elements(self) -> tuple[int, ...]:
-        zero = self.target.zero
-        return tuple(g for g in range(self.group.order) if self.images[g] == zero)
 
 
 def abelianization(g: FiniteGroup) -> tuple[FiniteAbelianGroup, AbelianizationMap]:

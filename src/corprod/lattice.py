@@ -40,21 +40,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(mat) -> Matrix:
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    return tuple(tuple(mat[i][j] for i in range(rows)) for j in range(cols))
-
-
-def mat_mul(a, b) -> Matrix:
-    if a and b:
-        assert len(a[0]) == len(b), "shape mismatch"
-    bt = transpose(b) if b else ()
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def mat_vec(a, v) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 

@@ -16,9 +16,8 @@ every edge word, the walk along every transversal word, the edges that
 every pair of transversal words crosses and the conjugation action of the
 generators on the edges.  Each is gathered from the walks and from one
 array that indexes the edges, ``_edge_of[x, s]``: the index of edge
-(x, s), or -1 on the tree.  The word-level methods (``rewrite``,
-``edge_word``, ``derivation_terms``, ``pair_vector``) compute the same
-data one word at a time; only the tests call them.
+(x, s), or -1 on the tree.  The tests hold these arrays to a word-level
+Reidemeister rewriting of their own.
 """
 
 from __future__ import annotations
@@ -27,15 +26,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import MEMO_SIZE, VerificationFailure
+from .errors import MEMO_SIZE
 from .groups import FiniteGroup, spanning_tree
 from .records import record
 
 Word = tuple[int, ...]  # +(i+1) = generator i, -(i+1) = its inverse
-
-
-def _invert_word(w: Word) -> Word:
-    return tuple(-x for x in reversed(w))
 
 
 @record(frozen=True)
@@ -50,49 +45,14 @@ class FreePresentation:
         """Z-rank of the abelianized kernel."""
         return len(self.edges)
 
-    # -- rewriting ---------------------------------------------------------
-
-    def rewrite(self, word: Word) -> tuple[int, ...]:
-        """Reidemeister rewriting of a kernel word to edge coordinates.
-
-        The word must evaluate to the identity in the group.  Like
-        ``edge_word``, ``derivation_terms`` and ``pair_vector``, it has no
-        library caller: it is the word-level reference that the tests hold
-        the cached arrays to.
-        """
-        g, edge_of = self.group, self._edge_of
-        vec = [0] * len(self.edges)
-        cur = g.identity
-        for letter in word:
-            if letter > 0:
-                s = letter - 1
-                if (e := edge_of[cur, s]) >= 0:
-                    vec[e] += 1
-                cur = g.mul(cur, self.gens[s])
-            else:
-                s = -letter - 1
-                prev = g.mul(cur, g.inv[self.gens[s]])
-                if (e := edge_of[prev, s]) >= 0:
-                    vec[e] -= 1
-                cur = prev
-        if cur != g.identity:
-            raise ValueError("word does not lie in the kernel")
-        return tuple(vec)
-
-    def edge_word(self, e: int) -> Word:
-        """n_e = w_x s w_{xs}^{-1} for e = (x, s), as a word (a test reference)."""
-        elem, s = self.edges[e]
-        g = self.group
-        target = g.mul(elem, self.gens[s])
-        return self.coset_word[elem] + (s + 1,) + _invert_word(self.coset_word[target])
-
     # -- group action on the abelianized kernel -----------------------------
 
     @cached_property
     def conjugation_table(self) -> np.ndarray:
         """Read-only int64 array of shape (k, rank, rank): row e of matrix s
         is s n_e s^-1 in edge coordinates.  For e = (x, t) and g = gens[s]
-        that is pair_vector(g, x) + n_{(gx, t)} - pair_vector(g, xt), since
+        that is (g, x) + n_{(gx, t)} - (g, xt), where (a, b) is the edge
+        vector of w_a w_b w_{ab}^-1 (``pair_edges``), since
         s n_e s^-1 = u (g, x) n_{(gx, t)} (g, xt)^-1 u^-1 with u = s w_g^-1."""
         n, rho = self.group.order, self.rank
         pair, pair_edge = self.pair_edges
@@ -103,7 +63,7 @@ class FreePresentation:
         slot = np.full(n, -1, dtype=np.int64)  # [g]: s with gens[s] = g, or -1
         slot[gens] = np.arange(len(gens))
         # entries are 0, 1 (and -1, 2 in ``out``), so the gathers move int8
-        by_gen = np.zeros((len(gens), n, rho), dtype=np.int8)  # [s, y]: pair_vector(gens[s], y)
+        by_gen = np.zeros((len(gens), n, rho), dtype=np.int8)  # [s, y]: the vector of (gens[s], y)
         hit = slot[a] >= 0
         by_gen[slot[a[hit]], b[hit], pair_edge[hit]] = 1
         out = by_gen[:, x] - by_gen[:, table[x, gens[t]]]
@@ -114,36 +74,14 @@ class FreePresentation:
 
     # -- derivations ---------------------------------------------------------
 
-    def derivation_terms(self, e: int) -> tuple[tuple[int, int, int], ...]:
-        """d(n_e) as a list of (sign, prefix element, generator index).
-
-        A derivation d on the free group restricts on the edge word to
-        sum sign * prefix . d(s).  The word-level reference for
-        ``derivation_table``.
-        """
-        g = self.group
-        out = []
-        cur = g.identity
-        for letter in self.edge_word(e):
-            if letter > 0:
-                s = letter - 1
-                out.append((1, cur, s))
-                cur = g.mul(cur, self.gens[s])
-            else:
-                s = -letter - 1
-                prev = g.mul(cur, g.inv[self.gens[s]])
-                out.append((-1, prev, s))
-                cur = prev
-        if cur != g.identity:
-            raise VerificationFailure("edge word did not close up")
-        return tuple(out)
-
     @cached_property
     def derivation_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``derivation_terms`` of every edge as read-only int64 arrays
-        (edge, sign, prefix element, generator index), read off
-        ``coset_walks``: the word of edge (x, s) is w_x with sign +1, the
-        letter s read at x, then w_{xs} reversed with sign -1."""
+        """The derivation terms of every edge word n_e, as read-only int64
+        arrays (edge, sign, prefix element, generator index): a derivation
+        d on the free group restricts on n_e to sum sign * prefix . d(s).
+        They are read off ``coset_walks``: the word of edge (x, s) is w_x
+        with sign +1, the letter s read at x, then w_{xs} reversed with
+        sign -1."""
         prefix, letter = self.coset_walks
         x, s = np.array(self.edges, dtype=np.int64).reshape(self.rank, 2).T
         y = self.group.array[x, np.array(self.gens, dtype=np.int64)[s]]
@@ -174,21 +112,11 @@ class FreePresentation:
 
     # -- factor sets ---------------------------------------------------------
 
-    def pair_vector(self, a: int, b: int) -> tuple[int, ...]:
-        """Edge coordinates of w_a w_b w_{ab}^{-1}, by rewriting: the
-        word-level reference for ``pair_edges``."""
-        g = self.group
-        w = (
-            self.coset_word[a]
-            + self.coset_word[b]
-            + _invert_word(self.coset_word[g.mul(a, b)])
-        )
-        return self.rewrite(w)
-
     @cached_property
     def pair_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero entries of every ``pair_vector(a, b)``, as read-only
-        int64 arrays (a*|G| + b, edge) sorted by pair; each entry is 1.
+        """The nonzero entries of the edge vector of every w_a w_b w_{ab}^-1,
+        as read-only int64 arrays (a*|G| + b, edge) sorted by pair; each
+        entry is 1.
 
         w_a and w_{ab}^{-1} run along the tree, so only the letters of w_b,
         read from a, cross edges, and they visit distinct elements.

@@ -28,13 +28,13 @@ import hashlib
 import json
 from contextlib import contextmanager
 
+from . import groups
 from .abelian import FiniteAbelianGroup
 from .cohomology import module_from_generator_matrices
 from .errors import CorprodError, SpecFileError
 from .families import TAIL, FamilyMorphism, FamilySpec, Tower, family
 from .formulas import FamilyModule
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GroupHom,
     Subgroup,
@@ -86,7 +86,9 @@ def _index_key(key: str) -> int:
     return int(key)
 
 
-def parse_group(data, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def parse_group(data) -> FiniteGroup:
+    """A group of at most ``groups.DEFAULT_ORDER_CAP`` elements."""
+    cap = groups.DEFAULT_ORDER_CAP
     with _refused_as("invalid group", "malformed group spec"):
         kind = data["kind"]
         if kind == "cyclic":
@@ -97,11 +99,7 @@ def parse_group(data, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
                 raise SpecFileError(f"cyclic order {n} exceeds the cap {cap}")
             return cyclic_group(n)
         if kind == "perm":
-            return group_from_generators(
-                _int(data["degree"]),
-                [_ints(g) for g in data["generators"]],
-                cap=cap,
-            )
+            return group_from_generators(_int(data["degree"]), [_ints(g) for g in data["generators"]])
         if kind == "table":
             table = data["table"]
             if len(table) > cap:
@@ -122,21 +120,21 @@ def parse_subgroup(group: FiniteGroup, generators) -> Subgroup:
         return subgroup_from_generators(group, _ints(generators))
 
 
-def _parse_fiber(data, cap: int) -> tuple[FiniteGroup, Subgroup]:
+def _parse_fiber(data) -> tuple[FiniteGroup, Subgroup]:
     """A fiber's group and subgroup, exceptional or tail alike."""
-    g = parse_group(data["group"], cap)
+    g = parse_group(data["group"])
     if "subgroup_elements" in data:
         return g, Subgroup(g, _ints(data["subgroup_elements"]))
     return g, parse_subgroup(g, data.get("subgroup_generators", []))
 
 
-def parse_family(data, cap: int = DEFAULT_ORDER_CAP) -> FamilySpec:
+def parse_family(data) -> FamilySpec:
     with _refused_as("invalid family", "malformed family spec"):
         exceptional = [
-            (str(name), *_parse_fiber(fiber, cap))
+            (str(name), *_parse_fiber(fiber))
             for name, fiber in sorted(data.get("exceptional", {}).items())
         ]
-        tail = _parse_fiber(data["tail"], cap) if data.get("tail") else None
+        tail = _parse_fiber(data["tail"]) if data.get("tail") else None
         return family(exceptional, tail, data.get("prime_set"))
 
 
@@ -214,9 +212,9 @@ def parse_morphism(data, source: FamilySpec, target: FamilySpec) -> FamilyMorphi
         return FamilyMorphism(source, target, index_map, fiber_maps)
 
 
-def parse_tower(data, cap: int = DEFAULT_ORDER_CAP) -> Tower:
+def parse_tower(data) -> Tower:
     with _refused_as("invalid tower", "malformed tower file"):
-        levels = tuple(parse_family(entry, cap) for entry in data["levels"])
+        levels = tuple(parse_family(entry) for entry in data["levels"])
         transitions = tuple(
             parse_morphism(entry, levels[i + 1], levels[i])
             for i, entry in enumerate(data.get("transitions", []))

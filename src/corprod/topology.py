@@ -150,13 +150,5 @@ class OpenMapCertificate:
 
 def open_map_certificate(m: FamilyMorphism) -> OpenMapCertificate:
     preds = morphism_predicates(m)
-    failures = []
-    if not preds.fibrewise_surjective:
-        failures.append("not fibrewise surjective")
-    if not preds.strict:
-        failures.append("not strict")
-    if not preds.index_map_open:
-        failures.append("index map is not open")
-    if not preds.star_unique_preimage:
-        failures.append("star preimage is not unique")
+    failures = preds.failures()
     return OpenMapCertificate(preds, not failures, tuple(failures))

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import negation_action
+from conftest import corrupt_map_entry, negation_action
 from corprod import corpus
 from corprod import families as fam
 from corprod import formulas as fp
@@ -182,7 +182,7 @@ def test_criterion_8_mutation_sensitivity(zoo):
     sample = rng.sample(mutations, 50)
     for seq, which, i, j, delta in sample:
         try:
-            bad = fp.corrupt_map_entry(seq, which, i, j, delta)
+            bad = corrupt_map_entry(seq, which, i, j, delta)
             if not fp.check_exactness(bad).passed:
                 detected += 1
         except InvariantViolation:

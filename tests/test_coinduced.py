@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import corprod.cohomology as coh
+from conftest import WordRewriting
 from corprod import corpus, lattice, modular
 from corprod.abelian import AbHom
 from corprod.abelian import FiniteAbelianGroup as FAG
@@ -101,11 +102,12 @@ def ref_h1(m):
     """Factors and generator values of the H^1 representatives."""
     a = m.coeff
     pres = free_presentation(m.group)
+    ref = WordRewriting(pres)
     r, k = a.rank, len(pres.gens)
     rows, row_moduli = [], []
     for e in range(pres.rank):
         block = [[0] * (k * r) for _ in range(r)]
-        for sign, prefix, s in pres.derivation_terms(e):
+        for sign, prefix, s in ref.derivation_terms(e):
             mat = m.action[prefix]
             for i in range(r):
                 for j in range(r):
@@ -130,12 +132,13 @@ def ref_h2(m):
     """Factors and representative tables of H^2."""
     g, a = m.group, m.coeff
     pres = free_presentation(g)
+    ref = WordRewriting(pres)
     r, rho = a.rank, pres.rank
     col_moduli = a.factors * rho
     rows, row_moduli = [], []
     for s, gelt in enumerate(pres.gens):
         # s n_e s^-1 by Reidemeister rewriting, not the library's table
-        conj = [pres.rewrite((s + 1,) + pres.edge_word(e) + (-(s + 1),)) for e in range(rho)]
+        conj = [ref.rewrite((s + 1,) + ref.edge_word(e) + (-(s + 1),)) for e in range(rho)]
         mat = m.action[gelt]
         for e in range(rho):
             block = [[0] * (rho * r) for _ in range(r)]
@@ -150,7 +153,7 @@ def ref_h2(m):
             row_moduli.extend(a.factors)
     hom_gens = modular.congruence_kernel(rows, row_moduli, col_moduli)
     den = []
-    derivs = [pres.derivation_terms(e) for e in range(rho)]
+    derivs = [ref.derivation_terms(e) for e in range(rho)]
     for s0 in range(len(pres.gens)):
         for i in range(r):
             e_i = tuple(1 if j == i else 0 for j in range(r))
@@ -171,7 +174,7 @@ def ref_h2(m):
             row = []
             for y in range(g.order):
                 acc = a.zero
-                for e, c in enumerate(pres.pair_vector(x, y)):
+                for e, c in enumerate(ref.pair_vector(x, y)):
                     acc = a.add(acc, a.scale(c, phi[e * r : (e + 1) * r]))
                 row.append(acc)
             table.append(tuple(row))

@@ -125,7 +125,7 @@ def test_morphism_predicates(zoo):
     # strict surjective quotient morphism: C4 -> C4/<2>
     _, qmor = fam.quotient_family_morphism(spec, {"a": u2})
     preds = fam.morphism_predicates(qmor)
-    assert preds.strict and preds.fibrewise_surjective and preds.all_hold
+    assert preds.strict and preds.fibrewise_surjective and preds.failures() == []
 
     # collapsing a non-star fiber onto the star
     tgt = fam.family([("b", c2, gr.full_subgroup(c2))], tail=(c3, gr.full_subgroup(c3)))
@@ -135,6 +135,12 @@ def test_morphism_predicates(zoo):
     assert not preds.index_map_open  # image of the singleton {a} is {*}
     assert not preds.strict  # U_a is not all of C4
     assert not preds.fibrewise_surjective  # fiber b is never reached
+    assert preds.failures() == [
+        "not fibrewise surjective",
+        "not strict",
+        "index map is not open",
+        "star preimage is not unique",
+    ]
 
     # the preimage check on C4 -> C2: with U = <2> upstairs the preimage
     # of the full C2 downstairs is all of C4, so this is NOT strict; it

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import corprod.cohomology as coh
-from conftest import negation_action
+from conftest import corrupt_map_entry, negation_action
 from corprod import families as fam
 from corprod import formulas as fp
 from corprod import groups as gr
@@ -87,7 +87,7 @@ def test_four_term_worked_instance(worked_instance):
     assert [t.factors for t in seq.terms] == [(3,), (3, 3), (3,), ()]
     assert fp.check_exactness(seq).passed
     assert seq.oracle.value == seq.terms[2]
-    assert fp.corrupt_map_entry(seq, 1, 0, 0, 1).oracle is seq.oracle
+    assert corrupt_map_entry(seq, 1, 0, 0, 1).oracle is seq.oracle
 
 
 def builds():
@@ -220,7 +220,7 @@ def test_four_term_single_factor(zoo):
 def test_check_exactness_reports_witness(worked_instance):
     spec, module = worked_instance
     seq = fp.four_term_sequence(fam.truncate(spec, 0), module)
-    bad = fp.corrupt_map_entry(seq, 1, 0, 0, 1)
+    bad = corrupt_map_entry(seq, 1, 0, 0, 1)
     rep = fp.check_exactness(bad)
     assert not rep.passed
     assert any(p.witness is not None for p in rep.failures())
@@ -237,7 +237,7 @@ def test_all_single_entry_mutations_detected(worked_instance):
                 for delta in range(1, modulus):
                     total += 1
                     try:
-                        bad = fp.corrupt_map_entry(seq, which, i, j, delta)
+                        bad = corrupt_map_entry(seq, which, i, j, delta)
                         if not fp.check_exactness(bad).passed:
                             detected += 1
                     except Exception:

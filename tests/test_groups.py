@@ -12,7 +12,7 @@ from corprod.errors import InvariantViolation, NotASubgroup, NotNormal, SizeCapE
 
 def brute_normal_closure(g, sub_elements):
     """Independent oracle: close the conjugate orbit under products."""
-    gens = {g.conj(x, a) for x in range(g.order) for a in sub_elements}
+    gens = {g.mul(g.mul(x, a), g.inv[x]) for x in range(g.order) for a in sub_elements}
     closure = {g.identity}
     frontier = [g.identity]
     while frontier:
@@ -28,7 +28,9 @@ def brute_normal_closure(g, sub_elements):
 
 
 def brute_commutator_subgroup(g):
-    gens = {g.commutator(a, b) for a in range(g.order) for b in range(g.order)}
+    gens = {
+        g.mul(g.mul(g.mul(a, b), g.inv[a]), g.inv[b]) for a in range(g.order) for b in range(g.order)
+    }
     closure = {g.identity}
     frontier = [g.identity]
     while frontier:
@@ -115,9 +117,14 @@ def test_an_unbacked_degree_is_refused_before_allocation():
         gr.group_from_generators(3, [(1, 0, 2), (1, 0)])
 
 
-def test_closure_cap():
-    with pytest.raises(SizeCapExceeded):
-        gr.group_from_generators(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], cap=100)
+def test_closure_cap(monkeypatch):
+    s6 = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
+    monkeypatch.setattr(gr, "DEFAULT_ORDER_CAP", 720)
+    assert gr.group_from_generators(6, s6).order == 720
+    monkeypatch.setattr(gr, "DEFAULT_ORDER_CAP", 719)
+    with pytest.raises(SizeCapExceeded, match="order cap 719"):
+        gr.group_from_generators(6, s6)
+    monkeypatch.undo()
     # S10's 3628800^2 table would take 100 TB; the walk stops at the cap
     tracemalloc.start()
     try:
@@ -268,11 +275,12 @@ def test_order_multiplicativity(zoo, rng):
 def test_abelianization_examples(zoo):
     a, m = gr.abelianization(zoo["Heis27"])
     assert a.factors == (3, 3)
-    assert set(m.kernel_elements()) == set(brute_commutator_subgroup(zoo["Heis27"]))
+    kernel = {x for x in range(27) if m.apply(x) == a.zero}
+    assert kernel == set(brute_commutator_subgroup(zoo["Heis27"]))
 
     a, m = gr.abelianization(zoo["C4"])
     assert a.factors == (4,)
-    assert len(m.kernel_elements()) == 1
+    assert [x for x in range(4) if m.apply(x) == a.zero] == [0]
 
     a, _ = gr.abelianization(zoo["D4"])
     assert a.factors == (2, 2)
@@ -287,7 +295,7 @@ def test_abelianization_order_and_kernel(zoo):
         a, m = gr.abelianization(g)
         comm = brute_commutator_subgroup(g)
         assert a.order == g.order // len(comm)
-        assert set(m.kernel_elements()) == set(comm)
+        assert {x for x in range(g.order) if m.apply(x) == a.zero} == set(comm)
         # the projection kills every commutator and is a homomorphism
         for x in range(g.order):
             for y in range(g.order):

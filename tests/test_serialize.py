@@ -10,7 +10,7 @@ import zlib
 
 import pytest
 
-from corprod import serialize
+from corprod import groups, serialize
 from corprod.errors import SpecFileError
 
 VALID_FAMILY = {
@@ -183,17 +183,23 @@ def test_a_parsed_action_is_validated_once(monkeypatch):
     assert m is module.action_for("a") and m.action[:, 0, 0].tolist() == [1, 5, 12, 8]
 
 
-def test_table_groups_obey_the_order_cap():
-    c4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-    assert serialize.parse_group({"kind": "table", "table": c4}, cap=4).order == 4
+def test_table_groups_obey_the_order_cap(monkeypatch):
     # past the cap the table is refused before it is read, so one shared
     # row stands for all of them
-    row = list(range(5))
-    with pytest.raises(SpecFileError, match="exceeds the cap 4"):
-        serialize.parse_group({"kind": "table", "table": [row] * 5}, cap=4)
     row = list(range(2001))
     with pytest.raises(SpecFileError, match="exceeds the cap 2000"):
         serialize.parse_group({"kind": "table", "table": [row] * 2001})
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 4)
+    c4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    assert serialize.parse_group({"kind": "table", "table": c4}).order == 4
+    row = list(range(5))
+    with pytest.raises(SpecFileError, match="exceeds the cap 4"):
+        serialize.parse_group({"kind": "table", "table": [row] * 5})
+    # the same cap bounds the other group kinds
+    with pytest.raises(SpecFileError, match="cyclic order 5 exceeds the cap 4"):
+        serialize.parse_group({"kind": "cyclic", "n": 5})
+    with pytest.raises(SpecFileError, match="closure exceeds the order cap 4"):
+        serialize.parse_group({"kind": "perm", "degree": 5, "generators": [[1, 2, 3, 4, 0]]})
 
 
 def test_out_of_range_subgroup_element_is_an_invalid_family():
