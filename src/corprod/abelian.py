@@ -167,10 +167,6 @@ class AbHom:
         return self.image().order == self.target.order
 
 
-def identity_hom(a: FiniteAbelianGroup) -> AbHom:
-    return AbHom(a, a, lattice.identity_matrix(a.rank))
-
-
 @record(frozen=True)
 class AbSubgroup:
     """Subgroup of a finite abelian group, given by generating vectors.

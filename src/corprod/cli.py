@@ -257,13 +257,12 @@ def cmd_tower_check(cfg: RunConfig) -> Report:
     tower = parse_tower(data)
     cert = check_tower(tower)
     rep = Report()
-    for i, preds in enumerate(cert.steps):
-        ok = preds.strict and preds.fibrewise_surjective and preds.star_unique_preimage
+    for i, (preds, failures) in enumerate(zip(cert.steps, cert.step_failures)):
         rep.add(
             record(
                 f"tower-transition-{i}",
                 digest,
-                ok,
+                not failures,
                 detail=(
                     f"strict={preds.strict} fibrewise_surjective="
                     f"{preds.fibrewise_surjective} star_unique={preds.star_unique_preimage}"

@@ -390,25 +390,33 @@ class Tower:
 @record(frozen=True)
 class TowerCertificate:
     """Certified hypotheses for the limit theorem: every transition must
-    be fibrewise surjective and strict, with a unique star preimage."""
+    be fibrewise surjective and strict, with a unique star preimage.
+    ``step_failures[i]`` lists the hypotheses transition i fails."""
 
     steps: tuple[MorphismPredicates, ...]
-    failures: tuple[str, ...]
+    step_failures: tuple[tuple[str, ...], ...]
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(
+            f"transition {i}: {message}"
+            for i, messages in enumerate(self.step_failures)
+            for message in messages
+        )
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not any(self.step_failures)
 
 
 def check_tower(t: Tower) -> TowerCertificate:
     steps = tuple(morphism_predicates(tr) for tr in t.transitions)
-    failures = tuple(
-        f"transition {i}: {message}"
-        for i, preds in enumerate(steps)
-        for message in preds.failures()
-        if message != "index map is not open"  # the limit theorem does not ask for it
+    step_failures = tuple(
+        # the limit theorem does not ask for an open index map
+        tuple(message for message in preds.failures() if message != "index map is not open")
+        for preds in steps
     )
-    return TowerCertificate(steps, failures)
+    return TowerCertificate(steps, step_failures)
 
 
 # ---------------------------------------------------------------------------

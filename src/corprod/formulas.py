@@ -836,20 +836,22 @@ def restrict_truncation(trunc: FamilySpec, names) -> FamilySpec:
 def section_for(retraction: AbHom) -> AbHom | None:
     """A right inverse of a surjection of finite abelian groups, when
     one exists (equivalently the surjection splits)."""
+    # one system for all the images x_j of the generators e_j, block j
+    # reading x_j: retraction(x_j) = e_j, and f_j . x_j = 0 in the source
     src, tgt = retraction.source, retraction.target
-    cols = []
+    s, t = src.rank, tgt.rank
+    rows, row_moduli, rhs = [], [], []
     for j, f_j in enumerate(tgt.factors):
-        e_j = tuple(1 if i == j else 0 for i in range(tgt.rank))
-        rows = list(retraction.matrix) + [
-            tuple(f_j if t == s else 0 for t in range(src.rank))
-            for s in range(src.rank)
+        block = list(retraction.matrix) + [
+            tuple(f_j if c == i else 0 for c in range(s)) for i in range(s)
         ]
-        row_moduli = list(tgt.factors) + list(src.factors)
-        rhs = list(e_j) + [0] * src.rank
-        sol = modular.solve_congruence(rows, row_moduli, src.factors, rhs)
-        if sol is None:
-            return None
-        cols.append(sol)
+        rows.extend((0,) * (s * j) + r + (0,) * (s * (t - j - 1)) for r in block)
+        row_moduli.extend(tgt.factors + src.factors)
+        rhs.extend([int(i == j) for i in range(t)] + [0] * s)
+    sol = modular.CongruenceSolver(rows, row_moduli, src.factors * t).solve(rhs)
+    if sol is None:
+        return None
+    cols = [sol[s * j:s * (j + 1)] for j in range(t)]
     section = AbHom.from_columns(tgt, src, cols)
     check = retraction.compose(section)
     if check.matrix != identity_matrix(tgt.rank):

@@ -14,35 +14,39 @@ Coordinates are batched: ``Subquotient.classify_many`` takes a stack of
 vectors and answers it with one projection and two matrix products per
 prime, and ``classify`` is ``classify_many`` of one vector.
 
-Both work prime by prime.  Modulo q = p^k every matrix is diagonalized
-exactly by ``local_diagonalize``, and the results are glued with the
-Chinese remainder theorem; the p-part of a residue is lifted to the
-other primes by one idempotent per component (``_lift_p_parts``).  The
-kernel returns the column transform V and its inverse, never the row
-transform, since every caller reads columns: kernels, images and
-coordinates.  It has four paths with one pivot rule and the same V and
-Vinv, all int64; ``_PACKED`` maps q to its packed path.  At q = 2 it
-eliminates on packed bits, one Python int per column, so clearing a
-pivot's rows is one XOR per column.  At q = 3 and q = 4 each column is
-two such ints: over GF(3) the bit-planes of the 1s and of the 2s
-(bitsliced, after Boothby and Bradshaw), over Z/4 the low and the high
-binary digit.  Over GF(2) and GF(3) no row is ever swapped, but over Z/4
-a row of 2s can lie above the first unit, so there the rows are swapped
-as the numpy kernel swaps them.  For every other q a numpy kernel stores
-its matrices in the narrowest signed dtype that holds (q-1)^2 (int8 for
-q <= 12, then int16, int32, int64); it finds pivot valuations
-arithmetically, so nothing is allocated in proportion to q.
-A system of at most ``_SMALL`` = 4 coordinates never reaches these
-kernels: ``congruence_kernel`` with at most four columns, and each prime
-part of ``subquotient`` with at most four components, eliminate on lists
-of Python ints (``_diagonalize_small``) with the same pivot rule, and
-return the same integers with the same refusals in the same order.  At
-that size numpy's fixed cost per call is the time, not the arithmetic:
-on a 2-vCPU host a 2 x 2 system mod 9 takes 58 us in
-``local_diagonalize`` and 9 us on lists, an 8 x 4 one 110 us and 38 us,
-but a 16 x 8 one 262 us and 173 us and a 32 x 16 one 569 us and 805 us.
-Choosing the representation by problem size follows Dumas, Giorgi and
-Pernet (ACM TOMS 35, 2008).
+Both work prime by prime, over one decomposition: ``_prime_parts``
+splits moduli into p-primary parts, for ``subquotient`` over its moduli
+and for ``congruence_kernel`` and ``CongruenceSolver`` over the column
+and row moduli together (``_split_by_prime``).  Each distinct modulus is
+factored once per process, by an int-keyed memo of ``MEMO_SIZE``
+entries.  Modulo q = p^k every matrix is diagonalized exactly by
+``local_diagonalize``, and the results are glued with the Chinese
+remainder theorem; the p-part of a residue is lifted to the other primes
+by one idempotent per component (``_lift_p_parts``).  The kernel returns
+the column transform V and its inverse, never the row transform, since
+every caller reads columns: kernels, images and coordinates.  Its paths
+share one pivot rule and return the same int64 V and Vinv; each fork is
+paid for by a workload (times on a 2-vCPU host):
+
+* a matrix that is zero mod q gets the identity transforms at once.  On
+  the colimit-tail benchmark 32 of 79 calls are zero, and the kernels
+  take 6.1 ms with this shortcut and 6.7 ms without;
+* ``_PACKED`` maps q = 2, 3, 4 to a kernel on bit-packed Python ints,
+  one per column at q = 2 and two at q = 3 and 4 (see each kernel).  On
+  the matrices of corpus seeds 0-8 they take 57, 197 and 97 ms at q = 2,
+  3 and 4, where the numpy kernel takes 373, 545 and 365;
+* every other q runs the numpy kernel, which finds pivot valuations
+  arithmetically, so nothing is allocated in proportion to q;
+* a system of at most ``_SMALL`` = 4 coordinates reaches no kernel:
+  ``congruence_kernel`` with at most four columns, and each prime part
+  of ``subquotient`` with at most four components, eliminate on lists of
+  Python ints (``_diagonalize_small``) with the same pivot rule, and
+  return the same integers with the same refusals in the same order.  At
+  that size numpy's fixed cost per call is the time: through
+  ``local_diagonalize`` the cold call of the first 4 seed-0 corpus
+  instances is 15% slower.  Choosing the representation by problem size
+  follows Dumas, Giorgi and Pernet (ACM TOMS 35, 2008).
+
 A whole array is reduced mod one q by ``_mod``: ``x & (q - 1)`` when q
 is a power of two, exact in two's complement for negative entries too,
 and ``np.mod`` otherwise; reductions by per-column factors stay ``%``.
@@ -78,7 +82,9 @@ cache of the package too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache, reduce
+from itertools import compress, repeat
 from operator import or_
 from typing import Callable
 
@@ -88,10 +94,6 @@ from . import lattice
 from .errors import MEMO_SIZE, PreconditionError, SizeCapExceeded, VerificationFailure
 from .lattice import Vector, factorint
 from .records import field, record
-
-# narrowest signed dtype whose maximum holds (q-1)^2, as (dtype, maximum)
-_STORAGE = ((np.int8, 2**7 - 1), (np.int16, 2**15 - 1), (np.int32, 2**31 - 1))
-
 
 def check_int64_products(bound: int, length: int, what: str, other: int | None = None) -> None:
     """Refuse when a dot product of ``length`` terms, each the product of
@@ -154,10 +156,9 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_vinv: bool = True):
     """The numpy kernel of :func:`local_diagonalize`, for any q = p^k."""
     q = p**k
     m, n = mat.shape
-    dt = next((d for d, top in _STORAGE if (q - 1) ** 2 <= top), np.int64)
-    a = _mod(np.asarray(mat, dtype=np.int64), q).astype(dt, copy=False)
-    v = np.eye(n, dtype=dt)
-    vinv = np.eye(n, dtype=dt) if need_vinv else None
+    a = _mod(np.asarray(mat, dtype=np.int64), q)
+    v = np.eye(n, dtype=np.int64)
+    vinv = np.eye(n, dtype=np.int64) if need_vinv else None
     exps: list[int] = []
     for t in range(min(m, n)):
         block = a[t:, t:]
@@ -195,10 +196,9 @@ def _zq_diagonalize(mat: np.ndarray, p: int, k: int, need_vinv: bool = True):
             w = a[t, cols] // pj
             v[:, cols] = (v[:, cols] - v[:, t, None] * w) % q
             if need_vinv:
-                vinv[t, :] = (vinv[t, :] + w.astype(np.int64) @ vinv[cols, :]) % q
+                vinv[t, :] = (vinv[t, :] + w @ vinv[cols, :]) % q
         exps.append(j)
-    vinv = vinv.astype(np.int64, copy=False) if need_vinv else None
-    return exps, v.astype(np.int64, copy=False), vinv
+    return exps, v, vinv
 
 
 def _pack(bits: np.ndarray) -> list[int]:
@@ -537,21 +537,27 @@ class _PrimePart:
         return _mod(stack[:, list(self.comps)], self.prime**self.k)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _factor(m: int) -> tuple[tuple[int, int], ...]:
+    # one modulus factored once per process, as immutable (prime, exponent)
+    # pairs, since every caller shares the result
+    return tuple(factorint(m).items())
+
+
 def _prime_parts(moduli) -> list[_PrimePart]:
-    # the moduli have been checked by ``subquotient``; each distinct one is
-    # factored once
-    fac = {m: factorint(m) for m in set(moduli)}
-    primes: dict[int, dict[int, int]] = {}
-    for j, m in enumerate(moduli):
-        for p, e in fac[m].items():
-            primes.setdefault(p, {})[j] = e
-    out = []
-    for p in sorted(primes):
-        comp_exp = primes[p]
-        comps = tuple(sorted(comp_exp))
-        exps = tuple(comp_exp[c] for c in comps)
-        out.append(_PrimePart(p, max(exps), comps, exps))
-    return out
+    """The p-primary parts of prod Z/moduli, by ascending prime: the
+    layer's one prime decomposition.  The caller has checked the moduli."""
+    exp_of: dict[int, dict[int, int]] = {}  # p -> {modulus: exponent of p}
+    for m in set(moduli):
+        for p, e in _factor(m):
+            exp_of.setdefault(p, {})[m] = e
+    parts = []
+    for p in sorted(exp_of):
+        # the exponent of p in each component, 0 where p does not divide
+        exps = list(map(exp_of[p].get, moduli, repeat(0)))
+        comps = tuple(compress(range(len(exps)), exps))
+        parts.append(_PrimePart(p, max(exps), comps, tuple(filter(None, exps))))
+    return parts
 
 
 def _as_stack(vecs, moduli) -> np.ndarray:
@@ -817,36 +823,34 @@ def quotient_presentation(moduli, den_gens) -> Subquotient:
 
 def _split_by_prime(rows, row_moduli, col_moduli):
     """Split rows . x = b (mod row_moduli) into one system mod q = p^k per
-    prime p: the rows whose modulus p divides, each to be scaled by p^(k-e)
-    so that it holds mod q.  Returns the column factorizations, the rows as
-    an int64 array, and a list of ``(p, k, q, keep, scales)``; every
-    refusal is made here, the kernel's own included."""
+    prime part of the column and row moduli together.  Returns a list of
+    ``(p, k, col_exps, keep, scales, mat)``: the p-adic exponent of each
+    column modulus, the rows whose modulus p divides, the factor p^(k-e)
+    that makes each of them hold mod q, and those rows scaled and reduced
+    mod q as an int64 array.  Every refusal is made here, the kernel's own
+    included."""
     n = len(col_moduli)
     check_moduli((*col_moduli, *row_moduli))
-    fac = {m: factorint(m) if m > 1 else {} for m in {*col_moduli, *row_moduli}}
-    col_exp = [fac[m] for m in col_moduli]
-    row_exp = [fac[m] for m in row_moduli]
     full = np.asarray(rows, dtype=np.int64).reshape(len(rows), n)
     split = []
-    for p in sorted(set().union(*fac.values())):
-        k = max(f.get(p, 0) for f in fac.values())
+    for part in _prime_parts((*col_moduli, *row_moduli)):
+        p, k = part.prime, part.k
         q = p**k
-        keep = [i for i, f in enumerate(row_exp) if p in f]
+        cut = bisect_left(part.comps, n)  # the column components come first
+        col_exps = [0] * n
+        for c, e in zip(part.comps[:cut], part.exps):
+            col_exps[c] = e
+        keep = [c - n for c in part.comps[cut:]]
+        row_exps = part.exps[cut:]
+        scales = [p ** (k - e) for e in row_exps]
         if keep:
             # made before any scaling can wrap
             check_int64_products(q - 1, max(len(keep), n), f"modulus q={q}")
-        split.append((p, k, q, keep, [p ** (k - row_exp[i][p]) for i in keep]))
-    return col_exp, full, split
-
-
-def _system_matrix(full: np.ndarray, keep, scales, q: int) -> np.ndarray:
-    # one prime's system: the rows ``keep``, scaled and reduced mod q (no
-    # scaling when every row's exponent is k)
-    mat = _mod(full[keep], q)
-    if any(s != 1 for s in scales):
-        mat *= np.array(scales, dtype=np.int64).reshape(-1, 1)
-        mat = _mod(mat, q)
-    return mat
+        mat = _mod(full[keep] if len(keep) < len(full) else full, q)
+        if min(row_exps, default=k) < k:
+            mat = _mod(mat * np.array(scales, dtype=np.int64)[:, None], q)
+        split.append((p, k, col_exps, keep, scales, mat))
+    return split
 
 
 def congruence_kernel(rows, row_moduli, col_moduli) -> list[Vector]:
@@ -857,26 +861,22 @@ def congruence_kernel(rows, row_moduli, col_moduli) -> list[Vector]:
     moduli (rows[i][j] * col_moduli[j] = 0 mod row_moduli[i]), which
     holds for every system assembled from valid module matrices.
     """
-    exp_of, full, split = _split_by_prime(rows, row_moduli, col_moduli)
+    split = _split_by_prime(rows, row_moduli, col_moduli)
     n = len(col_moduli)
     if not n:
         return []  # checked moduli, and nothing to diagonalize
-    small = n <= _SMALL
-    if small:
-        full = full.tolist()
     out: list[Vector] = []
-    for p, k, q, keep, scales in split:
-        # keep the p-part of each component, zero at the other primes
-        exps = [f.get(p, 0) for f in exp_of]
-        if small:
+    for p, k, col_exps, _, _, mat in split:
+        if n <= _SMALL:
             # the generators of _kernel_gens_mod, on Python ints
-            mat = [[x * s % q for x in full[i]] for i, s in zip(keep, scales)]
-            d, v, _ = _diagonalize_small(mat, n, p, k, need_vinv=False)
+            q = p**k
+            d, v, _ = _diagonalize_small(mat.tolist(), n, p, k, need_vinv=False)
             a = d + [k] * (n - len(d))
             gens = [[row[j] * p ** (k - a[j]) % q for row in v] for j in range(n) if a[j] > 0]
         else:
-            gens = _kernel_gens_mod(_system_matrix(full, keep, scales, q), p, k)[0]
-        out.extend(tuple(g) for g in _lift_p_parts(gens, p, exps, col_moduli).tolist() if any(g))
+            gens = _kernel_gens_mod(mat, p, k)[0]
+        # keep the p-part of each component, zero at the other primes
+        out.extend(tuple(g) for g in _lift_p_parts(gens, p, col_exps, col_moduli).tolist() if any(g))
     return out
 
 
@@ -944,23 +944,21 @@ class CongruenceSolver:
         self.rows = [tuple(int(x) for x in r) for r in rows]
         self.row_moduli = [int(m) for m in row_moduli]
         self.col_moduli = [int(m) for m in col_moduli]
-        self.exp_of, full, split = _split_by_prime(self.rows, self.row_moduli, self.col_moduli)
-        self.systems = [
-            (p, k, q, keep, scales, _system_matrix(full, keep, scales, q))
-            for p, k, q, keep, scales in split
-        ]
+        self.systems = _split_by_prime(self.rows, self.row_moduli, self.col_moduli)
 
     def solve(self, rhs) -> Vector | None:
+        """One solution x of rows . x = rhs (mod row_moduli), or None when
+        the system is inconsistent."""
         rhs = [int(b) for b in rhs]
         solution = [0] * len(self.col_moduli)
-        for p, k, q, keep, scales, mat in self.systems:
+        for p, k, col_exps, keep, scales, mat in self.systems:
+            q = p**k
             minus_b = np.array([-rhs[i] * c % q for i, c in zip(keep, scales)], dtype=np.int64)
             gens = _kernel_gens_mod(np.column_stack([mat, minus_b]), p, k)[0].tolist()
             g = next((g for g in gens if g[-1] % p), None)
             if g is None:
                 return None
             inv = pow(g[-1], -1, q)
-            col_exps = [f.get(p, 0) for f in self.exp_of]
             lifted = _lift_p_parts([[x * inv % q for x in g[:-1]]], p, col_exps, self.col_moduli)
             solution = [(s + x) % m for s, x, m in zip(solution, lifted[0].tolist(), self.col_moduli)]
         solution = tuple(solution)
@@ -969,12 +967,6 @@ class CongruenceSolver:
             if (sum(c * x for c, x in zip(row, solution)) - b) % mm != 0:
                 return None
         return solution
-
-
-def solve_congruence(rows, row_moduli, col_moduli, rhs) -> Vector | None:
-    """One solution x of rows . x = rhs (mod row_moduli), x in prod
-    Z/col_moduli, or None when the system is inconsistent."""
-    return CongruenceSolver(rows, row_moduli, col_moduli).solve(rhs)
 
 
 def congruence_kernel_int(rows, row_moduli, col_moduli) -> list[Vector]:

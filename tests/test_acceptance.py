@@ -95,7 +95,7 @@ def test_criterion_4_cross_pipeline(instances):
 def test_criterion_5_normal_closure_invariance(instances):
     start = time.time()
     for inst in instances:
-        rec = corpus.closure_invariance_record(inst, CAP, ENUM_CAP)
+        rec = corpus.closure_invariance_record(inst, CAP)
         assert rec.passed, (inst.descriptor, rec)
     report(5, "normal-closure invariance of all formulas", time.time() - start, 10)
 

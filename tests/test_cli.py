@@ -11,6 +11,10 @@ import pytest
 from corprod import cli
 from corprod import formulas as fp
 from corprod.abelian import FiniteAbelianGroup
+from corprod.families import check_tower
+from corprod.serialize import parse_tower
+from test_golden import TAIL_TOWER
+from test_serialize import VALID_TOWER
 
 
 FAMILY = {
@@ -304,6 +308,36 @@ def test_tower_check_command(tmp_path):
     path.write_text(json.dumps(tower))
     status, text = run_cli(["tower-check", "--spec", str(path)])
     assert status == 0 and "tower-certificate" in text
+
+
+# the tower fixtures of the tests, with one transition that is not
+# fibrewise surjective added: C2 -> C2 by the zero map
+TOWER_FIXTURES = {
+    "golden-tail": TAIL_TOWER,
+    "serialize-valid": VALID_TOWER,
+    "zero-map": {
+        **VALID_TOWER,
+        "transitions": VALID_TOWER["transitions"] + [{"index_map": {"a": "a"}, "fiber_maps": {"a": [0, 0]}}],
+        "levels": VALID_TOWER["levels"] + VALID_TOWER["levels"][:1],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_FIXTURES))
+def test_tower_transition_verdicts_are_the_certificates(tmp_path, name):
+    # tower-transition-{i} passes exactly when the certificate lists no
+    # failure for transition i
+    doc = TOWER_FIXTURES[name]
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(doc))
+    _, text = run_cli(["tower-check", "--spec", str(path), "--format", "structured"])
+    verdicts = {r["check"]: r["result"] for r in map(json.loads, text.splitlines())}
+    cert = check_tower(parse_tower(doc))
+    assert len(cert.steps) == len(doc["transitions"])
+    for i in range(len(cert.steps)):
+        listed = any(f.startswith(f"transition {i}: ") for f in cert.failures)
+        assert verdicts[f"tower-transition-{i}"] == ("fail" if listed else "pass")
+    assert verdicts["tower-certificate"] == ("fail" if cert.failures else "pass")
 
 
 C2_TAIL = {"group": {"kind": "cyclic", "n": 2}, "subgroup_generators": [1]}

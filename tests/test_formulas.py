@@ -11,9 +11,11 @@ from conftest import corrupt_map_entry, negation_action
 from corprod import families as fam
 from corprod import formulas as fp
 from corprod import groups as gr
-from corprod.abelian import AbHom, identity_hom
+from corprod import modular
+from corprod.abelian import AbHom
 from corprod.abelian import FiniteAbelianGroup as FAG
 from corprod.errors import InvariantViolation, PreconditionError, SizeCapExceeded
+from corprod.lattice import identity_matrix
 
 
 def neg_module(spec, coeff, names):
@@ -124,12 +126,13 @@ def test_each_truncation_builds_one_oracle(zoo):
     clear_builds()
     assert fp.truncation_colimit(spec, module, 1, 3).passed
     assert builds() == (4, 4)
-    # the record builds one of each per distinct truncation of the spec and its closure
+    # the closure record compares no oracle and no sequence, so it builds
+    # none, also when the spec and its closure truncate differently
     for inst in (corpus.generate_corpus(0, 1)[0], non_normal_instance(zoo)):
         truncs = {fam.truncate(s, 0) for s in (inst.spec, fam.normal_closure_family(inst.spec))}
         clear_builds()
-        assert corpus.closure_invariance_record(inst, coh.DEFAULT_COH_CAP, fp.DEFAULT_ENUM_CAP).passed
-        assert builds() == (len(truncs), len(truncs))
+        assert corpus.closure_invariance_record(inst, coh.DEFAULT_COH_CAP).passed
+        assert builds() == (0, 0)
     assert len(truncs) == 2
 
 
@@ -658,6 +661,18 @@ def test_tail_fiber_gets_the_tail_action(zoo):
     assert not neg.is_trivial_action()
 
 
+def test_section_for_splits_its_system_once(monkeypatch):
+    # one system for all the target's generators, split by prime once
+    split = modular._split_by_prime
+    calls = []
+    monkeypatch.setattr(modular, "_split_by_prime", lambda *args: calls.append(args) or split(*args))
+    src, tgt = FAG((2, 4, 12)), FAG((2, 12))
+    hom = AbHom(src, tgt, ((1, 0, 1), (0, 3, 1)))
+    section = fp.section_for(hom)
+    assert section is not None and hom.compose(section).matrix == ((1, 0), (0, 1))
+    assert len(calls) == 1
+
+
 def test_section_for_agrees_with_brute_force():
     # seeded random surjections between small groups; a right inverse
     # exists exactly when every basis vector e_j of the target has a
@@ -677,7 +692,7 @@ def test_section_for_agrees_with_brute_force():
             if (src_f, tgt_f, hom.matrix) in seen or not hom.is_surjective():
                 continue
             seen.add((src_f, tgt_f, hom.matrix))
-            identity = identity_hom(tgt).matrix
+            identity = identity_matrix(tgt.rank)
             splits = all(
                 any(hom.apply(x) == identity[j] and not any(src.scale(f, x)) for x in src.elements())
                 for j, f in enumerate(tgt_f)

@@ -701,12 +701,12 @@ def test_solver_roundtrip_and_inconsistency():
         rhs = tuple(
             sum(a * b for a, b in zip(r, x0)) % mm for r, mm in zip(rows, row)
         )
-        x = modular.solve_congruence(rows, row, col, rhs)
+        x = modular.CongruenceSolver(rows, row, col).solve(rhs)
         assert x is not None
         for r, b, mm in zip(rows, rhs, row):
             assert (sum(a * c for a, c in zip(r, x)) - b) % mm == 0
         rhs2 = tuple(rng.randrange(mm) for mm in row)
-        x2 = modular.solve_congruence(rows, row, col, rhs2)
+        x2 = modular.CongruenceSolver(rows, row, col).solve(rhs2)
         total = math.prod(col)
         if x2 is None and total <= 400:
             for cand in itertools.product(*(range(c) for c in col)):
@@ -717,12 +717,13 @@ def test_solver_roundtrip_and_inconsistency():
 
 
 def test_reusable_solver_agrees_with_one_shot():
+    # one solver reused for every right-hand side, against a fresh one per side
     rng = random.Random(6)
     rows, row, col = random_system(rng, max_n=4, max_m=3)
     solver = modular.CongruenceSolver(rows, row, col)
     for _ in range(50):
         rhs = tuple(rng.randrange(mm) for mm in row)
-        assert solver.solve(rhs) == modular.solve_congruence(rows, row, col, rhs)
+        assert solver.solve(rhs) == modular.CongruenceSolver(rows, row, col).solve(rhs)
 
 
 def test_int64_refusal_at_and_past_the_bound():
@@ -758,7 +759,7 @@ def test_solver_refuses_systems_beyond_int64():
         x0 = [rng.randrange(q) for _ in range(5)]
         rhs = [sum(a * b for a, b in zip(r, x0)) % q for r in rows]
         with pytest.raises(SizeCapExceeded, match=r"2\^63"):
-            modular.solve_congruence(rows, [q] * 4, [q] * 5, rhs)
+            modular.CongruenceSolver(rows, [q] * 4, [q] * 5).solve(rhs)
     with pytest.raises(SizeCapExceeded):
         modular.congruence_kernel(rows, [q] * 4, [q] * 5)
 
@@ -770,7 +771,7 @@ NON_POSITIVE_MODULI = {
     "negative-column-modulus": (lambda: modular.congruence_kernel([[1, 1]], [4], [4, -4]), -4),
     "zero-column-modulus": (lambda: modular.congruence_kernel([[1]], [2], [0]), 0),
     "no-columns-zero-row-modulus": (lambda: modular.congruence_kernel([[]], [0], []), 0),
-    "solver-zero-row-modulus": (lambda: modular.solve_congruence([[1]], [0], [2], [1]), 0),
+    "solver-zero-row-modulus": (lambda: modular.CongruenceSolver([[1]], [0], [2]).solve([1]), 0),
     "subquotient-zero-modulus": (lambda: modular.subquotient((0,), [(1,)], []), 0),
 }
 
@@ -804,6 +805,7 @@ def test_prime_parts_factor_each_distinct_modulus_once(monkeypatch):
     moduli = (12, 4, 12, 1, 9, 4, 25, 12)
     calls = []
     monkeypatch.setattr(modular, "factorint", lambda m: calls.append(m) or lattice.factorint(m))
+    modular._factor.cache_clear()
     parts = modular._prime_parts(moduli)
     assert sorted(calls) == [1, 4, 9, 12, 25]
     assert parts == [
@@ -811,6 +813,19 @@ def test_prime_parts_factor_each_distinct_modulus_once(monkeypatch):
         modular._PrimePart(3, 2, (0, 2, 4, 7), (1, 1, 2, 1)),
         modular._PrimePart(5, 2, (6,), (2,)),
     ]
+
+
+def test_a_cold_corpus_call_factors_each_distinct_modulus_once(monkeypatch):
+    # the first 4 seed-0 instances with every cache emptied, the modulus
+    # memo among them: 6 factorizations for 6 distinct moduli, where
+    # factoring on every call made 260
+    calls = []
+    monkeypatch.setattr(modular, "factorint", lambda m: calls.append(m) or lattice.factorint(m))
+    for cache in corprod_caches():
+        if inspect.signature(cache.__wrapped__).parameters:
+            cache.cache_clear()
+    corpus.corpus_summary_records(0, 4, DEFAULT_COH_CAP, DEFAULT_ENUM_CAP)
+    assert sorted(calls) == [2, 3, 4, 6, 8, 9]
 
 
 def test_reduction_by_one_modulus_matches_np_mod():
