@@ -61,12 +61,6 @@ class FiniteAbelianGroup:
     def add(self, u, v) -> Vector:
         return tuple((x + y) % d for x, y, d in zip(u, v, self.factors))
 
-    def neg(self, v) -> Vector:
-        return tuple((-x) % d for x, d in zip(v, self.factors))
-
-    def scale(self, c: int, v) -> Vector:
-        return tuple((c * x) % d for x, d in zip(v, self.factors))
-
     def elements(self):
         """Every element, in ``itertools.product`` order (last coordinate
         fastest), decoded one at a time from its index, so nothing is

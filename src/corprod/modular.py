@@ -846,7 +846,7 @@ def _split_by_prime(rows, row_moduli, col_moduli):
         if keep:
             # made before any scaling can wrap
             check_int64_products(q - 1, max(len(keep), n), f"modulus q={q}")
-        mat = _mod(full[keep] if len(keep) < len(full) else full, q)
+        mat = _mod(full[keep], q)
         if min(row_exps, default=k) < k:
             mat = _mod(mat * np.array(scales, dtype=np.int64)[:, None], q)
         split.append((p, k, col_exps, keep, scales, mat))

@@ -40,6 +40,11 @@ def negation_action(group, coeff: FiniteAbelianGroup, generator: int):
     return module_from_generator_matrices(group, coeff, {generator: neg})
 
 
+def scale(group: FiniteAbelianGroup, c: int, v):
+    """The element c.v of ``group``; c = -1 gives the negative of v."""
+    return tuple(c * x % d for x, d in zip(v, group.factors))
+
+
 def corrupt_map_entry(seq: FourTermSequence, which: int, i: int, j: int, delta: int) -> FourTermSequence:
     """Copy of the sequence with maps[which].matrix[i][j] += delta.
 

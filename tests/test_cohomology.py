@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corprod.cohomology as coh
-from conftest import negation_action
+from conftest import negation_action, scale
 from corprod import corpus, modular
 from corprod import groups as gr
 from corprod.abelian import AbHom
@@ -54,7 +54,7 @@ def brute_h1_factors(m):
     zero = tuple(a.zero for _ in range(m.group.order))
     b1 = []
     for vec in a.elements():
-        b1.append(tuple(a.add(m.act(x, vec), a.neg(vec)) for x in range(m.group.order)))
+        b1.append(tuple(a.add(m.act(x, vec), scale(a, -1, vec)) for x in range(m.group.order)))
     moduli = []
     structure = gr.abelian_structure_from_elements(z1, add_tables, zero)
     quotient = modular.quotient_presentation(
@@ -109,7 +109,7 @@ def bar_h2_factors(m):
                     if y == w:
                         acc = a.add(acc, m.act(x, e_i))
                     if g.mul(x, y) == w:
-                        acc = a.add(acc, a.neg(e_i))
+                        acc = a.add(acc, scale(a, -1, e_i))
                     for j in range(r):
                         vec[var(x, y, j)] = acc[j]
             b2.append(tuple(vec))
@@ -226,9 +226,9 @@ def coboundary(m, degree, b):
     g, a = m.group, m.coeff
     n = g.order
     if degree == 1:
-        return [a.add(m.act(x, b), a.neg(b)) for x in range(n)]
+        return [a.add(m.act(x, b), scale(a, -1, b)) for x in range(n)]
     return [
-        [a.add(a.add(m.act(x, b[y]), a.neg(b[g.mul(x, y)])), b[x]) for y in range(n)]
+        [a.add(a.add(m.act(x, b[y]), scale(a, -1, b[g.mul(x, y)])), b[x]) for y in range(n)]
         for x in range(n)
     ]
 
@@ -402,7 +402,7 @@ def test_h2_engine_differential(m, rnd):
     b = [tuple(rnd.randrange(d) for d in a.factors) for _ in range(g.order)]
     b[g.identity] = a.zero
     delta = [
-        [a.add(a.add(m.act(x, b[y]), a.neg(b[g.mul(x, y)])), b[x]) for y in range(g.order)]
+        [a.add(a.add(m.act(x, b[y]), scale(a, -1, b[g.mul(x, y)])), b[x]) for y in range(g.order)]
         for x in range(g.order)
     ]
     assert coh.is_cocycle(m, 2, delta)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import corprod.cohomology as coh
-from conftest import WordRewriting
+from conftest import WordRewriting, scale
 from corprod import corpus, lattice, modular
 from corprod.abelian import AbHom
 from corprod.abelian import FiniteAbelianGroup as FAG
@@ -88,7 +88,7 @@ def ref_connecting_matrix(m, coind, embedding, lift, quotient):
             for y in range(g.order):
                 v = big.add(
                     big.add(lifted[x], coind.act(x, lifted[y])),
-                    big.neg(lifted[g.mul(x, y)]),
+                    scale(big, -1, lifted[g.mul(x, y)]),
                 )
                 pre = solver.solve(v)
                 assert pre is not None
@@ -163,7 +163,7 @@ def ref_h2(m):
                 for sign, prefix, s in derivs[e]:
                     if s == s0:
                         term = m.act(prefix, e_i)
-                        acc = a.add(acc, term if sign > 0 else a.neg(term))
+                        acc = a.add(acc, term if sign > 0 else scale(a, -1, term))
                 vec[e * r : (e + 1) * r] = acc
             den.append(tuple(vec))
     sq = modular.subquotient(col_moduli, hom_gens, den)
@@ -175,7 +175,7 @@ def ref_h2(m):
             for y in range(g.order):
                 acc = a.zero
                 for e, c in enumerate(ref.pair_vector(x, y)):
-                    acc = a.add(acc, a.scale(c, phi[e * r : (e + 1) * r]))
+                    acc = a.add(acc, scale(a, c, phi[e * r : (e + 1) * r]))
                 row.append(acc)
             table.append(tuple(row))
         tables.append(tuple(table))

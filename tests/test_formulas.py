@@ -7,7 +7,7 @@ import random
 import pytest
 
 import corprod.cohomology as coh
-from conftest import corrupt_map_entry, negation_action
+from conftest import corrupt_map_entry, negation_action, scale
 from corprod import families as fam
 from corprod import formulas as fp
 from corprod import groups as gr
@@ -129,11 +129,9 @@ def test_each_truncation_builds_one_oracle(zoo):
     # the closure record compares no oracle and no sequence, so it builds
     # none, also when the spec and its closure truncate differently
     for inst in (corpus.generate_corpus(0, 1)[0], non_normal_instance(zoo)):
-        truncs = {fam.truncate(s, 0) for s in (inst.spec, fam.normal_closure_family(inst.spec))}
         clear_builds()
         assert corpus.closure_invariance_record(inst, coh.DEFAULT_COH_CAP).passed
         assert builds() == (0, 0)
-    assert len(truncs) == 2
 
 
 def test_equal_inputs_share_one_oracle_and_one_sequence():
@@ -673,6 +671,21 @@ def test_section_for_splits_its_system_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_section_for_refuses_at_the_int64_bound_of_its_one_system():
+    # a section of the identity on (Z/q)^t solves one system of 2t^2 rows
+    # and t^2 columns, so the guard reads dot products of length 2t^2 over
+    # entries up to q-1.  For the prime q = 2^30 + 3, 2(q-1)^2 < 2^63 <=
+    # 8(q-1)^2; for the prime q = 2^30 - 35, 8(q-1)^2 < 2^63
+    def identity(q, t):
+        group = FAG((q,) * t)
+        return AbHom(group, group, identity_matrix(t))
+
+    assert fp.section_for(identity(2**30 + 3, 1)).matrix == ((1,),)
+    assert fp.section_for(identity(2**30 - 35, 2)).matrix == ((1, 0), (0, 1))
+    with pytest.raises(SizeCapExceeded, match="length 8"):
+        fp.section_for(identity(2**30 + 3, 2))
+
+
 def test_section_for_agrees_with_brute_force():
     # seeded random surjections between small groups; a right inverse
     # exists exactly when every basis vector e_j of the target has a
@@ -694,7 +707,7 @@ def test_section_for_agrees_with_brute_force():
             seen.add((src_f, tgt_f, hom.matrix))
             identity = identity_matrix(tgt.rank)
             splits = all(
-                any(hom.apply(x) == identity[j] and not any(src.scale(f, x)) for x in src.elements())
+                any(hom.apply(x) == identity[j] and not any(scale(src, f, x)) for x in src.elements())
                 for j, f in enumerate(tgt_f)
             )
             section = fp.section_for(hom)

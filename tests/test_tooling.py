@@ -131,8 +131,6 @@ UNNAMED_BY_DESIGN = {
     "groups.trivial_subgroup": "API convenience",
     "groups.full_subgroup": "API convenience, the counterpart of trivial_subgroup",
     "cohomology.GModule.act": "the documented exact single action, on Python ints",
-    "abelian.FiniteAbelianGroup.neg": "element arithmetic beside add, for brute-force checks",
-    "abelian.FiniteAbelianGroup.scale": "element arithmetic beside add, for brute-force checks",
 }
 
 
