@@ -30,7 +30,8 @@ all of H^i when it is 1, and inflation runs only for a proper, nontrivial
 closure.
 
 Degrees >= 3 come from a free (Z/p^k)[G]-resolution, one prime at a time
-(``resolution_cohomology``), as groups without cochains.  Iterated
+(``resolution_cohomology``), as groups without cochains; at q = p its
+steps are F_p-linear algebra.  Iterated
 dimension shifting through coinduced modules (``shifted_cohomology``)
 is kept as its oracle, and fixes the cap: the engine refuses exactly
 the inputs shifting refuses, with the same message.  The coinduced
@@ -51,7 +52,7 @@ could wrap; ``act`` reads it with Python integers and is always exact.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, log
+from math import gcd
 
 import numpy as np
 
@@ -667,8 +668,11 @@ def resolution_cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -
     A free Z[G]-resolution of Z reduced mod q is a free (Z/q)[G]-resolution
     of Z/q, so H^n(G, A_p) = Ext^n over (Z/q)[G] of (Z/q, A_p): one small
     resolution per prime, whose ranks do not grow with |G| as the shifted
-    modules' do.  The inputs refused are those ``shifted_cohomology``
-    refuses at the cap, with its message, and nothing is built before.
+    modules' do.  At q = p each step is linear algebra over F_p: a
+    p-group's covers are echelon passes (``_cover``), and for every G the
+    answer is read off two ranks (``_primary_cohomology``).  The inputs
+    refused are those ``shifted_cohomology`` refuses at the cap, with its
+    message, and nothing is built before.
     """
     if degree < 1:
         raise PreconditionError("the resolution engine computes degrees >= 1")
@@ -690,18 +694,30 @@ def _primary_cohomology(m: GModule, p: int, degree: int) -> tuple[int, ...]:
     Hom_G(P_i, A_p) is A_p^(rank P_i), a homomorphism given by its values
     on the free generators.  A cocycle on P_n vanishes on ker d_n, and
     since it is G-linear, on the Z/q generators of ker d_n; the
-    coboundaries are the images of the unit cochains on P_(n-1).
+    coboundaries are the images of the unit cochains on P_(n-1).  So the
+    cocycles Z are the kernel of C_1, the values on the kernel generators,
+    and the coboundaries B are spanned by the columns of C_2, the values
+    on the rows of d_n.  At q = p, for every G, both are F_p-vector
+    spaces, and H^n is (Z/p)^(r.rank P_n - rank C_1 - rank C_2), r the
+    rank of A_p, each rank read off one diagonalization mod p.  For
+    q = p^k with k >= 2, Z/B is presented by ``congruence_kernel`` and
+    ``subquotient``.
     """
     g, a = m.group, m.coeff
     comps = [i for i, d in enumerate(a.factors) if d % p == 0]
     # the p-part of Z/d is Z/p^v, v the valuation of d
     moduli = tuple(gcd(a.factors[i], p ** a.factors[i].bit_length()) for i in comps)
     q = moduli[-1]
+    ((_, k),) = modular._factor(q)
     rho = np.mod(m.action[np.ix_(range(g.order), comps, comps)], q)
-    last, kernel = _free_resolution(g, p, q, degree)
+    last, kernel = _free_resolution(g, p, k, degree)
     top = moduli * len(last)  # the coordinates of Hom_G(P_n, A_p)
-    cocycles = modular.congruence_kernel(_coboundary(kernel, rho, q), moduli * len(kernel), top)
-    return modular.subquotient(top, cocycles, _coboundary(last, rho, q).T).factors
+    z_map, b_map = _coboundary(kernel, rho, q), _coboundary(last, rho, q)
+    if k == 1:
+        ranks = (len(modular.local_diagonalize(c, p, 1, need_vinv=False)[0]) for c in (z_map, b_map))
+        return (p,) * (len(top) - sum(ranks))
+    cocycles = modular.congruence_kernel(z_map, moduli * len(kernel), top)
+    return modular.subquotient(top, cocycles, b_map.T).factors
 
 
 def _coboundary(coeffs: np.ndarray, rho: np.ndarray, q: int) -> np.ndarray:
@@ -723,9 +739,9 @@ def _translates(vecs: np.ndarray, left: np.ndarray) -> np.ndarray:
     return vecs[:, :, left].transpose(0, 2, 1, 3)
 
 
-def _free_resolution(g: FiniteGroup, p: int, q: int, length: int):
+def _free_resolution(g: FiniteGroup, p: int, k: int, length: int):
     """The last differential d_length of a free (Z/q)[G]-resolution of
-    Z/q, q a power of p, and the Z/q generators of ker d_length.
+    Z/q, q = p^k, and the Z/q generators of ker d_length.
 
     A differential d_i is an int64 array of shape (rank P_i, rank P_(i-1),
     |G|), row l being the image of free generator l; a kernel is a stack
@@ -738,9 +754,11 @@ def _free_resolution(g: FiniteGroup, p: int, q: int, length: int):
     or q^(|G| - 1) for the augmentation ideal.  While the order falls
     short, a representative of ker d_(i-1) / im d_i joins the cover and
     the step is redone; a larger order, or any row of d_i that d_(i-1)
-    does not send to 0, raises ``VerificationFailure``.
+    does not send to 0, raises ``VerificationFailure``.  A p-group's
+    cover always passes the count, so only other groups reach that
+    ``subquotient`` call.
     """
-    n, k = g.order, round(log(q, p))
+    n, q = g.order, p**k
     left = g.array[np.array(g.inv)]
     gens = list(g.generators)
     # ker d_0 is the augmentation ideal, spanned by the x - 1, and d_0 has
@@ -769,20 +787,28 @@ def _free_resolution(g: FiniteGroup, p: int, q: int, length: int):
         if i == length:
             return d, kernel
         above, want = cols, k * rank * n - image
-        d = _cover(kernel, q, left, gens)
+        d = _cover(kernel, p, k, left, gens)
 
 
-def _cover(kernel: np.ndarray, q: int, left: np.ndarray, gens) -> np.ndarray:
+def _cover(kernel: np.ndarray, p: int, k: int, left: np.ndarray, gens) -> np.ndarray:
     """Free generators of the radical quotient of the (Z/q)[G]-module K
-    spanned by a kernel stack, given the generators of G.
+    spanned by a kernel stack, q = p^k, given the generators of G.
 
     J.K, J being the augmentation ideal, is spanned by (s - 1).K over the
-    generators s, and the cover is one representative per invariant
-    factor of K/J.K.  For a p-group the radical of K is pK + J.K, so they
-    generate K by Nakayama's lemma, and no fewer can.  Otherwise they may
-    span less, and ``_free_resolution`` completes them.
+    generators s.  When G is a p-group and q = p, the radical of K is J.K,
+    so the rows of the stack that are independent modulo J.K generate K
+    by Nakayama's lemma, and no fewer can: they are picked in row order by
+    one echelon pass over F_p (``modular.independent_rows``).  Otherwise
+    the cover is one representative per invariant factor of K/J.K, from
+    ``subquotient``; for a p-group the radical is pK + J.K and they
+    generate K as well, but for any other group they may span less, and
+    ``_free_resolution`` completes them.
     """
     count, rank, n = kernel.shape
+    q = p**k
+    flat = kernel.reshape(count, rank * n)
     moved = np.mod(_translates(kernel, left[gens]) - kernel[:, None], q).reshape(-1, rank * n)
-    reps = modular.subquotient((q,) * (rank * n), kernel.reshape(count, rank * n), moved).reps
+    if k == 1 and len(modular._factor(n)) == 1:  # p divides |G|, so G is a p-group
+        return kernel[modular.independent_rows(moved, flat, p)]
+    reps = modular.subquotient((q,) * (rank * n), flat, moved).reps
     return np.array(reps, dtype=np.int64).reshape(-1, rank, n)

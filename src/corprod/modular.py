@@ -47,6 +47,10 @@ paid for by a workload (times on a 2-vCPU host):
   instances is 15% slower.  Choosing the representation by problem size
   follows Dumas, Giorgi and Pernet (ACM TOMS 35, 2008).
 
+Over a field one more job is done without a diagonalization:
+``independent_rows`` picks, in one echelon pass, the rows independent
+over F_p modulo a span, for the free resolution's covers.
+
 A whole array is reduced mod one q by ``_mod``: ``x & (q - 1)`` when q
 is a power of two, exact in two's complement for negative entries too,
 and ``np.mod`` otherwise; reductions by per-column factors stay ``%``.
@@ -518,6 +522,48 @@ def _kernel_gens_mod(mat: np.ndarray, p: int, k: int) -> tuple[np.ndarray, list[
     # entries below q times p^(k-1): within the kernel's own refusal bound
     scale = np.array([p ** (k - a[j]) for j in keep], dtype=np.int64)
     return _mod(v[:, keep] * scale, p**k).T, a
+
+
+def independent_rows(span: np.ndarray, rows: np.ndarray, p: int) -> list[int]:
+    """The indices of the rows of ``rows`` that are independent over F_p
+    modulo the span of ``span`` and of the rows before them, picked
+    greedily in row order in one echelon pass.  Both are int64 arrays of
+    one width, read mod p.
+
+    At p = 2 each row is packed into one Python int by ``_pack``, as in
+    ``_gf2_diagonalize``, and reduced against a basis keyed by leading
+    bit.  At odd p the rows are eliminated in place, with one numpy update
+    of the rows below per pivot; row i is zero before its pivot column c,
+    so the update reads columns c and on.
+    """
+    a, first = np.concatenate([span, rows]), len(span)
+    picked = []
+    if p == 2:
+        basis: dict[int, int] = {}  # leading bit -> basis row with that leading bit
+        for i, x in enumerate(_pack(_mod(a, 2).astype(np.uint8))):
+            while x:
+                top = x.bit_length() - 1
+                b = basis.get(top)
+                if b is None:
+                    basis[top] = x
+                    if i >= first:
+                        picked.append(i - first)
+                    break
+                x ^= b
+        return picked
+    a = np.mod(a, p)
+    for i in range(len(a)):
+        nz = np.flatnonzero(a[i])
+        if not nz.size:
+            continue
+        if i >= first:
+            picked.append(i - first)
+        c = nz[0]
+        below = np.flatnonzero(a[i + 1:, c]) + (i + 1)
+        if below.size:
+            w = a[below, c] * pow(int(a[i, c]), -1, p) % p
+            a[below, c:] = (a[below, c:] - w[:, None] * a[i, c:]) % p
+    return picked
 
 
 # ---------------------------------------------------------------------------

@@ -1071,3 +1071,33 @@ def test_small_systems_match_their_digests(name):
     panel = small_refusals() if name == "refusals" else small_panel(name)
     got = json.dumps(panel, separators=(",", ":"))
     assert hashlib.sha256(got.encode()).hexdigest() == SMALL_DIGESTS[name]
+
+
+@st.composite
+def field_stacks(draw):
+    """A prime p, and a span and rows of one small width, with entries of
+    any sign: the echelon reads them mod p."""
+    p = draw(st.sampled_from([2, 3]))
+    width = draw(st.integers(1, 5))
+    entry = st.integers(-p, 2 * p)
+    stack = st.lists(st.lists(entry, min_size=width, max_size=width), max_size=5)
+    span, rows = draw(stack), draw(stack)
+    as_array = lambda vecs: np.array(vecs, dtype=np.int64).reshape(len(vecs), width)
+    return p, as_array(span), as_array(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field_stacks())
+def test_independent_rows_match_the_prefix_ranks(case):
+    # brute force: every element of the span of the prefix, at most p^5 of
+    # them; row i is picked exactly when it lies outside that set
+    p, span, rows = case
+    elements = {(0,) * span.shape[1]}
+    want = []
+    for i, row in enumerate(np.concatenate([span, rows]).tolist()):
+        v = tuple(x % p for x in row)
+        if v not in elements:
+            if i >= len(span):
+                want.append(i - len(span))
+            elements = {tuple((x + c * y) % p for x, y in zip(e, v)) for e in elements for c in range(p)}
+    assert modular.independent_rows(span, rows, p) == want

@@ -2,10 +2,13 @@
 engines, known answers, and shifting's cap refusals."""
 
 import json
+import random
 from math import comb, gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corprod import cli, corpus, modular
 from corprod import cohomology as coh
@@ -212,17 +215,43 @@ P_GROUPS = [(name, g) for name, g in corpus._zoo().items() if len(factorint(g.or
 @pytest.mark.parametrize("name, g", P_GROUPS, ids=[name for name, _ in P_GROUPS])
 def test_p_group_covers_are_minimal_and_need_no_completion(name, g, monkeypatch):
     # over F_p a minimal resolution has zero coboundaries, so dim H^n is
-    # rank P_n; one subquotient per cover means the completion never ran
+    # rank P_n; d_n having the rows of the last cover means the completion
+    # added none
     (p,) = factorint(g.order)
     m = coh.trivial_module(g, FAG((p,)))
-    calls = []
-    real = modular.subquotient
-    monkeypatch.setattr(modular, "subquotient", lambda *args: calls.append(1) or real(*args))
+    covers = []
+    real = coh._cover
+    monkeypatch.setattr(coh, "_cover", lambda *args: covers.append(real(*args)) or covers[-1])
     for n in range(1, 6):
-        calls.clear()
-        last, _ = coh._free_resolution(g, p, p, n)
-        assert len(calls) == n - 1, (name, n)
+        covers.clear()
+        last, _ = coh._free_resolution(g, p, 1, n)
+        if n > 1:
+            assert len(last) == len(covers[-1]), (name, n)
         assert len(coh.resolution_cohomology(m, n, BIG_CAP).factors) == len(last), (name, n)
+
+
+@pytest.mark.parametrize("name, g", P_GROUPS, ids=[name for name, _ in P_GROUPS])
+def test_p_group_covers_count_the_invariant_factors_of_k_mod_jk(name, g, monkeypatch):
+    # the echelon cover of ker d_n, n = 1..5, has as many rows as the Z/p
+    # presentation of K/J.K has factors; J.K is built here from the table
+    (p,) = factorint(g.order)
+    seen = []
+    real = coh._cover
+
+    def recorded(kernel, *args):
+        seen.append((kernel, real(kernel, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(coh, "_cover", recorded)
+    coh._free_resolution(g, p, 1, 6)
+    assert len(seen) == 5
+    for kernel, cover in seen:
+        count, rank, n = kernel.shape
+        # coefficient b of s.v is coefficient s^-1 b of v
+        moved = [kernel[:, :, g.array[g.inv[s]]] - kernel for s in g.generators]
+        jk = np.mod(np.concatenate(moved), p).reshape(-1, rank * n)
+        factors = modular.subquotient((p,) * (rank * n), kernel.reshape(count, -1), jk).factors
+        assert len(cover) == len(factors), (name, len(cover), factors)
 
 
 def test_deep_answers_outside_p_groups():
@@ -261,3 +290,57 @@ def test_a_cover_that_spans_less_is_completed_by_the_count(g, monkeypatch):
     monkeypatch.setattr(coh, "_cover", lambda kernel, *args: real(kernel, *args)[:-1])
     coh.resolution_cohomology.cache_clear()
     assert [coh.resolution_cohomology(m, n, BIG_CAP).factors for n in (3, 4)] == want
+
+
+def closure(perms):
+    """Every composite of ``perms``, the identity first."""
+    idp = tuple(range(len(perms[0])))
+    elems, seen = [idp], {idp}
+    for x in elems:  # grows while it is read
+        for s in perms:
+            y = tuple(x[s[i]] for i in range(len(x)))
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return elems
+
+
+def sign(perm):
+    return (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
+
+@st.composite
+def panel_modules(draw):
+    """A group of order 2..24 generated by one or two random permutations
+    of at most 5 points, and a module: trivial F2, F3 or Z/4, the sign on
+    F3, or the permutation module F_p^d on the points.  The draws come
+    from one seeded ``random.Random``: Hypothesis's own draws of small
+    permutations are mostly the identity."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = rng.randint(3, 5)
+    elems = closure([tuple(rng.sample(range(d), d)) for _ in range(rng.randint(1, 2))])
+    assume(1 < len(elems) <= 24)
+    g = gr.group_from_mul(elems, lambda a, b: tuple(a[b[i]] for i in range(d)), elems[0])
+    kind = rng.choice(["F2", "F3", "Z/4", "sign", "F2^d", "F3^d"])
+    if kind in ("F2", "F3", "Z/4"):
+        return kind, coh.trivial_module(g, FAG(({"F2": 2, "F3": 3, "Z/4": 4}[kind],)))
+    if kind == "sign":
+        return kind, coh.GModule(g, FAG((3,)), [[[sign(x) % 3]] for x in elems])
+    acts = np.zeros((len(elems), d, d), dtype=np.int64)
+    for x, perm in enumerate(elems):
+        acts[x, list(perm), range(d)] = 1  # e_i goes to e_perm(i)
+    return kind, coh.GModule(g, FAG((int(kind[1]),) * d), acts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(panel_modules())
+def test_a_seeded_panel_matches_the_other_engines(case):
+    # degrees 1 and 2 against the direct engines, degree 3 against
+    # shifting where its weights are small
+    kind, m = case
+    for degree in (1, 2):
+        want = coh.cohomology(m, degree).value.factors
+        assert coh.resolution_cohomology(m, degree).factors == want, (kind, m.group.order, degree)
+    if max(shift_weights(m, 3)) <= 1_300:
+        want = coh.shifted_cohomology(m, 3).value.factors
+        assert coh.resolution_cohomology(m, 3).factors == want, (kind, m.group.order, 3)
