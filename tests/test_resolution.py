@@ -312,7 +312,7 @@ def sign(perm):
 @st.composite
 def panel_modules(draw):
     """A group of order 2..24 generated by one or two random permutations
-    of at most 5 points, and a module: trivial F2, F3 or Z/4, the sign on
+    of 3 to 5 points, and a module: trivial F2, F3 or Z/4, the sign on
     F3, or the permutation module F_p^d on the points.  The draws come
     from one seeded ``random.Random``: Hypothesis's own draws of small
     permutations are mostly the identity."""
