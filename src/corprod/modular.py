@@ -534,7 +534,8 @@ def independent_rows(span: np.ndarray, rows: np.ndarray, p: int) -> list[int]:
     ``_gf2_diagonalize``, and reduced against a basis keyed by leading
     bit.  At odd p the rows are eliminated in place, with one numpy update
     of the rows below per pivot; row i is zero before its pivot column c,
-    so the update reads columns c and on.
+    so the update reads columns c and on.  The numpy pass is also right at
+    p = 2, but with it the shift-h3 benchmark's cold call is 18% slower.
     """
     a, first = np.concatenate([span, rows]), len(span)
     picked = []
