@@ -27,7 +27,9 @@ Inflation, restriction and the connecting map classify all their columns
 in one call.  The unramified part H^i_nr(G, A) is the image of inflation
 from G/closure(U), an ``AbSubgroup`` of H^i(G, A): 0 when the closure is G,
 all of H^i when it is 1, and inflation runs only for a proper, nontrivial
-closure.
+closure.  The first two need the group H^i only (``cohomology_value``):
+when the exponent of A is a prime p, it is read off the F_p-ranks of the
+systems the engine would solve, with no representatives.
 
 Degrees >= 3 come from a free (Z/p^k)[G]-resolution, one prime at a time
 (``resolution_cohomology``), as groups without cochains; at q = p its
@@ -78,6 +80,9 @@ from .presentation import FreePresentation, free_presentation
 from .records import field, record
 
 DEFAULT_COH_CAP = 20_000
+# the most bytes one array of derivation sums may take: the largest that
+# the tests, the golden file and corpus seeds 0-8 build is 5.6 MB
+DERIVATION_BYTE_BUDGET = 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +326,15 @@ def _derivation_sums(m: GModule, pres: FreePresentation) -> np.ndarray:
     generator s, shape (edges, generators, r, r), row i reduced mod factor
     i: a free derivation d restricts to n_e as sum_s D[e, s] . d(s)."""
     r = m.coeff.rank
-    out = np.zeros((pres.rank, len(pres.gens), r, r), dtype=np.int64)
     edge, sign, prefix, gen = pres.derivation_table
+    for what, count in (("term", edge.size), ("sum", pres.rank * len(pres.gens))):
+        size = count * r * r * 8
+        if size > DERIVATION_BYTE_BUDGET:
+            raise SizeCapExceeded(
+                f"derivation sums: the {what} array of {size} bytes exceeds "
+                f"the byte budget {DERIVATION_BYTE_BUDGET}"
+            )
+    out = np.zeros((pres.rank, len(pres.gens), r, r), dtype=np.int64)
     if edge.size:
         modular.check_int64_products(
             m.coeff.exponent - 1, int(np.bincount(edge).max()), "derivation sums", other=1
@@ -332,7 +344,9 @@ def _derivation_sums(m: GModule, pres: FreePresentation) -> np.ndarray:
 
 
 def cohomology(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> CohomologyGroup:
-    """H^1 (crossed homomorphisms) or H^2 (normalized factor sets)."""
+    """H^1 (crossed homomorphisms) or H^2 (normalized factor sets), with
+    representatives and coordinates; a caller that needs only the group
+    reads ``cohomology_value``."""
     if degree not in (1, 2):
         raise PreconditionError("direct computation only in degrees 1 and 2")
     return _cohomology_cached(m, degree, cap)
@@ -353,20 +367,63 @@ def _cohomology_cached(m: GModule, degree: int, cap: int) -> CohomologyGroup:
     return _h2(m)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def cohomology_value(m: GModule, degree: int, cap: int = DEFAULT_COH_CAP) -> FiniteAbelianGroup:
+    """The group H^1 or H^2 only, with no representatives, once per
+    (module, degree, cap), refused as ``cohomology`` refuses.  When the
+    exponent of A is a prime p dividing |G|, the cocycles are the kernel
+    of the system ``_h1`` or ``_h2`` solves and the coboundaries the span
+    of its boundary rows, both F_p-vector spaces, so H^degree is
+    (Z/p)^(width - rank system - rank boundary).  Any other exponent,
+    the coprime zero included, is ``cohomology(m, degree, cap).value``."""
+    if degree not in (1, 2):
+        raise PreconditionError("direct computation only in degrees 1 and 2")
+    _check_cap(m, degree, cap)
+    p = m.coeff.exponent
+    if m.group.order % p or modular._factor(p) != ((p, 1),):
+        return cohomology(m, degree, cap).value
+    pres = free_presentation(m.group)
+    system, boundary = (_h1_system if degree == 1 else _h2_system)(m, pres)
+    ranks = modular.rank_mod_p(system, p) + modular.rank_mod_p(boundary, p)
+    return FiniteAbelianGroup((p,) * (system.shape[1] - ranks))
+
+
+def _h1_system(m: GModule, pres: FreePresentation) -> tuple[np.ndarray, np.ndarray]:
+    """H^1 on the values at the generators: the cocycle condition's rows
+    and the principal crossed homomorphisms' rows, column (s, j)."""
+    r, k = m.coeff.rank, len(pres.gens)
+    # row (e, i): the cocycle condition on the edge n_e
+    rows = _derivation_sums(m, pres).transpose(0, 2, 1, 3).reshape(pres.rank * r, k * r)
+    # row i, the principal crossed homomorphism of e_i: s.e_i - e_i
+    fac = np.array(m.coeff.factors, dtype=np.int64)[:, None]
+    b1 = np.mod(m.action[list(pres.gens)] - np.eye(r, dtype=np.int64), fac)
+    return rows, b1.transpose(2, 0, 1).reshape(r, k * r)
+
+
+def _h2_system(m: GModule, pres: FreePresentation) -> tuple[np.ndarray, np.ndarray]:
+    """H^2 on the values at the edges: the equivariance rows of the homs
+    from the relation module and the free derivations' rows, column (e, j)."""
+    r, rho = m.coeff.rank, pres.rank
+    # row (s, e, i): conj_s[e][e2] [i == j] - [e == e2] action[s][i][j]
+    ident_r, ident_rho = np.eye(r, dtype=np.int64), np.eye(rho, dtype=np.int64)
+    rows = np.concatenate([
+        np.kron(conj, ident_r) - np.kron(ident_rho, m.action[gelt])
+        for conj, gelt in zip(pres.conjugation_table, pres.gens)
+    ])
+    # row (s0, i): the restriction of the derivation with d(s0) = e_i
+    den = _derivation_sums(m, pres).transpose(1, 3, 0, 2).reshape(len(pres.gens) * r, rho * r)
+    return rows, den
+
+
 def _h1(m: GModule) -> CohomologyGroup:
     g, a = m.group, m.coeff
     pres = free_presentation(g)
     r = a.rank
     k = len(pres.gens)
     col_moduli = a.factors * k
-
-    # row (e, i), column (s, j): the cocycle condition on the edge n_e
-    rows = _derivation_sums(m, pres).transpose(0, 2, 1, 3).reshape(pres.rank * r, k * r)
+    rows, b1 = _h1_system(m, pres)
     z1 = modular.congruence_kernel(rows, a.factors * pres.rank, col_moduli)
-    # the principal crossed homomorphism of e_i, on the generators: s.e_i - e_i
-    fac = np.array(a.factors, dtype=np.int64)[:, None]
-    b1 = np.mod(m.action[list(pres.gens)] - np.eye(r, dtype=np.int64), fac)
-    sq = modular.subquotient(col_moduli, z1, b1.transpose(2, 0, 1).reshape(r, k * r))
+    sq = modular.subquotient(col_moduli, z1, b1)
     value = FiniteAbelianGroup(sq.factors)
     # f(1) = 0 and f(ws) = f(w) + w.f(s): f(b) sums prefix . f(letter) along w_b
     gen_vals = np.array(sq.reps, dtype=np.int64).reshape(len(sq.reps), k, r)
@@ -394,19 +451,10 @@ def _h2(m: GModule) -> CohomologyGroup:
     r = a.rank
     rho = pres.rank
     col_moduli = a.factors * rho
-
-    # solution space: G-equivariant homs from the relation module to A
-    # row (s, e, i), column (e2, j): conj_s[e][e2] [i == j] - [e == e2] action[s][i][j]
-    ident_r, ident_rho = np.eye(r, dtype=np.int64), np.eye(rho, dtype=np.int64)
-    rows = np.concatenate([
-        np.kron(conj, ident_r) - np.kron(ident_rho, m.action[gelt])
-        for conj, gelt in zip(pres.conjugation_table, pres.gens)
-    ])
+    # G-equivariant homs from the relation module to A, modulo the
+    # restrictions of free-group derivations
+    rows, den = _h2_system(m, pres)
     hom_gens = modular.congruence_kernel(rows, a.factors * (len(pres.gens) * rho), col_moduli)
-
-    # denominator: restrictions of free-group derivations, the one with
-    # d(s0) = e_i at row (s0, i), column (e, j)
-    den = _derivation_sums(m, pres).transpose(1, 3, 0, 2).reshape(len(pres.gens) * r, rho * r)
     sq = modular.subquotient(col_moduli, hom_gens, den)
     value = FiniteAbelianGroup(sq.factors)
 
@@ -511,10 +559,12 @@ def unramified_subgroup(
     the normal closure N of ``u``.  Replacing u by its closure changes
     nothing.  The quotient is trivial when N = G, so H^i_nr is 0, and
     inflation along G -> G/1 is the identity, so N = 1 gives all of H^i;
-    inflation runs only for a proper, nontrivial N."""
+    these two need only the group H^i, read by ``cohomology_value`` (off
+    two ranks at a prime exponent).  Inflation, and with it the full
+    engine, runs only for a proper, nontrivial N."""
     n = normal_closure(m.group, u)
     if n.order in (1, m.group.order):
-        value = cohomology(m, degree, cap).value
+        value = cohomology_value(m, degree, cap)
         return full_subgroup(value) if n.order == 1 else AbSubgroup(value, ())
     return inflation(m, n, degree, cap).image()
 
@@ -699,10 +749,11 @@ def _primary_cohomology(m: GModule, p: int, degree: int) -> tuple[int, ...]:
     and the coboundaries B are spanned by the columns of C_2, the values
     on the rows of d_n.  At q = p, for every G, both are F_p-vector
     spaces, and H^n is (Z/p)^(r.rank P_n - rank C_1 - rank C_2), r the
-    rank of A_p, each rank read off one diagonalization mod p.  For
-    q = p^k with k >= 2, Z/B is presented by ``congruence_kernel`` and
-    ``subquotient``, which give the same answer at k = 1 but make the
-    shift-h3 benchmark's cold call 11% slower.
+    rank of A_p, each rank read by ``modular.rank_mod_p``, as
+    ``cohomology_value`` reads H^1 and H^2.  For q = p^k with k >= 2, Z/B
+    is presented by ``congruence_kernel`` and ``subquotient``, which give
+    the same answer at k = 1 but make the shift-h3 benchmark's cold call
+    11% slower.
     """
     g, a = m.group, m.coeff
     comps = [i for i, d in enumerate(a.factors) if d % p == 0]
@@ -715,8 +766,7 @@ def _primary_cohomology(m: GModule, p: int, degree: int) -> tuple[int, ...]:
     top = moduli * len(last)  # the coordinates of Hom_G(P_n, A_p)
     z_map, b_map = _coboundary(kernel, rho, q), _coboundary(last, rho, q)
     if k == 1:
-        ranks = (len(modular.local_diagonalize(c, p, 1, need_vinv=False)[0]) for c in (z_map, b_map))
-        return (p,) * (len(top) - sum(ranks))
+        return (p,) * (len(top) - modular.rank_mod_p(z_map, p) - modular.rank_mod_p(b_map, p))
     cocycles = modular.congruence_kernel(z_map, moduli * len(kernel), top)
     return modular.subquotient(top, cocycles, b_map.T).factors
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -481,6 +482,30 @@ def test_cohomology_refuses_moduli_beyond_int64(tmp_path, family_file):
     status, text = run_cli(["cohomology", "--spec", family_file, "--module", str(mod)])
     assert status == 2
     assert "q=2147483648" in text and "2^63" in text
+
+
+def test_wide_derivation_sums_are_refused_before_they_are_allocated(tmp_path):
+    # C2^7 as seven disjoint transpositions on (Z/2)^128: the weight 16384
+    # passes the cap, but the derivation sums would take 784 MiB
+    gens = [[j ^ 1 if j // 2 == i else j for j in range(14)] for i in range(7)]
+    spec = tmp_path / "c2e7.json"
+    spec.write_text(json.dumps({
+        "prime_set": [2],
+        "exceptional": {"e": {"group": {"kind": "perm", "degree": 14, "generators": gens},
+                              "subgroup_generators": []}},
+        "tail": None,
+    }))
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"coeff": {"kind": "ab", "factors": [2] * 128}, "actions": {}}))
+    tracemalloc.start()
+    try:
+        status, text = run_cli(["cohomology", "--degree", "1", "--spec", str(spec), "--module", str(mod)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2, text
+    assert "derivation sums: the term array of 822083584 bytes exceeds the byte budget 67108864" in text
+    assert peak < 48 * 2**20
 
 
 C2_FAMILY = {

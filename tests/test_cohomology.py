@@ -557,6 +557,44 @@ def test_the_closed_forms_build_no_quotient(zoo, monkeypatch):
         coh.unramified_subgroup(coh.trivial_module(v4, FAG((2,))), gr.subgroup_from_generators(v4, [1]), 1)
 
 
+def value_read_out_modules():
+    """Every corpus-zoo group with trivial F2, F3, F5, (Z/2)^2 and
+    (Z/3)^2, read off ranks, and with trivial Z/4, Z/6 and Z/9, handed to
+    the engine; the corpus's sign (negation) actions on those; and the
+    coinduced modules Maps(G, A) and A' of C2, S3 and A4 over F2 and F3."""
+    zoo = corpus._zoo()
+    for g in zoo.values():
+        for factors in ((2,), (3,), (5,), (2, 2), (3, 3), (4,), (6,), (9,)):
+            a = FAG(factors)
+            yield coh.trivial_module(g, a)
+            sign = corpus._action_options(g, a).get("negation")
+            if sign is not None:
+                yield corpus._action_module(g, a, sign)
+    for name in ("C2", "S3", "A4"):
+        for p in (2, 3):
+            coind = coh.coinduced_module(coh.trivial_module(zoo[name], FAG((p,))))
+            yield coind.module
+            yield coind.quotient
+
+
+def test_the_value_read_out_matches_the_engine():
+    count = 0
+    for m in value_read_out_modules():
+        for degree in (1, 2):
+            want = coh.cohomology(m, degree).value
+            assert coh.cohomology_value(m, degree) == want, (m.group.label, m.coeff.factors, degree)
+            count += 1
+    assert count == 2 * (15 * 8 + 60 + 12)
+
+
+def test_the_value_read_out_refuses_as_the_engine_does(zoo):
+    m = coh.trivial_module(zoo["Heis27"], FAG((3,)))
+    with pytest.raises(SizeCapExceeded, match=r"\|G\|\^2 \* rank = 729 exceeds the cohomology cap 10"):
+        coh.cohomology_value(m, 2, cap=10)
+    with pytest.raises(PreconditionError):
+        coh.cohomology_value(m, 3)
+
+
 @pytest.mark.parametrize(
     "call",
     [

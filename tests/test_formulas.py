@@ -289,6 +289,35 @@ def test_h_formula_degree2(zoo):
     ].structure.factors == (2,)
 
 
+def test_h2_at_closure_1_is_read_off_ranks_and_a_proper_closure_inflates(zoo, monkeypatch):
+    # H^2((Z/2)^5, F2) with U = 1 needs the group only: no congruence
+    # kernel, no subquotient; V4 with U = <1> still pulls back from V4/<1>
+    def refuse(*args):
+        raise AssertionError("built a presentation of cocycles")
+
+    inflations = []
+    inflation = coh.inflation
+
+    def counted(*args):
+        inflations.append(args)
+        return inflation(*args)
+
+    monkeypatch.setattr(coh, "inflation", counted)
+    e32 = gr.abelian_group_from_factors((2,) * 5)
+    coh.cohomology_value.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(modular, "subquotient", refuse)
+        patched.setattr(modular, "congruence_kernel", refuse)
+        spec = fam.family([("e32", e32, gr.trivial_subgroup(e32))])
+        pair = dict(fp.h_formula(spec, fp.FamilyModule.build(FAG((2,))), 2).pairs)["e32"]
+    assert pair.ambient.factors == pair.structure.factors == (2,) * 15
+    assert inflations == []
+    v4 = zoo["V4"]
+    spec = fam.family([("v4", v4, gr.subgroup_from_generators(v4, [1]))])
+    pair = dict(fp.h_formula(spec, fp.FamilyModule.build(FAG((2,))), 2).pairs)["v4"]
+    assert len(inflations) == 1 and pair.ambient.factors == (2, 2, 2)
+
+
 def test_high_degree_formula(zoo):
     c2 = zoo["C2"]
     spec = fam.family([], tail=(c2, gr.full_subgroup(c2)))

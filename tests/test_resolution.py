@@ -326,12 +326,13 @@ def panel_modules(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(panel_modules())
 def test_a_seeded_panel_matches_the_other_engines(case):
-    # degrees 1 and 2 against the direct engines, degree 3 against
-    # shifting where its weights are small
+    # degrees 1 and 2 against the direct engines and their value read-out,
+    # degree 3 against shifting where its weights are small
     kind, m = case
     for degree in (1, 2):
         want = coh.cohomology(m, degree).value.factors
         assert coh.resolution_cohomology(m, degree).factors == want, (kind, m.group.order, degree)
+        assert coh.cohomology_value(m, degree).factors == want, (kind, m.group.order, degree)
     if max(shift_weights(m, 3)) <= 1_300:
         want = coh.shifted_cohomology(m, 3).value.factors
         assert coh.resolution_cohomology(m, 3).factors == want, (kind, m.group.order, 3)
